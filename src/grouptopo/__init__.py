@@ -64,9 +64,8 @@ from .model import (
     GaussianDiag,
     LossBreakdown,
     ModelConfig,
-    ModelParams,
     StepState,
-    bottleneck_encode,
+    check_params,
     conditional_prior,
     fuse_step,
     generate_graph,
@@ -101,7 +100,6 @@ from .training import (
     explore_and_label,
     kl_warmup,
     sample_candidate_topology,
-    teacher_forced_loss,
     train,
 )
 

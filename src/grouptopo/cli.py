@@ -45,7 +45,7 @@ from .harness import (
     evaluate,
     example_from_record,
 )
-from .model import ModelConfig, generate_graph, init_params
+from .model import ModelConfig, check_params, generate_graph, init_params
 from .nn import load_checkpoint, save_checkpoint
 from .pools import default_pool, load_pool
 from .training import (
@@ -300,6 +300,7 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
             f"checkpoint was trained against a pool of {model_config.pool_size} "
             f"groups, this pool has {pool.size}"
         )
+    check_params(params, model_config)
     enc_info = config.get("encoder", {})
     provider = _make_provider(
         str(enc_info.get("kind", "hash")), int(enc_info.get("dim", model_config.dim))

@@ -259,7 +259,6 @@ class RunTranscript:
     final_text: str
     stats: TokenStats
     rounds: int
-    seed: int | None = None
 
 
 def _build_user_prompt(
@@ -286,7 +285,6 @@ def run_graph(
     *,
     rounds: int = 1,
     attack: AttackSpec | None = None,
-    seed: int | None = None,
 ) -> RunTranscript:
     """Execute an agent graph and return the full transcript.
 
@@ -363,7 +361,6 @@ def run_graph(
         final_text=final_text,
         stats=stats,
         rounds=rounds,
-        seed=seed,
     )
 
 

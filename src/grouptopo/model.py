@@ -14,6 +14,8 @@ test suite verifies coordinate-by-coordinate against central differences.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,8 +31,6 @@ from .nn import Grads, Params, accumulate, make_rng
 LOG_SIGMA_MIN = -6.0
 LOG_SIGMA_MAX = 2.0
 LOG_FLOOR = 1e-12
-
-ModelParams = Params
 
 
 @dataclass
@@ -52,19 +52,15 @@ class ModelConfig:
             raise ValidationError("dim and hidden must be positive")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.beta_group < 0.0 or self.beta_edge < 0.0:
-            raise ValidationError("bottleneck weights must be non-negative")
+        for name in ("beta_group", "beta_edge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
 
     def to_dict(self) -> dict:
-        return {
-            "pool_size": self.pool_size,
-            "dim": self.dim,
-            "hidden": self.hidden,
-            "max_steps": self.max_steps,
-            "beta_group": self.beta_group,
-            "beta_edge": self.beta_edge,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -74,37 +70,68 @@ class ModelConfig:
             raise ValidationError(f"model config is missing {exc}") from exc
 
 
+def _draw_order(config: ModelConfig) -> list[tuple[str | None, tuple[int, ...]]]:
+    """Name and shape of every tensor :func:`init_params` draws, in order.
+
+    The gated projections ``grp_gru`` and ``edge_gru`` draw a full GRU and
+    keep only their gate tensors, so a seed gives the same numbers as when
+    all three were GRUs. Tensors drawn and dropped have no name.
+    """
+    d, h = config.dim, config.hidden
+    order: list[tuple[str | None, tuple[int, ...]]] = []
+
+    def affine(prefix: str, n_out: int, n_in: int) -> None:
+        order.append((f"{prefix}.w", (n_out, n_in)))
+        order.append((f"{prefix}.b", (n_out,)))
+
+    affine("task_ffn.l1", h, d)
+    affine("task_ffn.l2", d, h)
+    for prefix in ("his_gru", "grp_gru", "edge_gru"):
+        for key in nn.GRU_SUFFIXES:
+            kept = prefix == "his_gru" or key in nn.GATE_SUFFIXES
+            shape = (d,) if key.startswith("b") else (d, d)
+            order.append((f"{prefix}.{key}" if kept else None, shape))
+    affine("edge_mlp.l1", h, 3 * d)
+    affine("edge_mlp.l2", d, h)
+    order.append(("step_embed", (config.max_steps, d)))
+    for prefix in ("enc_g", "prior_g", "enc_e", "prior_e"):
+        affine(f"{prefix}.mu", d, d)
+        affine(f"{prefix}.ls", d, d)
+    affine("edge_head.l1", h, d)
+    affine("edge_head.l2", 1, h)
+    order.append(("end_embed", (d,)))
+    return order
+
+
 def init_params(config: ModelConfig) -> Params:
     """Fresh parameters, seeded from ``config.seed``.
 
-    Weight matrices are drawn at scale 1/sqrt(fan_in); biases start at zero.
+    Weight matrices, the step table and the STOP embedding are drawn at
+    scale 1/sqrt(fan_in); biases start at zero.
     """
     rng = make_rng(config.seed)
-    d, h = config.dim, config.hidden
     p: Params = {}
-    p["task_ffn.l1.w"] = nn.init_matrix(rng, h, d)
-    p["task_ffn.l1.b"] = np.zeros(h)
-    p["task_ffn.l2.w"] = nn.init_matrix(rng, d, h)
-    p["task_ffn.l2.b"] = np.zeros(d)
-    for prefix in ("his_gru", "grp_gru", "edge_gru"):
-        for key, value in nn.init_gru(rng, d).items():
-            p[f"{prefix}.{key}"] = value
-    p["edge_mlp.l1.w"] = nn.init_matrix(rng, h, 3 * d)
-    p["edge_mlp.l1.b"] = np.zeros(h)
-    p["edge_mlp.l2.w"] = nn.init_matrix(rng, d, h)
-    p["edge_mlp.l2.b"] = np.zeros(d)
-    p["step_embed"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.max_steps, d))
-    for prefix in ("enc_g", "prior_g", "enc_e", "prior_e"):
-        p[f"{prefix}.mu.w"] = nn.init_matrix(rng, d, d)
-        p[f"{prefix}.mu.b"] = np.zeros(d)
-        p[f"{prefix}.ls.w"] = nn.init_matrix(rng, d, d)
-        p[f"{prefix}.ls.b"] = np.zeros(d)
-    p["edge_head.l1.w"] = nn.init_matrix(rng, h, d)
-    p["edge_head.l1.b"] = np.zeros(h)
-    p["edge_head.l2.w"] = nn.init_matrix(rng, 1, h)
-    p["edge_head.l2.b"] = np.zeros(1)
-    p["end_embed"] = rng.normal(0.0, 1.0 / math.sqrt(d), size=d)
+    for name, shape in _draw_order(config):
+        if len(shape) == 2 or name == "end_embed":
+            value = rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
+        else:
+            value = np.zeros(shape)
+        if name is not None:
+            p[name] = value
     return p
+
+
+def check_params(params: Params, config: ModelConfig) -> None:
+    """Raise :class:`ValidationError` unless ``params`` has exactly the names
+    and shapes that ``config`` implies; the message lists every mismatch."""
+    expected = {name: shape for name, shape in _draw_order(config) if name}
+    found = {name: value.shape for name, value in params.items()}
+    wrong = [n for n in sorted(expected.keys() | found.keys())
+             if expected.get(n) != found.get(n)]
+    if wrong:
+        raise ValidationError("parameters do not match the model config: " + ", ".join(
+            f"{n} has shape {found.get(n)}, expected {expected.get(n)}" for n in wrong
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +211,10 @@ def _bottleneck_backward(
     return dx
 
 
-def bottleneck_encode(
-    params: Params, prefix: str, x: np.ndarray
-) -> GaussianDiag:
-    """Posterior over the latent code for a refined state ``x``."""
-    dist, _ = _bottleneck(params, prefix, x)
-    return dist
-
-
 def conditional_prior(params: Params, prefix: str, z: np.ndarray) -> GaussianDiag:
-    """Task-conditioned prior; all-zero weights give the standard normal."""
+    """The Gaussian head under ``prefix``: the task-conditioned prior for
+    "prior_g"/"prior_e", the posterior for "enc_g"/"enc_e". All-zero weights
+    give the standard normal."""
     dist, _ = _bottleneck(params, prefix, z)
     return dist
 
@@ -295,43 +316,40 @@ def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
 
 
 @dataclass
-class _GroupSiteCache:
-    gru: nn.GruCache
+class _LatentCache:
+    gate_prefix: str
+    enc_prefix: str
+    gate: nn.GateCache
     enc: _BottleneckCache
     q: GaussianDiag
     eps: np.ndarray
     code: np.ndarray
-    probs: np.ndarray
 
 
-def _group_site(
-    params: Params, matrix: np.ndarray, fused: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, _GroupSiteCache]:
-    zero = np.zeros_like(fused)
-    x_g, gru_cache = nn.gru_step(params, "grp_gru", fused, zero)
-    q, enc_cache = _bottleneck(params, "enc_g", x_g)
+def _latent(
+    params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray, eps: np.ndarray
+) -> tuple[np.ndarray, _LatentCache]:
+    """A site's bottleneck: gated projection, posterior, pathwise sample."""
+    x_gated, gate_cache = nn.gate_step(params, gate_prefix, x)
+    q, enc_cache = _bottleneck(params, enc_prefix, x_gated)
     code = reparameterize(q, eps)
-    logits = matrix @ code
-    probs = nn.softmax(logits)
-    return probs, _GroupSiteCache(
-        gru=gru_cache, enc=enc_cache, q=q, eps=eps, code=code, probs=probs
+    return code, _LatentCache(
+        gate_prefix=gate_prefix, enc_prefix=enc_prefix, gate=gate_cache,
+        enc=enc_cache, q=q, eps=eps, code=code,
     )
 
 
-def _group_site_backward(
+def _latent_backward(
     params: Params,
-    cache: _GroupSiteCache,
-    matrix: np.ndarray,
-    end_index: int,
-    d_logits: np.ndarray,
+    cache: _LatentCache,
+    d_code: np.ndarray,
     kl_weight: float,
     prior: GaussianDiag,
     prior_acc: list[np.ndarray],
     grads: Grads,
 ) -> np.ndarray:
-    """Backward for one selection site; returns the gradient wrt fused state."""
-    d_code = matrix.T @ d_logits
-    accumulate(grads, "end_embed", d_logits[end_index] * cache.code)
+    """Backward through :func:`_latent` plus ``kl_weight`` * KL(q || prior);
+    accumulates the prior's gradient into ``prior_acc``, returns d x."""
     d_mu = d_code.copy()
     d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma)
     if kl_weight != 0.0:
@@ -340,9 +358,15 @@ def _group_site_backward(
         d_ls += kq_ls
         prior_acc[0] += kp_mu
         prior_acc[1] += kp_ls
-    dx_g = _bottleneck_backward(params, "enc_g", cache.enc, d_mu, d_ls, grads)
-    d_fused, _ = nn.gru_backward(params, "grp_gru", cache.gru, dx_g, grads)
-    return d_fused
+    dx = _bottleneck_backward(params, cache.enc_prefix, cache.enc, d_mu, d_ls, grads)
+    return nn.gate_backward(params, cache.gate_prefix, cache.gate, dx, grads)
+
+
+def _group_site(
+    params: Params, matrix: np.ndarray, fused: np.ndarray, eps: np.ndarray
+) -> tuple[np.ndarray, _LatentCache]:
+    code, latent = _latent(params, "grp_gru", "enc_g", fused, eps)
+    return nn.softmax(matrix @ code), latent
 
 
 @dataclass
@@ -350,11 +374,7 @@ class _EdgeSiteCache:
     features: np.ndarray
     a1: np.ndarray
     h1: np.ndarray
-    gru: nn.GruCache
-    enc: _BottleneckCache
-    q: GaussianDiag
-    eps: np.ndarray
-    code: np.ndarray
+    latent: _LatentCache
     head_a: np.ndarray
     head_h: np.ndarray
     prob: float
@@ -371,26 +391,14 @@ def _edge_site(
     a1 = nn.affine(params, "edge_mlp.l1", features)
     h1 = nn.relu(a1)
     x_pre = nn.affine(params, "edge_mlp.l2", h1)
-    zero = np.zeros_like(x_pre)
-    x_e, gru_cache = nn.gru_step(params, "edge_gru", x_pre, zero)
-    q, enc_cache = _bottleneck(params, "enc_e", x_e)
-    code = reparameterize(q, eps)
+    code, latent = _latent(params, "edge_gru", "enc_e", x_pre, eps)
     head_a = nn.affine(params, "edge_head.l1", code)
     head_h = nn.relu(head_a)
     logit = float(nn.affine(params, "edge_head.l2", head_h)[0])
     prob = float(nn.sigmoid(np.array([logit]))[0])
     return prob, _EdgeSiteCache(
-        features=features,
-        a1=a1,
-        h1=h1,
-        gru=gru_cache,
-        enc=enc_cache,
-        q=q,
-        eps=eps,
-        code=code,
-        head_a=head_a,
-        head_h=head_h,
-        prob=prob,
+        features=features, a1=a1, h1=h1, latent=latent,
+        head_a=head_a, head_h=head_h, prob=prob,
     )
 
 
@@ -404,22 +412,17 @@ def _edge_site_backward(
     grads: Grads,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward for one edge site; returns (d_fused_source, d_z)."""
-    dim = cache.code.shape[0]
+    dim = cache.latent.code.shape[0]
     d_head_h = nn.affine_backward(
         params, "edge_head.l2", cache.head_h, np.array([d_logit]), grads
     )
     d_head_a = nn.relu_backward(cache.head_a, d_head_h)
-    d_code = nn.affine_backward(params, "edge_head.l1", cache.code, d_head_a, grads)
-    d_mu = d_code.copy()
-    d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma)
-    if kl_weight != 0.0:
-        kq_mu, kq_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
-        d_mu += kq_mu
-        d_ls += kq_ls
-        prior_acc[0] += kp_mu
-        prior_acc[1] += kp_ls
-    dx_e = _bottleneck_backward(params, "enc_e", cache.enc, d_mu, d_ls, grads)
-    dx_pre, _ = nn.gru_backward(params, "edge_gru", cache.gru, dx_e, grads)
+    d_code = nn.affine_backward(
+        params, "edge_head.l1", cache.latent.code, d_head_a, grads
+    )
+    dx_pre = _latent_backward(
+        params, cache.latent, d_code, kl_weight, prior, prior_acc, grads
+    )
     dh1 = nn.affine_backward(params, "edge_mlp.l2", cache.h1, dx_pre, grads)
     da1 = nn.relu_backward(cache.a1, dh1)
     d_features = nn.affine_backward(params, "edge_mlp.l1", cache.features, da1, grads)
@@ -478,13 +481,82 @@ def predict_edge(
 
 
 # ---------------------------------------------------------------------------
-# Generation.
+# The step loop, shared by generation and the teacher-forced objective.
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return make_rng(int(seed))
+
+
+# step, choice, fusion cache, selection probabilities, latent cache
+_GroupSite = tuple[int, int, _FuseCache, np.ndarray, _LatentCache]
+_EdgeSite = tuple[int, int, int, _EdgeSiteCache]  # source, step, edge taken
+
+
+def _decode(
+    params: Params,
+    matrix: np.ndarray,
+    end_index: int,
+    z: np.ndarray,
+    limit: int,
+    *,
+    eps: Iterator[np.ndarray],
+    graph: GroupGraph | None = None,
+    rng: np.random.Generator | None = None,
+    allow_stop: bool = True,
+) -> tuple[list[_GroupSite], list[_EdgeSite], list[nn.GruCache]]:
+    """Run at most ``limit`` steps of the autoregressive decoder.
+
+    Each step fuses the history with ``z``, scores the group site, scores
+    one edge site per earlier step against the chosen group, and folds that
+    group into the history. With ``graph`` the choices are the graph's own
+    (teacher forcing), and STOP is the target after its last step. Without
+    it they are made as :func:`generate_graph` describes, with STOP only
+    when ``allow_stop``. Each site takes its latent noise from ``eps``.
+
+    Returns the group sites, the edge sites and the history-fold caches,
+    each in order.
+    """
+    group_sites: list[_GroupSite] = []
+    edge_sites: list[_EdgeSite] = []
+    his_caches: list[nn.GruCache] = []
+    edge_set = set(graph.edges) if graph is not None else set()
+    history = np.zeros(z.shape[0])
+    fused_states: list[np.ndarray] = []
+    for t in range(limit):
+        state, fuse_cache = fuse_step(params, history, z, t)
+        probs, latent = _group_site(params, matrix, state.fused, next(eps))
+        if graph is not None:
+            choice = graph.selected[t] if t < graph.n_steps else end_index
+        elif allow_stop:
+            choice = int(np.argmax(probs))
+        else:
+            choice = int(np.argmax(probs[:end_index]))
+        group_sites.append((t, choice, fuse_cache, probs, latent))
+        if choice == end_index:
+            break
+        group_vec = matrix[choice]
+        sites = []
+        for i in range(t):
+            prob, e_cache = _edge_site(
+                params, fused_states[i], group_vec, z, next(eps)
+            )
+            if graph is not None:
+                label = (i, t) in edge_set
+            else:
+                label = rng.random() < prob
+            sites.append((i, t, int(label), e_cache))
+        if graph is None and sites and not any(site[2] for site in sites):
+            # Connectivity fallback: force the most likely source.
+            best = max(range(t), key=lambda i: sites[i][3].prob)
+            sites[best] = (best, t, 1, sites[best][3])
+        edge_sites.extend(sites)
+        fused_states.append(state.fused)
+        history, his_cache = nn.gru_step(params, "his_gru", group_vec, history)
+        his_caches.append(his_cache)
+    return group_sites, edge_sites, his_caches
 
 
 def generate_graph(
@@ -523,48 +595,18 @@ def generate_graph(
     rng = _as_rng(seed)
     matrix = scoring_matrix(params, candidates)
     z, _ = project_task(params, task_vec)
-    end_index = candidates.end_index
-    zeros_eps = np.zeros(config.dim)
-
-    history = np.zeros(config.dim)
-    fused_states: list[np.ndarray] = []
-    selected: list[int] = []
-    edges: list[tuple[int, int]] = []
-    truncated = False
-
-    for t in range(limit):
-        state, _ = fuse_step(params, history, z, t)
-        probs, _ = _group_site(params, matrix, state.fused, zeros_eps)
-        if forced_steps is not None:
-            choice = int(np.argmax(probs[:end_index]))
-        else:
-            choice = int(np.argmax(probs))
-            if choice == end_index:
-                break
-        selected.append(choice)
-        group_vec = matrix[choice]
-        if t > 0:
-            hit = False
-            best_prob = -1.0
-            best_source = 0
-            for i in range(t):
-                p_edge, _ = _edge_site(params, fused_states[i], group_vec, z, zeros_eps)
-                if p_edge > best_prob:
-                    best_prob = p_edge
-                    best_source = i
-                if rng.random() < p_edge:
-                    edges.append((i, t))
-                    hit = True
-            if not hit:
-                # Connectivity fallback: force the most likely source.
-                edges.append((best_source, t))
-        fused_states.append(state.fused)
-        history, _ = nn.gru_step(params, "his_gru", group_vec, history)
-    else:
-        if forced_steps is None and len(selected) == config.max_steps:
-            truncated = True
-
-    return GroupGraph(selected=tuple(selected), edges=tuple(edges), truncated=truncated)
+    group_sites, edge_sites, _ = _decode(
+        params, matrix, candidates.end_index, z, limit,
+        eps=itertools.repeat(np.zeros(config.dim)), rng=rng,
+        allow_stop=forced_steps is None,
+    )
+    choices = [site[1] for site in group_sites]
+    stopped = choices[-1] == candidates.end_index
+    return GroupGraph(
+        selected=tuple(choices[:-1] if stopped else choices),
+        edges=tuple((i, t) for i, t, taken, _ in edge_sites if taken),
+        truncated=forced_steps is None and not stopped,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,30 +645,10 @@ def graph_log_likelihood(
     graph ends before ``max_steps``; length-``max_steps`` graphs terminate by
     budget, so the measure over the whole outcome space sums to one.
     """
-    _check_structure(graph, config)
-    matrix = scoring_matrix(params, candidates)
-    z, _ = project_task(params, task_vec)
-    zeros_eps = np.zeros(config.dim)
-    edge_set = set(graph.edges)
-    history = np.zeros(config.dim)
-    fused_states: list[np.ndarray] = []
-    total = 0.0
-    for t, gid in enumerate(graph.selected):
-        state, _ = fuse_step(params, history, z, t)
-        probs, _ = _group_site(params, matrix, state.fused, zeros_eps)
-        total += math.log(max(float(probs[gid]), LOG_FLOOR))
-        group_vec = matrix[gid]
-        for i in range(t):
-            p_edge, _ = _edge_site(params, fused_states[i], group_vec, z, zeros_eps)
-            p_event = p_edge if (i, t) in edge_set else 1.0 - p_edge
-            total += math.log(max(p_event, LOG_FLOOR))
-        fused_states.append(state.fused)
-        history, _ = nn.gru_step(params, "his_gru", group_vec, history)
-    if graph.n_steps < config.max_steps:
-        state, _ = fuse_step(params, history, z, graph.n_steps)
-        probs, _ = _group_site(params, matrix, state.fused, zeros_eps)
-        total += math.log(max(float(probs[candidates.end_index]), LOG_FLOOR))
-    return total
+    breakdown, _ = loss_and_grads(
+        params, config, candidates, task_vec, graph, compute_grads=False
+    )
+    return -(breakdown.group_nll + breakdown.edge_bce)
 
 
 @dataclass
@@ -660,14 +682,13 @@ def trajectory_noise(
     ends before the budget) comes last. The draw count depends only on the
     graph shape, so a fixed seed yields the same noise for any parameters.
     """
-    draws = []
-    for t in range(graph.n_steps):
-        draws.append(rng.standard_normal(config.dim))
-        for _ in range(t):
-            draws.append(rng.standard_normal(config.dim))
-    if graph.n_steps < config.max_steps:
-        draws.append(rng.standard_normal(config.dim))
-    return draws
+    return [rng.standard_normal(config.dim) for _ in range(_site_count(graph, config))]
+
+
+def _site_count(graph: GroupGraph, config: ModelConfig) -> int:
+    """Selection sites, edge sites and the STOP site of a teacher-forced pass."""
+    n = graph.n_steps
+    return n + n * (n - 1) // 2 + (n < config.max_steps)
 
 
 def loss_and_grads(
@@ -695,65 +716,36 @@ def loss_and_grads(
     if beta_edge is None:
         beta_edge = config.beta_edge
     _check_structure(graph, config)
+    n = graph.n_steps
+    n_sites = _site_count(graph, config)
     if noise is None and rng is not None:
         noise = trajectory_noise(_as_rng(rng), graph, config)
+    elif noise is None:
+        noise = [np.zeros(config.dim)] * n_sites
+    if len(noise) < n_sites:
+        raise ValidationError("noise stream shorter than the site count")
 
     matrix = scoring_matrix(params, candidates)
     end_index = candidates.end_index
-    n = graph.n_steps
-    edge_set = set(graph.edges)
-    zeros_eps = np.zeros(config.dim)
-
-    def next_eps(stream: Iterator[np.ndarray] | None) -> np.ndarray:
-        if stream is None:
-            return zeros_eps
-        try:
-            return next(stream)
-        except StopIteration:
-            raise ValidationError("noise stream shorter than the site count")
-
-    stream = iter(noise) if noise is not None else None
-
     z, task_cache = project_task(params, task_vec)
     prior_g, prior_g_cache = _bottleneck(params, "prior_g", z)
     prior_e, prior_e_cache = _bottleneck(params, "prior_e", z)
+    group_sites, edge_sites, his_caches = _decode(
+        params, matrix, end_index, z, min(n + 1, config.max_steps),
+        eps=iter(noise), graph=graph,
+    )
 
-    # History fold over the selected groups' embeddings.
-    states = [np.zeros(config.dim)]
-    his_caches: list[nn.GruCache] = []
-    for gid in graph.selected:
-        nxt, cache = nn.gru_step(params, "his_gru", matrix[gid], states[-1])
-        states.append(nxt)
-        his_caches.append(cache)
-
-    group_sites: list[tuple[int, int, _FuseCache, _GroupSiteCache]] = []
-    edge_sites: list[tuple[int, int, int, _EdgeSiteCache]] = []
-    fused_states: list[np.ndarray] = []
     group_nll = 0.0
     edge_bce = 0.0
     kl_group = 0.0
     kl_edge = 0.0
-
-    site_steps = list(range(n)) + ([n] if n < config.max_steps else [])
-    for t in site_steps:
-        target = graph.selected[t] if t < n else end_index
-        state, fuse_cache = fuse_step(params, states[t], z, t)
-        probs, g_cache = _group_site(params, matrix, state.fused, next_eps(stream))
+    for _, target, _, probs, latent in group_sites:
         group_nll += -math.log(max(float(probs[target]), LOG_FLOOR))
-        kl_group += kl_diag(g_cache.q, prior_g)
-        group_sites.append((t, target, fuse_cache, g_cache))
-        if t < n:
-            group_vec = matrix[target]
-            for i in range(t):
-                label = 1 if (i, t) in edge_set else 0
-                prob, e_cache = _edge_site(
-                    params, fused_states[i], group_vec, z, next_eps(stream)
-                )
-                p_event = prob if label else 1.0 - prob
-                edge_bce += -math.log(max(p_event, LOG_FLOOR))
-                kl_edge += kl_diag(e_cache.q, prior_e)
-                edge_sites.append((i, t, label, e_cache))
-            fused_states.append(state.fused)
+        kl_group += kl_diag(latent.q, prior_g)
+    for _, _, label, e_cache in edge_sites:
+        p_event = e_cache.prob if label else 1.0 - e_cache.prob
+        edge_bce += -math.log(max(p_event, LOG_FLOOR))
+        kl_edge += kl_diag(e_cache.latent.q, prior_e)
 
     breakdown = LossBreakdown(
         group_nll=group_nll,
@@ -769,28 +761,23 @@ def loss_and_grads(
         return breakdown, {}
 
     grads: Grads = {}
-    d_fused_acc = [np.zeros(config.dim) for _ in site_steps]
+    d_fused_acc = [np.zeros(config.dim) for _ in group_sites]
     d_state_acc = [np.zeros(config.dim) for _ in range(n + 1)]
     dz = np.zeros(config.dim)
     prior_g_acc = [np.zeros(config.dim), np.zeros(config.dim)]
     prior_e_acc = [np.zeros(config.dim), np.zeros(config.dim)]
 
-    for site_idx, (t, target, _, g_cache) in enumerate(group_sites):
-        if float(g_cache.probs[target]) > LOG_FLOOR:
-            d_logits = g_cache.probs.copy()
+    for site_idx, (_, target, _, probs, latent) in enumerate(group_sites):
+        if float(probs[target]) > LOG_FLOOR:
+            d_logits = probs.copy()
             d_logits[target] -= 1.0
         else:
             d_logits = np.zeros(end_index + 1)
-        d_fused_acc[site_idx] += _group_site_backward(
-            params,
-            g_cache,
-            matrix,
-            end_index,
-            d_logits,
-            beta_group,
-            prior_g,
-            prior_g_acc,
-            grads,
+        # The STOP row of the scoring matrix is the learnable end_embed.
+        accumulate(grads, "end_embed", d_logits[end_index] * latent.code)
+        d_fused_acc[site_idx] += _latent_backward(
+            params, latent, matrix.T @ d_logits, beta_group, prior_g,
+            prior_g_acc, grads,
         )
 
     for i, t, label, e_cache in edge_sites:
@@ -804,7 +791,7 @@ def loss_and_grads(
         dz += d_z_part
 
     # Fusion sites, in any order; each feeds one history state and z.
-    for site_idx, (t, _, fuse_cache, _) in enumerate(group_sites):
+    for site_idx, (t, _, fuse_cache, _, _) in enumerate(group_sites):
         d_his, d_z_part = _fuse_backward(
             fuse_cache, d_fused_acc[site_idx], grads, params["step_embed"]
         )

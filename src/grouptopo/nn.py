@@ -1,4 +1,5 @@
-"""Low-level numeric kernels: activations, GRU cell, optimizer, checkpoints.
+"""Low-level numeric kernels: activations, GRU cell, gated projection,
+optimizer, checkpoints.
 
 Everything operates on float64 numpy arrays. Parameters live in a flat
 ``dict[str, np.ndarray]`` keyed by dotted names ("his_gru.wz", ...); gradient
@@ -20,7 +21,7 @@ from .errors import ValidationError
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
 
-CHECKPOINT_FORMAT = "grouptopo-checkpoint-v1"
+CHECKPOINT_FORMAT = "grouptopo-checkpoint-v2"
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -174,19 +175,47 @@ def gru_backward(
     return grad_x, grad_h
 
 
-def init_gru(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
-    """Fresh GRU weights for equal input/state size ``dim``."""
-    scale = 1.0 / np.sqrt(dim)
-    out: dict[str, np.ndarray] = {}
-    for gate in ("z", "r", "n"):
-        out[f"w{gate}"] = rng.normal(0.0, scale, size=(dim, dim))
-        out[f"u{gate}"] = rng.normal(0.0, scale, size=(dim, dim))
-        out[f"b{gate}"] = np.zeros(dim)
-    return out
+# ---------------------------------------------------------------------------
+# Gated projection: the GRU cell above run from h = 0, where the reset gate
+# and every U term drop out: y = (1 - sigmoid(Wz x + bz)) * tanh(Wn x + bn).
+
+GATE_SUFFIXES = ("wz", "bz", "wn", "bn")
 
 
-def init_matrix(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
-    return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
+@dataclass
+class GateCache:
+    x: np.ndarray
+    z: np.ndarray
+    n: np.ndarray
+
+
+def gate_step(
+    params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray
+) -> tuple[np.ndarray, GateCache]:
+    """One gated projection. Returns the output and a backward cache."""
+    p = params
+    z = sigmoid(p[f"{prefix}.wz"] @ x + p[f"{prefix}.bz"])
+    n = np.tanh(p[f"{prefix}.wn"] @ x + p[f"{prefix}.bn"])
+    return (1.0 - z) * n, GateCache(x=x, z=z, n=n)
+
+
+def gate_backward(
+    params: Mapping[str, np.ndarray],
+    prefix: str,
+    cache: GateCache,
+    grad_y: np.ndarray,
+    grads: Grads,
+) -> np.ndarray:
+    """Backward through one gated projection; returns the gradient wrt x."""
+    p = params
+    x, z, n = cache.x, cache.z, cache.n
+    grad_an = grad_y * (1.0 - z) * (1.0 - n * n)
+    accumulate(grads, f"{prefix}.wn", np.outer(grad_an, x))
+    accumulate(grads, f"{prefix}.bn", grad_an)
+    grad_az = sigmoid_backward(z, -grad_y * n)
+    accumulate(grads, f"{prefix}.wz", np.outer(grad_az, x))
+    accumulate(grads, f"{prefix}.bz", grad_az)
+    return p[f"{prefix}.wn"].T @ grad_an + p[f"{prefix}.wz"].T @ grad_az
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +412,22 @@ def load_checkpoint(
         raise ValidationError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from exc
     with data:
         keys = set(data.files)
-        if "meta/format" not in keys or str(data["meta/format"]) != CHECKPOINT_FORMAT:
-            raise ValidationError(f"not a recognized checkpoint: {os.fspath(path)}")
+        found = str(data["meta/format"]) if "meta/format" in keys else None
+        if found != CHECKPOINT_FORMAT:
+            raise ValidationError(
+                f"{os.fspath(path)} has checkpoint format {found}, this version "
+                f"reads only {CHECKPOINT_FORMAT}; retrain the model"
+            )
         config = json.loads(str(data["meta/config"]))
-        params: Params = {}
-        opt_m: Params = {}
-        opt_v: Params = {}
-        for key in keys:
-            if key.startswith("param/"):
-                params[key[len("param/") :]] = np.array(data[key], dtype=np.float64)
-            elif key.startswith("opt/m/"):
-                opt_m[key[len("opt/m/") :]] = np.array(data[key], dtype=np.float64)
-            elif key.startswith("opt/v/"):
-                opt_v[key[len("opt/v/") :]] = np.array(data[key], dtype=np.float64)
+
+        def section(prefix: str) -> Params:
+            return {
+                key[len(prefix) :]: np.array(data[key], dtype=np.float64)
+                for key in data.files
+                if key.startswith(prefix)
+            }
+
+        params, opt_m, opt_v = section("param/"), section("opt/m/"), section("opt/v/")
         opt_state = None
         if "opt/step" in keys:
             if set(opt_m) != set(params) or set(opt_v) != set(params):

@@ -8,6 +8,7 @@ ramp in linearly over the first warm-up epochs.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,9 +32,6 @@ from .graph import (
 from .harness import AgentBackend, EvalExample, answer_matches, run_graph
 from .model import ModelConfig
 from .nn import OptimizerState, Params, make_rng
-
-# Teacher-forced objective for one trajectory, with exact manual gradients.
-teacher_forced_loss = model_mod.loss_and_grads
 
 TOPOLOGY_FAMILIES = ("chain", "star", "full")
 
@@ -64,6 +62,10 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_epochs < 0:
             raise ValidationError("warmup_epochs must be non-negative")
+        for name in ("lr", "weight_decay", "clip_norm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.lr <= 0.0:
             raise ValidationError("lr must be positive")
 

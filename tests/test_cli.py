@@ -3,6 +3,7 @@ pipeline in a temp directory, plus the exit-code contract."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -259,3 +260,68 @@ def test_sweep_quick(runner, tmp_path):
 def test_sweep_needs_three_sizes(runner):
     result = invoke(runner, ["sweep", "--sizes", "2,4", "--repeats", "3"])
     assert result.exit_code == 2
+
+
+TINY_TRAIN = ["--epochs", "1", "--warmup", "0", "--batch", "1",
+              "--dim", "16", "--hidden", "8", "--max-steps", "4", "--quiet"]
+
+
+def train_tiny(runner, workdir, *extra):
+    gt.write_records(
+        str(workdir / "chain.jsonl"),
+        [gt.trajectory_to_record(gt.Trajectory(
+            query="q", graph=gt.GroupGraph(selected=(0, 1, 2), edges=((0, 1), (1, 2))),
+        ))],
+    )
+    return invoke(runner, [
+        "train", "--pool", str(workdir / "pool.jsonl"),
+        "--dataset", str(workdir / "chain.jsonl"),
+        "--out", str(workdir / "model.npz"), *TINY_TRAIN, *extra,
+    ])
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "lr"),
+    ("--beta-e", "inf", "beta_edge"),
+])
+def test_train_rejects_non_finite_config(runner, workdir, flag, value, field):
+    result = train_tiny(runner, workdir, flag, value)
+    assert result.exit_code == 2
+    assert field in result.stderr
+    assert not (workdir / "model.npz").exists()
+
+
+def set_format(arrays):
+    arrays["meta/format"] = np.array("grouptopo-checkpoint-v1")
+
+
+def drop_param(arrays):
+    for section in ("param", "opt/m", "opt/v"):
+        del arrays[f"{section}/edge_gru.wz"]
+
+
+def misshape_param(arrays):
+    arrays["param/end_embed"] = np.zeros(5)
+
+
+@pytest.mark.parametrize("damage, needle", [
+    (set_format, "retrain"),
+    (drop_param, "edge_gru.wz"),
+    (misshape_param, "end_embed"),
+])
+def test_generate_rejects_mismatched_checkpoint(runner, workdir, damage, needle):
+    assert train_tiny(runner, workdir).exit_code == 0
+    path = workdir / "model.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    damage(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    result = invoke(runner, [
+        "generate", "--pool", str(workdir / "pool.jsonl"),
+        "--checkpoint", str(path), "--query", "q",
+        "--out", str(workdir / "graphs.jsonl"),
+    ])
+    assert result.exit_code == 2
+    assert needle in result.stderr
+    assert not (workdir / "graphs.jsonl").exists()

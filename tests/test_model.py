@@ -32,6 +32,9 @@ def test_config_validation():
         gt.ModelConfig(pool_size=2, max_steps=0)
     with pytest.raises(ValidationError):
         gt.ModelConfig(pool_size=2, beta_edge=-0.1)
+    for field, value in [("beta_group", float("nan")), ("beta_edge", float("inf"))]:
+        with pytest.raises(ValidationError, match=field):
+            gt.ModelConfig(pool_size=2, **{field: value})
 
 
 def test_config_dict_roundtrip():
@@ -53,6 +56,22 @@ def test_init_params_deterministic_and_shaped():
     assert a["edge_mlp.l1.w"].shape == (4, 24)
     assert a["edge_head.l2.w"].shape == (1, 4)
     assert a["end_embed"].shape == (8,)
+    gt.check_params(a, config)
+
+
+def test_check_params_names_every_mismatch():
+    config = gt.ModelConfig(pool_size=3, dim=8, hidden=4, max_steps=5, seed=2)
+    params = gt.init_params(config)
+    del params["edge_gru.wz"]
+    params["end_embed"] = np.zeros(7)
+    params["grp_gru.uz"] = np.zeros((8, 8))
+    with pytest.raises(ValidationError) as info:
+        gt.check_params(params, config)
+    for name in ("edge_gru.wz", "end_embed", "grp_gru.uz"):
+        assert name in str(info.value)
+    with pytest.raises(ValidationError, match="step_embed"):
+        gt.check_params(gt.init_params(config), gt.ModelConfig(
+            pool_size=3, dim=8, hidden=4, max_steps=6))
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +115,10 @@ def test_log_sigma_clamped(tiny):
     params = dict(tiny.params)
     params["enc_g.ls.w"] = tiny.params["enc_g.ls.w"] * 0.0
     params["enc_g.ls.b"] = np.full(tiny.config.dim, 50.0)
-    dist = gt.bottleneck_encode(params, "enc_g", np.ones(tiny.config.dim))
+    dist = gt.conditional_prior(params, "enc_g", np.ones(tiny.config.dim))
     assert np.all(dist.log_sigma <= model_mod.LOG_SIGMA_MAX)
     params["enc_g.ls.b"] = np.full(tiny.config.dim, -50.0)
-    dist = gt.bottleneck_encode(params, "enc_g", np.ones(tiny.config.dim))
+    dist = gt.conditional_prior(params, "enc_g", np.ones(tiny.config.dim))
     assert np.all(dist.log_sigma >= model_mod.LOG_SIGMA_MIN)
 
 
@@ -326,6 +345,24 @@ def test_loss_gradients_match_fd_sampled():
         loss_fn, setup.params, grads, sample=4, rng=nn.make_rng(0)
     )
     assert report.max_rel_err < 1e-4, report
+
+
+def test_every_parameter_gets_a_gradient():
+    # A tensor that never receives gradient is dead weight: it is stored,
+    # checkpointed and moment-tracked but can never learn.
+    setup = make_tiny(max_steps=5, beta_group=0.4, beta_edge=0.3, seed=4)
+    graph = gt.GroupGraph(selected=(1, 0, 2, 3), edges=((0, 1), (1, 2), (0, 3)))
+    noise = model_mod.trajectory_noise(nn.make_rng(2), graph, setup.config)
+    breakdown, grads = gt.loss_and_grads(
+        setup.params, setup.config, setup.candidates, setup.task_vec, graph,
+        noise=noise,
+    )
+    assert breakdown.n_group_sites == 5  # four steps + STOP
+    dead = sorted(
+        name for name in setup.params
+        if name not in grads or not np.any(grads[name])
+    )
+    assert dead == []
 
 
 def test_loss_rejects_short_noise_stream(tiny):

@@ -63,7 +63,11 @@ def test_gru_zero_weights_halves_state():
 def test_gru_backward_matches_fd():
     dim = 5
     rng = nn.make_rng(3)
-    params = {f"g.{k}": v for k, v in nn.init_gru(rng, dim).items()}
+    params = {
+        f"g.{k}": rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
+        if k[0] in "wu" else np.zeros(dim)
+        for k in nn.GRU_SUFFIXES
+    }
     params["x"] = rng.normal(size=dim)
     params["h"] = rng.normal(size=dim)
     v = rng.normal(size=dim)
@@ -77,6 +81,53 @@ def test_gru_backward_matches_fd():
     grad_x, grad_h = nn.gru_backward(params, "g", cache, v, grads)
     grads["x"] = grad_x
     grads["h"] = grad_h
+    report = nn.finite_diff_check(loss_fn, params, grads)
+    assert report.max_rel_err < 1e-6, report
+
+
+def random_gru(rng, dim):
+    return {f"g.{k}": rng.normal(size=(dim, dim) if k[0] in "wu" else dim)
+            for k in nn.GRU_SUFFIXES}
+
+
+def test_gate_is_gru_from_zero_state():
+    # The GRU run from h = 0 is the reference: the gated projection must give
+    # the same output, input gradient and gate gradients bit for bit, and the
+    # GRU's other tensors must get exactly zero gradient.
+    dim = 7
+    rng = nn.make_rng(5)
+    params = random_gru(rng, dim)
+    x = rng.normal(size=dim)
+    v = rng.normal(size=dim)
+    ref_y, ref_cache = nn.gru_step(params, "g", x, np.zeros(dim))
+    ref_grads: dict = {}
+    ref_dx, _ = nn.gru_backward(params, "g", ref_cache, v, ref_grads)
+    y, cache = nn.gate_step(params, "g", x)
+    grads: dict = {}
+    dx = nn.gate_backward(params, "g", cache, v, grads)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(dx, ref_dx)
+    assert list(grads) == [f"g.{k}" for k in ("wn", "bn", "wz", "bz")]
+    for name, g in ref_grads.items():
+        expected = grads.get(name, np.zeros_like(g))
+        assert np.array_equal(g, expected), name
+
+
+def test_gate_backward_matches_fd():
+    dim = 5
+    rng = nn.make_rng(8)
+    params = {k: v for k, v in random_gru(rng, dim).items()
+              if k.split(".")[1] in nn.GATE_SUFFIXES}
+    params["x"] = rng.normal(size=dim)
+    v = rng.normal(size=dim)
+
+    def loss_fn(p):
+        y, _ = nn.gate_step(p, "g", p["x"])
+        return float(y @ v)
+
+    _, cache = nn.gate_step(params, "g", params["x"])
+    grads: dict = {}
+    grads["x"] = nn.gate_backward(params, "g", cache, v, grads)
     report = nn.finite_diff_check(loss_fn, params, grads)
     assert report.max_rel_err < 1e-6, report
 

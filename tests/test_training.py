@@ -51,6 +51,10 @@ def test_train_config_validation():
         gt.TrainConfig(lr=0.0)
     with pytest.raises(ValidationError):
         gt.TrainConfig(warmup_epochs=-1)
+    for field, value in [("lr", float("nan")), ("lr", float("inf")),
+                         ("weight_decay", float("nan")), ("clip_norm", float("inf"))]:
+        with pytest.raises(ValidationError, match=field):
+            gt.TrainConfig(**{field: value})
 
 
 def test_exploration_config_validation():
