@@ -11,9 +11,7 @@ from .embedding import (
     EmbeddingProvider,
     HashingTextEmbedder,
     HttpEncoderClient,
-    TaskEmbedding,
     build_candidate_matrix,
-    encode_task,
 )
 from .errors import BackendError, GroupTopoError, ValidationError
 from .graph import (
@@ -50,7 +48,6 @@ from .harness import (
     HttpAgentBackend,
     ItemResult,
     RunTranscript,
-    ScriptedBackend,
     TokenStats,
     TranscriptEntry,
     answer_matches,

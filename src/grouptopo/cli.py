@@ -3,8 +3,7 @@
 Pipeline: ``discover`` runs topology families against a backend, ``curate``
 keeps the cheapest correct graph per query, ``train`` fits the generator on
 those trajectories, ``generate`` samples graphs for new queries, ``run`` and
-``attack`` execute them, ``sweep`` measures generation scaling, ``diagram``
-prints a graph as text.
+``attack`` execute them, ``diagram`` prints a graph as text.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 backend error.
 """
@@ -12,12 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 backend error.
 from __future__ import annotations
 
 import functools
-import statistics
 import sys
-import time
 
 import click
-import numpy as np
 
 from .embedding import (
     EmbeddingProvider,
@@ -45,7 +41,7 @@ from .harness import (
     evaluate,
     example_from_record,
 )
-from .model import ModelConfig, check_params, generate_graph, init_params
+from .model import ModelConfig, check_params, generate_graph
 from .nn import load_checkpoint, save_checkpoint
 from .pools import default_pool, load_pool
 from .training import (
@@ -448,76 +444,6 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
             ],
         )
         click.echo(f"wrote report -> {out}")
-
-
-@main.command()
-@click.option("--sizes", default="2,4,8,16", show_default=True,
-              help="Comma-separated forced step counts.")
-@click.option("--repeats", type=click.IntRange(min=3), default=15, show_default=True)
-@click.option("--dim", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--pool-size", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--out", type=str, default=None)
-@seed_option
-@_guarded
-def sweep(sizes, repeats, dim, pool_size, out, seed) -> None:
-    """Time generation at forced graph sizes and fit a quadratic."""
-    try:
-        size_list = sorted({int(s) for s in sizes.split(",") if s.strip()})
-    except ValueError as exc:
-        raise ValidationError(f"bad --sizes value: {exc}") from exc
-    if len(size_list) < 3:
-        raise ValidationError("need at least three sizes for a quadratic fit")
-    config = ModelConfig(
-        pool_size=pool_size, dim=dim, hidden=max(8, dim // 2),
-        max_steps=max(size_list), seed=seed,
-    )
-    params = init_params(config)
-    provider = HashingTextEmbedder(dim)
-    pool = default_pool()
-    if pool.size < pool_size:
-        raise ValidationError(
-            f"--pool-size {pool_size} exceeds the bundled pool ({pool.size})"
-        )
-    pool = GroupPool(groups=pool.groups[:pool_size])
-    candidates = build_candidate_matrix(provider, pool)
-    task_vec = provider.encode(["timing probe"])[0]
-    medians = []
-    for size in size_list:
-        times = []
-        for rep in range(repeats):
-            start = time.perf_counter()
-            generate_graph(
-                params, config, candidates, task_vec, seed + rep, forced_steps=size
-            )
-            times.append(time.perf_counter() - start)
-        medians.append(statistics.median(times))
-    coeffs = np.polyfit(np.array(size_list, dtype=float), np.array(medians), deg=2)
-    fitted = np.polyval(coeffs, np.array(size_list, dtype=float))
-    residual = float(np.sum((np.array(medians) - fitted) ** 2))
-    total = float(np.sum((np.array(medians) - np.mean(medians)) ** 2))
-    r_squared = 1.0 - residual / total if total > 0 else 1.0
-    for size, med in zip(size_list, medians):
-        click.echo(f"steps {size:3d}: median {med * 1e3:.3f} ms")
-    click.echo(
-        f"quadratic fit a={coeffs[0]:.3e} b={coeffs[1]:.3e} c={coeffs[2]:.3e} "
-        f"R^2={r_squared:.4f}"
-    )
-    if out:
-        write_records(
-            out,
-            [
-                {
-                    "v": RECORD_VERSION,
-                    "kind": "timing_sweep",
-                    "seed": seed,
-                    "sizes": size_list,
-                    "median_seconds": medians,
-                    "coefficients": [float(c) for c in coeffs],
-                    "r_squared": r_squared,
-                }
-            ],
-        )
-        click.echo(f"wrote sweep -> {out}")
 
 
 @main.command()

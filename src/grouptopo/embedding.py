@@ -151,25 +151,6 @@ class HttpEncoderClient:
 
 
 @dataclass(frozen=True)
-class TaskEmbedding:
-    """A query and its raw sentence-encoder vector (pre projection)."""
-
-    text: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValidationError(f"task vector must be 1-D, got shape {vec.shape}")
-        object.__setattr__(self, "vector", vec)
-
-
-def encode_task(provider: EmbeddingProvider, text: str) -> TaskEmbedding:
-    matrix = provider.encode([text])
-    return TaskEmbedding(text=text, vector=matrix[0])
-
-
-@dataclass(frozen=True)
 class CandidateMatrix:
     """Frozen embeddings for the K pool groups plus a STOP row.
 

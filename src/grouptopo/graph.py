@@ -200,9 +200,6 @@ class AgentGraph:
     def predecessors(self, idx: int) -> tuple[int, ...]:
         return tuple(i for i, t in self.edges if t == idx)
 
-    def successors(self, idx: int) -> tuple[int, ...]:
-        return tuple(t for i, t in self.edges if i == idx)
-
 
 def topological_schedule(agent_graph: AgentGraph) -> tuple[int, ...]:
     """Deterministic topological order (Kahn; ties broken by node index)."""
@@ -272,17 +269,13 @@ def materialize_agent_graph(
     graph: GroupGraph,
     pool: GroupPool,
     mode: str = "composite",
-    *,
-    summarizer_prompt: str | None = None,
-    summarizer_sees_all: bool = False,
 ) -> AgentGraph:
     """Expand a group graph into an executable agent graph.
 
     ``mode="composite"`` creates one agent per selected group with a composed
     system prompt; ``mode="expanded"`` creates one agent per member role and
     wires the group's internal pattern explicitly. Either way a summarizer
-    node is appended, fed by the sink agents (or every agent when
-    ``summarizer_sees_all`` is set).
+    node is appended, fed by the sink agents.
 
     Raises:
         ValidationError: if the graph is empty, fails validation, or ``mode``
@@ -339,17 +332,13 @@ def materialize_agent_graph(
     nodes.append(
         AgentNode(
             name="summarizer",
-            prompt=summarizer_prompt or DEFAULT_SUMMARIZER_PROMPT,
+            prompt=DEFAULT_SUMMARIZER_PROMPT,
             step=None,
             role="summarizer",
         )
     )
-    if summarizer_sees_all:
-        feeders = list(range(summarizer_idx))
-    else:
-        with_out = {i for i, _ in edges}
-        feeders = [i for i in range(summarizer_idx) if i not in with_out]
-    edges.extend((i, summarizer_idx) for i in feeders)
+    with_out = {i for i, _ in edges}
+    edges.extend((i, summarizer_idx) for i in range(summarizer_idx) if i not in with_out)
 
     agent_graph = AgentGraph(
         nodes=tuple(nodes), edges=tuple(edges), summarizer=summarizer_idx
@@ -509,26 +498,31 @@ def read_records(path: str | os.PathLike) -> list[dict]:
     """Read line-delimited JSON records, checking the schema version.
 
     Raises:
-        ValidationError: on unreadable files, malformed JSON, or version
-            mismatches; the message carries the 1-based line number.
+        ValidationError: on missing files, text that is not UTF-8, malformed
+            JSON, or version mismatches; the message carries the 1-based line
+            number.
     """
     if not os.path.exists(path):
         raise ValidationError(f"record file not found: {os.fspath(path)}")
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            try:
-                _check_header(record)
-            except ValidationError as exc:
-                raise ValidationError(str(exc), line=lineno) from exc
-            records.append(record)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8: {exc.reason}", line=lineno) from exc
+        if not text:
+            continue
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+        try:
+            _check_header(record)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), line=lineno) from exc
+        records.append(record)
     return records
 
 

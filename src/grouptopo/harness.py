@@ -14,7 +14,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .errors import BackendError, ValidationError
 from .graph import (
@@ -26,7 +26,8 @@ from .graph import (
     topological_schedule,
 )
 
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+# Digits may carry thousands separators: "1,000" reads as 1000.
+_NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def count_tokens(text: str) -> int:
@@ -54,16 +55,6 @@ class AgentBackend(Protocol):
     def complete(self, system: str, user: str, *, role: str) -> BackendResult: ...
 
 
-class ScriptedBackend:
-    """Deterministic backend driven by a plain function (role, system, user)."""
-
-    def __init__(self, fn: Callable[[str, str, str], str]):
-        self._fn = fn
-
-    def complete(self, system: str, user: str, *, role: str) -> BackendResult:
-        return BackendResult(text=self._fn(role, system, user))
-
-
 class CompressiveEchoBackend:
     """Replies with a compressed echo of the prompt.
 
@@ -88,6 +79,9 @@ class CompressiveEchoBackend:
 class AnswerKeyBackend:
     """Scripted solver that answers queries from a fixed key.
 
+    The query is read from the ``Task: <query>`` line that :func:`run_graph`
+    puts first in every user prompt, and must match a key exactly.
+
     If ``marker`` appears anywhere in the prompt the node is considered
     compromised and replies with ``corruption`` instead; downstream nodes
     that see a corrupted reply propagate it, so one poisoned system prompt
@@ -110,10 +104,9 @@ class AnswerKeyBackend:
             return BackendResult(text=self.corruption)
         if self.corruption in combined:
             return BackendResult(text=self.corruption)
-        for query, answer in self.answers.items():
-            if query in combined:
-                return BackendResult(text=answer)
-        return BackendResult(text="no answer")
+        task_line = user.split("\n", 1)[0]
+        query = task_line[len("Task: ") :] if task_line.startswith("Task: ") else None
+        return BackendResult(text=self.answers.get(query, "no answer"))
 
 
 class HttpAgentBackend:
@@ -431,7 +424,7 @@ def answer_matches(
         found = _NUMBER_RE.findall(got)
         if not found:
             return False
-        have = float(found[-1])
+        have = float(found[-1].replace(",", ""))
         return math.isclose(want, have, rel_tol=tol, abs_tol=tol)
     raise ValidationError(f"unknown match rule '{rule}'")
 

@@ -64,10 +64,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        try:
-            return cls(**{k: data[k] for k in cls.__dataclass_fields__})
-        except KeyError as exc:
-            raise ValidationError(f"model config is missing {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"model config must be an object, got {data!r}")
+        values = {}
+        for field in dataclasses.fields(cls):
+            if field.name not in data:
+                raise ValidationError(f"model config is missing '{field.name}'")
+            value = values[field.name] = data[field.name]
+            kinds = (int, float) if field.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValidationError(
+                    f"model config '{field.name}' must be {field.type}, got {value!r}"
+                )
+        return cls(**values)
 
 
 def _draw_order(config: ModelConfig) -> list[tuple[str | None, tuple[int, ...]]]:
@@ -430,53 +439,22 @@ def _edge_site_backward(
     return d_features[:dim], d_features[2 * dim :]
 
 
-def _resolve_eps(
-    dim: int, mode: str, eps: np.ndarray | None, rng: np.random.Generator | None
-) -> np.ndarray:
-    if mode == "infer":
-        return np.zeros(dim)
-    if mode != "train":
-        raise ValidationError(f"unknown mode '{mode}'")
-    if eps is not None:
-        return np.asarray(eps, dtype=np.float64)
-    if rng is not None:
-        return rng.standard_normal(dim)
-    raise ValidationError("train mode needs an eps vector or an rng")
-
-
 def predict_group(
-    params: Params,
-    candidates: CandidateMatrix,
-    fused: np.ndarray,
-    *,
-    mode: str = "infer",
-    eps: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    params: Params, candidates: CandidateMatrix, fused: np.ndarray
 ) -> np.ndarray:
-    """Selection probabilities over the K groups plus the STOP entry.
-
-    ``mode="infer"`` uses the posterior mean; ``mode="train"`` draws the
-    latent code pathwise from ``eps`` (or ``rng``).
-    """
+    """Selection probabilities over the K groups plus the STOP entry, from
+    the posterior mean."""
     matrix = scoring_matrix(params, candidates)
-    resolved = _resolve_eps(fused.shape[0], mode, eps, rng)
-    probs, _ = _group_site(params, matrix, fused, resolved)
+    probs, _ = _group_site(params, matrix, fused, np.zeros(fused.shape[0]))
     return probs
 
 
 def predict_edge(
-    params: Params,
-    fused_source: np.ndarray,
-    group_vec: np.ndarray,
-    z: np.ndarray,
-    *,
-    mode: str = "infer",
-    eps: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    params: Params, fused_source: np.ndarray, group_vec: np.ndarray, z: np.ndarray
 ) -> float:
-    """Probability of wiring an earlier step into the current group."""
-    resolved = _resolve_eps(z.shape[0], mode, eps, rng)
-    prob, _ = _edge_site(params, fused_source, group_vec, z, resolved)
+    """Probability of wiring an earlier step into the current group, from the
+    posterior mean."""
+    prob, _ = _edge_site(params, fused_source, group_vec, z, np.zeros(z.shape[0]))
     return prob
 
 

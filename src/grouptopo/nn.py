@@ -418,7 +418,12 @@ def load_checkpoint(
                 f"{os.fspath(path)} has checkpoint format {found}, this version "
                 f"reads only {CHECKPOINT_FORMAT}; retrain the model"
             )
-        config = json.loads(str(data["meta/config"]))
+        try:
+            config = json.loads(str(data["meta/config"]))
+        except (KeyError, json.JSONDecodeError):
+            config = None
+        if not isinstance(config, dict):
+            raise ValidationError(f"{os.fspath(path)} has no meta/config JSON object")
 
         def section(prefix: str) -> Params:
             return {

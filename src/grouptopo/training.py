@@ -9,7 +9,6 @@ ramp in linearly over the first warm-up epochs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,10 +25,9 @@ from .graph import (
     Trajectory,
     group_graph_from_record,
     group_graph_to_record,
-    materialize_agent_graph,
     validate_group_graph,
 )
-from .harness import AgentBackend, EvalExample, answer_matches, run_graph
+from .harness import AgentBackend, EvalExample, evaluate
 from .model import ModelConfig
 from .nn import OptimizerState, Params, make_rng
 
@@ -268,15 +266,20 @@ def exploration_result_from_record(record: dict) -> ExplorationResult:
     for key in ("query", "graph", "correct"):
         if key not in record:
             raise ValidationError(f"exploration record is missing '{key}'")
+    if not isinstance(record["correct"], bool):
+        raise ValidationError("'correct' must be true or false")
+    tokens = {key: record.get(key, 0) for key in ("prompt_tokens", "completion_tokens")}
+    for key, value in tokens.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValidationError(f"'{key}' must be a non-negative integer")
     return ExplorationResult(
         query=str(record["query"]),
         answer=str(record.get("answer", "")),
         graph=group_graph_from_record(record["graph"]),
         family=str(record.get("family", "")),
-        correct=bool(record["correct"]),
+        correct=record["correct"],
         final_text=str(record.get("final_text", "")),
-        prompt_tokens=int(record.get("prompt_tokens", 0)),
-        completion_tokens=int(record.get("completion_tokens", 0)),
+        **tokens,
     )
 
 
@@ -291,8 +294,8 @@ def explore_and_label(
     """Run every (query, family, sample) combination and mark correctness.
 
     Sampling happens up front from one seeded stream, so results are
-    reproducible and independent of worker scheduling; execution order is
-    dataset-major, family-minor.
+    reproducible and independent of worker scheduling; the graphs then run
+    through :func:`~grouptopo.harness.evaluate`, dataset-major, family-minor.
     """
     rng = make_rng(config.seed)
     tasks: list[tuple[EvalExample, str, GroupGraph]] = []
@@ -304,28 +307,30 @@ def explore_and_label(
                 )
                 tasks.append((example, family, graph))
 
-    def run_one(task: tuple[EvalExample, str, GroupGraph]) -> ExplorationResult:
-        example, family, graph = task
-        agent_graph = materialize_agent_graph(graph, pool, config.mode)
-        transcript = run_graph(
-            agent_graph, example.query, backend, rounds=config.rounds
-        )
-        correct = answer_matches(example.answer, transcript.final_text, example.match)
-        return ExplorationResult(
-            query=example.query,
-            answer=example.answer,
+    if not tasks:
+        return []
+    report = evaluate(
+        [example for example, _, _ in tasks],
+        [graph for _, _, graph in tasks],
+        pool,
+        backend,
+        mode=config.mode,
+        rounds=config.rounds,
+        max_workers=max_workers,
+    )
+    return [
+        ExplorationResult(
+            query=item.query,
+            answer=item.expected,
             graph=graph,
             family=family,
-            correct=correct,
-            final_text=transcript.final_text,
-            prompt_tokens=transcript.stats.prompt_tokens,
-            completion_tokens=transcript.stats.completion_tokens,
+            correct=item.correct,
+            final_text=item.got,
+            prompt_tokens=item.prompt_tokens,
+            completion_tokens=item.completion_tokens,
         )
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            return list(pool_exec.map(run_one, tasks))
-    return [run_one(t) for t in tasks]
+        for item, (_, family, graph) in zip(report.items, tasks)
+    ]
 
 
 def curate_minimal(
@@ -339,17 +344,13 @@ def curate_minimal(
     and reported back.
     """
     by_query: dict[str, list[ExplorationResult]] = {}
-    order: list[str] = []
     for result in results:
-        if result.query not in by_query:
-            by_query[result.query] = []
-            order.append(result.query)
-        by_query[result.query].append(result)
+        by_query.setdefault(result.query, []).append(result)
 
     trajectories: list[Trajectory] = []
     excluded: list[str] = []
-    for query in order:
-        correct = [r for r in by_query[query] if r.correct]
+    for query, query_results in by_query.items():
+        correct = [r for r in query_results if r.correct]
         if not correct:
             excluded.append(query)
             continue

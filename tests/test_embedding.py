@@ -59,13 +59,6 @@ def test_hash_embedder_rejects_bad_dim():
         gt.HashingTextEmbedder(0)
 
 
-def test_encode_task_wraps_vector():
-    emb = gt.HashingTextEmbedder(16)
-    task = gt.encode_task(emb, "compute the total")
-    assert task.text == "compute the total"
-    assert task.vector.shape == (16,)
-
-
 def test_candidate_matrix_layout():
     pool = gt.default_pool()
     emb = gt.HashingTextEmbedder(24)

@@ -237,15 +237,6 @@ def test_materialize_expanded_wiring():
     assert agents.nodes[5].role == "summarizer"
 
 
-def test_materialize_summarizer_sees_all():
-    pool = two_role_pool()
-    graph = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
-    agents = gt.materialize_agent_graph(
-        graph, pool, "composite", summarizer_sees_all=True
-    )
-    assert set(agents.edges) >= {(0, 2), (1, 2)}
-
-
 def test_materialize_rejects_empty_and_bad_mode():
     pool = two_role_pool()
     with pytest.raises(ValidationError, match="empty"):

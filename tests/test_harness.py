@@ -48,6 +48,7 @@ def test_count_tokens_ignores_whitespace_runs():
     ("3.5", "no numbers here", "numeric", False),
     ("12", "total: 12", "auto", True),
     ("blue", "the sky is blue today", "auto", True),
+    ("1000", "the total is 1,000", "numeric", True),
 ])
 def test_answer_matches(expected, got, rule, ok):
     assert gt.answer_matches(expected, got, rule) is ok
@@ -81,6 +82,12 @@ def test_answer_key_backend_matches_query():
     assert out.text == "4"
     out = backend.complete("sys", "Task: unknown thing", role="solver")
     assert out.text == "no answer"
+    # A query that contains another query still gets its own answer.
+    backend = gt.AnswerKeyBackend({"add 2 and 3": "5", "add 2 and 3 then double": "10"})
+    out = backend.complete("sys", "Task: add 2 and 3 then double", role="solver")
+    assert out.text == "10"
+    out = backend.complete("sys", "Task: add 2 and 3\n[peer | solver]: 5", role="checker")
+    assert out.text == "5"
 
 
 def test_answer_key_backend_corruption_propagates():

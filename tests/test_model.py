@@ -153,15 +153,6 @@ def test_predict_group_is_distribution(tiny):
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_predict_group_train_mode_needs_noise(tiny):
-    z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
-    with pytest.raises(ValidationError, match="eps"):
-        gt.predict_group(tiny.params, tiny.candidates, state.fused, mode="train")
-    with pytest.raises(ValidationError, match="mode"):
-        gt.predict_group(tiny.params, tiny.candidates, state.fused, mode="sample")
-
-
 def test_predict_edge_in_unit_interval(tiny):
     z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
     state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)

@@ -183,6 +183,7 @@ def test_explore_and_label_counts(pool4):
         gt.validate_group_graph(r.graph, pool4.size, 8)
         assert r.correct  # answer key always lands for these graphs
         assert r.prompt_tokens > 0
+    assert gt.explore_and_label(pool4, [], answer_backend(dataset), config) == []
 
 
 def test_explore_and_label_worker_parity(pool4):
