@@ -143,7 +143,7 @@ mode_option = click.option(
 rounds_option = click.option(
     "--rounds", type=click.IntRange(min=1), default=1, show_default=True
 )
-seed_option = click.option("--seed", type=int, default=0, show_default=True)
+seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
 @click.group()
@@ -297,10 +297,11 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
             f"groups, this pool has {pool.size}"
         )
     check_params(params, model_config)
-    enc_info = config.get("encoder", {})
-    provider = _make_provider(
-        str(enc_info.get("kind", "hash")), int(enc_info.get("dim", model_config.dim))
-    )
+    encoder = config.get("encoder", {})
+    dim = model_config.dim
+    if not isinstance(encoder, dict) or encoder.get("dim", dim) != dim:
+        raise ValidationError(f"checkpoint encoder {encoder!r} does not match dim {dim}")
+    provider = _make_provider(str(encoder.get("kind", "hash")), dim)
     query_list = list(queries)
     if dataset:
         query_list.extend(e.query for e in _load_examples(dataset))

@@ -8,7 +8,6 @@ sentence-encoder HTTP service configured through the ``GOA_ENCODER_URL`` /
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import BackendError, ValidationError
 from .graph import GroupPool
+from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -91,27 +91,10 @@ class HttpEncoderClient:
     """
 
     def __init__(
-        self,
-        dim: int,
-        url: str | None = None,
-        key: str | None = None,
-        *,
-        timeout: float = 30.0,
-        session=None,
+        self, dim: int, url: str | None = None, key: str | None = None, *, session=None
     ):
         self._dim = int(dim)
-        self.url = url or os.environ.get("GOA_ENCODER_URL")
-        self.key = key if key is not None else os.environ.get("GOA_ENCODER_KEY")
-        self.timeout = timeout
-        if not self.url:
-            raise BackendError(
-                "no encoder endpoint configured; set GOA_ENCODER_URL or pass url="
-            )
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self.endpoint = HttpEndpoint("encoder", "GOA_ENCODER", url, key, session)
 
     @property
     def dim(self) -> int:
@@ -120,27 +103,10 @@ class HttpEncoderClient:
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self._dim))
-        headers = {"Content-Type": "application/json"}
-        if self.key:
-            headers["Authorization"] = f"Bearer {self.key}"
+        body = self.endpoint.post_json({"texts": list(texts)})
         try:
-            response = self._session.post(
-                self.url,
-                json={"texts": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except Exception as exc:  # requests raises many transport subclasses
-            raise BackendError(f"encoder request failed: {exc}") from exc
-        if getattr(response, "status_code", 200) >= 400:
-            raise BackendError(
-                f"encoder returned HTTP {response.status_code}: "
-                f"{getattr(response, 'text', '')[:200]}"
-            )
-        try:
-            payload = response.json()
-            matrix = np.asarray(payload["embeddings"], dtype=np.float64)
-        except Exception as exc:
+            matrix = np.asarray(body["embeddings"], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"encoder returned an unusable payload: {exc}") from exc
         if matrix.shape != (len(texts), self._dim):
             raise BackendError(

@@ -11,12 +11,14 @@ encoded as ``"i->t"`` strings.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import uuid
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -148,13 +150,9 @@ class Trajectory:
     graph: GroupGraph
 
 
-def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
-    """Check executability invariants; raise ValidationError on the first hit.
-
-    Invariants: at most ``max_steps`` steps, selections within the pool,
-    edges strictly forward (i < t) into existing steps with no duplicates,
-    and every step after the first has at least one incoming edge.
-    """
+def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
+    """Check that a likelihood can score ``graph``: at most ``max_steps`` steps,
+    selections within the pool, and distinct forward edges (i < t) between steps."""
     n = graph.n_steps
     if n > max_steps:
         raise ValidationError(f"graph has {n} steps, budget is {max_steps}")
@@ -164,17 +162,21 @@ def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> N
                 f"step {t} selects group {gid}, pool has {pool_size} groups"
             )
     seen: set[tuple[int, int]] = set()
-    incoming = [0] * n
     for i, t in graph.edges:
         if not 0 <= i < t < n:
             raise ValidationError(f"edge {i}->{t} is out of range for {n} steps")
         if (i, t) in seen:
             raise ValidationError(f"duplicate edge {i}->{t}")
         seen.add((i, t))
-        incoming[t] += 1
-    for t in range(1, n):
-        if incoming[t] == 0:
-            raise ValidationError(f"step {t} has no incoming edge")
+
+
+def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
+    """Check that ``graph`` can run: :func:`check_graph_shape`, and every step
+    after the first has an incoming edge. Raise ValidationError on the first hit."""
+    check_graph_shape(graph, pool_size, max_steps)
+    missing = set(range(1, graph.n_steps)) - {t for _, t in graph.edges}
+    if missing:
+        raise ValidationError(f"step {min(missing)} has no incoming edge")
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +520,8 @@ def read_records(path: str | os.PathLike) -> list[dict]:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+        except RecursionError as exc:
+            raise ValidationError("JSON nested too deeply", line=lineno) from exc
         try:
             _check_header(record)
         except ValidationError as exc:
@@ -526,10 +530,23 @@ def read_records(path: str | os.PathLike) -> list[dict]:
     return records
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Yield a new binary file beside ``path`` that replaces it if the block
+    succeeds. Its name is unique per call, so concurrent writers never share it."""
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_records(path: str | os.PathLike, records: Iterable[dict]) -> None:
     """Write records as one JSON object per line (atomic replace)."""
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+            fh.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))

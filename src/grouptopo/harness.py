@@ -109,6 +109,63 @@ class AnswerKeyBackend:
         return BackendResult(text=self.answers.get(query, "no answer"))
 
 
+# Retry policy of every HTTP client. Transport errors (``OSError``, which
+# ``requests`` errors subclass), 429 and 5xx are retried with exponential backoff,
+# or after the server's ``Retry-After`` when it gives whole seconds. Other 4xx and
+# bodies that are not JSON raise BackendError at once; other exceptions propagate.
+HTTP_TIMEOUT_S = 60.0
+HTTP_ATTEMPTS = 3
+HTTP_BACKOFF_S = 0.5
+
+
+class HttpEndpoint:
+    """A JSON service reached by POST, named ``name`` in error messages. URL and
+    bearer key default to the ``{env}_URL`` / ``{env}_KEY`` environment variables."""
+
+    def __init__(self, name: str, env: str, url=None, key=None, session=None):
+        self.name = name
+        self.url = url or os.environ.get(f"{env}_URL")
+        key = key if key is not None else os.environ.get(f"{env}_KEY")
+        self.headers = {"Authorization": f"Bearer {key}"} if key else {}
+        if not self.url:
+            raise BackendError(f"no {name} endpoint configured; set {env}_URL or pass url=")
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
+
+    def post_json(self, payload: dict):
+        """POST ``payload`` under the retry policy; return the decoded body."""
+        for attempt in range(HTTP_ATTEMPTS):
+            if attempt:
+                time.sleep(delay)
+            delay = HTTP_BACKOFF_S * 2**attempt
+            try:
+                response = self.session.post(
+                    self.url, json=payload, headers=self.headers, timeout=HTTP_TIMEOUT_S
+                )
+            except OSError as exc:
+                failure = str(exc)
+                continue
+            status = response.status_code
+            if status == 429 or status >= 500:
+                failure = f"HTTP {status}"
+                retry_after = response.headers.get("Retry-After", "")
+                delay = int(retry_after) if retry_after.isdecimal() else delay
+                continue
+            if status >= 400:
+                raise BackendError(
+                    f"{self.name} rejected the request (HTTP {status}): "
+                    f"{response.text[:200]}"
+                )
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise BackendError(f"{self.name} sent a body that is not JSON: {exc}")
+        raise BackendError(f"{self.name} failed after {HTTP_ATTEMPTS} attempts: {failure}")
+
+
 class HttpAgentBackend:
     """Chat-completions client for a remote agent service.
 
@@ -124,26 +181,10 @@ class HttpAgentBackend:
         key: str | None = None,
         *,
         model: str | None = None,
-        timeout: float = 60.0,
-        max_retries: int = 2,
-        backoff: float = 0.5,
         session=None,
     ):
-        self.url = url or os.environ.get("GOA_LLM_URL")
-        self.key = key if key is not None else os.environ.get("GOA_LLM_KEY")
-        if not self.url:
-            raise BackendError(
-                "no agent endpoint configured; set GOA_LLM_URL or pass url="
-            )
+        self.endpoint = HttpEndpoint("agent backend", "GOA_LLM", url, key, session)
         self.model = model
-        self.timeout = timeout
-        self.max_retries = max(0, int(max_retries))
-        self.backoff = backoff
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
         payload: dict = {
@@ -154,43 +195,19 @@ class HttpAgentBackend:
         }
         if self.model:
             payload["model"] = self.model
-        headers = {"Content-Type": "application/json"}
-        if self.key:
-            headers["Authorization"] = f"Bearer {self.key}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                response = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except Exception as exc:
-                last_error = exc
-                continue
-            status = getattr(response, "status_code", 200)
-            if status >= 500:
-                last_error = BackendError(f"agent backend returned HTTP {status}")
-                continue
-            if status >= 400:
-                raise BackendError(
-                    f"agent backend rejected the request (HTTP {status}): "
-                    f"{getattr(response, 'text', '')[:200]}"
-                )
-            try:
-                body = response.json()
-                text = body["choices"][0]["message"]["content"]
-            except Exception as exc:
-                raise BackendError(
-                    f"agent backend returned an unusable payload: {exc}"
-                ) from exc
+        body = self.endpoint.post_json(payload)
+        try:
+            text = body["choices"][0]["message"]["content"]
             usage = body.get("usage") or {}
-            return BackendResult(
-                text=str(text),
-                prompt_tokens=usage.get("prompt_tokens"),
-                completion_tokens=usage.get("completion_tokens"),
-            )
-        raise BackendError(f"agent backend unreachable: {last_error}")
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendError(
+                f"agent backend returned an unusable payload: {exc}"
+            ) from exc
+        return BackendResult(
+            text=str(text),
+            prompt_tokens=usage.get("prompt_tokens"),
+            completion_tokens=usage.get("completion_tokens"),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .embedding import CandidateMatrix
 from .errors import ValidationError
-from .graph import GroupGraph
+from .graph import GroupGraph, check_graph_shape
 from .nn import Grads, Params, accumulate, make_rng
 
 LOG_SIGMA_MIN = -6.0
@@ -591,24 +591,6 @@ def generate_graph(
 # Likelihood and the teacher-forced objective.
 
 
-def _check_structure(graph: GroupGraph, config: ModelConfig) -> None:
-    """Structural checks only; edge patterns violating reachability are legal
-    here because the factorization assigns them probability mass."""
-    n = graph.n_steps
-    if n > config.max_steps:
-        raise ValidationError(f"graph has {n} steps, model budget is {config.max_steps}")
-    for t, gid in enumerate(graph.selected):
-        if not 0 <= gid < config.pool_size:
-            raise ValidationError(f"step {t} selects group {gid} outside the pool")
-    seen = set()
-    for i, t in graph.edges:
-        if not 0 <= i < t < n:
-            raise ValidationError(f"edge {i}->{t} is out of range")
-        if (i, t) in seen:
-            raise ValidationError(f"duplicate edge {i}->{t}")
-        seen.add((i, t))
-
-
 def graph_log_likelihood(
     params: Params,
     config: ModelConfig,
@@ -693,7 +675,8 @@ def loss_and_grads(
         beta_group = config.beta_group
     if beta_edge is None:
         beta_edge = config.beta_edge
-    _check_structure(graph, config)
+    # Shape only: a step without an incoming edge still has probability mass.
+    check_graph_shape(graph, config.pool_size, config.max_steps)
     n = graph.n_steps
     n_sites = _site_count(graph, config)
     if noise is None and rng is not None:

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .graph import atomic_write
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -390,10 +391,8 @@ def save_checkpoint(
             arrays[f"opt/m/{name}"] = np.asarray(m, dtype=np.float64)
         for name, v in opt_state.v.items():
             arrays[f"opt/v/{name}"] = np.asarray(v, dtype=np.float64)
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,3 +66,42 @@ def make_tiny(
 @pytest.fixture
 def tiny() -> TinySetup:
     return make_tiny()
+
+
+class FakeResponse:
+    """A canned HTTP response; without a payload, ``json()`` fails."""
+
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
+        self.status_code = status_code
+        self._payload = payload
+        self.text = text
+        self.headers = headers or {}
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("no body")
+        return self._payload
+
+
+class FakeSession:
+    """Stands in for ``requests.Session``: each ``post`` records its arguments
+    and returns, or raises, the next of ``responses``."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.calls = []
+
+    def post(self, url, **kwargs):
+        self.calls.append({"url": url, **kwargs})
+        item = self.responses.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list:
+    """Retry delays, recorded instead of slept."""
+    slept: list = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    return slept

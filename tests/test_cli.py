@@ -193,6 +193,19 @@ def test_exit_code_bad_flag_value(runner, workdir):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command, args", [
+    ("discover", ["--dataset", "dataset.jsonl", "--out", "out.jsonl"]),
+    ("train", ["--dataset", "dataset.jsonl", "--out", "out.npz"]),
+    ("generate", ["--checkpoint", "model.npz", "--query", "q", "--out", "out.jsonl"]),
+])
+def test_negative_seed_is_usage_error(runner, workdir, monkeypatch, command, args):
+    monkeypatch.chdir(workdir)
+    result = invoke(runner, [command, "--pool", "pool.jsonl", *args, "--seed", "-1"])
+    assert result.exit_code == 1
+    assert "--seed" in result.stderr
+    assert not (workdir / args[-1]).exists()
+
+
 def test_exit_code_unknown_subcommand(runner):
     result = invoke(runner, ["frobnicate"])
     assert result.exit_code == 1
@@ -312,6 +325,14 @@ def string_dim(arrays):
     edit_config(arrays, lambda config: config["model"].update(dim="8"))
 
 
+def list_encoder(arrays):
+    edit_config(arrays, lambda config: config.update(encoder=[1]))
+
+
+def string_encoder_dim(arrays):
+    edit_config(arrays, lambda config: config.update(encoder={"kind": "hash", "dim": "x"}))
+
+
 @pytest.mark.parametrize("damage, needle", [
     (set_format, "retrain"),
     (drop_param, "edge_gru.wz"),
@@ -320,6 +341,8 @@ def string_dim(arrays):
     (garble_config, "meta/config"),
     (list_model, "object"),
     (string_dim, "dim"),
+    (list_encoder, "encoder"),
+    (string_encoder_dim, "encoder"),
 ])
 def test_generate_rejects_mismatched_checkpoint(runner, workdir, damage, needle):
     assert train_tiny(runner, workdir).exit_code == 0
@@ -352,7 +375,8 @@ def exploration_line(**fields):
     (exploration_line(correct="no"), "correct"),
     (exploration_line(prompt_tokens="x"), "prompt_tokens"),
     (exploration_line(completion_tokens=-1), "completion_tokens"),
-], ids=["not_utf8", "correct_string", "tokens_string", "tokens_negative"])
+    (b"[" * 200_000 + b"\n", "line 1"),
+], ids=["not_utf8", "correct_string", "tokens_string", "tokens_negative", "deep_nesting"])
 def test_curate_rejects_bad_results(runner, workdir, content, needle):
     bad = workdir / "explored.jsonl"
     bad.write_bytes(content)

@@ -8,6 +8,8 @@ import pytest
 import grouptopo as gt
 from grouptopo.errors import BackendError, ValidationError
 
+from conftest import FakeResponse, FakeSession
+
 
 def test_hash_embedder_is_deterministic():
     emb = gt.HashingTextEmbedder(32)
@@ -76,31 +78,6 @@ def test_candidate_matrix_validates_shape():
         gt.CandidateMatrix(matrix=np.zeros((3, 8)), pool_size=4)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, **kwargs):
-        self.calls.append((url, kwargs))
-        result = self.responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
 def test_http_encoder_success():
     session = FakeSession(
         [FakeResponse(payload={"embeddings": [[1.0, 0.0], [0.0, 1.0]]})]
@@ -109,16 +86,17 @@ def test_http_encoder_success():
                                   session=session)
     out = client.encode(["a", "b"])
     assert out.shape == (2, 2)
-    _, kwargs = session.calls[0]
-    assert kwargs["headers"]["Authorization"] == "Bearer sk-1"
-    assert kwargs["json"] == {"texts": ["a", "b"]}
+    call = session.calls[0]
+    assert call["headers"]["Authorization"] == "Bearer sk-1"
+    assert call["json"] == {"texts": ["a", "b"]}
 
 
-def test_http_encoder_bad_status():
-    session = FakeSession([FakeResponse(status_code=503, text="down")])
+def test_http_encoder_bad_status(sleeps):
+    session = FakeSession([FakeResponse(status_code=503, text="down")] * 3)
     client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)
     with pytest.raises(BackendError, match="503"):
         client.encode(["a"])
+    assert len(session.calls) == 3
 
 
 def test_http_encoder_wrong_shape():
@@ -128,11 +106,12 @@ def test_http_encoder_wrong_shape():
         client.encode(["a"])
 
 
-def test_http_encoder_transport_error():
-    session = FakeSession([ConnectionError("refused")])
+def test_http_encoder_transport_error(sleeps):
+    session = FakeSession([ConnectionError("refused")] * 3)
     client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)
     with pytest.raises(BackendError, match="failed"):
         client.encode(["a"])
+    assert len(session.calls) == 3
 
 
 def test_http_encoder_requires_url(monkeypatch):
@@ -147,6 +126,5 @@ def test_http_encoder_reads_env(monkeypatch):
     session = FakeSession([FakeResponse(payload={"embeddings": [[0.0] * 4]})])
     client = gt.HttpEncoderClient(4, session=session)
     client.encode(["x"])
-    url, kwargs = session.calls[0]
-    assert url == "http://enc.env"
-    assert kwargs["headers"]["Authorization"] == "Bearer k-env"
+    assert session.calls[0]["url"] == "http://enc.env"
+    assert session.calls[0]["headers"]["Authorization"] == "Bearer k-env"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +206,49 @@ def test_write_then_read_records(tmp_path):
     records = [group_graph_to_record(gt.GroupGraph(selected=(1,)))]
     write_records(path, records)
     assert read_records(path) == records
+
+
+def test_concurrent_writers_to_one_path(tmp_path):
+    path = tmp_path / "out.jsonl"
+    batches = [
+        [group_graph_to_record(gt.GroupGraph(selected=(w,) * n)) for n in range(1, 40)]
+        for w in range(4)
+    ]
+    errors: list[BaseException] = []
+
+    def writer(records):
+        try:
+            for _ in range(5):
+                write_records(path, records)
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(b,)) for b in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert read_records(path) in batches
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+    (tmp_path / "plain").write_bytes(b"")
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    records = [group_graph_to_record(gt.GroupGraph(selected=(1,)))]
+    write_records(path, records)
+    with pytest.raises(TypeError):
+        write_records(path, [*records, {"v": "v1", "kind": "x", "bad": object()}])
+    assert read_records(path) == records
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 def test_read_records_missing_file():

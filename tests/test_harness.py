@@ -1,5 +1,6 @@
 """Execution-harness tests: token accounting, prompt assembly, rounds,
-attacks, scoring, and the HTTP agent backend against a fake session."""
+attacks, scoring, and the HTTP transport of both clients against a fake
+session."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import grouptopo as gt
 from grouptopo.errors import BackendError, ValidationError
 from grouptopo.harness import AttackSpec, _build_user_prompt
 
-from conftest import pool4  # noqa: F401
+from conftest import FakeResponse, FakeSession, pool4  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +285,6 @@ def test_evaluate_attack_lowers_accuracy(pool4):
 # HTTP agent backend.
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def chat_payload(text, prompt_tokens=None, completion_tokens=None):
     payload = {"choices": [{"message": {"content": text}}]}
     if prompt_tokens is not None:
@@ -332,34 +311,28 @@ def test_http_backend_success():
     assert call["json"]["messages"][1] == {"role": "user", "content": "user prompt"}
 
 
-def test_http_backend_retries_on_server_error():
+def test_http_backend_retries_on_server_error(sleeps):
     session = FakeSession([
         FakeResponse(503),
         requests.ConnectionError("refused"),
         FakeResponse(200, chat_payload("recovered")),
     ])
-    backend = gt.HttpAgentBackend(
-        url="http://llm.test", session=session, max_retries=2, backoff=0.0
-    )
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
     assert backend.complete("s", "u", role="r").text == "recovered"
     assert len(session.calls) == 3
 
 
-def test_http_backend_gives_up_after_retries():
+def test_http_backend_gives_up_after_retries(sleeps):
     session = FakeSession([FakeResponse(500)] * 3)
-    backend = gt.HttpAgentBackend(
-        url="http://llm.test", session=session, max_retries=2, backoff=0.0
-    )
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
     with pytest.raises(BackendError, match="500"):
         backend.complete("s", "u", role="r")
     assert len(session.calls) == 3
 
 
-def test_http_backend_client_error_no_retry():
+def test_http_backend_client_error_no_retry(sleeps):
     session = FakeSession([FakeResponse(401)])
-    backend = gt.HttpAgentBackend(
-        url="http://llm.test", session=session, max_retries=3, backoff=0.0
-    )
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
     with pytest.raises(BackendError, match="401"):
         backend.complete("s", "u", role="r")
     assert len(session.calls) == 1
@@ -386,3 +359,68 @@ def test_http_backend_reads_env(monkeypatch):
     backend.complete("s", "u", role="r")
     assert session.calls[0]["url"] == "http://env.test"
     assert session.calls[0]["headers"]["Authorization"] == "Bearer env-key"
+
+
+# ---------------------------------------------------------------------------
+# The HTTP transport both clients share.
+
+# name -> (client on a session, one call returning a value, a good payload).
+HTTP_CLIENTS = {
+    "agent": (
+        lambda session: gt.HttpAgentBackend(url="http://llm.test", session=session),
+        lambda client: client.complete("s", "u", role="r").text,
+        chat_payload("ok"),
+    ),
+    "encoder": (
+        lambda session: gt.HttpEncoderClient(1, url="http://enc.test", session=session),
+        lambda client: client.encode(["a"]).tolist(),
+        {"embeddings": [[1.0]]},
+    ),
+}
+
+
+@pytest.fixture(params=sorted(HTTP_CLIENTS))
+def http_call(request):
+    """``http_call(*responses)`` calls one client once on a fake session that
+    returns, or raises, ``responses`` and then a good reply; returns the
+    session. Raising before the good reply shows there was no retry."""
+    make, call, payload = HTTP_CLIENTS[request.param]
+
+    def run(*responses):
+        session = FakeSession([*responses, FakeResponse(200, payload)])
+        call(make(session))
+        return session
+
+    return run
+
+
+@pytest.mark.parametrize("failure", [
+    FakeResponse(429),
+    FakeResponse(503),
+    requests.ConnectionError("refused"),
+    ConnectionResetError("reset"),
+], ids=["429", "503", "requests_error", "os_error"])
+def test_http_retries_with_backoff(http_call, sleeps, failure):
+    session = http_call(failure, failure)
+    assert len(session.calls) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("retry_after, delay", [
+    ("2", 2),
+    ("Wed, 21 Oct 2026 07:28:00 GMT", 0.5),
+], ids=["seconds", "date"])
+def test_http_honours_retry_after(http_call, sleeps, retry_after, delay):
+    http_call(FakeResponse(429, headers={"Retry-After": retry_after}))
+    assert sleeps == [delay]
+
+
+@pytest.mark.parametrize("failure, error, needle", [
+    (FakeResponse(404, text="no route"), BackendError, "404"),
+    (FakeResponse(200), BackendError, "not JSON"),
+    (TypeError("bad argument"), TypeError, "bad argument"),
+], ids=["404", "not_json", "programming_error"])
+def test_http_fails_at_once(http_call, sleeps, failure, error, needle):
+    with pytest.raises(error, match=needle):
+        http_call(failure)
+    assert sleeps == []
