@@ -199,9 +199,6 @@ class AgentGraph:
     edges: tuple[tuple[int, int], ...]
     summarizer: int | None = None
 
-    def predecessors(self, idx: int) -> tuple[int, ...]:
-        return tuple(i for i, t in self.edges if t == idx)
-
 
 def topological_schedule(agent_graph: AgentGraph) -> tuple[int, ...]:
     """Deterministic topological order (Kahn; ties broken by node index)."""
@@ -520,6 +517,8 @@ def read_records(path: str | os.PathLike) -> list[dict]:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+        except ValueError as exc:  # an integer with more digits than Python converts
+            raise ValidationError(f"invalid JSON: {exc}", line=lineno) from exc
         except RecursionError as exc:
             raise ValidationError("JSON nested too deeply", line=lineno) from exc
         try:

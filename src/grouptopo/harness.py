@@ -1,6 +1,6 @@
 """Deterministic execution harness for agent graphs.
 
-Runs an agent graph against a backend round by round in topological order,
+Runs an agent graph against a backend, each call as soon as its inputs exist,
 accounts tokens with a fixed word/character formula, supports prompt-level
 attack injection against a chosen node, and scores datasets with exact,
 numeric, or containment matching.
@@ -12,7 +12,7 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -20,6 +20,7 @@ from .errors import BackendError, ValidationError
 from .graph import (
     RECORD_VERSION,
     AgentGraph,
+    AgentNode,
     GroupGraph,
     GroupPool,
     materialize_agent_graph,
@@ -198,16 +199,26 @@ class HttpAgentBackend:
         body = self.endpoint.post_json(payload)
         try:
             text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage") or {}
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(
                 f"agent backend returned an unusable payload: {exc}"
             ) from exc
-        return BackendResult(
-            text=str(text),
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
-        )
+        usage = body.get("usage")
+        usage = {} if usage is None else usage
+        if not isinstance(usage, dict):
+            raise BackendError(
+                f"agent backend returned an unusable payload: usage is {usage!r}"
+            )
+        counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
+        for count in counts:
+            if count is not None and (
+                isinstance(count, bool) or not isinstance(count, int) or count < 0
+            ):
+                raise BackendError(
+                    "agent backend returned an unusable payload: "
+                    f"token count {count!r} is not a non-negative integer"
+                )
+        return BackendResult(str(text), *counts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +284,12 @@ class RunTranscript:
 
 def _build_user_prompt(
     query: str,
-    agent_graph: AgentGraph,
-    node_idx: int,
-    responses: dict[int, str],
+    upstream: Sequence[tuple[AgentNode, str]],
     previous_own: str | None,
 ) -> str:
     parts = [f"Task: {query}"]
-    for pred in sorted(agent_graph.predecessors(node_idx)):
-        if pred in responses:
-            pred_node = agent_graph.nodes[pred]
-            parts.append(f"[{pred_node.name} | {pred_node.role}]: {responses[pred]}")
+    for node, reply in upstream:
+        parts.append(f"[{node.name} | {node.role}]: {reply}")
     if previous_own is not None:
         parts.append(f"[your previous reply]: {previous_own}")
     return "\n".join(parts)
@@ -298,34 +305,66 @@ def run_graph(
 ) -> RunTranscript:
     """Execute an agent graph and return the full transcript.
 
-    Every non-summarizer node runs once per round in topological order,
-    seeing the current round's upstream replies plus (after round one) its
-    own previous reply. The summarizer runs once after the final round and
-    produces the final answer. Tokens are counted with
+    Every non-summarizer node runs once per round, seeing the current round's
+    upstream replies plus (after round one) its own previous reply. The
+    summarizer runs once after the final round, sees its predecessors'
+    final-round replies and produces the final answer. Tokens are counted with
     :func:`count_tokens` unless the backend reports usage.
+
+    Each call starts as soon as the replies it reads exist, so calls with no
+    path between them run concurrently on a thread pool, and a backend's
+    ``complete`` must be thread-safe. The pool is created only when two calls
+    are ready at once. The transcript lists calls round by round in
+    topological order, summarizer last, whatever order they finished in. On
+    the first exception no further call starts; calls already running finish,
+    and that exception is raised.
     """
     if rounds < 1:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    order = topological_schedule(agent_graph)
-    worker_order = [i for i in order if i != agent_graph.summarizer]
+    nodes = agent_graph.nodes
+    summarizer = agent_graph.summarizer
+    workers = [i for i in topological_schedule(agent_graph) if i != summarizer]
     attack_idx = attack.resolve(agent_graph) if attack is not None else None
+    # The nodes whose replies each node reads, in prompt order.
+    preds: list[list[int]] = [[] for _ in nodes]
+    for i, t in sorted(agent_graph.edges):
+        if i != summarizer:
+            preds[t].append(i)
 
-    stats = TokenStats()
-    entries: list[TranscriptEntry] = []
-    previous_round: dict[int, str] = {}
+    # A call is (round, node). It waits for its predecessors' calls in the same
+    # round and, for a worker, for its own call in the round before.
+    calls = [(r, v) for r in range(1, rounds + 1) for v in workers]
+    if summarizer is not None:
+        calls.append((rounds, summarizer))
+    waiting: dict[tuple[int, int], int] = {}
+    dependents: dict[tuple[int, int], list[tuple[int, int]]] = {k: [] for k in calls}
+    for key in calls:
+        round_no, node_idx = key
+        inputs = [(round_no, u) for u in preds[node_idx]]
+        if round_no > 1 and node_idx != summarizer:
+            inputs.append((round_no - 1, node_idx))
+        waiting[key] = len(inputs)
+        for source in inputs:
+            dependents[source].append(key)
+    ready = [key for key in calls if not waiting[key]]
+    entries: dict[tuple[int, int], TranscriptEntry] = {}
 
-    def call(node_idx: int, round_no: int, responses: dict[int, str]) -> str:
-        node = agent_graph.nodes[node_idx]
-        system = node.prompt
-        if attack_idx == node_idx and attack is not None:
+    def prompts(key: tuple[int, int]) -> tuple[str, str]:
+        round_no, node_idx = key
+        system = nodes[node_idx].prompt
+        if attack is not None and node_idx == attack_idx:
             system = f"{attack.text}\n{system}"
+        previous = entries.get((round_no - 1, node_idx))
         user = _build_user_prompt(
             query,
-            agent_graph,
-            node_idx,
-            responses,
-            previous_round.get(node_idx) if round_no > 1 else None,
+            [(nodes[u], entries[round_no, u].text) for u in preds[node_idx]],
+            previous.text if previous is not None else None,
         )
+        return system, user
+
+    def call(key: tuple[int, int], system: str, user: str) -> TranscriptEntry:
+        round_no, node_idx = key
+        node = nodes[node_idx]
         result = backend.complete(system, user, role=node.role)
         prompt_tokens = (
             result.prompt_tokens
@@ -337,38 +376,53 @@ def run_graph(
             if result.completion_tokens is not None
             else count_tokens(result.text)
         )
-        stats.add(prompt_tokens, completion_tokens)
-        entries.append(
-            TranscriptEntry(
-                round=round_no,
-                node=node_idx,
-                name=node.name,
-                role=node.role,
-                prompt_tokens=prompt_tokens,
-                completion_tokens=completion_tokens,
-                text=result.text,
-            )
+        return TranscriptEntry(
+            round=round_no,
+            node=node_idx,
+            name=node.name,
+            role=node.role,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
+            text=result.text,
         )
-        return result.text
 
-    current: dict[int, str] = {}
-    for round_no in range(1, rounds + 1):
-        current = {}
-        for node_idx in worker_order:
-            current[node_idx] = call(node_idx, round_no, current)
-        previous_round = current
+    def finish(key: tuple[int, int], entry: TranscriptEntry) -> None:
+        entries[key] = entry
+        for later in dependents[key]:
+            waiting[later] -= 1
+            if not waiting[later]:
+                ready.append(later)
 
-    if agent_graph.summarizer is not None:
-        final_text = call(agent_graph.summarizer, rounds, current)
-    elif worker_order:
-        final_text = current[worker_order[-1]]
-    else:
-        final_text = ""
+    # Only this thread reads or writes the schedule; pool threads run ``call``.
+    running: dict[Future, tuple[int, int]] = {}
+    executor: ThreadPoolExecutor | None = None
+    try:
+        while ready or running:
+            if len(ready) == 1 and not running:
+                key = ready.pop()
+                finish(key, call(key, *prompts(key)))
+                continue
+            if ready:
+                if executor is None:
+                    executor = ThreadPoolExecutor(max_workers=len(workers))
+                for key in ready:
+                    running[executor.submit(call, key, *prompts(key))] = key
+                ready.clear()
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                finish(running.pop(future), future.result())
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
+    ordered = tuple(entries[key] for key in calls)
+    stats = TokenStats()
+    for entry in ordered:
+        stats.add(entry.prompt_tokens, entry.completion_tokens)
     return RunTranscript(
         query=query,
-        entries=tuple(entries),
-        final_text=final_text,
+        entries=ordered,
+        final_text=ordered[-1].text if ordered else "",
         stats=stats,
         rounds=rounds,
     )

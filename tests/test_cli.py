@@ -4,13 +4,21 @@ pipeline in a temp directory, plus the exit-code contract."""
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+import threading
 
 import numpy as np
 import pytest
+import requests
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import grouptopo as gt
 from grouptopo.cli import main
+
+from conftest import FakeResponse
 
 
 @pytest.fixture()
@@ -183,6 +191,43 @@ def test_exit_code_missing_backend_env(runner, workdir, monkeypatch):
     ])
     assert result.exit_code == 3
     assert "GOA_LLM_URL" in result.stderr
+
+
+class OffMainThreadFailure:
+    """A ``requests.Session`` stand-in: a call on the main thread gets a reply,
+    a call on any other thread gets HTTP 401 (a backend error, not retried)."""
+
+    failed: list = []  # thread names of the failed calls
+
+    def post(self, url, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            return FakeResponse(200, {"choices": [{"message": {"content": "5"}}]})
+        self.failed.append(threading.current_thread().name)
+        return FakeResponse(401, text="denied")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("discover", ["--dataset", "dataset.jsonl", "--out", "out.jsonl",
+                  "--families", "star"]),
+    ("run", ["--graphs", "graphs.jsonl"]),
+    ("attack", ["--graphs", "graphs.jsonl", "--dataset", "dataset.jsonl",
+                "--attack-target", "0", "--attack-text", "x"]),
+])
+def test_backend_error_in_worker_thread_exits_3(runner, workdir, monkeypatch,
+                                                 command, args):
+    monkeypatch.chdir(workdir)
+    monkeypatch.setenv("GOA_LLM_URL", "http://llm.test")
+    monkeypatch.setattr(requests, "Session", OffMainThreadFailure)
+    monkeypatch.setattr(OffMainThreadFailure, "failed", [])
+    # Steps 1 and 2 both wait only for step 0, so they run on pool threads.
+    star = gt.GroupGraph(selected=(0, 1, 2), edges=((0, 1), (0, 2)))
+    gt.write_records("graphs.jsonl", [
+        gt.trajectory_to_record(gt.Trajectory(query="what is 2 plus 3", graph=star))
+    ])
+    result = invoke(runner, [command, "--pool", "pool.jsonl", *args, "--backend", "http"])
+    assert result.exit_code == 3, result.output
+    assert "HTTP 401" in result.stderr
+    assert OffMainThreadFailure.failed
 
 
 def test_exit_code_bad_flag_value(runner, workdir):
@@ -386,3 +431,68 @@ def test_curate_rejects_bad_results(runner, workdir, content, needle):
     assert result.exit_code == 2
     assert needle in result.stderr
     assert not (workdir / "curated.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# Property: any bytes in a record file end in exit 0 or 2, never a traceback.
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+edge_lists = st.lists(
+    st.builds("{}->{}".format, st.integers(0, 5), st.integers(0, 5)) | json_values,
+    max_size=4,
+)
+graph_records = st.fixed_dictionaries(
+    {"v": st.just("v1"), "kind": st.just("group_graph"),
+     "selected": st.lists(st.integers(-1, 20), max_size=5) | json_values,
+     "edges": edge_lists},
+    optional={"truncated": json_values},
+)
+record_fields = {
+    name: json_values
+    for name in ("query", "answer", "family", "correct", "final_text", "match")
+}
+records = st.fixed_dictionaries(
+    {"v": st.sampled_from(["v1", "v0"]),
+     "kind": st.sampled_from(["exploration", "trajectory", "group_graph", "example"])},
+    optional={
+        **record_fields,
+        "graph": graph_records | json_values,
+        "selected": st.lists(st.integers(-1, 20), max_size=5) | json_values,
+        "edges": edge_lists,
+        "prompt_tokens": st.integers(-2, 10**6) | json_values,
+        "completion_tokens": st.integers(-2, 10**6) | json_values,
+    },
+)
+record_files = st.binary(max_size=200) | st.lists(
+    records | graph_records | json_values, min_size=1, max_size=4
+).map(lambda rows: "\n".join(json.dumps(row) for row in rows).encode())
+
+# command -> its arguments, with the record file as {path}.
+RECORD_COMMANDS = {
+    "curate": ["curate", "--results", "{path}", "--out", "{path}.out"],
+    "train": ["train", "--dataset", "{path}", "--out", "{path}.npz", "--epochs", "1",
+              "--dim", "8", "--hidden", "4", "--quiet"],
+    "run": ["run", "--graphs", "{path}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(content=record_files)
+@example(content=b"1" * 5000)
+@example(content=b'{"v": "v1", "kind": "group_graph", "selected": [99], "edges": []}')
+def test_record_files_fail_cleanly(command, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        args = [arg.format(path=path) for arg in RECORD_COMMANDS[command]]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

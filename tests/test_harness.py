@@ -4,14 +4,18 @@ session."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import sys
+import threading
+import time
 
 import pytest
 import requests
 
 import grouptopo as gt
 from grouptopo.errors import BackendError, ValidationError
-from grouptopo.harness import AttackSpec, _build_user_prompt
+from grouptopo.harness import AttackSpec
 
 from conftest import FakeResponse, FakeSession, pool4  # noqa: F401
 
@@ -225,6 +229,209 @@ def test_final_text_comes_from_summarizer(pool4):
 
 
 # ---------------------------------------------------------------------------
+# Scheduling: calls run as soon as their inputs exist.
+
+
+def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
+    """The round-by-round serial loop ``run_graph`` replaced, as a reference."""
+    order = gt.topological_schedule(agent_graph)
+    worker_order = [i for i in order if i != agent_graph.summarizer]
+    attack_idx = attack.resolve(agent_graph) if attack is not None else None
+    stats = gt.TokenStats()
+    entries = []
+    previous_round = {}
+
+    def call(node_idx, round_no, responses):
+        node = agent_graph.nodes[node_idx]
+        system = node.prompt
+        if attack_idx == node_idx:
+            system = f"{attack.text}\n{system}"
+        parts = [f"Task: {query}"]
+        for pred in sorted(i for i, t in agent_graph.edges if t == node_idx):
+            if pred in responses:
+                pred_node = agent_graph.nodes[pred]
+                parts.append(f"[{pred_node.name} | {pred_node.role}]: {responses[pred]}")
+        if round_no > 1 and node_idx in previous_round:
+            parts.append(f"[your previous reply]: {previous_round[node_idx]}")
+        user = "\n".join(parts)
+        result = backend.complete(system, user, role=node.role)
+        prompt_tokens = count_or(result.prompt_tokens, system, user)
+        completion_tokens = count_or(result.completion_tokens, result.text)
+        stats.add(prompt_tokens, completion_tokens)
+        entries.append(gt.TranscriptEntry(
+            round=round_no, node=node_idx, name=node.name, role=node.role,
+            prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
+            text=result.text,
+        ))
+        return result.text
+
+    current = {}
+    for round_no in range(1, rounds + 1):
+        current = {}
+        for node_idx in worker_order:
+            current[node_idx] = call(node_idx, round_no, current)
+        previous_round = current
+    if agent_graph.summarizer is not None:
+        final_text = call(agent_graph.summarizer, rounds, current)
+    elif worker_order:
+        final_text = current[worker_order[-1]]
+    else:
+        final_text = ""
+    return gt.RunTranscript(query=query, entries=tuple(entries),
+                            final_text=final_text, stats=stats, rounds=rounds)
+
+
+def count_or(reported, *texts):
+    return reported if reported is not None else sum(gt.count_tokens(t) for t in texts)
+
+
+class EchoRecorder:
+    """Echoes the prompt and counts the calls it gets, keyed by (role, user).
+    With ``jitter``, each call first sleeps up to that many seconds, varying
+    by prompt, so calls finish in a different order from the one they began."""
+
+    def __init__(self, jitter=0.0):
+        self.echo = gt.CompressiveEchoBackend()
+        self.calls = collections.Counter()
+        self.lock = threading.Lock()
+        self.jitter = jitter
+
+    def complete(self, system, user, *, role):
+        with self.lock:
+            self.calls[role, user] += 1
+        if self.jitter:
+            time.sleep(self.jitter * (len(user) % 7) / 6)
+        return self.echo.complete(system, user, role=role)
+
+
+@pytest.mark.parametrize("mode", ["composite", "expanded"])
+@pytest.mark.parametrize("family", ["chain", "star", "full"])
+def test_scheduler_gives_serial_transcript(family, mode):
+    pool = gt.default_pool()
+    rng = gt.make_rng(7)
+    for steps in (2, 4, 6):
+        graph = gt.sample_candidate_topology(rng, pool.size, family, steps)
+        agents = gt.materialize_agent_graph(graph, pool, mode)
+        for rounds in (1, 2, 3):
+            for attack in (None, AttackSpec(target=steps - 1, text="INJECTED")):
+                expected_backend, backend = EchoRecorder(), EchoRecorder()
+                expected = serial_run_graph(
+                    agents, "plan it", expected_backend, rounds=rounds, attack=attack
+                )
+                got = gt.run_graph(agents, "plan it", backend, rounds=rounds, attack=attack)
+                assert got == expected
+                assert backend.calls == expected_backend.calls
+
+
+def test_scheduler_order_survives_jittered_completion():
+    pool = gt.default_pool()
+    rng = gt.make_rng(11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for family in ("star", "full"):
+            graph = gt.sample_candidate_topology(rng, pool.size, family, 5)
+            agents = gt.materialize_agent_graph(graph, pool, "expanded")
+            expected = serial_run_graph(agents, "q", EchoRecorder(), rounds=2)
+            for _ in range(5):
+                got = gt.run_graph(agents, "q", EchoRecorder(jitter=2e-3), rounds=2)
+                assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class SleepBackend:
+    """Sleeps ``delay`` seconds per call; records the most calls in flight at
+    once and the threads the calls ran on."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.running = 0
+        self.peak = 0
+        self.slept = 0.0
+        self.threads = set()
+        self.lock = threading.Lock()
+
+    def complete(self, system, user, *, role):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+            self.threads.add(threading.get_ident())
+        time.sleep(self.delay)
+        with self.lock:
+            self.running -= 1
+            self.slept += self.delay
+        return gt.BackendResult(text=f"reply from {role}")
+
+
+def test_independent_calls_overlap():
+    pool = gt.default_pool()
+    star = gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(13,)), pool, mode="expanded"
+    )
+    backend = SleepBackend(0.05)
+    start = time.perf_counter()
+    transcript = gt.run_graph(star, "q", backend)
+    wall = time.perf_counter() - start
+    assert transcript.stats.calls == len(star.nodes)
+    assert backend.peak > 1
+    assert wall < backend.slept
+
+
+def test_chain_runs_one_call_at_a_time_on_the_caller_thread():
+    pool = gt.default_pool()
+    chain = gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(8, 0), edges=((0, 1),)), pool, mode="expanded"
+    )
+    backend = SleepBackend(0.005)
+    gt.run_graph(chain, "q", backend)
+    assert backend.peak == 1
+    assert backend.threads == {threading.get_ident()}
+
+
+class FailingBackend(SleepBackend):
+    """Raises ``error`` at once for the node whose system prompt is ``fail_on``;
+    other calls sleep and record their ``(system, user)``."""
+
+    def __init__(self, fail_on, delay=0.05):
+        super().__init__(delay)
+        self.fail_on = fail_on
+        self.error = BackendError("agent backend failed after 3 attempts: HTTP 503")
+        self.started = []
+
+    def complete(self, system, user, *, role):
+        if system == self.fail_on:
+            raise self.error
+        self.started.append((system, user))
+        return super().complete(system, user, role=role)
+
+
+def test_worker_error_is_raised_and_stops_the_run():
+    pool = gt.default_pool()
+    star = gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(13,)), pool, mode="expanded"
+    )
+    leaves = [i for i in range(len(star.nodes)) if all(t != i for _, t in star.edges)]
+    assert len(leaves) > 1
+    failed = star.nodes[leaves[0]]
+    backend = FailingBackend(failed.prompt)
+    with pytest.raises(BackendError) as excinfo:
+        gt.run_graph(star, "q", backend, rounds=2)
+    assert excinfo.value is backend.error
+    # Only the other leaves may have started, and those that did have finished.
+    others = {star.nodes[i].prompt for i in leaves[1:]}
+    assert {system for system, _ in backend.started} <= others
+    assert backend.running == 0
+    assert backend.slept == pytest.approx(0.05 * len(backend.started))
+
+    backend = FailingBackend(failed.prompt, delay=0.0)
+    with pytest.raises(BackendError) as excinfo:
+        gt.evaluate(arithmetic_dataset(2), gt.GroupGraph(selected=(13,)), pool,
+                    backend, mode="expanded", max_workers=2)
+    assert excinfo.value is backend.error
+
+
+# ---------------------------------------------------------------------------
 # Evaluation.
 
 
@@ -343,6 +550,33 @@ def test_http_backend_rejects_malformed_payload():
     backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
     with pytest.raises(BackendError):
         backend.complete("s", "u", role="r")
+
+
+@pytest.mark.parametrize("payload", [
+    {**chat_payload("ok"), "usage": [1]},
+    {**chat_payload("ok"), "usage": "lots"},
+    chat_payload("ok", "many", 3),
+    chat_payload("ok", 11, -5),
+    chat_payload("ok", 11, 2.5),
+    chat_payload("ok", True, 3),
+], ids=["usage_list", "usage_string", "string_count", "negative_count",
+        "float_count", "bool_count"])
+def test_http_backend_rejects_unusable_usage(payload):
+    session = FakeSession([FakeResponse(200, payload)])
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
+    with pytest.raises(BackendError, match="unusable payload"):
+        backend.complete("s", "u", role="r")
+
+
+def test_http_backend_usage_may_be_partial_or_null():
+    payloads = [
+        {**chat_payload("a"), "usage": None},
+        {**chat_payload("b"), "usage": {"prompt_tokens": 0}},
+    ]
+    session = FakeSession([FakeResponse(200, p) for p in payloads])
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
+    assert backend.complete("s", "u", role="r") == gt.BackendResult("a")
+    assert backend.complete("s", "u", role="r") == gt.BackendResult("b", 0, None)
 
 
 def test_http_backend_requires_url(monkeypatch):
