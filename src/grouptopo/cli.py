@@ -163,7 +163,8 @@ def main() -> None:
 @click.option("--families", default="chain,star,full", show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Most agent calls in flight.")
 @_guarded
 def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
              steps, samples, workers) -> None:

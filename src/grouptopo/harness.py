@@ -8,6 +8,7 @@ numeric, or containment matching.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import re
@@ -20,7 +21,6 @@ from .errors import BackendError, ValidationError
 from .graph import (
     RECORD_VERSION,
     AgentGraph,
-    AgentNode,
     GroupGraph,
     GroupPool,
     materialize_agent_graph,
@@ -282,17 +282,120 @@ class RunTranscript:
     rounds: int
 
 
-def _build_user_prompt(
-    query: str,
-    upstream: Sequence[tuple[AgentNode, str]],
-    previous_own: str | None,
-) -> str:
-    parts = [f"Task: {query}"]
-    for node, reply in upstream:
-        parts.append(f"[{node.name} | {node.role}]: {reply}")
-    if previous_own is not None:
-        parts.append(f"[your previous reply]: {previous_own}")
-    return "\n".join(parts)
+def _run_all(
+    runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend, *,
+    rounds: int, attack: AttackSpec | None, max_workers: int | None,
+) -> list[RunTranscript]:
+    """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
+    one schedule; return the transcripts in run order. At most ``max_workers``
+    calls run at once (``None``: the worker count of the largest graph). Ready
+    calls start in run order, then transcript order, so a bound of 1 runs the
+    calls of a serial loop, in its order, on this thread."""
+    if rounds < 1:
+        raise ValidationError(f"rounds must be >= 1, got {rounds}")
+    # A call is (run, round, node), numbered run by run in transcript order. It
+    # waits for its predecessors' calls in the same round and, for a worker,
+    # for its own call in the round before.
+    calls: list[tuple[int, int, int]] = []
+    waiting: list[int] = []
+    dependents: list[list[int]] = []
+    ends: list[int] = []
+    # Per run and node, the nodes whose replies it reads, in prompt order.
+    preds: list[list[list[int]]] = []
+    attack_idx: list[int | None] = []
+    widest = 1
+    for r, (agent_graph, _) in enumerate(runs):
+        summarizer = agent_graph.summarizer
+        workers = [i for i in topological_schedule(agent_graph) if i != summarizer]
+        widest = max(widest, len(workers))
+        attack_idx.append(attack.resolve(agent_graph) if attack is not None else None)
+        preds.append([[] for _ in agent_graph.nodes])
+        for i, t in sorted(agent_graph.edges):
+            if i != summarizer:
+                preds[r][t].append(i)
+        keys = [(k, v) for k in range(1, rounds + 1) for v in workers]
+        if summarizer is not None:
+            keys.append((rounds, summarizer))
+        position = {key: len(calls) + i for i, key in enumerate(keys)}
+        for round_no, node_idx in keys:
+            inputs = [(round_no, u) for u in preds[r][node_idx]]
+            if round_no > 1 and node_idx != summarizer:
+                inputs.append((round_no - 1, node_idx))
+            for source in inputs:
+                dependents[position[source]].append(len(calls))
+            calls.append((r, round_no, node_idx))
+            waiting.append(len(inputs))
+            dependents.append([])
+        ends.append(len(calls))
+    entries: dict[tuple[int, int, int], TranscriptEntry] = {}
+    ready = [pos for pos, count in enumerate(waiting) if not count]  # a heap
+
+    def prompts(pos: int) -> tuple[str, str]:
+        r, round_no, node_idx = calls[pos]
+        nodes = runs[r][0].nodes
+        system = nodes[node_idx].prompt
+        if node_idx == attack_idx[r]:
+            system = f"{attack.text}\n{system}"
+        parts = [f"Task: {runs[r][1]}"]
+        for u in preds[r][node_idx]:
+            reply = entries[r, round_no, u].text
+            parts.append(f"[{nodes[u].name} | {nodes[u].role}]: {reply}")
+        previous = entries.get((r, round_no - 1, node_idx))
+        if previous is not None:
+            parts.append(f"[your previous reply]: {previous.text}")
+        return system, "\n".join(parts)
+
+    def call(pos: int, system: str, user: str) -> TranscriptEntry:
+        r, round_no, node_idx = calls[pos]
+        node = runs[r][0].nodes[node_idx]
+        result = backend.complete(system, user, role=node.role)
+        prompt_tokens = result.prompt_tokens
+        if prompt_tokens is None:
+            prompt_tokens = count_tokens(system) + count_tokens(user)
+        completion_tokens = result.completion_tokens
+        if completion_tokens is None:
+            completion_tokens = count_tokens(result.text)
+        return TranscriptEntry(round_no, node_idx, node.name, node.role,
+                               prompt_tokens, completion_tokens, result.text)
+
+    def finish(pos: int, entry: TranscriptEntry) -> None:
+        entries[calls[pos]] = entry
+        for later in dependents[pos]:
+            waiting[later] -= 1
+            if not waiting[later]:
+                heapq.heappush(ready, later)
+
+    # Only this thread reads or writes the schedule; pool threads run ``call``.
+    bound = max_workers or widest
+    running: dict[Future, int] = {}
+    executor: ThreadPoolExecutor | None = None
+    try:
+        while ready or running:
+            if bound == 1 or (len(ready) == 1 and not running):
+                pos = heapq.heappop(ready)
+                finish(pos, call(pos, *prompts(pos)))
+                continue
+            if executor is None:
+                executor = ThreadPoolExecutor(max_workers=bound)
+            while ready and len(running) < bound:
+                pos = heapq.heappop(ready)
+                running[executor.submit(call, pos, *prompts(pos))] = pos
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                finish(running.pop(future), future.result())
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
+
+    transcripts = []
+    for (_, query), start, end in zip(runs, [0] + ends, ends):
+        ordered = tuple(entries[key] for key in calls[start:end])
+        stats = TokenStats()
+        for entry in ordered:
+            stats.add(entry.prompt_tokens, entry.completion_tokens)
+        final_text = ordered[-1].text if ordered else ""
+        transcripts.append(RunTranscript(query, ordered, final_text, stats, rounds))
+    return transcripts
 
 
 def run_graph(
@@ -319,113 +422,9 @@ def run_graph(
     the first exception no further call starts; calls already running finish,
     and that exception is raised.
     """
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    nodes = agent_graph.nodes
-    summarizer = agent_graph.summarizer
-    workers = [i for i in topological_schedule(agent_graph) if i != summarizer]
-    attack_idx = attack.resolve(agent_graph) if attack is not None else None
-    # The nodes whose replies each node reads, in prompt order.
-    preds: list[list[int]] = [[] for _ in nodes]
-    for i, t in sorted(agent_graph.edges):
-        if i != summarizer:
-            preds[t].append(i)
-
-    # A call is (round, node). It waits for its predecessors' calls in the same
-    # round and, for a worker, for its own call in the round before.
-    calls = [(r, v) for r in range(1, rounds + 1) for v in workers]
-    if summarizer is not None:
-        calls.append((rounds, summarizer))
-    waiting: dict[tuple[int, int], int] = {}
-    dependents: dict[tuple[int, int], list[tuple[int, int]]] = {k: [] for k in calls}
-    for key in calls:
-        round_no, node_idx = key
-        inputs = [(round_no, u) for u in preds[node_idx]]
-        if round_no > 1 and node_idx != summarizer:
-            inputs.append((round_no - 1, node_idx))
-        waiting[key] = len(inputs)
-        for source in inputs:
-            dependents[source].append(key)
-    ready = [key for key in calls if not waiting[key]]
-    entries: dict[tuple[int, int], TranscriptEntry] = {}
-
-    def prompts(key: tuple[int, int]) -> tuple[str, str]:
-        round_no, node_idx = key
-        system = nodes[node_idx].prompt
-        if attack is not None and node_idx == attack_idx:
-            system = f"{attack.text}\n{system}"
-        previous = entries.get((round_no - 1, node_idx))
-        user = _build_user_prompt(
-            query,
-            [(nodes[u], entries[round_no, u].text) for u in preds[node_idx]],
-            previous.text if previous is not None else None,
-        )
-        return system, user
-
-    def call(key: tuple[int, int], system: str, user: str) -> TranscriptEntry:
-        round_no, node_idx = key
-        node = nodes[node_idx]
-        result = backend.complete(system, user, role=node.role)
-        prompt_tokens = (
-            result.prompt_tokens
-            if result.prompt_tokens is not None
-            else count_tokens(system) + count_tokens(user)
-        )
-        completion_tokens = (
-            result.completion_tokens
-            if result.completion_tokens is not None
-            else count_tokens(result.text)
-        )
-        return TranscriptEntry(
-            round=round_no,
-            node=node_idx,
-            name=node.name,
-            role=node.role,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            text=result.text,
-        )
-
-    def finish(key: tuple[int, int], entry: TranscriptEntry) -> None:
-        entries[key] = entry
-        for later in dependents[key]:
-            waiting[later] -= 1
-            if not waiting[later]:
-                ready.append(later)
-
-    # Only this thread reads or writes the schedule; pool threads run ``call``.
-    running: dict[Future, tuple[int, int]] = {}
-    executor: ThreadPoolExecutor | None = None
-    try:
-        while ready or running:
-            if len(ready) == 1 and not running:
-                key = ready.pop()
-                finish(key, call(key, *prompts(key)))
-                continue
-            if ready:
-                if executor is None:
-                    executor = ThreadPoolExecutor(max_workers=len(workers))
-                for key in ready:
-                    running[executor.submit(call, key, *prompts(key))] = key
-                ready.clear()
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                finish(running.pop(future), future.result())
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-
-    ordered = tuple(entries[key] for key in calls)
-    stats = TokenStats()
-    for entry in ordered:
-        stats.add(entry.prompt_tokens, entry.completion_tokens)
-    return RunTranscript(
-        query=query,
-        entries=ordered,
-        final_text=ordered[-1].text if ordered else "",
-        stats=stats,
-        rounds=rounds,
-    )
+    return _run_all(
+        [(agent_graph, query)], backend, rounds=rounds, attack=attack, max_workers=None
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,48 +531,42 @@ def evaluate(
     """Run each example through its graph and score the final answers.
 
     ``graphs`` is either one graph reused for every example or a sequence
-    aligned with the dataset. Results keep dataset order even when executed
-    with a thread pool.
+    aligned with the dataset. The calls of all examples share one schedule,
+    as in :func:`run_graph`: at most ``max_workers`` run at once, and ``None``
+    means the worker count of the largest graph. Results keep dataset order.
     """
+    if max_workers is not None and max_workers < 1:
+        raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
     if not dataset:
         raise ValidationError("evaluation dataset is empty")
-    if isinstance(graphs, GroupGraph):
-        graph_list = [graphs] * len(dataset)
-    else:
-        graph_list = list(graphs)
-        if len(graph_list) != len(dataset):
-            raise ValidationError(
-                f"{len(graph_list)} graphs for {len(dataset)} examples"
-            )
-    agent_graphs = [materialize_agent_graph(g, pool, mode) for g in graph_list]
-
-    def run_one(idx: int) -> ItemResult:
-        example = dataset[idx]
-        transcript = run_graph(
-            agent_graphs[idx], example.query, backend, rounds=rounds, attack=attack
-        )
-        correct = answer_matches(example.answer, transcript.final_text, example.match)
-        return ItemResult(
+    graph_list = [graphs] * len(dataset) if isinstance(graphs, GroupGraph) else list(graphs)
+    if len(graph_list) != len(dataset):
+        raise ValidationError(f"{len(graph_list)} graphs for {len(dataset)} examples")
+    transcripts = _run_all(
+        [
+            (materialize_agent_graph(graph, pool, mode), example.query)
+            for graph, example in zip(graph_list, dataset)
+        ],
+        backend,
+        rounds=rounds,
+        attack=attack,
+        max_workers=max_workers,
+    )
+    items = [
+        ItemResult(
             query=example.query,
             expected=example.answer,
             got=transcript.final_text,
-            correct=correct,
+            correct=answer_matches(example.answer, transcript.final_text, example.match),
             prompt_tokens=transcript.stats.prompt_tokens,
             completion_tokens=transcript.stats.completion_tokens,
             calls=transcript.stats.calls,
         )
-
-    indices = range(len(dataset))
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            items = list(pool_exec.map(run_one, indices))
-    else:
-        items = [run_one(i) for i in indices]
-
+        for example, transcript in zip(dataset, transcripts)
+    ]
     stats = TokenStats()
-    for item in items:
-        stats.prompt_tokens += item.prompt_tokens
-        stats.completion_tokens += item.completion_tokens
-        stats.calls += item.calls
+    for transcript in transcripts:
+        for entry in transcript.entries:
+            stats.add(entry.prompt_tokens, entry.completion_tokens)
     accuracy = sum(1 for i in items if i.correct) / len(items)
     return EvalReport(accuracy=accuracy, items=tuple(items), stats=stats)

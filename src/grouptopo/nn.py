@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -405,36 +406,36 @@ def load_checkpoint(
     """
     if not os.path.exists(path):
         raise ValidationError(f"checkpoint not found: {os.fspath(path)}")
+    # Reading any member can fail too: a bad CRC raises BadZipFile.
     try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        with np.load(path, allow_pickle=False) as data:
+            keys = set(data.files)
+            found = str(data["meta/format"]) if "meta/format" in keys else None
+            if found != CHECKPOINT_FORMAT:
+                raise ValidationError(
+                    f"{os.fspath(path)} has checkpoint format {found}, this version "
+                    f"reads only {CHECKPOINT_FORMAT}; retrain the model"
+                )
+            try:
+                config = json.loads(str(data["meta/config"]))
+            except (KeyError, json.JSONDecodeError):
+                config = None
+            if not isinstance(config, dict):
+                raise ValidationError(f"{os.fspath(path)} has no meta/config JSON object")
+
+            def section(prefix: str) -> Params:
+                return {
+                    key[len(prefix) :]: np.array(data[key], dtype=np.float64)
+                    for key in data.files
+                    if key.startswith(prefix)
+                }
+
+            params, opt_m, opt_v = section("param/"), section("opt/m/"), section("opt/v/")
+            opt_state = None
+            if "opt/step" in keys:
+                if set(opt_m) != set(params) or set(opt_v) != set(params):
+                    raise ValidationError("optimizer state does not match parameters")
+                opt_state = OptimizerState(m=opt_m, v=opt_v, step=int(data["opt/step"]))
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from exc
-    with data:
-        keys = set(data.files)
-        found = str(data["meta/format"]) if "meta/format" in keys else None
-        if found != CHECKPOINT_FORMAT:
-            raise ValidationError(
-                f"{os.fspath(path)} has checkpoint format {found}, this version "
-                f"reads only {CHECKPOINT_FORMAT}; retrain the model"
-            )
-        try:
-            config = json.loads(str(data["meta/config"]))
-        except (KeyError, json.JSONDecodeError):
-            config = None
-        if not isinstance(config, dict):
-            raise ValidationError(f"{os.fspath(path)} has no meta/config JSON object")
-
-        def section(prefix: str) -> Params:
-            return {
-                key[len(prefix) :]: np.array(data[key], dtype=np.float64)
-                for key in data.files
-                if key.startswith(prefix)
-            }
-
-        params, opt_m, opt_v = section("param/"), section("opt/m/"), section("opt/v/")
-        opt_state = None
-        if "opt/step" in keys:
-            if set(opt_m) != set(params) or set(opt_v) != set(params):
-                raise ValidationError("optimizer state does not match parameters")
-            opt_state = OptimizerState(m=opt_m, v=opt_v, step=int(data["opt/step"]))
     return params, opt_state, config

@@ -3,6 +3,7 @@ pipeline in a temp directory, plus the exit-code contract."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -208,7 +209,7 @@ class OffMainThreadFailure:
 
 @pytest.mark.parametrize("command, args", [
     ("discover", ["--dataset", "dataset.jsonl", "--out", "out.jsonl",
-                  "--families", "star"]),
+                  "--families", "star", "--workers", "2"]),
     ("run", ["--graphs", "graphs.jsonl"]),
     ("attack", ["--graphs", "graphs.jsonl", "--dataset", "dataset.jsonl",
                 "--attack-target", "0", "--attack-text", "x"]),
@@ -378,6 +379,24 @@ def string_encoder_dim(arrays):
     edit_config(arrays, lambda config: config.update(encoder={"kind": "hash", "dim": "x"}))
 
 
+def zip_magic_only(arrays):
+    """Bytes in place of the checkpoint: the zip magic, then no zip."""
+    return b"PK\x03\x04 is not a zip archive"
+
+
+def corrupt_member(arrays):
+    """The checkpoint's bytes with one flipped inside its largest array, so
+    that member fails its CRC check when read."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    data = bytearray(buffer.getvalue())
+    payload = max(arrays.values(), key=np.size).tobytes()
+    offset = data.find(payload)
+    assert offset >= 0
+    data[offset + len(payload) // 2] ^= 0xFF
+    return bytes(data)
+
+
 @pytest.mark.parametrize("damage, needle", [
     (set_format, "retrain"),
     (drop_param, "edge_gru.wz"),
@@ -388,15 +407,21 @@ def string_encoder_dim(arrays):
     (string_dim, "dim"),
     (list_encoder, "encoder"),
     (string_encoder_dim, "encoder"),
+    (zip_magic_only, "unreadable checkpoint"),
+    (corrupt_member, "Bad CRC-32"),
 ])
 def test_generate_rejects_mismatched_checkpoint(runner, workdir, damage, needle):
+    """``damage`` edits the arrays in place, or returns the bytes to write."""
     assert train_tiny(runner, workdir).exit_code == 0
     path = workdir / "model.npz"
     with np.load(path) as data:
         arrays = dict(data)
-    damage(arrays)
+    raw = damage(arrays)
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        if raw is None:
+            np.savez(fh, **arrays)
+        else:
+            fh.write(raw)
     result = invoke(runner, [
         "generate", "--pool", str(workdir / "pool.jsonl"),
         "--checkpoint", str(path), "--query", "q",

@@ -424,11 +424,31 @@ def test_worker_error_is_raised_and_stops_the_run():
     assert backend.running == 0
     assert backend.slept == pytest.approx(0.05 * len(backend.started))
 
-    backend = FailingBackend(failed.prompt, delay=0.0)
-    with pytest.raises(BackendError) as excinfo:
-        gt.evaluate(arithmetic_dataset(2), gt.GroupGraph(selected=(13,)), pool,
-                    backend, mode="expanded", max_workers=2)
-    assert excinfo.value is backend.error
+    for delay in (0.0, 0.05):
+        backend = FailingBackend(failed.prompt, delay=delay)
+        with pytest.raises(BackendError) as excinfo:
+            gt.evaluate(arithmetic_dataset(2), gt.GroupGraph(selected=(13,)), pool,
+                        backend, mode="expanded", max_workers=2)
+        assert excinfo.value is backend.error
+        assert backend.running == 0
+        assert backend.slept == pytest.approx(delay * len(backend.started))
+
+
+def test_evaluate_bounds_the_calls_in_flight():
+    pool = gt.default_pool()
+    dataset = arithmetic_dataset(6)
+    star = gt.GroupGraph(selected=(13,))
+    backend = SleepBackend(0.02)
+    start = time.perf_counter()
+    gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=2)
+    wall = time.perf_counter() - start
+    assert backend.peak == 2
+    assert wall < backend.slept
+
+    backend = SleepBackend(0.002)
+    gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=1)
+    assert backend.peak == 1
+    assert backend.threads == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +491,37 @@ def test_evaluate_worker_parity(pool4):
     assert serial.accuracy == threaded.accuracy
     assert serial.stats == threaded.stats
     assert [i.got for i in serial.items] == [i.got for i in threaded.items]
+
+    # Every item equals its graph run on its own by the serial reference.
+    pool = gt.default_pool()
+    rng = gt.make_rng(5)
+    for family in ("chain", "star", "full"):
+        graphs = [
+            gt.sample_candidate_topology(rng, pool.size, family, 2 + i % 3)
+            for i in range(len(dataset))
+        ]
+        for mode in ("composite", "expanded"):
+            agent_graphs = [gt.materialize_agent_graph(g, pool, mode) for g in graphs]
+            for rounds in (1, 2, 3):
+                expected_backend = EchoRecorder()
+                expected = []
+                for agents, example in zip(agent_graphs, dataset):
+                    run = serial_run_graph(agents, example.query, expected_backend,
+                                           rounds=rounds)
+                    expected.append(gt.ItemResult(
+                        query=example.query, expected=example.answer,
+                        got=run.final_text,
+                        correct=gt.answer_matches(example.answer, run.final_text),
+                        prompt_tokens=run.stats.prompt_tokens,
+                        completion_tokens=run.stats.completion_tokens,
+                        calls=run.stats.calls,
+                    ))
+                for max_workers in (1, 2, None):
+                    backend = EchoRecorder()
+                    report = gt.evaluate(dataset, graphs, pool, backend, mode=mode,
+                                         rounds=rounds, max_workers=max_workers)
+                    assert report.items == tuple(expected)
+                    assert backend.calls == expected_backend.calls
 
 
 def test_evaluate_attack_lowers_accuracy(pool4):

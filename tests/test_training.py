@@ -196,6 +196,18 @@ def test_explore_and_label_worker_parity(pool4):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("max_workers", [0, -3])
+def test_bad_max_workers_is_rejected(pool4, max_workers):
+    dataset = make_dataset()
+    backend = answer_backend(dataset)
+    with pytest.raises(ValidationError, match="max_workers"):
+        gt.evaluate(dataset, gt.GroupGraph(selected=(0,)), pool4, backend,
+                    max_workers=max_workers)
+    with pytest.raises(ValidationError, match="max_workers"):
+        gt.explore_and_label(pool4, dataset, backend, gt.ExplorationConfig(),
+                             max_workers=max_workers)
+
+
 # ---------------------------------------------------------------------------
 # The training loop itself.
 
