@@ -61,7 +61,6 @@ from .model import (
     GaussianDiag,
     LossBreakdown,
     ModelConfig,
-    StepState,
     check_params,
     conditional_prior,
     fuse_step,
@@ -70,8 +69,6 @@ from .model import (
     init_params,
     kl_diag,
     loss_and_grads,
-    predict_edge,
-    predict_group,
     reparameterize,
 )
 from .nn import (

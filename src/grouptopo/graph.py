@@ -428,11 +428,10 @@ def group_graph_from_record(record: dict) -> GroupGraph:
     for i, t in edges:
         if t >= n:
             raise ValidationError(f"edge {i}->{t} exceeds the {n} recorded steps")
-    return GroupGraph(
-        selected=tuple(selected),
-        edges=edges,
-        truncated=bool(record.get("truncated", False)),
-    )
+    truncated = record.get("truncated", False)
+    if not isinstance(truncated, bool):
+        raise ValidationError("'truncated' must be true or false")
+    return GroupGraph(selected=tuple(selected), edges=edges, truncated=truncated)
 
 
 def group_to_record(group: CandidateGroup) -> dict:

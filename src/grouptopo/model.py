@@ -7,6 +7,12 @@ passes it through a stochastic bottleneck whose prior is conditioned on the
 task. Selection scores come from similarity against the candidate matrix; a
 learnable STOP row terminates generation.
 
+Every site function takes one site per row. Under teacher forcing the
+history depends only on the graph's own selections, so :func:`loss_and_grads`
+folds the history first and then scores all group sites in one pass and all
+edge sites in another; :func:`generate_graph` runs the same functions step by
+step, with one group row and one edge row per earlier step.
+
 All gradients are derived by hand; :func:`loss_and_grads` returns the exact
 gradient of the teacher-forced objective for a fixed noise draw, which the
 test suite verifies coordinate-by-coordinate against central differences.
@@ -15,10 +21,8 @@ test suite verifies coordinate-by-coordinate against central differences.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -132,7 +136,8 @@ def init_params(config: ModelConfig) -> Params:
 
 def check_params(params: Params, config: ModelConfig) -> None:
     """Raise :class:`ValidationError` unless ``params`` has exactly the names
-    and shapes that ``config`` implies; the message lists every mismatch."""
+    and shapes that ``config`` implies and only finite values; the message
+    lists every mismatch."""
     expected = {name: shape for name, shape in _draw_order(config) if name}
     found = {name: value.shape for name, value in params.items()}
     wrong = [n for n in sorted(expected.keys() | found.keys())
@@ -141,6 +146,11 @@ def check_params(params: Params, config: ModelConfig) -> None:
         raise ValidationError("parameters do not match the model config: " + ", ".join(
             f"{n} has shape {found.get(n)}, expected {expected.get(n)}" for n in wrong
         ))
+    non_finite = [n for n in sorted(params) if not np.all(np.isfinite(params[n]))]
+    if non_finite:
+        raise ValidationError(
+            "parameters hold NaN or infinite values: " + ", ".join(non_finite)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,83 +239,76 @@ def conditional_prior(params: Params, prefix: str, z: np.ndarray) -> GaussianDia
 
 
 @dataclass
-class _TaskCache:
+class _MlpCache:
     x: np.ndarray
     a1: np.ndarray
     h1: np.ndarray
 
 
-def project_task(params: Params, task_vec: np.ndarray) -> tuple[np.ndarray, _TaskCache]:
-    """Two-layer projection of the raw sentence vector into model space."""
-    x = np.asarray(task_vec, dtype=np.float64)
-    a1 = nn.affine(params, "task_ffn.l1", x)
+def _mlp(params: Params, prefix: str, x: np.ndarray) -> tuple[np.ndarray, _MlpCache]:
+    """Two affine layers ``l1`` and ``l2`` under ``prefix`` with a ReLU between."""
+    a1 = nn.affine(params, f"{prefix}.l1", x)
     h1 = nn.relu(a1)
-    z = nn.affine(params, "task_ffn.l2", h1)
-    return z, _TaskCache(x=x, a1=a1, h1=h1)
+    return nn.affine(params, f"{prefix}.l2", h1), _MlpCache(x=x, a1=a1, h1=h1)
 
 
-def _project_task_backward(
-    params: Params, cache: _TaskCache, dz: np.ndarray, grads: Grads
-) -> None:
-    dh1 = nn.affine_backward(params, "task_ffn.l2", cache.h1, dz, grads)
+def _mlp_backward(
+    params: Params, prefix: str, cache: _MlpCache, d_out: np.ndarray, grads: Grads
+) -> np.ndarray:
+    dh1 = nn.affine_backward(params, f"{prefix}.l2", cache.h1, d_out, grads)
     da1 = nn.relu_backward(cache.a1, dh1)
-    nn.affine_backward(params, "task_ffn.l1", cache.x, da1, grads)
+    return nn.affine_backward(params, f"{prefix}.l1", cache.x, da1, grads)
 
 
-@dataclass(frozen=True)
-class StepState:
-    """Per-step fusion output: history summary, gate value, fused vector."""
-
-    history: np.ndarray
-    gate: float
-    fused: np.ndarray
+def project_task(params: Params, task_vec: np.ndarray) -> tuple[np.ndarray, _MlpCache]:
+    """Two-layer projection of the raw sentence vector into model space."""
+    return _mlp(params, "task_ffn", np.asarray(task_vec, dtype=np.float64))
 
 
 @dataclass
 class _FuseCache:
     h_his: np.ndarray
     z: np.ndarray
-    step: int
-    gate: float
+    step: np.ndarray
+    gate: np.ndarray
     scale: float
 
 
 def fuse_step(
-    params: Params, h_his: np.ndarray, z: np.ndarray, step: int
-) -> tuple[StepState, _FuseCache]:
+    params: Params, h_his: np.ndarray, z: np.ndarray, step: int | np.ndarray
+) -> tuple[np.ndarray, _FuseCache]:
     """Gate the history summary against the task vector, add step embedding.
 
-    The gate is sigmoid(<h_his, z> / sqrt(dim)), a scalar; the fused state is
-    ``(1 - g) * h_his + g * z + step_embed[step]``.
+    ``h_his`` is one history vector at step ``step``, or one row per step
+    with ``step`` the array of step indices. Per row the gate is
+    sigmoid(<h_his, z> / sqrt(dim)), a scalar kept in the cache, and the
+    fused state is ``(1 - g) * h_his + g * z + step_embed[step]``.
     """
     table = params["step_embed"]
-    if not 0 <= step < table.shape[0]:
+    steps = np.asarray(step)
+    if steps.size and not (steps.min() >= 0 and steps.max() < table.shape[0]):
         raise ValidationError(
             f"step {step} outside the embedding table ({table.shape[0]} rows)"
         )
     scale = 1.0 / math.sqrt(z.shape[0])
-    raw = float(h_his @ z) * scale
-    gate = float(nn.sigmoid(np.array([raw]))[0])
-    fused = (1.0 - gate) * h_his + gate * z + table[step]
-    state = StepState(history=h_his, gate=gate, fused=fused)
-    return state, _FuseCache(h_his=h_his, z=z, step=step, gate=gate, scale=scale)
+    gate = nn.sigmoid(np.asarray(h_his @ z * scale)[..., None])
+    fused = (1.0 - gate) * h_his + gate * z + table[steps]
+    return fused, _FuseCache(h_his=h_his, z=z, step=steps, gate=gate, scale=scale)
 
 
 def _fuse_backward(
     cache: _FuseCache, d_fused: np.ndarray, grads: Grads, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (d_h_his, d_z); accumulates the step-embedding gradient."""
-    if "step_embed" not in grads:
-        grads["step_embed"] = np.zeros_like(table)
-    grads["step_embed"][cache.step] += d_fused
-    g = cache.gate
-    d_gate = float(d_fused @ (cache.z - cache.h_his))
-    d_h = (1.0 - g) * d_fused
-    d_z = g * d_fused
-    d_raw = d_gate * g * (1.0 - g)
-    d_h = d_h + d_raw * cache.scale * cache.z
-    d_z = d_z + d_raw * cache.scale * cache.h_his
-    return d_h, d_z
+    """Backward through a row-batched :func:`fuse_step`. Returns (d_h_his,
+    d_z), with d_z summed over the rows; adds the step-embedding gradient."""
+    d_table = np.zeros_like(table)
+    np.add.at(d_table, cache.step, d_fused)
+    accumulate(grads, "step_embed", d_table)
+    g, h, z = cache.gate, cache.h_his, cache.z
+    d_raw = np.sum(d_fused * (z - h), axis=-1, keepdims=True) * g * (1.0 - g)
+    d_h = (1.0 - g) * d_fused + d_raw * cache.scale * z
+    d_z = g * d_fused + d_raw * cache.scale * h
+    return d_h, d_z.sum(axis=0)
 
 
 def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
@@ -321,7 +324,8 @@ def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Group-selection and edge sites.
+# Group-selection and edge sites. Every function takes one site per row, so a
+# pass scores all the sites of one kind at once.
 
 
 @dataclass
@@ -338,7 +342,7 @@ class _LatentCache:
 def _latent(
     params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray, eps: np.ndarray
 ) -> tuple[np.ndarray, _LatentCache]:
-    """A site's bottleneck: gated projection, posterior, pathwise sample."""
+    """The sites' bottleneck: gated projection, posterior, pathwise sample."""
     x_gated, gate_cache = nn.gate_step(params, gate_prefix, x)
     q, enc_cache = _bottleneck(params, enc_prefix, x_gated)
     code = reparameterize(q, eps)
@@ -354,187 +358,53 @@ def _latent_backward(
     d_code: np.ndarray,
     kl_weight: float,
     prior: GaussianDiag,
-    prior_acc: list[np.ndarray],
     grads: Grads,
-) -> np.ndarray:
-    """Backward through :func:`_latent` plus ``kl_weight`` * KL(q || prior);
-    accumulates the prior's gradient into ``prior_acc``, returns d x."""
-    d_mu = d_code.copy()
-    d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma)
-    if kl_weight != 0.0:
-        kq_mu, kq_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
-        d_mu += kq_mu
-        d_ls += kq_ls
-        prior_acc[0] += kp_mu
-        prior_acc[1] += kp_ls
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through :func:`_latent` plus ``kl_weight`` * KL(q || prior)
+    summed over the rows. Returns d x and the prior's (d_mu, d_log_sigma)."""
+    kq_mu, kq_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
+    d_mu = d_code + kq_mu
+    d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma) + kq_ls
     dx = _bottleneck_backward(params, cache.enc_prefix, cache.enc, d_mu, d_ls, grads)
-    return nn.gate_backward(params, cache.gate_prefix, cache.gate, dx, grads)
+    dx = nn.gate_backward(params, cache.gate_prefix, cache.gate, dx, grads)
+    return dx, kp_mu.sum(axis=0), kp_ls.sum(axis=0)
 
 
-def _group_site(
+def _group_sites(
     params: Params, matrix: np.ndarray, fused: np.ndarray, eps: np.ndarray
 ) -> tuple[np.ndarray, _LatentCache]:
+    """Selection probabilities over the K groups and STOP, per fused row."""
     code, latent = _latent(params, "grp_gru", "enc_g", fused, eps)
-    return nn.softmax(matrix @ code), latent
+    return nn.softmax(code @ matrix.T), latent
 
 
-@dataclass
-class _EdgeSiteCache:
-    features: np.ndarray
-    a1: np.ndarray
-    h1: np.ndarray
-    latent: _LatentCache
-    head_a: np.ndarray
-    head_h: np.ndarray
-    prob: float
-
-
-def _edge_site(
-    params: Params,
-    fused_source: np.ndarray,
-    group_vec: np.ndarray,
-    z: np.ndarray,
-    eps: np.ndarray,
-) -> tuple[float, _EdgeSiteCache]:
-    features = np.concatenate([fused_source, group_vec, z])
-    a1 = nn.affine(params, "edge_mlp.l1", features)
-    h1 = nn.relu(a1)
-    x_pre = nn.affine(params, "edge_mlp.l2", h1)
+def _edge_sites(
+    params: Params, features: np.ndarray, eps: np.ndarray
+) -> tuple[np.ndarray, tuple[_MlpCache, _LatentCache, _MlpCache]]:
+    """Edge probabilities, one per row of ``features``: the source step's
+    fused state, the target's group embedding and the task vector."""
+    x_pre, mlp_cache = _mlp(params, "edge_mlp", features)
     code, latent = _latent(params, "edge_gru", "enc_e", x_pre, eps)
-    head_a = nn.affine(params, "edge_head.l1", code)
-    head_h = nn.relu(head_a)
-    logit = float(nn.affine(params, "edge_head.l2", head_h)[0])
-    prob = float(nn.sigmoid(np.array([logit]))[0])
-    return prob, _EdgeSiteCache(
-        features=features, a1=a1, h1=h1, latent=latent,
-        head_a=head_a, head_h=head_h, prob=prob,
-    )
+    logit, head_cache = _mlp(params, "edge_head", code)
+    return nn.sigmoid(logit[:, 0]), (mlp_cache, latent, head_cache)
 
 
-def _edge_site_backward(
-    params: Params,
-    cache: _EdgeSiteCache,
-    d_logit: float,
-    kl_weight: float,
-    prior: GaussianDiag,
-    prior_acc: list[np.ndarray],
-    grads: Grads,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward for one edge site; returns (d_fused_source, d_z)."""
-    dim = cache.latent.code.shape[0]
-    d_head_h = nn.affine_backward(
-        params, "edge_head.l2", cache.head_h, np.array([d_logit]), grads
-    )
-    d_head_a = nn.relu_backward(cache.head_a, d_head_h)
-    d_code = nn.affine_backward(
-        params, "edge_head.l1", cache.latent.code, d_head_a, grads
-    )
-    dx_pre = _latent_backward(
-        params, cache.latent, d_code, kl_weight, prior, prior_acc, grads
-    )
-    dh1 = nn.affine_backward(params, "edge_mlp.l2", cache.h1, dx_pre, grads)
-    da1 = nn.relu_backward(cache.a1, dh1)
-    d_features = nn.affine_backward(params, "edge_mlp.l1", cache.features, da1, grads)
-    # Feature layout: [fused_source, group embedding (frozen), task vector].
-    return d_features[:dim], d_features[2 * dim :]
-
-
-def predict_group(
-    params: Params, candidates: CandidateMatrix, fused: np.ndarray
+def _edge_features(
+    fused: np.ndarray, sources: np.ndarray, group_rows: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Selection probabilities over the K groups plus the STOP entry, from
-    the posterior mean."""
-    matrix = scoring_matrix(params, candidates)
-    probs, _ = _group_site(params, matrix, fused, np.zeros(fused.shape[0]))
-    return probs
-
-
-def predict_edge(
-    params: Params, fused_source: np.ndarray, group_vec: np.ndarray, z: np.ndarray
-) -> float:
-    """Probability of wiring an earlier step into the current group, from the
-    posterior mean."""
-    prob, _ = _edge_site(params, fused_source, group_vec, z, np.zeros(z.shape[0]))
-    return prob
+    return np.concatenate(
+        [fused[sources], group_rows, np.broadcast_to(z, group_rows.shape)], axis=1
+    )
 
 
 # ---------------------------------------------------------------------------
-# The step loop, shared by generation and the teacher-forced objective.
+# Generation.
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return make_rng(int(seed))
-
-
-# step, choice, fusion cache, selection probabilities, latent cache
-_GroupSite = tuple[int, int, _FuseCache, np.ndarray, _LatentCache]
-_EdgeSite = tuple[int, int, int, _EdgeSiteCache]  # source, step, edge taken
-
-
-def _decode(
-    params: Params,
-    matrix: np.ndarray,
-    end_index: int,
-    z: np.ndarray,
-    limit: int,
-    *,
-    eps: Iterator[np.ndarray],
-    graph: GroupGraph | None = None,
-    rng: np.random.Generator | None = None,
-    allow_stop: bool = True,
-) -> tuple[list[_GroupSite], list[_EdgeSite], list[nn.GruCache]]:
-    """Run at most ``limit`` steps of the autoregressive decoder.
-
-    Each step fuses the history with ``z``, scores the group site, scores
-    one edge site per earlier step against the chosen group, and folds that
-    group into the history. With ``graph`` the choices are the graph's own
-    (teacher forcing), and STOP is the target after its last step. Without
-    it they are made as :func:`generate_graph` describes, with STOP only
-    when ``allow_stop``. Each site takes its latent noise from ``eps``.
-
-    Returns the group sites, the edge sites and the history-fold caches,
-    each in order.
-    """
-    group_sites: list[_GroupSite] = []
-    edge_sites: list[_EdgeSite] = []
-    his_caches: list[nn.GruCache] = []
-    edge_set = set(graph.edges) if graph is not None else set()
-    history = np.zeros(z.shape[0])
-    fused_states: list[np.ndarray] = []
-    for t in range(limit):
-        state, fuse_cache = fuse_step(params, history, z, t)
-        probs, latent = _group_site(params, matrix, state.fused, next(eps))
-        if graph is not None:
-            choice = graph.selected[t] if t < graph.n_steps else end_index
-        elif allow_stop:
-            choice = int(np.argmax(probs))
-        else:
-            choice = int(np.argmax(probs[:end_index]))
-        group_sites.append((t, choice, fuse_cache, probs, latent))
-        if choice == end_index:
-            break
-        group_vec = matrix[choice]
-        sites = []
-        for i in range(t):
-            prob, e_cache = _edge_site(
-                params, fused_states[i], group_vec, z, next(eps)
-            )
-            if graph is not None:
-                label = (i, t) in edge_set
-            else:
-                label = rng.random() < prob
-            sites.append((i, t, int(label), e_cache))
-        if graph is None and sites and not any(site[2] for site in sites):
-            # Connectivity fallback: force the most likely source.
-            best = max(range(t), key=lambda i: sites[i][3].prob)
-            sites[best] = (best, t, 1, sites[best][3])
-        edge_sites.extend(sites)
-        fused_states.append(state.fused)
-        history, his_cache = nn.gru_step(params, "his_gru", group_vec, history)
-        his_caches.append(his_cache)
-    return group_sites, edge_sites, his_caches
 
 
 def generate_graph(
@@ -548,11 +418,14 @@ def generate_graph(
 ) -> GroupGraph:
     """Sample one group graph autoregressively.
 
-    Group selection is greedy over the mean-latent probabilities (ties go to
-    the lowest index); edges are Bernoulli draws, with the single
-    highest-probability edge forced whenever a later step would otherwise be
-    unreachable. Generation stops at STOP or at ``config.max_steps``
-    (``truncated`` marks the latter).
+    Each step fuses the history with the task vector, scores its group site,
+    scores one edge site per earlier step against the chosen group, and
+    folds that group into the history. Group selection is greedy over the
+    mean-latent probabilities (ties go to the lowest index); edges are
+    Bernoulli draws in source order, with the single highest-probability
+    edge forced whenever a later step would otherwise be unreachable.
+    Generation stops at STOP or at ``config.max_steps`` (``truncated`` marks
+    the latter).
 
     ``forced_steps`` suppresses STOP and runs exactly that many steps; it is
     capped by the step-embedding table, so it must not exceed
@@ -572,18 +445,36 @@ def generate_graph(
         limit = forced_steps
     rng = _as_rng(seed)
     matrix = scoring_matrix(params, candidates)
+    end_index = candidates.end_index
     z, _ = project_task(params, task_vec)
-    group_sites, edge_sites, _ = _decode(
-        params, matrix, candidates.end_index, z, limit,
-        eps=itertools.repeat(np.zeros(config.dim)), rng=rng,
-        allow_stop=forced_steps is None,
-    )
-    choices = [site[1] for site in group_sites]
-    stopped = choices[-1] == candidates.end_index
+    zeros = np.zeros((limit, config.dim))
+    fused = np.zeros((limit, config.dim))
+    history = np.zeros(config.dim)
+    selected: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for t in range(limit):
+        fused[t], _ = fuse_step(params, history, z, t)
+        probs, _ = _group_sites(params, matrix, fused[t : t + 1], zeros[:1])
+        scored = probs[0] if forced_steps is None else probs[0, :end_index]
+        choice = int(np.argmax(scored))
+        if choice == end_index:
+            break
+        if t:
+            group_rows = np.broadcast_to(matrix[choice], (t, config.dim))
+            features = _edge_features(fused, np.arange(t), group_rows, z)
+            p_edge, _ = _edge_sites(params, features, zeros[:t])
+            taken = rng.random(t) < p_edge
+            if not taken.any():
+                # Connectivity fallback: force the most likely source.
+                taken[np.argmax(p_edge)] = True
+            edges.extend((int(i), t) for i in np.flatnonzero(taken))
+        selected.append(choice)
+        if t + 1 < limit:
+            history, _ = nn.gru_step(params, "his_gru", matrix[choice], history)
     return GroupGraph(
-        selected=tuple(choices[:-1] if stopped else choices),
-        edges=tuple((i, t) for i, t, taken, _ in edge_sites if taken),
-        truncated=forced_steps is None and not stopped,
+        selected=tuple(selected),
+        edges=tuple(edges),
+        truncated=forced_steps is None and len(selected) == limit,
     )
 
 
@@ -638,9 +529,10 @@ def trajectory_noise(
     """Draw the latent noise for every site of a teacher-forced pass.
 
     Site order is fixed: for each step, the selection site first, then its
-    edge sites by ascending source; the STOP site (present when the graph
-    ends before the budget) comes last. The draw count depends only on the
-    graph shape, so a fixed seed yields the same noise for any parameters.
+    edge sites by ascending source, so step t's sites start at index
+    t(t+1)/2; the STOP site (present when the graph ends before the budget)
+    comes last. The draw count depends only on the graph shape, so a fixed
+    seed yields the same noise for any parameters.
     """
     return [rng.standard_normal(config.dim) for _ in range(_site_count(graph, config))]
 
@@ -670,6 +562,12 @@ def loss_and_grads(
     latent posteriors and the task-conditioned priors. Noise can be passed
     explicitly (one vector per site, see :func:`trajectory_noise`) or drawn
     from ``rng``; with neither, the posterior means are used.
+
+    Under teacher forcing the history depends only on the graph's own
+    selections, so the history GRU runs first and then every group site
+    (STOP last) is scored in one row-batched pass and every edge site
+    ``(i, t)`` in another; the backward pass mirrors that, one pass per site
+    kind plus backprop through time over the history.
     """
     if beta_group is None:
         beta_group = config.beta_group
@@ -691,87 +589,79 @@ def loss_and_grads(
     z, task_cache = project_task(params, task_vec)
     prior_g, prior_g_cache = _bottleneck(params, "prior_g", z)
     prior_e, prior_e_cache = _bottleneck(params, "prior_e", z)
-    group_sites, edge_sites, his_caches = _decode(
-        params, matrix, end_index, z, min(n + 1, config.max_steps),
-        eps=iter(noise), graph=graph,
+
+    # Group sites: one per step, then STOP when the graph ends early.
+    n_group = min(n + 1, config.max_steps)
+    targets = np.array((*graph.selected, end_index)[:n_group])
+    histories = [np.zeros(config.dim)]
+    his_caches: list[nn.GruCache] = []
+    for choice in targets[: n_group - 1]:
+        history, his_cache = nn.gru_step(params, "his_gru", matrix[choice], histories[-1])
+        histories.append(history)
+        his_caches.append(his_cache)
+    steps = np.arange(n_group)
+    fused, fuse_cache = fuse_step(params, np.stack(histories), z, steps)
+    eps = np.asarray(noise[:n_sites])
+    probs, g_latent = _group_sites(params, matrix, fused, eps[steps * (steps + 1) // 2])
+
+    # Edge sites (i, t) by step, then source; row t(t+1)/2 + 1 + i of eps.
+    sources = np.array([i for t in range(n) for i in range(t)], dtype=int)
+    dests = np.array([t for t in range(n) for _ in range(t)], dtype=int)
+    edge_set = set(graph.edges)
+    labels = np.array([(i, t) in edge_set for i, t in zip(sources, dests)], dtype=bool)
+    features = _edge_features(fused, sources, matrix[targets[dests]], z)
+    p_edge, (mlp_cache, e_latent, head_cache) = _edge_sites(
+        params, features, eps[dests * (dests + 1) // 2 + 1 + sources]
     )
 
-    group_nll = 0.0
-    edge_bce = 0.0
-    kl_group = 0.0
-    kl_edge = 0.0
-    for _, target, _, probs, latent in group_sites:
-        group_nll += -math.log(max(float(probs[target]), LOG_FLOOR))
-        kl_group += kl_diag(latent.q, prior_g)
-    for _, _, label, e_cache in edge_sites:
-        p_event = e_cache.prob if label else 1.0 - e_cache.prob
-        edge_bce += -math.log(max(p_event, LOG_FLOOR))
-        kl_edge += kl_diag(e_cache.latent.q, prior_e)
-
+    p_target = probs[steps, targets]
+    p_event = np.where(labels, p_edge, 1.0 - p_edge)
     breakdown = LossBreakdown(
-        group_nll=group_nll,
-        edge_bce=edge_bce,
-        kl_group=kl_group,
-        kl_edge=kl_edge,
+        group_nll=-float(np.sum(np.log(np.maximum(p_target, LOG_FLOOR)))),
+        edge_bce=-float(np.sum(np.log(np.maximum(p_event, LOG_FLOOR)))),
+        kl_group=kl_diag(g_latent.q, prior_g),
+        kl_edge=kl_diag(e_latent.q, prior_e),
         beta_group=beta_group,
         beta_edge=beta_edge,
-        n_group_sites=len(group_sites),
-        n_edge_sites=len(edge_sites),
+        n_group_sites=n_group,
+        n_edge_sites=len(sources),
     )
     if not compute_grads:
         return breakdown, {}
 
     grads: Grads = {}
-    d_fused_acc = [np.zeros(config.dim) for _ in group_sites]
-    d_state_acc = [np.zeros(config.dim) for _ in range(n + 1)]
-    dz = np.zeros(config.dim)
-    prior_g_acc = [np.zeros(config.dim), np.zeros(config.dim)]
-    prior_e_acc = [np.zeros(config.dim), np.zeros(config.dim)]
+    # Group sites. The STOP row of the scoring matrix is the learnable end_embed.
+    d_logits = probs.copy()
+    d_logits[steps, targets] -= 1.0
+    d_logits[p_target <= LOG_FLOOR] = 0.0
+    accumulate(grads, "end_embed", d_logits[:, end_index] @ g_latent.code)
+    d_fused, *d_prior_g = _latent_backward(
+        params, g_latent, d_logits @ matrix, beta_group, prior_g, grads
+    )
 
-    for site_idx, (_, target, _, probs, latent) in enumerate(group_sites):
-        if float(probs[target]) > LOG_FLOOR:
-            d_logits = probs.copy()
-            d_logits[target] -= 1.0
-        else:
-            d_logits = np.zeros(end_index + 1)
-        # The STOP row of the scoring matrix is the learnable end_embed.
-        accumulate(grads, "end_embed", d_logits[end_index] * latent.code)
-        d_fused_acc[site_idx] += _latent_backward(
-            params, latent, matrix.T @ d_logits, beta_group, prior_g,
-            prior_g_acc, grads,
-        )
+    # Edge sites. Feature layout: [fused source, group embedding (frozen), z].
+    d_logit = np.where(p_event > LOG_FLOOR, p_edge - labels, 0.0)
+    d_code = _mlp_backward(params, "edge_head", head_cache, d_logit[:, None], grads)
+    d_pre, *d_prior_e = _latent_backward(
+        params, e_latent, d_code, beta_edge, prior_e, grads
+    )
+    d_features = _mlp_backward(params, "edge_mlp", mlp_cache, d_pre, grads)
+    np.add.at(d_fused, sources, d_features[:, : config.dim])
+    dz = d_features[:, 2 * config.dim :].sum(axis=0)
 
-    for i, t, label, e_cache in edge_sites:
-        p = e_cache.prob
-        p_event = p if label else 1.0 - p
-        d_logit = (p - float(label)) if p_event > LOG_FLOOR else 0.0
-        d_src, d_z_part = _edge_site_backward(
-            params, e_cache, d_logit, beta_edge, prior_e, prior_e_acc, grads
-        )
-        d_fused_acc[i] += d_src
-        dz += d_z_part
-
-    # Fusion sites, in any order; each feeds one history state and z.
-    for site_idx, (t, _, fuse_cache, _, _) in enumerate(group_sites):
-        d_his, d_z_part = _fuse_backward(
-            fuse_cache, d_fused_acc[site_idx], grads, params["step_embed"]
-        )
-        d_state_acc[t] += d_his
-        dz += d_z_part
+    d_his, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
+    dz += d_z_fuse
 
     # Backprop through time over the history fold. State 0 is a constant.
     carry = np.zeros(config.dim)
-    for j in range(n - 1, -1, -1):
-        total = carry + d_state_acc[j + 1]
-        _, carry = nn.gru_backward(params, "his_gru", his_caches[j], total, grads)
+    for j in range(len(his_caches) - 1, -1, -1):
+        _, carry = nn.gru_backward(
+            params, "his_gru", his_caches[j], carry + d_his[j + 1], grads
+        )
 
     # Task-conditioned priors, then the task projection itself.
-    dz += _bottleneck_backward(
-        params, "prior_g", prior_g_cache, prior_g_acc[0], prior_g_acc[1], grads
-    )
-    dz += _bottleneck_backward(
-        params, "prior_e", prior_e_cache, prior_e_acc[0], prior_e_acc[1], grads
-    )
-    _project_task_backward(params, task_cache, dz, grads)
+    dz += _bottleneck_backward(params, "prior_g", prior_g_cache, *d_prior_g, grads)
+    dz += _bottleneck_backward(params, "prior_e", prior_e_cache, *d_prior_e, grads)
+    _mlp_backward(params, "task_ffn", task_cache, dz, grads)
 
     return breakdown, grads

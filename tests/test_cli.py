@@ -379,9 +379,18 @@ def string_encoder_dim(arrays):
     edit_config(arrays, lambda config: config.update(encoder={"kind": "hash", "dim": "x"}))
 
 
+def non_finite_params(arrays):
+    arrays["param/end_embed"][0] = np.nan
+    arrays["param/edge_head.l2.b"][:] = np.inf
+
+
 def zip_magic_only(arrays):
     """Bytes in place of the checkpoint: the zip magic, then no zip."""
     return b"PK\x03\x04 is not a zip archive"
+
+
+def empty_file(arrays):
+    return b""
 
 
 def corrupt_member(arrays):
@@ -409,6 +418,8 @@ def corrupt_member(arrays):
     (string_encoder_dim, "encoder"),
     (zip_magic_only, "unreadable checkpoint"),
     (corrupt_member, "Bad CRC-32"),
+    (empty_file, "unreadable checkpoint"),
+    (non_finite_params, "NaN or infinite values: edge_head.l2.b, end_embed"),
 ])
 def test_generate_rejects_mismatched_checkpoint(runner, workdir, damage, needle):
     """``damage`` edits the arrays in place, or returns the bytes to write."""
@@ -497,13 +508,46 @@ record_files = st.binary(max_size=200) | st.lists(
     records | graph_records | json_values, min_size=1, max_size=4
 ).map(lambda rows: "\n".join(json.dumps(row) for row in rows).encode())
 
-# command -> its arguments, with the record file as {path}.
+# command -> its arguments, with the fuzzed file as {path} and the valid
+# files of ``valid_inputs`` as {pool}, {dataset}, {graphs} and {checkpoint}.
 RECORD_COMMANDS = {
     "curate": ["curate", "--results", "{path}", "--out", "{path}.out"],
     "train": ["train", "--dataset", "{path}", "--out", "{path}.npz", "--epochs", "1",
               "--dim", "8", "--hidden", "4", "--quiet"],
     "run": ["run", "--graphs", "{path}"],
+    "discover": ["discover", "--pool", "{pool}", "--dataset", "{path}",
+                 "--out", "{path}.out", "--families", "chain", "--steps", "2"],
+    "generate": ["generate", "--pool", "{pool}", "--checkpoint", "{checkpoint}",
+                 "--dataset", "{path}", "--out", "{path}.out"],
+    "generate_checkpoint": ["generate", "--pool", "{pool}", "--checkpoint", "{path}",
+                            "--query", "q", "--out", "{path}.out"],
+    "attack": ["attack", "--pool", "{pool}", "--graphs", "{path}",
+               "--dataset", "{dataset}", "--attack-target", "0", "--attack-text", "x"],
+    "diagram": ["diagram", "--pool", "{pool}", "--graphs", "{path}"],
+    "diagram_pool": ["diagram", "--pool", "{path}", "--graphs", "{graphs}"],
 }
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A 4-group pool, one example, one graph for it and a checkpoint trained
+    on that graph: the inputs a fuzzed command reads besides its {path}."""
+    root = tmp_path_factory.mktemp("valid")
+    files = {name: str(root / name) for name in ("pool", "dataset", "graphs")}
+    files["checkpoint"] = str(root / "model.npz")
+    gt.save_pool(files["pool"], gt.GroupPool(groups=gt.default_pool().groups[:4]))
+    gt.write_records(files["dataset"], [
+        gt.example_to_record(gt.EvalExample(query="what is 2 plus 3", answer="5")),
+    ])
+    gt.write_records(files["graphs"], [gt.trajectory_to_record(gt.Trajectory(
+        query="what is 2 plus 3", graph=gt.GroupGraph(selected=(0, 1), edges=((0, 1),)),
+    ))])
+    result = CliRunner().invoke(main, [
+        "train", "--pool", files["pool"], "--dataset", files["graphs"],
+        "--out", files["checkpoint"], *TINY_TRAIN,
+    ])
+    assert result.exit_code == 0, result.output
+    return files
 
 
 @pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
@@ -511,12 +555,12 @@ RECORD_COMMANDS = {
 @given(content=record_files)
 @example(content=b"1" * 5000)
 @example(content=b'{"v": "v1", "kind": "group_graph", "selected": [99], "edges": []}')
-def test_record_files_fail_cleanly(command, content):
+def test_record_files_fail_cleanly(valid_inputs, command, content):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.jsonl")
         with open(path, "wb") as fh:
             fh.write(content)
-        args = [arg.format(path=path) for arg in RECORD_COMMANDS[command]]
+        args = [arg.format(path=path, **valid_inputs) for arg in RECORD_COMMANDS[command]]
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2), result.output
     assert "Traceback" not in result.output

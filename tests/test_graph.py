@@ -166,6 +166,16 @@ def test_graph_record_rejects_bool_selection():
         group_graph_from_record(record)
 
 
+@pytest.mark.parametrize("value", ["false", 0, None, [True]])
+def test_graph_record_rejects_non_bool_truncated(value):
+    record = {"v": "v1", "kind": "group_graph", "selected": [0], "edges": [],
+              "truncated": value}
+    with pytest.raises(ValidationError, match="truncated"):
+        group_graph_from_record(record)
+    record["truncated"] = True
+    assert group_graph_from_record(record).truncated
+
+
 def test_pool_record_roundtrip():
     pool = gt.default_pool()
     again = pool_from_records(pool_to_records(pool))

@@ -128,10 +128,15 @@ def test_log_sigma_clamped(tiny):
 
 def test_fuse_zero_history_gate_is_half(tiny):
     z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
-    assert state.gate == pytest.approx(0.5)
+    fused, cache = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
+    assert cache.gate == pytest.approx(0.5)
     expected = 0.5 * z + tiny.params["step_embed"][0]
-    assert np.allclose(state.fused, expected)
+    assert np.allclose(fused, expected)
+    # One row per step: every zero-history row gates at one half too.
+    steps = np.arange(3)
+    rows, cache = gt.fuse_step(tiny.params, np.zeros((3, tiny.config.dim)), z, steps)
+    assert np.allclose(cache.gate, 0.5)
+    assert np.allclose(rows, 0.5 * z + tiny.params["step_embed"][steps])
 
 
 def test_fuse_step_bounds(tiny):
@@ -141,25 +146,38 @@ def test_fuse_step_bounds(tiny):
 
 
 # ---------------------------------------------------------------------------
-# Prediction heads.
+# Site heads, at the posterior mean.
 
 
-def test_predict_group_is_distribution(tiny):
+def first_fused_state(tiny):
     z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
-    probs = gt.predict_group(tiny.params, tiny.candidates, state.fused)
+    fused, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
+    return fused, z
+
+
+def first_group_probs(tiny):
+    """Selection probabilities of step 0, from a one-row group-site pass."""
+    fused, _ = first_fused_state(tiny)
+    matrix = model_mod.scoring_matrix(tiny.params, tiny.candidates)
+    probs, _ = model_mod._group_sites(
+        tiny.params, matrix, fused[None], np.zeros((1, tiny.config.dim))
+    )
+    return probs[0]
+
+
+def test_group_site_is_distribution(tiny):
+    probs = first_group_probs(tiny)
     assert probs.shape == (tiny.pool.size + 1,)
     assert probs.min() > 0.0
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_predict_edge_in_unit_interval(tiny):
-    z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
-    p = gt.predict_edge(
-        tiny.params, state.fused, tiny.candidates.matrix[0], z
-    )
-    assert 0.0 < p < 1.0
+def test_edge_site_in_unit_interval(tiny):
+    fused, z = first_fused_state(tiny)
+    features = np.concatenate([fused, tiny.candidates.matrix[0], z])[None]
+    p, _ = model_mod._edge_sites(tiny.params, features, np.zeros((1, tiny.config.dim)))
+    assert p.shape == (1,)
+    assert 0.0 < p[0] < 1.0
 
 
 def test_scoring_matrix_dim_mismatch(tiny):
@@ -254,9 +272,7 @@ def test_likelihood_measure_sums_to_one():
 
 
 def test_likelihood_empty_graph_is_stop_probability(tiny):
-    z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    state, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
-    probs = gt.predict_group(tiny.params, tiny.candidates, state.fused)
+    probs = first_group_probs(tiny)
     ll = gt.graph_log_likelihood(
         tiny.params, tiny.config, tiny.candidates, tiny.task_vec, gt.GroupGraph()
     )

@@ -34,21 +34,25 @@ def test_softmax_normalizes_and_shifts():
 
 
 def test_affine_backward_matches_fd():
+    # One input vector, then one input per row with the weight gradient
+    # summed over the rows.
     rng = nn.make_rng(0)
     params = {
         "lin.w": rng.normal(size=(3, 5)),
         "lin.b": rng.normal(size=3),
     }
-    x = rng.normal(size=5)
-    v = rng.normal(size=3)
+    for rows in ((), (4,)):
+        x = rng.normal(size=(*rows, 5))
+        v = rng.normal(size=(*rows, 3))
 
-    def loss_fn(p):
-        return float(nn.affine(p, "lin", x) @ v)
+        def loss_fn(p):
+            return float(np.sum(nn.affine(p, "lin", x) * v))
 
-    grads: dict = {}
-    nn.affine_backward(params, "lin", x, v, grads)
-    report = nn.finite_diff_check(loss_fn, params, grads)
-    assert report.max_rel_err < 1e-7
+        grads: dict = {}
+        dx = nn.affine_backward(params, "lin", x, v, grads)
+        report = nn.finite_diff_check(loss_fn, params, grads)
+        assert report.max_rel_err < 1e-7
+        assert np.allclose(dx, v @ params["lin.w"])
 
 
 def test_gru_zero_weights_halves_state():
@@ -118,18 +122,19 @@ def test_gate_backward_matches_fd():
     rng = nn.make_rng(8)
     params = {k: v for k, v in random_gru(rng, dim).items()
               if k.split(".")[1] in nn.GATE_SUFFIXES}
-    params["x"] = rng.normal(size=dim)
-    v = rng.normal(size=dim)
+    for rows in ((), (3,)):
+        params["x"] = rng.normal(size=(*rows, dim))
+        v = rng.normal(size=(*rows, dim))
 
-    def loss_fn(p):
-        y, _ = nn.gate_step(p, "g", p["x"])
-        return float(y @ v)
+        def loss_fn(p):
+            y, _ = nn.gate_step(p, "g", p["x"])
+            return float(np.sum(y * v))
 
-    _, cache = nn.gate_step(params, "g", params["x"])
-    grads: dict = {}
-    grads["x"] = nn.gate_backward(params, "g", cache, v, grads)
-    report = nn.finite_diff_check(loss_fn, params, grads)
-    assert report.max_rel_err < 1e-6, report
+        _, cache = nn.gate_step(params, "g", params["x"])
+        grads: dict = {}
+        grads["x"] = nn.gate_backward(params, "g", cache, v, grads)
+        report = nn.finite_diff_check(loss_fn, params, grads)
+        assert report.max_rel_err < 1e-6, report
 
 
 def test_adamw_weight_decay_is_decoupled():
