@@ -69,6 +69,7 @@ from .model import (
     init_params,
     kl_diag,
     loss_and_grads,
+    minibatch_loss_and_grads,
     reparameterize,
 )
 from .nn import (

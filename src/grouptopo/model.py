@@ -8,14 +8,16 @@ task. Selection scores come from similarity against the candidate matrix; a
 learnable STOP row terminates generation.
 
 Every site function takes one site per row. Under teacher forcing the
-history depends only on the graph's own selections, so :func:`loss_and_grads`
-folds the history first and then scores all group sites in one pass and all
-edge sites in another; :func:`generate_graph` runs the same functions step by
-step, with one group row and one edge row per earlier step.
+history depends only on the graph's own selections, so
+:func:`minibatch_loss_and_grads` folds the histories of a whole minibatch
+first and then scores all its group sites in one pass and all its edge sites
+in another; :func:`generate_graph` runs the same functions step by step, with
+one group row and one edge row per earlier step.
 
-All gradients are derived by hand; :func:`loss_and_grads` returns the exact
-gradient of the teacher-forced objective for a fixed noise draw, which the
-test suite verifies coordinate-by-coordinate against central differences.
+All gradients are derived by hand; :func:`minibatch_loss_and_grads` returns
+the exact gradient of the teacher-forced objective for a fixed noise draw,
+which the test suite verifies coordinate-by-coordinate against central
+differences.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -168,13 +171,21 @@ class GaussianDiag:
     def standard(cls, dim: int) -> "GaussianDiag":
         return cls(mu=np.zeros(dim), log_sigma=np.zeros(dim))
 
+    def take(self, rows: np.ndarray) -> "GaussianDiag":
+        """The distributions at ``rows``, one per index."""
+        return GaussianDiag(mu=self.mu[rows], log_sigma=self.log_sigma[rows])
+
+
+def _kl_terms(q: GaussianDiag, p: GaussianDiag) -> np.ndarray:
+    """KL(q || p) per coordinate; it sums to :func:`kl_diag`."""
+    lq, lp = q.log_sigma, p.log_sigma
+    diff = q.mu - p.mu
+    return lp - lq + 0.5 * (np.exp(2.0 * lq) + diff * diff) * np.exp(-2.0 * lp) - 0.5
+
 
 def kl_diag(q: GaussianDiag, p: GaussianDiag) -> float:
     """KL(q || p) between diagonal Gaussians, in nats."""
-    lq, lp = q.log_sigma, p.log_sigma
-    diff = q.mu - p.mu
-    terms = lp - lq + 0.5 * (np.exp(2.0 * lq) + diff * diff) * np.exp(-2.0 * lp) - 0.5
-    return float(np.sum(terms))
+    return float(np.sum(_kl_terms(q, p)))
 
 
 def _kl_diag_backward(
@@ -280,7 +291,8 @@ def fuse_step(
     """Gate the history summary against the task vector, add step embedding.
 
     ``h_his`` is one history vector at step ``step``, or one row per step
-    with ``step`` the array of step indices. Per row the gate is
+    with ``step`` the array of step indices; ``z`` is one task vector, or
+    one per row of ``h_his``. Per row the gate is
     sigmoid(<h_his, z> / sqrt(dim)), a scalar kept in the cache, and the
     fused state is ``(1 - g) * h_his + g * z + step_embed[step]``.
     """
@@ -290,8 +302,10 @@ def fuse_step(
         raise ValidationError(
             f"step {step} outside the embedding table ({table.shape[0]} rows)"
         )
-    scale = 1.0 / math.sqrt(z.shape[0])
-    gate = nn.sigmoid(np.asarray(h_his @ z * scale)[..., None])
+    scale = 1.0 / math.sqrt(z.shape[-1])
+    # One task vector keeps the BLAS dot product that generation has always used.
+    raw = h_his @ z if z.ndim == 1 else np.einsum("rd,rd->r", h_his, z)
+    gate = nn.sigmoid(np.asarray(raw * scale)[..., None])
     fused = (1.0 - gate) * h_his + gate * z + table[steps]
     return fused, _FuseCache(h_his=h_his, z=z, step=steps, gate=gate, scale=scale)
 
@@ -299,8 +313,8 @@ def fuse_step(
 def _fuse_backward(
     cache: _FuseCache, d_fused: np.ndarray, grads: Grads, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through a row-batched :func:`fuse_step`. Returns (d_h_his,
-    d_z), with d_z summed over the rows; adds the step-embedding gradient."""
+    """Backward through a row-batched :func:`fuse_step` with one ``z`` per
+    row. Returns (d_h_his, d_z) per row; adds the step-embedding gradient."""
     d_table = np.zeros_like(table)
     np.add.at(d_table, cache.step, d_fused)
     accumulate(grads, "step_embed", d_table)
@@ -308,7 +322,7 @@ def _fuse_backward(
     d_raw = np.sum(d_fused * (z - h), axis=-1, keepdims=True) * g * (1.0 - g)
     d_h = (1.0 - g) * d_fused + d_raw * cache.scale * z
     d_z = g * d_fused + d_raw * cache.scale * h
-    return d_h, d_z.sum(axis=0)
+    return d_h, d_z
 
 
 def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
@@ -361,13 +375,14 @@ def _latent_backward(
     grads: Grads,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through :func:`_latent` plus ``kl_weight`` * KL(q || prior)
-    summed over the rows. Returns d x and the prior's (d_mu, d_log_sigma)."""
+    summed over the rows, with one prior per row. Returns d x and the
+    prior's (d_mu, d_log_sigma), per row."""
     kq_mu, kq_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
     d_mu = d_code + kq_mu
     d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma) + kq_ls
     dx = _bottleneck_backward(params, cache.enc_prefix, cache.enc, d_mu, d_ls, grads)
     dx = nn.gate_backward(params, cache.gate_prefix, cache.gate, dx, grads)
-    return dx, kp_mu.sum(axis=0), kp_ls.sum(axis=0)
+    return dx, kp_mu, kp_ls
 
 
 def _group_sites(
@@ -392,6 +407,8 @@ def _edge_sites(
 def _edge_features(
     fused: np.ndarray, sources: np.ndarray, group_rows: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
+    """Edge-site rows ``[fused[source], group row, z]``; ``z`` is one task
+    vector or one per row."""
     return np.concatenate(
         [fused[sources], group_rows, np.broadcast_to(z, group_rows.shape)], axis=1
     )
@@ -561,107 +578,184 @@ def loss_and_grads(
     The objective is selection NLL + edge BCE + weighted KL between the
     latent posteriors and the task-conditioned priors. Noise can be passed
     explicitly (one vector per site, see :func:`trajectory_noise`) or drawn
-    from ``rng``; with neither, the posterior means are used.
-
-    Under teacher forcing the history depends only on the graph's own
-    selections, so the history GRU runs first and then every group site
-    (STOP last) is scored in one row-batched pass and every edge site
-    ``(i, t)`` in another; the backward pass mirrors that, one pass per site
-    kind plus backprop through time over the history.
+    from ``rng``; with neither, the posterior means are used. The betas
+    default to the config's. This is :func:`minibatch_loss_and_grads` on a
+    minibatch of one.
     """
-    if beta_group is None:
-        beta_group = config.beta_group
-    if beta_edge is None:
-        beta_edge = config.beta_edge
-    # Shape only: a step without an incoming edge still has probability mass.
-    check_graph_shape(graph, config.pool_size, config.max_steps)
-    n = graph.n_steps
-    n_sites = _site_count(graph, config)
     if noise is None and rng is not None:
         noise = trajectory_noise(_as_rng(rng), graph, config)
-    elif noise is None:
-        noise = [np.zeros(config.dim)] * n_sites
-    if len(noise) < n_sites:
-        raise ValidationError("noise stream shorter than the site count")
+    breakdowns, grads = minibatch_loss_and_grads(
+        params,
+        config,
+        candidates,
+        np.asarray(task_vec)[None],
+        [graph],
+        [noise],
+        beta_group=config.beta_group if beta_group is None else beta_group,
+        beta_edge=config.beta_edge if beta_edge is None else beta_edge,
+        compute_grads=compute_grads,
+    )
+    return breakdowns[0], grads
+
+
+def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``values`` into ``n`` slots by the slot ``index`` of each row."""
+    out = np.zeros((n, *values.shape[1:]))
+    np.add.at(out, index, values)
+    return out
+
+
+def minibatch_loss_and_grads(
+    params: Params,
+    config: ModelConfig,
+    candidates: CandidateMatrix,
+    task_vecs: np.ndarray,
+    graphs: Sequence[GroupGraph],
+    noises: Sequence[list[np.ndarray] | None],
+    *,
+    beta_group: float,
+    beta_edge: float,
+    compute_grads: bool = True,
+) -> tuple[list[LossBreakdown], Grads]:
+    """Teacher-forced loss of every trajectory of a minibatch, with the exact
+    gradient of their sum.
+
+    Trajectory b is the task vector ``task_vecs[b]``, the graph ``graphs[b]``
+    and its noise ``noises[b]`` (one vector per site in the order of
+    :func:`trajectory_noise`, or None for the posterior means). Returns one
+    :class:`LossBreakdown` per trajectory.
+
+    Under teacher forcing the history depends only on the graph's own
+    selections, so every pass covers the whole minibatch, with one row per
+    site: the task projection and priors run once over the task rows; the
+    history GRU folds step by step over the trajectories still running; all
+    group sites (STOP last in each trajectory) are fused and scored in one
+    pass and all edge sites ``(i, t)`` in another. The backward pass mirrors
+    that, plus backprop through time over the history, and sums each row's
+    prior and task gradient back into its trajectory.
+    """
+    d = config.dim
+    batch = len(graphs)
+    for graph in graphs:
+        # Shape only: a step without an incoming edge still has probability mass.
+        check_graph_shape(graph, config.pool_size, config.max_steps)
+    n_group = np.array([min(g.n_steps + 1, config.max_steps) for g in graphs], dtype=int)
+    n_sites = np.array([_site_count(graph, config) for graph in graphs], dtype=int)
+    eps_parts = []
+    for noise, count in zip(noises, n_sites, strict=True):
+        if noise is None:
+            noise = [np.zeros(d)] * count
+        if len(noise) < count:
+            raise ValidationError("noise stream shorter than the site count")
+        eps_parts.append(np.asarray(noise[:count]))
+    eps = np.concatenate(eps_parts)
+    site_base = np.cumsum(n_sites) - n_sites
 
     matrix = scoring_matrix(params, candidates)
     end_index = candidates.end_index
-    z, task_cache = project_task(params, task_vec)
+    z, task_cache = project_task(params, task_vecs)
     prior_g, prior_g_cache = _bottleneck(params, "prior_g", z)
     prior_e, prior_e_cache = _bottleneck(params, "prior_e", z)
 
-    # Group sites: one per step, then STOP when the graph ends early.
-    n_group = min(n + 1, config.max_steps)
-    targets = np.array((*graph.selected, end_index)[:n_group])
-    histories = [np.zeros(config.dim)]
-    his_caches: list[nn.GruCache] = []
-    for choice in targets[: n_group - 1]:
-        history, his_cache = nn.gru_step(params, "his_gru", matrix[choice], histories[-1])
-        histories.append(history)
-        his_caches.append(his_cache)
-    steps = np.arange(n_group)
-    fused, fuse_cache = fuse_step(params, np.stack(histories), z, steps)
-    eps = np.asarray(noise[:n_sites])
-    probs, g_latent = _group_sites(params, matrix, fused, eps[steps * (steps + 1) // 2])
+    # Group rows: per trajectory, one per step, then STOP when it ends early.
+    g_traj = np.repeat(np.arange(batch), n_group)
+    g_rows = np.arange(len(g_traj))
+    g_base = np.cumsum(n_group) - n_group
+    g_step = g_rows - g_base[g_traj]
+    targets = np.array([
+        choice for graph, k in zip(graphs, n_group)
+        for choice in (*graph.selected, end_index)[:k]
+    ], dtype=int)
+    # History fold: step j feeds row j + 1 of every trajectory still running.
+    states = np.zeros((len(g_rows), d))
+    his_steps: list[tuple[np.ndarray, nn.GruCache]] = []
+    for j in range(int(n_group.max()) - 1):
+        rows = g_base[n_group - 1 > j] + j
+        states[rows + 1], his_cache = nn.gru_step(
+            params, "his_gru", matrix[targets[rows]], states[rows]
+        )
+        his_steps.append((rows, his_cache))
+    fused, fuse_cache = fuse_step(params, states, z[g_traj], g_step)
+    g_eps = site_base[g_traj] + g_step * (g_step + 1) // 2
+    g_prior = prior_g.take(g_traj)
+    probs, g_latent = _group_sites(params, matrix, fused, eps[g_eps])
 
-    # Edge sites (i, t) by step, then source; row t(t+1)/2 + 1 + i of eps.
-    sources = np.array([i for t in range(n) for i in range(t)], dtype=int)
-    dests = np.array([t for t in range(n) for _ in range(t)], dtype=int)
-    edge_set = set(graph.edges)
-    labels = np.array([(i, t) in edge_set for i, t in zip(sources, dests)], dtype=bool)
-    features = _edge_features(fused, sources, matrix[targets[dests]], z)
+    # Edge rows (b, i, t) by trajectory, step, then source; site t(t+1)/2 + 1 + i.
+    pairs = [
+        (b, i, t) for b, graph in enumerate(graphs)
+        for t in range(graph.n_steps) for i in range(t)
+    ]
+    edge_sets = [set(graph.edges) for graph in graphs]
+    labels = np.array([(i, t) in edge_sets[b] for b, i, t in pairs], dtype=bool)
+    e_traj, e_src, e_dst = np.array(pairs, dtype=int).reshape(-1, 3).T
+    e_prior = prior_e.take(e_traj)
+    features = _edge_features(
+        fused, g_base[e_traj] + e_src, matrix[targets[g_base[e_traj] + e_dst]], z[e_traj]
+    )
     p_edge, (mlp_cache, e_latent, head_cache) = _edge_sites(
-        params, features, eps[dests * (dests + 1) // 2 + 1 + sources]
+        params, features, eps[site_base[e_traj] + e_dst * (e_dst + 1) // 2 + 1 + e_src]
     )
 
-    p_target = probs[steps, targets]
+    p_target = probs[g_rows, targets]
     p_event = np.where(labels, p_edge, 1.0 - p_edge)
-    breakdown = LossBreakdown(
-        group_nll=-float(np.sum(np.log(np.maximum(p_target, LOG_FLOOR)))),
-        edge_bce=-float(np.sum(np.log(np.maximum(p_event, LOG_FLOOR)))),
-        kl_group=kl_diag(g_latent.q, prior_g),
-        kl_edge=kl_diag(e_latent.q, prior_e),
-        beta_group=beta_group,
-        beta_edge=beta_edge,
-        n_group_sites=n_group,
-        n_edge_sites=len(sources),
-    )
+    nll = _sum_by(g_traj, -np.log(np.maximum(p_target, LOG_FLOOR)), batch)
+    bce = _sum_by(e_traj, -np.log(np.maximum(p_event, LOG_FLOOR)), batch)
+    kl_g = _sum_by(g_traj, _kl_terms(g_latent.q, g_prior).sum(axis=-1), batch)
+    kl_e = _sum_by(e_traj, _kl_terms(e_latent.q, e_prior).sum(axis=-1), batch)
+    breakdowns = [
+        LossBreakdown(
+            group_nll=float(nll[b]),
+            edge_bce=float(bce[b]),
+            kl_group=float(kl_g[b]),
+            kl_edge=float(kl_e[b]),
+            beta_group=beta_group,
+            beta_edge=beta_edge,
+            n_group_sites=int(n_group[b]),
+            n_edge_sites=int(n_sites[b] - n_group[b]),
+        )
+        for b in range(batch)
+    ]
     if not compute_grads:
-        return breakdown, {}
+        return breakdowns, {}
 
     grads: Grads = {}
     # Group sites. The STOP row of the scoring matrix is the learnable end_embed.
     d_logits = probs.copy()
-    d_logits[steps, targets] -= 1.0
+    d_logits[g_rows, targets] -= 1.0
     d_logits[p_target <= LOG_FLOOR] = 0.0
     accumulate(grads, "end_embed", d_logits[:, end_index] @ g_latent.code)
-    d_fused, *d_prior_g = _latent_backward(
-        params, g_latent, d_logits @ matrix, beta_group, prior_g, grads
+    d_fused, d_mu_g, d_ls_g = _latent_backward(
+        params, g_latent, d_logits @ matrix, beta_group, g_prior, grads
     )
 
     # Edge sites. Feature layout: [fused source, group embedding (frozen), z].
     d_logit = np.where(p_event > LOG_FLOOR, p_edge - labels, 0.0)
     d_code = _mlp_backward(params, "edge_head", head_cache, d_logit[:, None], grads)
-    d_pre, *d_prior_e = _latent_backward(
-        params, e_latent, d_code, beta_edge, prior_e, grads
+    d_pre, d_mu_e, d_ls_e = _latent_backward(
+        params, e_latent, d_code, beta_edge, e_prior, grads
     )
     d_features = _mlp_backward(params, "edge_mlp", mlp_cache, d_pre, grads)
-    np.add.at(d_fused, sources, d_features[:, : config.dim])
-    dz = d_features[:, 2 * config.dim :].sum(axis=0)
+    np.add.at(d_fused, g_base[e_traj] + e_src, d_features[:, :d])
+    dz = _sum_by(e_traj, d_features[:, 2 * d :], batch)
 
-    d_his, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
-    dz += d_z_fuse
+    d_states, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
+    np.add.at(dz, g_traj, d_z_fuse)
 
-    # Backprop through time over the history fold. State 0 is a constant.
-    carry = np.zeros(config.dim)
-    for j in range(len(his_caches) - 1, -1, -1):
-        _, carry = nn.gru_backward(
-            params, "his_gru", his_caches[j], carry + d_his[j + 1], grads
-        )
+    # Backprop through time over the history fold, latest step first, so that
+    # a state's gradient is complete before it flows back. State 0 is a constant.
+    for rows, his_cache in reversed(his_steps):
+        _, d_prev = nn.gru_backward(params, "his_gru", his_cache, d_states[rows + 1], grads)
+        d_states[rows] += d_prev
 
     # Task-conditioned priors, then the task projection itself.
-    dz += _bottleneck_backward(params, "prior_g", prior_g_cache, *d_prior_g, grads)
-    dz += _bottleneck_backward(params, "prior_e", prior_e_cache, *d_prior_e, grads)
+    dz += _bottleneck_backward(
+        params, "prior_g", prior_g_cache,
+        _sum_by(g_traj, d_mu_g, batch), _sum_by(g_traj, d_ls_g, batch), grads,
+    )
+    dz += _bottleneck_backward(
+        params, "prior_e", prior_e_cache,
+        _sum_by(e_traj, d_mu_e, batch), _sum_by(e_traj, d_ls_e, batch), grads,
+    )
     _mlp_backward(params, "task_ffn", task_cache, dz, grads)
 
-    return breakdown, grads
+    return breakdowns, grads

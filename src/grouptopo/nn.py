@@ -45,13 +45,10 @@ def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) <= 1 never overflows; each sign takes the form that uses it.
+    # minimum(x, -x) is -|x| that keeps a NaN's sign bit, as exp(x) does.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -442,18 +439,27 @@ def load_checkpoint(
                 raise ValidationError(f"{os.fspath(path)} has no meta/config JSON object")
 
             def section(prefix: str) -> Params:
-                return {
-                    key[len(prefix) :]: np.array(data[key], dtype=np.float64)
-                    for key in data.files
-                    if key.startswith(prefix)
-                }
+                # Exactly the dtype save_checkpoint writes: a cast would drop
+                # an imaginary part or read bools and dates as numbers.
+                arrays = {key: data[key] for key in data.files if key.startswith(prefix)}
+                for key, value in arrays.items():
+                    if value.dtype != np.float64:
+                        raise ValidationError(
+                            f"{key} has dtype {value.dtype}, expected float64"
+                        )
+                return {key[len(prefix) :]: value for key, value in arrays.items()}
 
             params, opt_m, opt_v = section("param/"), section("opt/m/"), section("opt/v/")
             opt_state = None
             if "opt/step" in keys:
+                step = data["opt/step"]
+                if step.shape != () or step.dtype.kind not in "iu" or step < 0:
+                    raise ValidationError(
+                        f"opt/step must be a non-negative integer scalar, got {step!r}"
+                    )
                 if set(opt_m) != set(params) or set(opt_v) != set(params):
                     raise ValidationError("optimizer state does not match parameters")
-                opt_state = OptimizerState(m=opt_m, v=opt_v, step=int(data["opt/step"]))
+                opt_state = OptimizerState(m=opt_m, v=opt_v, step=int(step))
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from exc
     return params, opt_state, config

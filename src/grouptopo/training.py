@@ -102,8 +102,11 @@ def train(
 ) -> TrainResult:
     """Teacher-force the generator on labeled trajectories.
 
-    Fully deterministic for a fixed seed: shuffling and latent noise come
-    from one counter-based stream, so two runs with identical inputs produce
+    Each minibatch is scored in one row-batched pass of
+    :func:`~grouptopo.model.minibatch_loss_and_grads`, and AdamW steps on the
+    mean of its gradient. Fully deterministic for a fixed seed: shuffling and
+    latent noise come from one counter-based stream, drawn trajectory by
+    trajectory in minibatch order, so two runs with identical inputs produce
     bit-identical loss histories.
     """
     if not dataset:
@@ -134,37 +137,37 @@ def train(
         last_norm = 0.0
         for start in range(0, n, train_config.batch_size):
             batch = order[start : start + train_config.batch_size]
-            grads_sum: dict[str, np.ndarray] = {}
-            for idx in batch:
-                traj = dataset[int(idx)]
-                breakdown, grads = model_mod.loss_and_grads(
-                    params,
-                    model_config,
-                    candidates,
-                    task_vecs[int(idx)],
-                    traj.graph,
-                    beta_group=beta_g,
-                    beta_edge=beta_e,
-                    rng=rng,
-                )
-                for name, g in grads.items():
-                    nn.accumulate(grads_sum, name, g)
+            graphs = [dataset[int(idx)].graph for idx in batch]
+            breakdowns, grads = model_mod.minibatch_loss_and_grads(
+                params,
+                model_config,
+                candidates,
+                task_vecs[batch],
+                graphs,
+                [model_mod.trajectory_noise(rng, graph, model_config) for graph in graphs],
+                beta_group=beta_g,
+                beta_edge=beta_e,
+            )
+            for breakdown in breakdowns:
                 sums["loss"] += breakdown.total
                 sums["nll"] += breakdown.group_nll
                 sums["bce"] += breakdown.edge_bce
                 sums["klg"] += breakdown.kl_group
                 sums["kle"] += breakdown.kl_edge
             scale = 1.0 / len(batch)
-            for name in grads_sum:
-                grads_sum[name] *= scale
+            for name in grads:
+                grads[name] *= scale
             last_norm = nn.adamw_step(
                 params,
-                grads_sum,
+                grads,
                 opt_state,
                 lr=train_config.lr,
                 weight_decay=train_config.weight_decay,
                 clip_norm=train_config.clip_norm,
             )
+            # Free this gradient before the next minibatch builds its own, so
+            # that two full gradient dicts never coexist.
+            del grads
         log = EpochLog(
             epoch=epoch,
             loss=sums["loss"] / n,

@@ -384,6 +384,34 @@ def non_finite_params(arrays):
     arrays["param/edge_head.l2.b"][:] = np.inf
 
 
+def vector_step(arrays):
+    arrays["opt/step"] = np.array([1, 2, 3])
+
+
+def float_step(arrays):
+    arrays["opt/step"] = np.array(1.0)
+
+
+def negative_step(arrays):
+    arrays["opt/step"] = np.array(-1)
+
+
+def complex_param(arrays):
+    arrays["param/end_embed"] = arrays["param/end_embed"] + 1j
+
+
+def bool_param(arrays):
+    arrays["param/end_embed"] = arrays["param/end_embed"] > 0
+
+
+def datetime_param(arrays):
+    arrays["param/end_embed"] = np.zeros(16, dtype="datetime64[s]")
+
+
+def float32_moment(arrays):
+    arrays["opt/v/end_embed"] = arrays["opt/v/end_embed"].astype(np.float32)
+
+
 def zip_magic_only(arrays):
     """Bytes in place of the checkpoint: the zip magic, then no zip."""
     return b"PK\x03\x04 is not a zip archive"
@@ -420,6 +448,13 @@ def corrupt_member(arrays):
     (corrupt_member, "Bad CRC-32"),
     (empty_file, "unreadable checkpoint"),
     (non_finite_params, "NaN or infinite values: edge_head.l2.b, end_embed"),
+    (vector_step, "opt/step must be a non-negative integer scalar"),
+    (float_step, "opt/step must be a non-negative integer scalar"),
+    (negative_step, "opt/step must be a non-negative integer scalar"),
+    (complex_param, "param/end_embed has dtype complex128, expected float64"),
+    (bool_param, "param/end_embed has dtype bool, expected float64"),
+    (datetime_param, "param/end_embed has dtype datetime64[s], expected float64"),
+    (float32_moment, "opt/v/end_embed has dtype float32, expected float64"),
 ])
 def test_generate_rejects_mismatched_checkpoint(runner, workdir, damage, needle):
     """``damage`` edits the arrays in place, or returns the bytes to write."""
@@ -565,3 +600,56 @@ def test_record_files_fail_cleanly(valid_inputs, command, content):
     assert result.exit_code in (0, 2), result.output
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+MEMBER_DTYPES = ("float64", "float32", ">f8", "int64", "uint8", "bool", "complex128",
+                 "datetime64[s]", "<U3", "object", "f8,i4")
+member_shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+member_edits = st.dictionaries(
+    st.sampled_from(["param/end_embed", "param/edge_head.l2.b", "param/his_gru.wz",
+                     "opt/m/end_embed", "opt/v/step_embed", "opt/step", "meta/config",
+                     "meta/format"])
+    | st.builds(str.__add__, st.sampled_from(["param/", "opt/m/", "opt/v/", ""]),
+                st.text("ab._/", min_size=1, max_size=6)),
+    st.none()
+    | st.tuples(st.sampled_from(MEMBER_DTYPES), st.none() | member_shapes,
+                st.sampled_from([0.0, 1.5, -2.0, float("nan"), float("inf")])),
+    max_size=4,
+)
+
+
+@settings(max_examples=75, deadline=None)
+@given(edits=member_edits)
+def test_checkpoint_members_fail_cleanly(valid_inputs, edits):
+    """Arbitrary members as ``generate --checkpoint``: each edit deletes a
+    member (None) or writes one of the drawn dtype, shape (None keeps the
+    member's own) and fill value. Exit 0 only when every parameter is
+    float64 and ``check_params`` accepts them."""
+    with np.load(valid_inputs["checkpoint"]) as data:
+        arrays = dict(data)
+    for name, edit in edits.items():
+        if edit is None:
+            arrays.pop(name, None)
+            continue
+        dtype, shape, fill = edit
+        if shape is None:
+            shape = arrays[name].shape if name in arrays else ()
+        value = np.zeros(shape, dtype=dtype)
+        if value.dtype.kind in "fc":
+            value[...] = fill
+        arrays[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.npz")
+        np.savez(path, **arrays)
+        result = CliRunner().invoke(main, [
+            "generate", "--pool", valid_inputs["pool"], "--checkpoint", path,
+            "--query", "q", "--out", os.path.join(tmp, "graphs.jsonl"),
+        ])
+    assert result.exit_code in (0, 2), result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 0:
+        params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
+        assert all(v.dtype == np.float64 for v in params.values())
+        config = json.loads(str(arrays["meta/config"]))["model"]
+        gt.check_params(params, gt.ModelConfig.from_dict(config))

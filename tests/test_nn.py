@@ -3,6 +3,8 @@ finite differences before anything composite is trusted."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,29 @@ def test_sigmoid_stable_at_extremes():
     assert y[0] == 0.0 or y[0] < 1e-300
     assert y[2] == 0.5
     assert y[-1] == 1.0 or y[-1] > 1.0 - 1e-10
+
+
+def masked_sigmoid(x):
+    """The sign-masked form ``nn.sigmoid`` had before, kept as its reference."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, np.inf, -np.inf,
+                        5e-324, -5e-324, 36.7, -36.7, 710.0, -745.2])
+    x = np.concatenate([special, nn.make_rng(0).normal(0.0, 30.0, size=420 * 384)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nn.sigmoid(x)
+    assert np.array_equal(got.view(np.int64), masked_sigmoid(x).view(np.int64))
+    rows = x[: 7 * 384].reshape(7, 384)
+    assert np.array_equal(nn.sigmoid(rows).view(np.int64),
+                          masked_sigmoid(rows).view(np.int64))
 
 
 def test_relu_backward_gates_on_input_sign():

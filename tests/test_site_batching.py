@@ -257,11 +257,19 @@ def oracle_graphs(max_steps, pool_size, rng):
 
 
 def assert_matches_reference(breakdown, grads, ref_breakdown, ref_grads, label):
+    assert_breakdown_matches(breakdown, ref_breakdown, label)
+    assert_grads_match(grads, ref_grads, label)
+
+
+def assert_breakdown_matches(breakdown, ref_breakdown, label):
     for field in ("group_nll", "edge_bce", "kl_group", "kl_edge"):
         got, want = getattr(breakdown, field), getattr(ref_breakdown, field)
         assert abs(got - want) <= 1e-12 * abs(want), (label, field, got, want)
     for field in ("beta_group", "beta_edge", "n_group_sites", "n_edge_sites"):
         assert getattr(breakdown, field) == getattr(ref_breakdown, field), (label, field)
+
+
+def assert_grads_match(grads, ref_grads, label):
     for name in sorted(grads.keys() | ref_grads.keys()):
         want = ref_grads.get(name)
         got = grads.get(name)
@@ -314,3 +322,119 @@ def test_generate_matches_per_site_reference(dim, hidden):
             assert got == want, (q, forced)
             stopped += forced is None and not got.truncated
     assert stopped > 0
+
+
+# ---------------------------------------------------------------------------
+# Minibatch against per-trajectory.
+
+
+def assert_minibatch_matches_reference(params, config, candidates, task_vecs, graphs,
+                                       noises, beta_group, beta_edge, label):
+    """The minibatch pass against one per-site reference call per trajectory:
+    each breakdown to relative 1e-12, and every tensor of the summed gradient
+    to 1e-12 of its largest entry."""
+    breakdowns, grads = model_mod.minibatch_loss_and_grads(
+        params, config, candidates, task_vecs, graphs, noises,
+        beta_group=beta_group, beta_edge=beta_edge,
+    )
+    assert len(breakdowns) == len(graphs)
+    ref_grads = {}
+    for b, (task_vec, graph, noise) in enumerate(zip(task_vecs, graphs, noises)):
+        want, want_grads = ref_loss_and_grads(
+            params, config, candidates, task_vec, graph, beta_group, beta_edge, noise
+        )
+        assert_breakdown_matches(breakdowns[b], want, (label, b))
+        for name, g in want_grads.items():
+            nn.accumulate(ref_grads, name, g)
+    assert_grads_match(grads, ref_grads, label)
+    return breakdowns, grads
+
+
+def bench_first_minibatch(seed):
+    """The first minibatch of the benchmark's ``train`` workload: its 40
+    trajectories of 1-8 steps, drawn as it draws them, in the order and with
+    the noise that ``train`` gives them in epoch 0."""
+    pool = gt.default_pool()
+    config = gt.ModelConfig(pool_size=pool.size, seed=seed)
+    provider = gt.HashingTextEmbedder(config.dim)
+    rng = nn.make_rng(seed)
+
+    def step_counts():
+        while True:
+            for idx in rng.permutation(config.max_steps):
+                yield int(idx) + 1
+
+    steps = step_counts()
+    queries, graphs = [], []
+    for _ in range(40):
+        family = ("chain", "star", "full")[int(rng.integers(3))]
+        graphs.append(gt.sample_candidate_topology(rng, pool.size, family, next(steps)))
+        a, b = (int(v) for v in rng.integers(1, 100, size=2))
+        queries.append(f"what is {a} {('plus', 'minus', 'times')[int(rng.integers(3))]} {b}")
+    train_rng = nn.make_rng(seed)
+    order = train_rng.permutation(len(graphs))
+    graphs = [graphs[int(i)] for i in order]
+    noises = [model_mod.trajectory_noise(train_rng, g, config) for g in graphs]
+    task_vecs = provider.encode(queries)[order]
+    candidates = gt.build_candidate_matrix(provider, pool)
+    return config, gt.init_params(config), candidates, task_vecs, graphs, noises
+
+
+@pytest.mark.parametrize("betas", [(0.0, 0.0), (0.7, 0.3)])
+def test_minibatch_matches_reference_on_bench_minibatch(betas):
+    config, params, candidates, task_vecs, graphs, noises = bench_first_minibatch(1)
+    assert sorted({g.n_steps for g in graphs}) == list(range(1, 9))
+    assert_minibatch_matches_reference(
+        params, config, candidates, task_vecs, graphs, noises, *betas, betas
+    )
+
+
+def mixed_graphs(counts, pool_size, seed):
+    rng = nn.make_rng(seed)
+    families = itertools.cycle(("chain", "star", "full"))
+    return [
+        gt.sample_candidate_topology(rng, pool_size, next(families), n) for n in counts
+    ]
+
+
+@pytest.mark.parametrize("counts", [
+    (1, 1, 1),                # only 1-step graphs: no edge rows at all
+    (8, 8, 8),                # all at the budget: no STOP site
+    (3, 1, 8, 5, 2, 7, 4, 6),  # one per step count, mixed
+    (5,),                     # a minibatch of one
+], ids=["one_step", "at_budget", "mixed", "single"])
+def test_minibatch_edge_cases_match_reference(counts):
+    provider, config, params, candidates = small_setup(16, 8, 8, seed=2)
+    graphs = mixed_graphs(counts, config.pool_size, seed=len(counts))
+    task_vecs = provider.encode([f"batch query {b}" for b in range(len(graphs))])
+    noises = [model_mod.trajectory_noise(nn.make_rng(b), g, config)
+              for b, g in enumerate(graphs)]
+    breakdowns, _ = assert_minibatch_matches_reference(
+        params, config, candidates, task_vecs, graphs, noises,
+        config.beta_group, config.beta_edge, counts,
+    )
+    assert [b.n_group_sites for b in breakdowns] == [min(n + 1, 8) for n in counts]
+    assert [b.n_edge_sites for b in breakdowns] == [n * (n - 1) // 2 for n in counts]
+
+
+def test_minibatch_gradient_matches_finite_differences():
+    """Criterion 01's check, on the summed loss of a minibatch whose
+    trajectories end at different steps, one of them at the budget."""
+    provider, config, params, candidates = small_setup(8, 4, 4, seed=5, pool_size=4)
+    graphs = mixed_graphs((2, 4, 1), config.pool_size, seed=9)
+    task_vecs = provider.encode(["first query", "second query", "third query"])
+    noises = [model_mod.trajectory_noise(nn.make_rng(20 + b), g, config)
+              for b, g in enumerate(graphs)]
+
+    def minibatch(p, compute_grads):
+        return model_mod.minibatch_loss_and_grads(
+            p, config, candidates, task_vecs, graphs, noises,
+            beta_group=config.beta_group, beta_edge=config.beta_edge,
+            compute_grads=compute_grads,
+        )
+
+    _, grads = minibatch(params, True)
+    report = nn.finite_diff_check(
+        lambda p: sum(b.total for b in minibatch(p, False)[0]), params, grads, step=3e-4
+    )
+    assert report.max_rel_err < 1e-4, report
