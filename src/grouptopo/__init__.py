@@ -31,7 +31,6 @@ from .graph import (
     parse_edge,
     read_records,
     render_diagram,
-    topological_schedule,
     trajectory_from_record,
     trajectory_to_record,
     validate_group_graph,

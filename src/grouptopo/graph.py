@@ -193,39 +193,31 @@ class AgentNode:
 
 @dataclass(frozen=True)
 class AgentGraph:
-    """Executable DAG of agents; ``summarizer`` indexes the terminal node."""
+    """Executable DAG of agents, listed in run order: every edge (i, t) has
+    ``i < t``, and the last node is the summarizer.
+
+    Raises:
+        ValidationError: if there are no nodes or an edge does not point
+            forward between two nodes.
+    """
 
     nodes: tuple[AgentNode, ...]
     edges: tuple[tuple[int, int], ...]
-    summarizer: int | None = None
 
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        if not n:
+            raise ValidationError("agent graph has no nodes")
+        for i, t in self.edges:
+            if not 0 <= i < t < n:
+                raise ValidationError(
+                    f"agent edge {i}->{t} does not point forward within {n} nodes"
+                )
 
-def topological_schedule(agent_graph: AgentGraph) -> tuple[int, ...]:
-    """Deterministic topological order (Kahn; ties broken by node index)."""
-    n = len(agent_graph.nodes)
-    indegree = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, t in agent_graph.edges:
-        if not (0 <= i < n and 0 <= t < n):
-            raise ValidationError(f"agent edge {i}->{t} is out of range")
-        indegree[t] += 1
-        succ[i].append(t)
-    ready = sorted(i for i in range(n) if indegree[i] == 0)
-    order: list[int] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for t in succ[node]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != n:
-        raise ValidationError("agent graph contains a cycle")
-    return tuple(order)
+    @property
+    def summarizer(self) -> int:
+        """Index of the summarizer, the terminal node."""
+        return len(self.nodes) - 1
 
 
 _PATTERN_NOTES = {
@@ -274,7 +266,8 @@ def materialize_agent_graph(
     ``mode="composite"`` creates one agent per selected group with a composed
     system prompt; ``mode="expanded"`` creates one agent per member role and
     wires the group's internal pattern explicitly. Either way a summarizer
-    node is appended, fed by the sink agents.
+    node is appended, fed by the sink agents. Agents are listed step by step,
+    so every edge points forward and the summarizer comes last.
 
     Raises:
         ValidationError: if the graph is empty, fails validation, or ``mode``
@@ -339,11 +332,7 @@ def materialize_agent_graph(
     with_out = {i for i, _ in edges}
     edges.extend((i, summarizer_idx) for i in range(summarizer_idx) if i not in with_out)
 
-    agent_graph = AgentGraph(
-        nodes=tuple(nodes), edges=tuple(edges), summarizer=summarizer_idx
-    )
-    topological_schedule(agent_graph)  # rejects cycles early
-    return agent_graph
+    return AgentGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def render_diagram(graph: GroupGraph, pool: GroupPool) -> str:

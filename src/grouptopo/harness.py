@@ -24,7 +24,6 @@ from .graph import (
     GroupGraph,
     GroupPool,
     materialize_agent_graph,
-    topological_schedule,
 )
 
 # Digits may carry thousands separators: "1,000" reads as 1000.
@@ -293,9 +292,10 @@ def _run_all(
     calls of a serial loop, in its order, on this thread."""
     if rounds < 1:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    # A call is (run, round, node), numbered run by run in transcript order. It
-    # waits for its predecessors' calls in the same round and, for a worker,
-    # for its own call in the round before.
+    # A call is (run, round, node), numbered run by run in transcript order:
+    # the n workers of a run, nodes 0 to n - 1, once per round, then its
+    # summarizer, node n. A call waits for its predecessors' calls in the same
+    # round and, for a worker, for its own call n positions back.
     calls: list[tuple[int, int, int]] = []
     waiting: list[int] = []
     dependents: list[list[int]] = []
@@ -305,27 +305,23 @@ def _run_all(
     attack_idx: list[int | None] = []
     widest = 1
     for r, (agent_graph, _) in enumerate(runs):
-        summarizer = agent_graph.summarizer
-        workers = [i for i in topological_schedule(agent_graph) if i != summarizer]
-        widest = max(widest, len(workers))
+        n = agent_graph.summarizer
+        widest = max(widest, n)
         attack_idx.append(attack.resolve(agent_graph) if attack is not None else None)
         preds.append([[] for _ in agent_graph.nodes])
         for i, t in sorted(agent_graph.edges):
-            if i != summarizer:
-                preds[r][t].append(i)
-        keys = [(k, v) for k in range(1, rounds + 1) for v in workers]
-        if summarizer is not None:
-            keys.append((rounds, summarizer))
-        position = {key: len(calls) + i for i, key in enumerate(keys)}
-        for round_no, node_idx in keys:
-            inputs = [(round_no, u) for u in preds[r][node_idx]]
-            if round_no > 1 and node_idx != summarizer:
-                inputs.append((round_no - 1, node_idx))
-            for source in inputs:
-                dependents[position[source]].append(len(calls))
-            calls.append((r, round_no, node_idx))
-            waiting.append(len(inputs))
-            dependents.append([])
+            preds[r][t].append(i)
+        for round_no in range(1, rounds + 1):
+            base = len(calls)
+            for node_idx in range(n + 1 if round_no == rounds else n):
+                inputs = [base + u for u in preds[r][node_idx]]
+                if round_no > 1 and node_idx < n:
+                    inputs.append(base - n + node_idx)
+                for source in inputs:
+                    dependents[source].append(len(calls))
+                calls.append((r, round_no, node_idx))
+                waiting.append(len(inputs))
+                dependents.append([])
         ends.append(len(calls))
     entries: dict[tuple[int, int, int], TranscriptEntry] = {}
     ready = [pos for pos, count in enumerate(waiting) if not count]  # a heap
@@ -393,8 +389,7 @@ def _run_all(
         stats = TokenStats()
         for entry in ordered:
             stats.add(entry.prompt_tokens, entry.completion_tokens)
-        final_text = ordered[-1].text if ordered else ""
-        transcripts.append(RunTranscript(query, ordered, final_text, stats, rounds))
+        transcripts.append(RunTranscript(query, ordered, ordered[-1].text, stats, rounds))
     return transcripts
 
 
@@ -418,7 +413,7 @@ def run_graph(
     path between them run concurrently on a thread pool, and a backend's
     ``complete`` must be thread-safe. The pool is created only when two calls
     are ready at once. The transcript lists calls round by round in
-    topological order, summarizer last, whatever order they finished in. On
+    node order, summarizer last, whatever order they finished in. On
     the first exception no further call starts; calls already running finish,
     and that exception is raised.
     """

@@ -418,18 +418,12 @@ def _edge_features(
 # Generation.
 
 
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return make_rng(int(seed))
-
-
 def generate_graph(
     params: Params,
     config: ModelConfig,
     candidates: CandidateMatrix,
     task_vec: np.ndarray,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
     *,
     forced_steps: int | None = None,
 ) -> GroupGraph:
@@ -460,7 +454,7 @@ def generate_graph(
                 f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
             )
         limit = forced_steps
-    rng = _as_rng(seed)
+    rng = make_rng(seed)
     matrix = scoring_matrix(params, candidates)
     end_index = candidates.end_index
     z, _ = project_task(params, task_vec)
@@ -570,20 +564,16 @@ def loss_and_grads(
     beta_group: float | None = None,
     beta_edge: float | None = None,
     noise: list[np.ndarray] | None = None,
-    rng: np.random.Generator | int | None = None,
     compute_grads: bool = True,
 ) -> tuple[LossBreakdown, Grads]:
     """Teacher-forced loss for one trajectory, with exact gradients.
 
     The objective is selection NLL + edge BCE + weighted KL between the
-    latent posteriors and the task-conditioned priors. Noise can be passed
-    explicitly (one vector per site, see :func:`trajectory_noise`) or drawn
-    from ``rng``; with neither, the posterior means are used. The betas
-    default to the config's. This is :func:`minibatch_loss_and_grads` on a
-    minibatch of one.
+    latent posteriors and the task-conditioned priors. ``noise`` holds one
+    vector per site (see :func:`trajectory_noise`); without it, the posterior
+    means are used. The betas default to the config's. This is
+    :func:`minibatch_loss_and_grads` on a minibatch of one.
     """
-    if noise is None and rng is not None:
-        noise = trajectory_noise(_as_rng(rng), graph, config)
     breakdowns, grads = minibatch_loss_and_grads(
         params,
         config,
@@ -737,6 +727,9 @@ def minibatch_loss_and_grads(
     d_features = _mlp_backward(params, "edge_mlp", mlp_cache, d_pre, grads)
     np.add.at(d_fused, g_base[e_traj] + e_src, d_features[:, :d])
     dz = _sum_by(e_traj, d_features[:, 2 * d :], batch)
+    d_mu_e, d_ls_e = _sum_by(e_traj, d_mu_e, batch), _sum_by(e_traj, d_ls_e, batch)
+    # The edge-site caches are dead now; free them before the passes below.
+    del features, mlp_cache, e_latent, head_cache, d_code, d_pre, d_features
 
     d_states, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
     np.add.at(dz, g_traj, d_z_fuse)
@@ -752,10 +745,7 @@ def minibatch_loss_and_grads(
         params, "prior_g", prior_g_cache,
         _sum_by(g_traj, d_mu_g, batch), _sum_by(g_traj, d_ls_g, batch), grads,
     )
-    dz += _bottleneck_backward(
-        params, "prior_e", prior_e_cache,
-        _sum_by(e_traj, d_mu_e, batch), _sum_by(e_traj, d_ls_e, batch), grads,
-    )
+    dz += _bottleneck_backward(params, "prior_e", prior_e_cache, d_mu_e, d_ls_e, grads)
     _mlp_backward(params, "task_ffn", task_cache, dz, grads)
 
     return breakdowns, grads

@@ -13,7 +13,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -237,6 +237,10 @@ def gate_backward(
 # ---------------------------------------------------------------------------
 # AdamW with global-norm clipping.
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -270,9 +274,6 @@ def adamw_step(
     lr: float,
     weight_decay: float = 0.0,
     clip_norm: float | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> float:
     """Apply one decoupled-weight-decay Adam update in place.
 
@@ -296,8 +297,8 @@ def adamw_step(
 
     state.step += 1
     t = state.step
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -306,17 +307,20 @@ def adamw_step(
             g = g * scale
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p -= lr * (update + weight_decay * p)
     return norm
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking.
+
+# Smallest denominator of a relative error, so that two near-zero values agree.
+FINITE_DIFF_FLOOR = 1e-8
 
 
 @dataclass
@@ -333,24 +337,22 @@ def finite_diff_check(
     grads: Mapping[str, np.ndarray],
     *,
     step: float = 1e-5,
-    floor: float = 1e-8,
-    names: Iterable[str] | None = None,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FiniteDiffReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn`` must be a deterministic function of the parameter dict.
-    Relative error per coordinate is |a - f| / max(|a|, |f|, floor). When
-    ``sample`` is given, that many coordinates per tensor are spot-checked
-    instead of the full sweep.
+    Every parameter is checked, in name order, and the relative error per
+    coordinate is |a - f| / max(|a|, |f|, FINITE_DIFF_FLOOR). When ``sample``
+    is given, that many coordinates per tensor are spot-checked instead of
+    the full sweep.
     """
     worst = 0.0
     worst_param = ""
     worst_index: tuple[int, ...] = ()
     checked = 0
-    selected = list(names) if names is not None else sorted(params)
-    for name in selected:
+    for name in sorted(params):
         p = params[name]
         analytic = grads.get(name)
         if analytic is None:
@@ -370,7 +372,7 @@ def finite_diff_check(
             p[multi] = original
             fd = (f_plus - f_minus) / (2.0 * step)
             a = float(analytic[multi])
-            rel = abs(a - fd) / max(abs(a), abs(fd), floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), FINITE_DIFF_FLOOR)
             checked += 1
             if rel > worst:
                 worst = rel

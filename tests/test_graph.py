@@ -311,21 +311,38 @@ def test_repeated_selection_creates_distinct_agents():
     assert agents.nodes[0].name != agents.nodes[1].name
 
 
-def test_topological_schedule_orders_and_breaks_ties_by_index():
+@pytest.mark.parametrize("n_nodes,edges", [
+    (3, ((0, 2), (2, 1))),  # backward edge
+    (3, ((0, 1), (1, 1))),  # self-loop
+    (3, ((0, 3),)),         # target out of range
+    (3, ((-1, 2),)),        # source out of range
+    (0, ()),                # no nodes
+])
+def test_agent_graph_rejects_backward_edges(n_nodes, edges):
     nodes = tuple(
-        gt.AgentNode(name=f"n{i}", prompt="p", step=i, role="r") for i in range(4)
+        gt.AgentNode(name=f"n{i}", prompt="p", step=i, role="r") for i in range(n_nodes)
     )
-    agents = gt.AgentGraph(nodes=nodes, edges=((0, 3), (1, 3), (2, 3)))
-    assert gt.topological_schedule(agents) == (0, 1, 2, 3)
+    with pytest.raises(ValidationError):
+        gt.AgentGraph(nodes=nodes, edges=edges)
 
 
-def test_topological_schedule_rejects_cycle():
-    nodes = tuple(
-        gt.AgentNode(name=f"n{i}", prompt="p", step=i, role="r") for i in range(2)
-    )
-    agents = gt.AgentGraph(nodes=nodes, edges=((0, 1), (1, 0)))
-    with pytest.raises(ValidationError, match="cycle"):
-        gt.topological_schedule(agents)
+@pytest.mark.parametrize("mode", ["composite", "expanded"])
+@pytest.mark.parametrize("family", ["chain", "star", "full"])
+def test_materialize_lists_nodes_in_run_order(family, mode):
+    pool = gt.default_pool()
+    rng = gt.make_rng(5)
+    for steps in range(1, 9):
+        for _ in range(4):
+            graph = gt.sample_candidate_topology(rng, pool.size, family, steps)
+            extra = {
+                (int(i), int(t)) for t in range(1, steps) for i in range(t)
+                if rng.random() < 0.3
+            }
+            graph = gt.GroupGraph(graph.selected, tuple(set(graph.edges) | extra))
+            agents = gt.materialize_agent_graph(graph, pool, mode)
+            assert agents.summarizer == len(agents.nodes) - 1
+            assert agents.nodes[agents.summarizer].role == "summarizer"
+            assert all(i < t for i, t in agents.edges)
 
 
 def test_compose_group_prompt_mentions_roles():

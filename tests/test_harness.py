@@ -234,8 +234,7 @@ def test_final_text_comes_from_summarizer(pool4):
 
 def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
     """The round-by-round serial loop ``run_graph`` replaced, as a reference."""
-    order = gt.topological_schedule(agent_graph)
-    worker_order = [i for i in order if i != agent_graph.summarizer]
+    worker_order = range(agent_graph.summarizer)
     attack_idx = attack.resolve(agent_graph) if attack is not None else None
     stats = gt.TokenStats()
     entries = []
@@ -271,12 +270,7 @@ def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
         for node_idx in worker_order:
             current[node_idx] = call(node_idx, round_no, current)
         previous_round = current
-    if agent_graph.summarizer is not None:
-        final_text = call(agent_graph.summarizer, rounds, current)
-    elif worker_order:
-        final_text = current[worker_order[-1]]
-    else:
-        final_text = ""
+    final_text = call(agent_graph.summarizer, rounds, current)
     return gt.RunTranscript(query=query, entries=tuple(entries),
                             final_text=final_text, stats=stats, rounds=rounds)
 
