@@ -410,11 +410,10 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
 @backend_option
 @mode_option
 @rounds_option
-@seed_option
 @click.option("--attack-target", required=True, type=str)
 @click.option("--attack-text", required=True, type=str)
 @_guarded
-def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
+def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
            attack_target, attack_text) -> None:
     """Compare clean accuracy against accuracy under prompt injection."""
     pool = _load_pool(pool_path)
@@ -437,7 +436,6 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
                 {
                     "v": RECORD_VERSION,
                     "kind": "attack_report",
-                    "seed": seed,
                     "clean_accuracy": clean.accuracy,
                     "attacked_accuracy": attacked.accuracy,
                     "degradation": clean.accuracy - attacked.accuracy,

@@ -104,14 +104,6 @@ class GroupPool:
     def size(self) -> int:
         return len(self.groups)
 
-    @property
-    def end_index(self) -> int:
-        """Index of the STOP pseudo-candidate in the scoring matrix."""
-        return len(self.groups)
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
     def __iter__(self):
         return iter(self.groups)
 
@@ -187,7 +179,6 @@ def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> N
 class AgentNode:
     name: str
     prompt: str
-    step: int | None
     role: str
 
 
@@ -263,11 +254,13 @@ def materialize_agent_graph(
 ) -> AgentGraph:
     """Expand a group graph into an executable agent graph.
 
-    ``mode="composite"`` creates one agent per selected group with a composed
-    system prompt; ``mode="expanded"`` creates one agent per member role and
-    wires the group's internal pattern explicitly. Either way a summarizer
-    node is appended, fed by the sink agents. Agents are listed step by step,
-    so every edge points forward and the summarizer comes last.
+    Each step adds its group's agents: in ``mode="composite"`` one agent with
+    a composed system prompt, in ``mode="expanded"`` one per member role,
+    wired by the group's internal pattern. Every group edge (i, t) then wires
+    step i's sink agents to step t's source agents; a composite agent is both
+    its group's source and its sink. A summarizer comes last, fed by every
+    agent without a successor. Agents are listed step by step, so every edge
+    points forward.
 
     Raises:
         ValidationError: if the graph is empty, fails validation, or ``mode``
@@ -281,56 +274,31 @@ def materialize_agent_graph(
 
     nodes: list[AgentNode] = []
     edges: list[tuple[int, int]] = []
+    sources: list[tuple[int, ...]] = []
+    sinks: list[tuple[int, ...]] = []
+    for t, gid in enumerate(graph.selected):
+        group = pool[gid]
+        base = len(nodes)
+        name = f"s{t}-{_slug(group.name)}"
+        if mode == "composite":
+            nodes.append(AgentNode(name, compose_group_prompt(group), group.name))
+            sources.append((base,))
+            sinks.append((base,))
+        else:
+            for role in group.roles:
+                nodes.append(AgentNode(f"{name}-{_slug(role.name)}", role.prompt, role.name))
+            edges.extend((base + j, base + k) for j, k in group.intra_edges())
+            sources.append(tuple(base + k for k in group.sources()))
+            sinks.append(tuple(base + k for k in group.sinks()))
+    for i, t in graph.edges:
+        for j in sinks[i]:
+            for k in sources[t]:
+                edges.append((j, k))
 
-    if mode == "composite":
-        for t, gid in enumerate(graph.selected):
-            group = pool[gid]
-            nodes.append(
-                AgentNode(
-                    name=f"s{t}-{_slug(group.name)}",
-                    prompt=compose_group_prompt(group),
-                    step=t,
-                    role=group.name,
-                )
-            )
-        edges.extend(graph.edges)
-    else:
-        step_locals: list[list[int]] = []
-        for t, gid in enumerate(graph.selected):
-            group = pool[gid]
-            base = len(nodes)
-            local = []
-            for k, role in enumerate(group.roles):
-                nodes.append(
-                    AgentNode(
-                        name=f"s{t}-{_slug(group.name)}-{_slug(role.name)}",
-                        prompt=role.prompt,
-                        step=t,
-                        role=role.name,
-                    )
-                )
-                local.append(base + k)
-            for j, k in group.intra_edges():
-                edges.append((local[j], local[k]))
-            step_locals.append(local)
-        for i, t in graph.edges:
-            src_group = pool[graph.selected[i]]
-            dst_group = pool[graph.selected[t]]
-            for j in src_group.sinks():
-                for k in dst_group.sources():
-                    edges.append((step_locals[i][j], step_locals[t][k]))
-
-    summarizer_idx = len(nodes)
-    nodes.append(
-        AgentNode(
-            name="summarizer",
-            prompt=DEFAULT_SUMMARIZER_PROMPT,
-            step=None,
-            role="summarizer",
-        )
-    )
+    summarizer = len(nodes)
+    nodes.append(AgentNode("summarizer", DEFAULT_SUMMARIZER_PROMPT, "summarizer"))
     with_out = {i for i, _ in edges}
-    edges.extend((i, summarizer_idx) for i in range(summarizer_idx) if i not in with_out)
+    edges.extend((i, summarizer) for i in range(summarizer) if i not in with_out)
 
     return AgentGraph(nodes=tuple(nodes), edges=tuple(edges))
 
@@ -485,15 +453,16 @@ def read_records(path: str | os.PathLike) -> list[dict]:
     """Read line-delimited JSON records, checking the schema version.
 
     Raises:
-        ValidationError: on missing files, text that is not UTF-8, malformed
-            JSON, or version mismatches; the message carries the 1-based line
-            number.
+        ValidationError: on files that cannot be read, text that is not UTF-8,
+            malformed JSON, or version mismatches; a message about content
+            carries the 1-based line number.
     """
-    if not os.path.exists(path):
-        raise ValidationError(f"record file not found: {os.fspath(path)}")
     records = []
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {os.fspath(path)}: {exc.strerror}") from exc
     for lineno, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8").strip()
@@ -520,15 +489,21 @@ def read_records(path: str | os.PathLike) -> list[dict]:
 @contextlib.contextmanager
 def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """Yield a new binary file beside ``path`` that replaces it if the block
-    succeeds. Its name is unique per call, so concurrent writers never share it."""
+    succeeds. Its name is unique per call, so concurrent writers never share it.
+
+    Raises:
+        ValidationError: if the file cannot be created or cannot replace ``path``.
+    """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # from open or replace
+            raise ValidationError(f"cannot write {os.fspath(path)}: {exc.strerror}") from exc
         raise
 
 

@@ -26,6 +26,8 @@ from .graph import (
     materialize_agent_graph,
 )
 
+# Numeric answers match within this relative and absolute tolerance.
+NUMERIC_TOL = 1e-6
 # Digits may carry thousands separators: "1,000" reads as 1000.
 _NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
@@ -55,25 +57,25 @@ class AgentBackend(Protocol):
     def complete(self, system: str, user: str, *, role: str) -> BackendResult: ...
 
 
+ECHO_KEEP_EVERY = 3
+ECHO_PREFIX = "recap:"
+
+
 class CompressiveEchoBackend:
     """Replies with a compressed echo of the prompt.
 
-    The reply keeps every ``keep_every``-th word of the combined prompt, so
-    reply length grows affinely (slope < 1) with prompt length. That makes
-    token totals sensitive to topology in a realistic way: richer context in
-    means longer replies out.
+    The reply is ``ECHO_PREFIX`` and every ``ECHO_KEEP_EVERY``-th word of the
+    combined prompt, so reply length grows affinely (slope < 1) with prompt
+    length. That makes token totals sensitive to topology in a realistic way:
+    richer context in means longer replies out.
     """
-
-    def __init__(self, keep_every: int = 3, prefix: str = "recap:"):
-        if keep_every < 1:
-            raise ValidationError("keep_every must be >= 1")
-        self.keep_every = keep_every
-        self.prefix = prefix
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
         words = f"{system} {user}".split()
-        kept = words[:: self.keep_every]
-        return BackendResult(text=" ".join([self.prefix] + kept))
+        return BackendResult(text=" ".join([ECHO_PREFIX] + words[::ECHO_KEEP_EVERY]))
+
+
+CORRUPTION = "CORRUPTED-RESULT"
 
 
 class AnswerKeyBackend:
@@ -83,27 +85,19 @@ class AnswerKeyBackend:
     puts first in every user prompt, and must match a key exactly.
 
     If ``marker`` appears anywhere in the prompt the node is considered
-    compromised and replies with ``corruption`` instead; downstream nodes
+    compromised and replies with ``CORRUPTION`` instead; downstream nodes
     that see a corrupted reply propagate it, so one poisoned system prompt
     taints the whole path to the final answer.
     """
 
-    def __init__(
-        self,
-        answers: dict[str, str],
-        marker: str | None = None,
-        corruption: str = "CORRUPTED-RESULT",
-    ):
+    def __init__(self, answers: dict[str, str], marker: str | None = None):
         self.answers = dict(answers)
         self.marker = marker
-        self.corruption = corruption
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
         combined = f"{system}\n{user}"
-        if self.marker and self.marker in combined:
-            return BackendResult(text=self.corruption)
-        if self.corruption in combined:
-            return BackendResult(text=self.corruption)
+        if (self.marker and self.marker in combined) or CORRUPTION in combined:
+            return BackendResult(text=CORRUPTION)
         task_line = user.split("\n", 1)[0]
         query = task_line[len("Task: ") :] if task_line.startswith("Task: ") else None
         return BackendResult(text=self.answers.get(query, "no answer"))
@@ -466,9 +460,7 @@ def example_from_record(record: dict) -> EvalExample:
     )
 
 
-def answer_matches(
-    expected: str, got: str, rule: str = "auto", *, tol: float = 1e-6
-) -> bool:
+def answer_matches(expected: str, got: str, rule: str = "auto") -> bool:
     expected = expected.strip()
     got = got.strip()
     if rule == "auto":
@@ -490,7 +482,7 @@ def answer_matches(
         if not found:
             return False
         have = float(found[-1].replace(",", ""))
-        return math.isclose(want, have, rel_tol=tol, abs_tol=tol)
+        return math.isclose(want, have, rel_tol=NUMERIC_TOL, abs_tol=NUMERIC_TOL)
     raise ValidationError(f"unknown match rule '{rule}'")
 
 

@@ -276,7 +276,7 @@ def test_criterion_07_token_cost_ordering(announce):
         agents = gt.materialize_agent_graph(graph, pool, mode="composite")
         transcript = gt.run_graph(
             agents, "inventory the spare parts depot",
-            gt.CompressiveEchoBackend(keep_every=3),
+            gt.CompressiveEchoBackend(),
         )
         totals[name] = transcript.stats.total_tokens
     ok = totals["chain"] < totals["star"] < totals["full"]

@@ -113,6 +113,7 @@ def test_full_pipeline(runner, workdir):
     assert "clean accuracy" in result.output
     records = gt.read_records(str(workdir / "attack.jsonl"))
     assert records[0]["kind"] == "attack_report"
+    assert "seed" not in records[0]
 
     result = invoke(runner, [
         "diagram", "--pool", pool, "--graphs", str(workdir / "graphs.jsonl"),
@@ -250,6 +251,17 @@ def test_negative_seed_is_usage_error(runner, workdir, monkeypatch, command, arg
     assert result.exit_code == 1
     assert "--seed" in result.stderr
     assert not (workdir / args[-1]).exists()
+
+
+def test_attack_has_no_seed_option(runner, workdir):
+    result = invoke(runner, [
+        "attack", "--pool", str(workdir / "pool.jsonl"),
+        "--graphs", str(workdir / "dataset.jsonl"),
+        "--dataset", str(workdir / "dataset.jsonl"),
+        "--attack-target", "0", "--attack-text", "x", "--seed", "3",
+    ])
+    assert result.exit_code == 1
+    assert "--seed" in result.stderr
 
 
 def test_exit_code_unknown_subcommand(runner):
@@ -565,8 +577,9 @@ RECORD_COMMANDS = {
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """A 4-group pool, one example, one graph for it and a checkpoint trained
-    on that graph: the inputs a fuzzed command reads besides its {path}."""
+    """A 4-group pool, one example, one graph for it, a checkpoint trained on
+    that graph and exploration results for the example: the inputs a fuzzed
+    command reads besides its {path}."""
     root = tmp_path_factory.mktemp("valid")
     files = {name: str(root / name) for name in ("pool", "dataset", "graphs")}
     files["checkpoint"] = str(root / "model.npz")
@@ -580,6 +593,12 @@ def valid_inputs(tmp_path_factory):
     result = CliRunner().invoke(main, [
         "train", "--pool", files["pool"], "--dataset", files["graphs"],
         "--out", files["checkpoint"], *TINY_TRAIN,
+    ])
+    assert result.exit_code == 0, result.output
+    files["results"] = str(root / "explored.jsonl")
+    result = CliRunner().invoke(main, [
+        "discover", "--pool", files["pool"], "--dataset", files["dataset"],
+        "--out", files["results"], "--families", "chain", "--steps", "2",
     ])
     assert result.exit_code == 0, result.output
     return files
@@ -600,6 +619,42 @@ def test_record_files_fail_cleanly(valid_inputs, command, content):
     assert result.exit_code in (0, 2), result.output
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# command -> its arguments, with the valid files of ``valid_inputs`` as above,
+# an existing directory as {dir} and a file in a missing directory as {missing}.
+PATH_CASES = {
+    "graphs_dir": ["run", "--pool", "{pool}", "--graphs", "{dir}"],
+    "dataset_dir": ["discover", "--pool", "{pool}", "--dataset", "{dir}",
+                    "--out", "{tmp}/out.jsonl"],
+    "results_dir": ["curate", "--results", "{dir}", "--out", "{tmp}/out.jsonl"],
+    "pool_dir": ["diagram", "--pool", "{dir}", "--graphs", "{graphs}"],
+    "curate_out_missing": ["curate", "--results", "{results}", "--out", "{missing}"],
+    "run_out_missing": ["run", "--pool", "{pool}", "--graphs", "{graphs}",
+                        "--dataset", "{dataset}", "--out", "{missing}"],
+    "run_out_dir": ["run", "--pool", "{pool}", "--graphs", "{graphs}",
+                    "--dataset", "{dataset}", "--out", "{dir}"],
+    "generate_out_missing": ["generate", "--pool", "{pool}", "--checkpoint",
+                             "{checkpoint}", "--query", "q", "--out", "{missing}"],
+    "train_out_dir": ["train", "--pool", "{pool}", "--dataset", "{graphs}",
+                      "--out", "{dir}", *TINY_TRAIN],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_unusable_paths_exit_2(valid_inputs, tmp_path, case):
+    """A directory where a file is read, or an output path that cannot be
+    written, is a validation error that names the path and leaves no temp file."""
+    (tmp_path / "dir").mkdir()
+    paths = {"tmp": str(tmp_path), "dir": str(tmp_path / "dir"),
+             "missing": str(tmp_path / "missing" / "out.jsonl")}
+    args = [arg.format(**paths, **valid_inputs) for arg in PATH_CASES[case]]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "validation error: cannot" in result.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 MEMBER_DTYPES = ("float64", "float32", ">f8", "int64", "uint8", "bool", "complex128",

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import grouptopo as gt
 from grouptopo.errors import ValidationError
 from grouptopo.graph import (
+    DEFAULT_SUMMARIZER_PROMPT,
+    _slug,
     compose_group_prompt,
     format_edge,
     group_graph_from_record,
@@ -262,7 +264,7 @@ def test_failed_write_keeps_old_file(tmp_path):
 
 
 def test_read_records_missing_file():
-    with pytest.raises(ValidationError, match="not found"):
+    with pytest.raises(ValidationError, match="cannot read /nonexistent/records.jsonl"):
         read_records("/nonexistent/records.jsonl")
 
 
@@ -320,15 +322,53 @@ def test_repeated_selection_creates_distinct_agents():
 ])
 def test_agent_graph_rejects_backward_edges(n_nodes, edges):
     nodes = tuple(
-        gt.AgentNode(name=f"n{i}", prompt="p", step=i, role="r") for i in range(n_nodes)
+        gt.AgentNode(name=f"n{i}", prompt="p", role="r") for i in range(n_nodes)
     )
     with pytest.raises(ValidationError):
         gt.AgentGraph(nodes=nodes, edges=edges)
 
 
+def reference_materialize(graph, pool, mode):
+    """The two-branch builder that ``materialize_agent_graph`` replaced: one
+    loop per mode, expanded mode wiring sink roles to source roles by hand."""
+    nodes, edges = [], []
+    if mode == "composite":
+        for t, gid in enumerate(graph.selected):
+            group = pool[gid]
+            nodes.append(gt.AgentNode(
+                f"s{t}-{_slug(group.name)}", compose_group_prompt(group), group.name
+            ))
+        edges.extend(graph.edges)
+    else:
+        step_locals = []
+        for t, gid in enumerate(graph.selected):
+            group = pool[gid]
+            base = len(nodes)
+            local = []
+            for k, role in enumerate(group.roles):
+                nodes.append(gt.AgentNode(
+                    f"s{t}-{_slug(group.name)}-{_slug(role.name)}", role.prompt, role.name
+                ))
+                local.append(base + k)
+            for j, k in group.intra_edges():
+                edges.append((local[j], local[k]))
+            step_locals.append(local)
+        for i, t in graph.edges:
+            for j in pool[graph.selected[i]].sinks():
+                for k in pool[graph.selected[t]].sources():
+                    edges.append((step_locals[i][j], step_locals[t][k]))
+    summarizer_idx = len(nodes)
+    nodes.append(gt.AgentNode("summarizer", DEFAULT_SUMMARIZER_PROMPT, "summarizer"))
+    with_out = {i for i, _ in edges}
+    edges.extend((i, summarizer_idx) for i in range(summarizer_idx) if i not in with_out)
+    return gt.AgentGraph(nodes=tuple(nodes), edges=tuple(edges))
+
+
 @pytest.mark.parametrize("mode", ["composite", "expanded"])
 @pytest.mark.parametrize("family", ["chain", "star", "full"])
 def test_materialize_lists_nodes_in_run_order(family, mode):
+    """Random graphs of 1-8 steps with extra forward edges build the same
+    nodes and the same edge order as the two-branch reference builder."""
     pool = gt.default_pool()
     rng = gt.make_rng(5)
     for steps in range(1, 9):
@@ -343,6 +383,7 @@ def test_materialize_lists_nodes_in_run_order(family, mode):
             assert agents.summarizer == len(agents.nodes) - 1
             assert agents.nodes[agents.summarizer].role == "summarizer"
             assert all(i < t for i, t in agents.edges)
+            assert agents == reference_materialize(graph, pool, mode)
 
 
 def test_compose_group_prompt_mentions_roles():

@@ -76,7 +76,7 @@ def test_example_record_roundtrip():
 
 
 def test_compressive_echo_keeps_every_third():
-    backend = gt.CompressiveEchoBackend(keep_every=3)
+    backend = gt.CompressiveEchoBackend()
     result = backend.complete("one two three", "four five six seven", role="r")
     assert result.text == "recap: one four seven"
 
@@ -96,9 +96,7 @@ def test_answer_key_backend_matches_query():
 
 
 def test_answer_key_backend_corruption_propagates():
-    backend = gt.AnswerKeyBackend(
-        {"q": "7"}, marker="EVIL-MARKER", corruption="CORRUPTED-RESULT"
-    )
+    backend = gt.AnswerKeyBackend({"q": "7"}, marker="EVIL-MARKER")
     hit = backend.complete("sys EVIL-MARKER", "Task: q", role="solver")
     assert hit.text == "CORRUPTED-RESULT"
     downstream = backend.complete(
