@@ -64,6 +64,7 @@ from .model import (
     conditional_prior,
     fuse_step,
     generate_graph,
+    generate_graphs,
     graph_log_likelihood,
     init_params,
     kl_diag,

@@ -26,6 +26,7 @@ from .graph import (
     RECORD_VERSION,
     GroupPool,
     Trajectory,
+    check_writable,
     group_graph_from_record,
     read_records,
     render_diagram,
@@ -41,7 +42,7 @@ from .harness import (
     evaluate,
     example_from_record,
 )
-from .model import ModelConfig, check_params, generate_graph
+from .model import ModelConfig, check_params, generate_graphs
 from .nn import load_checkpoint, save_checkpoint
 from .pools import default_pool, load_pool
 from .training import (
@@ -56,6 +57,10 @@ from .training import (
 
 # Exit-code contract: usage errors are 1 (click defaults to 2).
 click.UsageError.exit_code = 1
+
+# Queries per generate_graphs call: its edge pass holds about 0.6 MiB per
+# query at dim 384 and 8 steps, so a large --dataset runs in bounded memory.
+GENERATE_BATCH = 64
 
 
 def _guarded(fn):
@@ -169,6 +174,7 @@ def main() -> None:
 def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
              steps, samples, workers) -> None:
     """Probe topology families against the backend and label the outcomes."""
+    check_writable(out)
     pool = _load_pool(pool_path)
     examples = _load_examples(dataset)
     backend_obj = _make_backend(backend, examples)
@@ -207,6 +213,7 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
 @_guarded
 def curate(results_path, out) -> None:
     """Keep the cheapest correct graph per query."""
+    check_writable(out)
     records = read_records(results_path)
     results = [
         exploration_result_from_record(r)
@@ -243,6 +250,7 @@ def curate(results_path, out) -> None:
 def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
               beta_e, dim, hidden, max_steps, encoder, seed, quiet) -> None:
     """Teacher-force the generator on curated trajectories."""
+    check_writable(out_path)
     pool = _load_pool(pool_path)
     trajectories = _load_trajectories(dataset)
     provider = _make_provider(encoder, dim)
@@ -289,6 +297,7 @@ def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
 @_guarded
 def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -> None:
     """Generate a group graph per query from a trained checkpoint."""
+    check_writable(out)
     pool = _load_pool(pool_path)
     params, _, config = load_checkpoint(checkpoint)
     model_config = ModelConfig.from_dict(config.get("model", {}))
@@ -309,15 +318,17 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
     if not query_list:
         raise ValidationError("no queries given; use --query or --dataset")
     candidates = build_candidate_matrix(provider, pool)
+    task_vecs = provider.encode(query_list)
+    seeds = [seed + i for i in range(len(query_list))]
+    graphs = []
+    for start in range(0, len(query_list), GENERATE_BATCH):
+        batch = slice(start, start + GENERATE_BATCH)
+        graphs += generate_graphs(params, model_config, candidates, task_vecs[batch],
+                                  seeds[batch], forced_steps=forced_steps)
     records = []
-    for i, query in enumerate(query_list):
-        task_vec = provider.encode([query])[0]
-        graph = generate_graph(
-            params, model_config, candidates, task_vec, seed + i,
-            forced_steps=forced_steps,
-        )
+    for query, query_seed, graph in zip(query_list, seeds, graphs):
         record = trajectory_to_record(Trajectory(query=query, graph=graph))
-        record["seed"] = seed + i
+        record["seed"] = query_seed
         records.append(record)
         click.echo(f"query: {query}")
         click.echo(render_diagram(graph, pool))
@@ -357,6 +368,8 @@ def _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack):
 def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
             attack_target, attack_text) -> None:
     """Execute stored graphs against a backend and score the answers."""
+    if out:
+        check_writable(out)
     pool = _load_pool(pool_path)
     trajectories = _load_trajectories(graphs_path)
     examples = _load_examples(dataset) if dataset else None
@@ -416,6 +429,8 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
 def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
            attack_target, attack_text) -> None:
     """Compare clean accuracy against accuracy under prompt injection."""
+    if out:
+        check_writable(out)
     pool = _load_pool(pool_path)
     trajectories = _load_trajectories(graphs_path)
     examples = _load_examples(dataset)

@@ -12,6 +12,7 @@ encoded as ``"i->t"`` strings.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import re
@@ -505,6 +506,24 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
         if isinstance(exc, OSError) and exc.filename == tmp:  # from open or replace
             raise ValidationError(f"cannot write {os.fspath(path)}: {exc.strerror}") from exc
         raise
+
+
+def check_writable(path: str | os.PathLike) -> None:
+    """Raise the :class:`ValidationError` that :func:`atomic_write` would,
+    before any work, when ``path`` is a directory or its directory cannot
+    take a new file. Creates no file.
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_records(path: str | os.PathLike, records: Iterable[dict]) -> None:

@@ -7,12 +7,12 @@ passes it through a stochastic bottleneck whose prior is conditioned on the
 task. Selection scores come from similarity against the candidate matrix; a
 learnable STOP row terminates generation.
 
-Every site function takes one site per row. Under teacher forcing the
-history depends only on the graph's own selections, so
-:func:`minibatch_loss_and_grads` folds the histories of a whole minibatch
-first and then scores all its group sites in one pass and all its edge sites
-in another; :func:`generate_graph` runs the same functions step by step, with
-one group row and one edge row per earlier step.
+Every site function takes one site per row. No edge feeds back into the
+history, so both paths fold it first: :func:`minibatch_loss_and_grads` then
+scores all the group sites of a minibatch in one pass and all its edge sites
+in another; :func:`generate_graphs` runs the greedy selection for a batch of
+queries, one row per query still running, then scores every edge site in one
+pass and draws each query's edges from its own seeded stream.
 
 All gradients are derived by hand; :func:`minibatch_loss_and_grads` returns
 the exact gradient of the teacher-forced objective for a fixed noise draw,
@@ -303,8 +303,7 @@ def fuse_step(
             f"step {step} outside the embedding table ({table.shape[0]} rows)"
         )
     scale = 1.0 / math.sqrt(z.shape[-1])
-    # One task vector keeps the BLAS dot product that generation has always used.
-    raw = h_his @ z if z.ndim == 1 else np.einsum("rd,rd->r", h_his, z)
+    raw = np.einsum("...d,...d->...", h_his, z)
     gate = nn.sigmoid(np.asarray(raw * scale)[..., None])
     fused = (1.0 - gate) * h_his + gate * z + table[steps]
     return fused, _FuseCache(h_his=h_his, z=z, step=steps, gate=gate, scale=scale)
@@ -418,30 +417,78 @@ def _edge_features(
 # Generation.
 
 
-def generate_graph(
+def _mean_code(
+    params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray
+) -> np.ndarray:
+    """:func:`_latent` at eps = 0, without the ``ls`` head that eps = 0 zeroes."""
+    return nn.affine(params, f"{enc_prefix}.mu", nn.gate_step(params, gate_prefix, x)[0])
+
+
+def _decode_batch(
+    params: Params, matrix: np.ndarray, end_index: int, z: np.ndarray, limit: int,
+    allow_stop: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy selection for every task row of ``z``, then one pass over all
+    edge sites. Returns the chosen groups ``(B, limit)``, each query's step
+    count and the probability of every edge site ``(b, i, t)``, ordered by
+    query b, target t, then source i."""
+    batch, d = z.shape
+    fused = np.zeros((batch, limit, d))
+    chosen = np.zeros((batch, limit), dtype=int)
+    n_steps = np.zeros(batch, dtype=int)
+    running, history = np.arange(batch), np.zeros_like(z)
+    for t in range(limit):
+        rows, _ = fuse_step(params, history, z[running], t)
+        fused[running, t] = rows
+        probs = nn.softmax(_mean_code(params, "grp_gru", "enc_g", rows) @ matrix.T)
+        choice = np.argmax(probs if allow_stop else probs[:, :end_index], axis=1)
+        keep = choice != end_index
+        running, choice, history = running[keep], choice[keep], history[keep]
+        chosen[running, t], n_steps[running] = choice, t + 1
+        if not running.size or t + 1 == limit:
+            break
+        history, _ = nn.gru_step(params, "his_gru", matrix[choice], history)
+    # edge_mlp.l1 split by input: each fused row, scoring-matrix row and task
+    # row is projected once, and a site's pre-activation sums three of them.
+    w, b = params["edge_mlp.l1.w"], params["edge_mlp.l1.b"]
+    q, src, dst = np.array([
+        (k, i, t) for k, n in enumerate(n_steps) for t in range(n) for i in range(t)
+    ], dtype=int).reshape(-1, 3).T
+    a1 = ((fused @ w[:, :d].T)[q, src] + (matrix @ w[:, d : 2 * d].T)[chosen[q, dst]]
+          + (z @ w[:, 2 * d :].T + b)[q])
+    x_pre = nn.affine(params, "edge_mlp.l2", nn.relu(a1))
+    logit, _ = _mlp(params, "edge_head", _mean_code(params, "edge_gru", "enc_e", x_pre))
+    return chosen, n_steps, nn.sigmoid(logit[:, 0])
+
+
+def generate_graphs(
     params: Params,
     config: ModelConfig,
     candidates: CandidateMatrix,
-    task_vec: np.ndarray,
-    seed: int = 0,
+    task_vecs: np.ndarray,
+    seeds: Sequence[int],
     *,
     forced_steps: int | None = None,
-) -> GroupGraph:
-    """Sample one group graph autoregressively.
+) -> list[GroupGraph]:
+    """Sample one group graph per row of ``task_vecs``; query b draws its
+    edges from the stream ``make_rng(seeds[b])``.
 
-    Each step fuses the history with the task vector, scores its group site,
-    scores one edge site per earlier step against the chosen group, and
-    folds that group into the history. Group selection is greedy over the
-    mean-latent probabilities (ties go to the lowest index); edges are
-    Bernoulli draws in source order, with the single highest-probability
-    edge forced whenever a later step would otherwise be unreachable.
-    Generation stops at STOP or at ``config.max_steps`` (``truncated`` marks
-    the latter).
+    Selection runs first for the whole batch: each step fuses the history
+    with the task vector, picks a group greedily over the mean-latent
+    probabilities (ties go to the lowest index) and folds it into the
+    history. One pass then scores every edge site. Each query draws its
+    edges by target, then source, forcing the most likely edge whenever a
+    step would otherwise be unreachable, so no graph depends on its batch.
+    Generation stops at STOP or at ``config.max_steps`` (``truncated``).
 
-    ``forced_steps`` suppresses STOP and runs exactly that many steps; it is
-    capped by the step-embedding table, so it must not exceed
-    ``config.max_steps``.
+    ``forced_steps`` suppresses STOP and runs exactly that many steps, at
+    most ``config.max_steps`` (the rows of the step-embedding table).
     """
+    task_vecs = np.asarray(task_vecs, dtype=np.float64)
+    if task_vecs.ndim != 2 or len(task_vecs) != len(seeds):
+        raise ValidationError(
+            f"need one task row per seed, got {task_vecs.shape} and {len(seeds)} seeds"
+        )
     if candidates.pool_size != config.pool_size:
         raise ValidationError(
             f"candidate pool size {candidates.pool_size} does not match "
@@ -454,39 +501,45 @@ def generate_graph(
                 f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
             )
         limit = forced_steps
-    rng = make_rng(seed)
     matrix = scoring_matrix(params, candidates)
-    end_index = candidates.end_index
-    z, _ = project_task(params, task_vec)
-    zeros = np.zeros((limit, config.dim))
-    fused = np.zeros((limit, config.dim))
-    history = np.zeros(config.dim)
-    selected: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for t in range(limit):
-        fused[t], _ = fuse_step(params, history, z, t)
-        probs, _ = _group_sites(params, matrix, fused[t : t + 1], zeros[:1])
-        scored = probs[0] if forced_steps is None else probs[0, :end_index]
-        choice = int(np.argmax(scored))
-        if choice == end_index:
-            break
-        if t:
-            group_rows = np.broadcast_to(matrix[choice], (t, config.dim))
-            features = _edge_features(fused, np.arange(t), group_rows, z)
-            p_edge, _ = _edge_sites(params, features, zeros[:t])
-            taken = rng.random(t) < p_edge
+    z, _ = project_task(params, task_vecs)
+    chosen, n_steps, p_edge = _decode_batch(
+        params, matrix, candidates.end_index, z, limit, forced_steps is None
+    )
+    graphs, start = [], 0
+    for seed, selected, n in zip(seeds, chosen, n_steps):
+        rng = make_rng(seed)
+        edges: list[tuple[int, int]] = []
+        for t in range(1, n):
+            p = p_edge[start : start + t]
+            start += t
+            taken = rng.random(t) < p
             if not taken.any():
                 # Connectivity fallback: force the most likely source.
-                taken[np.argmax(p_edge)] = True
+                taken[np.argmax(p)] = True
             edges.extend((int(i), t) for i in np.flatnonzero(taken))
-        selected.append(choice)
-        if t + 1 < limit:
-            history, _ = nn.gru_step(params, "his_gru", matrix[choice], history)
-    return GroupGraph(
-        selected=tuple(selected),
-        edges=tuple(edges),
-        truncated=forced_steps is None and len(selected) == limit,
-    )
+        graphs.append(GroupGraph(
+            selected=tuple(int(g) for g in selected[:n]),
+            edges=tuple(edges),
+            truncated=forced_steps is None and n == limit,
+        ))
+    return graphs
+
+
+def generate_graph(
+    params: Params,
+    config: ModelConfig,
+    candidates: CandidateMatrix,
+    task_vec: np.ndarray,
+    seed: int = 0,
+    *,
+    forced_steps: int | None = None,
+) -> GroupGraph:
+    """Sample one group graph: :func:`generate_graphs` on a batch of one."""
+    return generate_graphs(
+        params, config, candidates, np.asarray(task_vec)[None], [seed],
+        forced_steps=forced_steps,
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grouptopo as gt
+from grouptopo import cli as cli_mod
 from grouptopo.cli import main
 
 from conftest import FakeResponse
@@ -655,6 +656,113 @@ def test_unusable_paths_exit_2(valid_inputs, tmp_path, case):
     assert "Traceback" not in result.output
     assert "validation error: cannot" in result.stderr
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# Commands that call the backend, with {out} as their --out path.
+BACKEND_COMMANDS = {
+    "discover": ["discover", "--pool", "{pool}", "--dataset", "{dataset}", "--out", "{out}",
+                 "--families", "chain", "--steps", "2"],
+    "run": ["run", "--pool", "{pool}", "--graphs", "{graphs}", "--dataset", "{dataset}",
+            "--out", "{out}"],
+    "attack": ["attack", "--pool", "{pool}", "--graphs", "{graphs}", "--dataset",
+               "{dataset}", "--attack-target", "0", "--attack-text", "x", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BACKEND_COMMANDS))
+def test_unusable_out_exits_before_any_backend_call(valid_inputs, tmp_path, monkeypatch,
+                                                    command):
+    calls = []
+    complete = gt.AnswerKeyBackend.complete
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("role"))
+        return complete(self, *args, **kwargs)
+
+    monkeypatch.setattr(gt.AnswerKeyBackend, "complete", counting)
+
+    def invoke_with(out):
+        args = [arg.format(out=out, **valid_inputs) for arg in BACKEND_COMMANDS[command]]
+        return CliRunner().invoke(main, args)
+
+    missing = tmp_path / "missing" / "out.jsonl"
+    result = invoke_with(missing)
+    assert result.exit_code == 2, result.output
+    assert f"validation error: cannot write {missing}" in result.stderr
+    assert calls == []
+    assert result.stdout == ""
+    assert not missing.parent.exists()
+    # The same command with a usable --out makes calls, so the count is live.
+    result = invoke_with(tmp_path / "out.jsonl")
+    assert result.exit_code == 0, result.output
+    assert calls
+
+
+def test_unusable_out_exits_before_generating(valid_inputs, tmp_path):
+    def invoke_with(out):
+        return CliRunner().invoke(main, [
+            "generate", "--pool", valid_inputs["pool"], "--checkpoint",
+            valid_inputs["checkpoint"], "--query", "q", "--out", str(out),
+        ])
+
+    missing = tmp_path / "missing" / "graphs.jsonl"
+    result = invoke_with(missing)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert f"validation error: cannot write {missing}" in result.stderr
+    result = invoke_with(tmp_path / "graphs.jsonl")
+    assert result.exit_code == 0, result.output
+    assert "query: q" in result.stdout
+
+
+def test_unusable_out_exits_before_training(valid_inputs, tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: trained.append(args))
+    result = CliRunner().invoke(main, [
+        "train", "--pool", valid_inputs["pool"], "--dataset", valid_inputs["graphs"],
+        "--out", str(tmp_path / "missing" / "model.npz"), *TINY_TRAIN,
+    ])
+    assert trained == []
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("forced", [None, 3], ids=["free", "forced3"])
+@pytest.mark.parametrize("batch", [3, cli_mod.GENERATE_BATCH], ids=["batch3", "default"])
+def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, monkeypatch,
+                                                       forced, batch):
+    """``generate --dataset`` encodes all queries once and samples them in
+    batches; its records and stdout are those of ``generate_graph`` per query
+    with seed ``--seed`` + i."""
+    monkeypatch.setattr(cli_mod, "GENERATE_BATCH", batch)
+    queries = [f"what is {a} plus {a + 7}, then check it twice" for a in range(8)]
+    dataset, out = str(tmp_path / "examples.jsonl"), str(tmp_path / "graphs.jsonl")
+    gt.write_records(dataset, [gt.example_to_record(gt.EvalExample(query=q, answer="1"))
+                               for q in queries])
+    args = ["generate", "--pool", valid_inputs["pool"], "--checkpoint",
+            valid_inputs["checkpoint"], "--dataset", dataset, "--out", out, "--seed", "5"]
+    if forced is not None:
+        args += ["--forced-steps", str(forced)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+
+    pool = gt.load_pool(valid_inputs["pool"])
+    params, _, saved = gt.load_checkpoint(valid_inputs["checkpoint"])
+    config = gt.ModelConfig.from_dict(saved["model"])
+    provider = gt.HashingTextEmbedder(config.dim)
+    candidates = gt.build_candidate_matrix(provider, pool)
+    graphs = [
+        gt.generate_graph(params, config, candidates, provider.encode([q])[0], 5 + i,
+                          forced_steps=forced)
+        for i, q in enumerate(queries)
+    ]
+    assert len(set(graphs)) > 1
+    assert gt.read_records(out) == [
+        {**gt.trajectory_to_record(gt.Trajectory(query=q, graph=g)), "seed": 5 + i}
+        for i, (q, g) in enumerate(zip(queries, graphs))
+    ]
+    assert result.stdout == "".join(
+        f"query: {q}\n{gt.render_diagram(g, pool)}\n" for q, g in zip(queries, graphs)
+    ) + f"wrote {len(queries)} graphs -> {out}\n"
 
 
 MEMBER_DTYPES = ("float64", "float32", ">f8", "int64", "uint8", "bool", "complex128",

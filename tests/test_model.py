@@ -227,6 +227,22 @@ def test_generate_pool_size_mismatch(tiny):
         gt.generate_graph(params, config, tiny.candidates, tiny.task_vec, 0)
 
 
+def test_generate_graphs_rejects_bad_batches(tiny):
+    vecs = np.stack([tiny.task_vec, -tiny.task_vec])
+    args = (tiny.params, tiny.config, tiny.candidates)
+    assert gt.generate_graphs(*args, vecs[:0], []) == []
+    for bad_vecs, seeds in ((vecs, [0]), (vecs, [0, 1, 2]), (tiny.task_vec, [0, 1])):
+        with pytest.raises(ValidationError, match="one task row per seed"):
+            gt.generate_graphs(*args, bad_vecs, seeds)
+    for forced in (0, -1, tiny.config.max_steps + 1):
+        with pytest.raises(ValidationError, match="forced_steps"):
+            gt.generate_graphs(*args, vecs, [0, 1], forced_steps=forced)
+    config = gt.ModelConfig(pool_size=tiny.pool.size + 1, dim=tiny.config.dim,
+                            hidden=tiny.config.hidden)
+    with pytest.raises(ValidationError, match="pool"):
+        gt.generate_graphs(gt.init_params(config), config, tiny.candidates, vecs, [0, 1])
+
+
 def test_generated_graphs_always_valid():
     # Mini version of the 1000-seed sweep in the acceptance suite.
     setup = make_tiny(pool_size=4, dim=12, hidden=6, max_steps=5, seed=1)

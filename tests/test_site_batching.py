@@ -306,22 +306,83 @@ def test_loss_and_grads_match_per_site_reference(dim, hidden):
                 assert_matches_reference(*got, *want, (graph, max_steps, sampled))
 
 
-@pytest.mark.parametrize("dim,hidden", [(64, 32), (384, 64)])
-def test_generate_matches_per_site_reference(dim, hidden):
+def sharpened_setup(dim, hidden, n_queries=40):
     provider, config, params, candidates = small_setup(dim, hidden, 8, seed=7, pool_size=16)
     # Sharpen the heads so that STOP, edge draws and the fallback all occur.
     params = {**params, "end_embed": params["end_embed"] * 4.0,
               "edge_head.l2.w": params["edge_head.l2.w"] * 3.0}
-    task_vecs = provider.encode([f"query {q}: route and check" for q in range(60)])
-    stopped = 0
-    for q, task_vec in enumerate(task_vecs):
-        for forced in (None, 2, 5, 8):
-            got = gt.generate_graph(params, config, candidates, task_vec, q,
-                                    forced_steps=forced)
-            want = ref_generate_graph(params, config, candidates, task_vec, q, forced)
-            assert got == want, (q, forced)
-            stopped += forced is None and not got.truncated
-    assert stopped > 0
+    task_vecs = provider.encode([f"query {q}: route and check" for q in range(n_queries)])
+    return config, params, candidates, task_vecs
+
+
+def edge_pass_probs(params, config, candidates, task_vecs, forced):
+    """The edge pass of ``generate_graphs`` over a whole batch, split per
+    query into one probability row per target step."""
+    limit = config.max_steps if forced is None else forced
+    z, _ = model_mod.project_task(params, task_vecs)
+    matrix = model_mod.scoring_matrix(params, candidates)
+    _, n_steps, p_edge = model_mod._decode_batch(
+        params, matrix, candidates.end_index, z, limit, forced is None
+    )
+    bounds = np.cumsum([t for n in n_steps for t in range(1, n)])[:-1]
+    rows = iter(np.split(p_edge, bounds))
+    return [[next(rows) for _ in range(1, n)] for n in n_steps]
+
+
+@pytest.mark.parametrize("dim,hidden", [(64, 32), (384, 64)])
+def test_generate_matches_per_site_reference(dim, hidden):
+    """``generate_graphs`` at batch sizes 1, 7 and all gives the reference's
+    graphs, free-running and forced to 2-8 steps; ``generate_graph`` is its
+    batch of one."""
+    config, params, candidates, task_vecs = sharpened_setup(dim, hidden)
+    seeds = list(range(len(task_vecs)))
+    stopped = drawn = forced_edges = 0
+    for forced in (None, *range(2, 9)):
+        want = [ref_generate_graph(params, config, candidates, vec, q, forced)
+                for q, vec in zip(seeds, task_vecs)]
+        for size in (1, 7, len(seeds)):
+            got = []
+            for s in range(0, len(seeds), size):
+                got += gt.generate_graphs(params, config, candidates, task_vecs[s : s + size],
+                                          seeds[s : s + size], forced_steps=forced)
+            assert got == want, (forced, size)
+        assert gt.generate_graph(params, config, candidates, task_vecs[3], 3,
+                                 forced_steps=forced) == want[3]
+        stopped += sum(0 < g.n_steps < config.max_steps for g in want if forced is None)
+        # Replay each query's draws: some steps get a drawn edge, some the fallback.
+        for seed, rows in zip(seeds, edge_pass_probs(params, config, candidates,
+                                                     task_vecs, forced)):
+            rng = nn.make_rng(seed)
+            for p in rows:
+                hit = bool(np.any(rng.random(len(p)) < p))
+                drawn += hit
+                forced_edges += not hit
+    assert stopped > 0 and drawn > 0 and forced_edges > 0
+
+
+@pytest.mark.parametrize("dim,hidden", [(64, 32), (384, 64)])
+def test_edge_pass_matches_per_site_probabilities(dim, hidden):
+    """Every probability of the one-pass edge scoring, with ``edge_mlp.l1``
+    split by input, is within relative 1e-12 of ``ref_edge_site``."""
+    config, params, candidates, task_vecs = sharpened_setup(dim, hidden, n_queries=20)
+    matrix = model_mod.scoring_matrix(params, candidates)
+    checked = 0
+    for forced in (None, 8):
+        limit = config.max_steps if forced is None else forced
+        got = edge_pass_probs(params, config, candidates, task_vecs, forced)
+        for q, (task_vec, rows) in enumerate(zip(task_vecs, got)):
+            z, _ = ref_project_task(params, task_vec)
+            _, edge_sites, _ = ref_decode(
+                params, matrix, candidates.end_index, z, limit,
+                itertools.repeat(np.zeros(dim)), rng=nn.make_rng(q),
+                allow_stop=forced is None,
+            )
+            want = np.array([site[3] for site in edge_sites])
+            have = np.concatenate([np.zeros(0), *rows])
+            assert have.shape == want.shape, (forced, q)
+            assert np.all(np.abs(have - want) <= 1e-12 * want), (forced, q)
+            checked += len(want)
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
