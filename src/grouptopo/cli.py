@@ -58,8 +58,9 @@ from .training import (
 # Exit-code contract: usage errors are 1 (click defaults to 2).
 click.UsageError.exit_code = 1
 
-# Queries per generate_graphs call: its edge pass holds about 0.6 MiB per
-# query at dim 384 and 8 steps, so a large --dataset runs in bounded memory.
+# Queries per encoder request and generate_graphs call: the edge pass holds
+# about 0.6 MiB per query at dim 384 and 8 steps, so a large --dataset runs in
+# bounded memory and never sends the encoder one unbounded request.
 GENERATE_BATCH = 64
 
 
@@ -318,13 +319,13 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
     if not query_list:
         raise ValidationError("no queries given; use --query or --dataset")
     candidates = build_candidate_matrix(provider, pool)
-    task_vecs = provider.encode(query_list)
     seeds = [seed + i for i in range(len(query_list))]
     graphs = []
     for start in range(0, len(query_list), GENERATE_BATCH):
         batch = slice(start, start + GENERATE_BATCH)
-        graphs += generate_graphs(params, model_config, candidates, task_vecs[batch],
-                                  seeds[batch], forced_steps=forced_steps)
+        graphs += generate_graphs(params, model_config, candidates,
+                                  provider.encode(query_list[batch]), seeds[batch],
+                                  forced_steps=forced_steps)
     records = []
     for query, query_seed, graph in zip(query_list, seeds, graphs):
         record = trajectory_to_record(Trajectory(query=query, graph=graph))

@@ -454,9 +454,11 @@ def _decode_batch(
     q, src, dst = np.array([
         (k, i, t) for k, n in enumerate(n_steps) for t in range(n) for i in range(t)
     ], dtype=int).reshape(-1, 3).T
-    a1 = ((fused @ w[:, :d].T)[q, src] + (matrix @ w[:, d : 2 * d].T)[chosen[q, dst]]
-          + (z @ w[:, 2 * d :].T + b)[q])
-    x_pre = nn.affine(params, "edge_mlp.l2", nn.relu(a1))
+    # Summed in place, (source + group) + task, to hold one site-sized array.
+    a1 = (fused @ w[:, :d].T)[q, src]
+    a1 += (matrix @ w[:, d : 2 * d].T)[chosen[q, dst]]
+    a1 += (z @ w[:, 2 * d :].T + b)[q]
+    x_pre = nn.affine(params, "edge_mlp.l2", np.maximum(a1, 0.0, out=a1))
     logit, _ = _mlp(params, "edge_head", _mean_code(params, "edge_gru", "enc_e", x_pre))
     return chosen, n_steps, nn.sigmoid(logit[:, 0])
 
@@ -478,8 +480,10 @@ def generate_graphs(
     probabilities (ties go to the lowest index) and folds it into the
     history. One pass then scores every edge site. Each query draws its
     edges by target, then source, forcing the most likely edge whenever a
-    step would otherwise be unreachable, so no graph depends on its batch.
-    Generation stops at STOP or at ``config.max_steps`` (``truncated``).
+    step would otherwise be unreachable. Graphs equal per-query generation on
+    every input tested, but a product over more rows may round a last bit
+    differently and flip a near-tie. Generation stops at STOP or at
+    ``config.max_steps`` (``truncated``).
 
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).

@@ -47,8 +47,11 @@ def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) <= 1 never overflows; each sign takes the form that uses it.
     # minimum(x, -x) is -|x| that keeps a NaN's sign bit, as exp(x) does.
+    # The numerator is 1 or e; one division by 1 + e gives both forms' bits.
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = np.where(x >= 0, 1.0, e)
+    y /= 1.0 + e
+    return y
 
 
 def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -730,10 +730,14 @@ def test_unusable_out_exits_before_training(valid_inputs, tmp_path, monkeypatch)
 @pytest.mark.parametrize("batch", [3, cli_mod.GENERATE_BATCH], ids=["batch3", "default"])
 def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, monkeypatch,
                                                        forced, batch):
-    """``generate --dataset`` encodes all queries once and samples them in
-    batches; its records and stdout are those of ``generate_graph`` per query
-    with seed ``--seed`` + i."""
+    """``generate --dataset`` encodes and samples its queries in batches; its
+    records and stdout are those of ``generate_graph`` per query with seed
+    ``--seed`` + i."""
     monkeypatch.setattr(cli_mod, "GENERATE_BATCH", batch)
+    encoded = []
+    encode = gt.HashingTextEmbedder.encode
+    monkeypatch.setattr(gt.HashingTextEmbedder, "encode",
+                        lambda self, texts: encoded.append(list(texts)) or encode(self, texts))
     queries = [f"what is {a} plus {a + 7}, then check it twice" for a in range(8)]
     dataset, out = str(tmp_path / "examples.jsonl"), str(tmp_path / "graphs.jsonl")
     gt.write_records(dataset, [gt.example_to_record(gt.EvalExample(query=q, answer="1"))
@@ -744,6 +748,9 @@ def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, m
         args += ["--forced-steps", str(forced)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
+    assert [texts for texts in encoded if texts[0] in queries] == [
+        queries[s : s + batch] for s in range(0, len(queries), batch)
+    ]
 
     pool = gt.load_pool(valid_inputs["pool"])
     params, _, saved = gt.load_checkpoint(valid_inputs["checkpoint"])

@@ -306,7 +306,7 @@ def test_loss_and_grads_match_per_site_reference(dim, hidden):
                 assert_matches_reference(*got, *want, (graph, max_steps, sampled))
 
 
-def sharpened_setup(dim, hidden, n_queries=40):
+def sharpened_setup(dim, hidden, n_queries=60):
     provider, config, params, candidates = small_setup(dim, hidden, 8, seed=7, pool_size=16)
     # Sharpen the heads so that STOP, edge draws and the fallback all occur.
     params = {**params, "end_embed": params["end_embed"] * 4.0,
