@@ -7,12 +7,13 @@ passes it through a stochastic bottleneck whose prior is conditioned on the
 task. Selection scores come from similarity against the candidate matrix; a
 learnable STOP row terminates generation.
 
-Every site function takes one site per row. No edge feeds back into the
-history, so both paths fold it first: :func:`minibatch_loss_and_grads` then
-scores all the group sites of a minibatch in one pass and all its edge sites
-in another; :func:`generate_graphs` runs the greedy selection for a batch of
-queries, one row per query still running, then scores every edge site in one
-pass and draws each query's edges from its own seeded stream.
+Teacher forcing and generation share one forward function per site kind. A
+group site is a fused row; an edge site reads its source's fused row, its
+target's group row and its task row through three index arrays. No edge
+feeds back into the history, so both paths fold it first:
+:func:`minibatch_loss_and_grads` then scores all the group sites of a
+minibatch in one pass and all its edge sites in another; :func:`generate_graphs`
+selects greedily, then scores every edge site in one pass at the posterior mean.
 
 All gradients are derived by hand; :func:`minibatch_loss_and_grads` returns
 the exact gradient of the teacher-forced objective for a fixed noise draw,
@@ -252,22 +253,21 @@ def conditional_prior(params: Params, prefix: str, z: np.ndarray) -> GaussianDia
 @dataclass
 class _MlpCache:
     x: np.ndarray
-    a1: np.ndarray
     h1: np.ndarray
 
 
 def _mlp(params: Params, prefix: str, x: np.ndarray) -> tuple[np.ndarray, _MlpCache]:
     """Two affine layers ``l1`` and ``l2`` under ``prefix`` with a ReLU between."""
-    a1 = nn.affine(params, f"{prefix}.l1", x)
-    h1 = nn.relu(a1)
-    return nn.affine(params, f"{prefix}.l2", h1), _MlpCache(x=x, a1=a1, h1=h1)
+    h1 = nn.relu(nn.affine(params, f"{prefix}.l1", x))
+    return nn.affine(params, f"{prefix}.l2", h1), _MlpCache(x=x, h1=h1)
 
 
 def _mlp_backward(
     params: Params, prefix: str, cache: _MlpCache, d_out: np.ndarray, grads: Grads
 ) -> np.ndarray:
+    # ReLU's output is positive exactly where its input is.
     dh1 = nn.affine_backward(params, f"{prefix}.l2", cache.h1, d_out, grads)
-    da1 = nn.relu_backward(cache.a1, dh1)
+    da1 = nn.relu_backward(cache.h1, dh1)
     return nn.affine_backward(params, f"{prefix}.l1", cache.x, da1, grads)
 
 
@@ -314,9 +314,7 @@ def _fuse_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through a row-batched :func:`fuse_step` with one ``z`` per
     row. Returns (d_h_his, d_z) per row; adds the step-embedding gradient."""
-    d_table = np.zeros_like(table)
-    np.add.at(d_table, cache.step, d_fused)
-    accumulate(grads, "step_embed", d_table)
+    accumulate(grads, "step_embed", _sum_by(cache.step, d_fused, len(table)))
     g, h, z = cache.gate, cache.h_his, cache.z
     d_raw = np.sum(d_fused * (z - h), axis=-1, keepdims=True) * g * (1.0 - g)
     d_h = (1.0 - g) * d_fused + d_raw * cache.scale * z
@@ -337,8 +335,7 @@ def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Group-selection and edge sites. Every function takes one site per row, so a
-# pass scores all the sites of one kind at once.
+# Group-selection and edge sites: one forward function per kind, one site per row.
 
 
 @dataclass
@@ -353,10 +350,14 @@ class _LatentCache:
 
 
 def _latent(
-    params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, _LatentCache]:
-    """The sites' bottleneck: gated projection, posterior, pathwise sample."""
+    params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray,
+    eps: np.ndarray | None,
+) -> tuple[np.ndarray, _LatentCache | None]:
+    """The sites' bottleneck: gated projection, posterior, pathwise sample.
+    ``eps=None`` gives the posterior mean and no cache, skipping the ``ls`` head."""
     x_gated, gate_cache = nn.gate_step(params, gate_prefix, x)
+    if eps is None:
+        return nn.affine(params, f"{enc_prefix}.mu", x_gated), None
     q, enc_cache = _bottleneck(params, enc_prefix, x_gated)
     code = reparameterize(q, eps)
     return code, _LatentCache(
@@ -385,43 +386,42 @@ def _latent_backward(
 
 
 def _group_sites(
-    params: Params, matrix: np.ndarray, fused: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, _LatentCache]:
+    params: Params, matrix: np.ndarray, fused: np.ndarray, eps: np.ndarray | None
+) -> tuple[np.ndarray, _LatentCache | None]:
     """Selection probabilities over the K groups and STOP, per fused row."""
     code, latent = _latent(params, "grp_gru", "enc_g", fused, eps)
     return nn.softmax(code @ matrix.T), latent
 
 
+def _edge_site_index(n_steps: Sequence[int]) -> np.ndarray:
+    """Rows query, source, target of every edge site, by query, target, then source."""
+    sites = [(b, i, t) for b, n in enumerate(n_steps) for t in range(n) for i in range(t)]
+    return np.array(sites, dtype=int).reshape(-1, 3).T
+
+
 def _edge_sites(
-    params: Params, features: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, tuple[_MlpCache, _LatentCache, _MlpCache]]:
-    """Edge probabilities, one per row of ``features``: the source step's
-    fused state, the target's group embedding and the task vector."""
-    x_pre, mlp_cache = _mlp(params, "edge_mlp", features)
+    params: Params, fused: np.ndarray, groups: np.ndarray, z: np.ndarray,
+    sources: np.ndarray | tuple[np.ndarray, ...], targets: np.ndarray, tasks: np.ndarray,
+    eps: np.ndarray | None,
+) -> tuple[np.ndarray, tuple[np.ndarray, _LatentCache | None, _MlpCache]]:
+    """Edge probabilities: site k sums the ``edge_mlp.l1`` projections of its
+    source's fused state ``fused[sources][k]``, its target's group row
+    ``groups[targets[k]]`` and its task row ``z[tasks[k]]``, each row projected
+    once. The cache starts with the ReLU output."""
+    w, d = params["edge_mlp.l1.w"], z.shape[-1]
+    # Summed in place, (source + group) + task, to hold one site-sized array.
+    h1 = (fused @ w[:, :d].T)[sources]
+    h1 += (groups @ w[:, d : 2 * d].T)[targets]
+    h1 += (z @ w[:, 2 * d :].T + params["edge_mlp.l1.b"])[tasks]
+    np.maximum(h1, 0.0, out=h1)
+    x_pre = nn.affine(params, "edge_mlp.l2", h1)
     code, latent = _latent(params, "edge_gru", "enc_e", x_pre, eps)
     logit, head_cache = _mlp(params, "edge_head", code)
-    return nn.sigmoid(logit[:, 0]), (mlp_cache, latent, head_cache)
-
-
-def _edge_features(
-    fused: np.ndarray, sources: np.ndarray, group_rows: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Edge-site rows ``[fused[source], group row, z]``; ``z`` is one task
-    vector or one per row."""
-    return np.concatenate(
-        [fused[sources], group_rows, np.broadcast_to(z, group_rows.shape)], axis=1
-    )
+    return nn.sigmoid(logit[:, 0]), (h1, latent, head_cache)
 
 
 # ---------------------------------------------------------------------------
 # Generation.
-
-
-def _mean_code(
-    params: Params, gate_prefix: str, enc_prefix: str, x: np.ndarray
-) -> np.ndarray:
-    """:func:`_latent` at eps = 0, without the ``ls`` head that eps = 0 zeroes."""
-    return nn.affine(params, f"{enc_prefix}.mu", nn.gate_step(params, gate_prefix, x)[0])
 
 
 def _decode_batch(
@@ -440,7 +440,7 @@ def _decode_batch(
     for t in range(limit):
         rows, _ = fuse_step(params, history, z[running], t)
         fused[running, t] = rows
-        probs = nn.softmax(_mean_code(params, "grp_gru", "enc_g", rows) @ matrix.T)
+        probs, _ = _group_sites(params, matrix, rows, None)
         choice = np.argmax(probs if allow_stop else probs[:, :end_index], axis=1)
         keep = choice != end_index
         running, choice, history = running[keep], choice[keep], history[keep]
@@ -448,19 +448,9 @@ def _decode_batch(
         if not running.size or t + 1 == limit:
             break
         history, _ = nn.gru_step(params, "his_gru", matrix[choice], history)
-    # edge_mlp.l1 split by input: each fused row, scoring-matrix row and task
-    # row is projected once, and a site's pre-activation sums three of them.
-    w, b = params["edge_mlp.l1.w"], params["edge_mlp.l1.b"]
-    q, src, dst = np.array([
-        (k, i, t) for k, n in enumerate(n_steps) for t in range(n) for i in range(t)
-    ], dtype=int).reshape(-1, 3).T
-    # Summed in place, (source + group) + task, to hold one site-sized array.
-    a1 = (fused @ w[:, :d].T)[q, src]
-    a1 += (matrix @ w[:, d : 2 * d].T)[chosen[q, dst]]
-    a1 += (z @ w[:, 2 * d :].T + b)[q]
-    x_pre = nn.affine(params, "edge_mlp.l2", np.maximum(a1, 0.0, out=a1))
-    logit, _ = _mlp(params, "edge_head", _mean_code(params, "edge_gru", "enc_e", x_pre))
-    return chosen, n_steps, nn.sigmoid(logit[:, 0])
+    q, src, dst = _edge_site_index(n_steps)
+    p_edge, _ = _edge_sites(params, fused, matrix, z, (q, src), chosen[q, dst], q, None)
+    return chosen, n_steps, p_edge
 
 
 def generate_graphs(
@@ -489,9 +479,10 @@ def generate_graphs(
     most ``config.max_steps`` (the rows of the step-embedding table).
     """
     task_vecs = np.asarray(task_vecs, dtype=np.float64)
-    if task_vecs.ndim != 2 or len(task_vecs) != len(seeds):
+    if task_vecs.shape != (len(seeds), config.dim):
         raise ValidationError(
-            f"need one task row per seed, got {task_vecs.shape} and {len(seeds)} seeds"
+            f"need one task row per seed, of dim {config.dim}; got {task_vecs.shape} "
+            f"and {len(seeds)} seeds"
         )
     if candidates.pool_size != config.pool_size:
         raise ValidationError(
@@ -683,6 +674,11 @@ def minibatch_loss_and_grads(
     """
     d = config.dim
     batch = len(graphs)
+    if not batch or np.shape(task_vecs) != (batch, d):
+        raise ValidationError(
+            f"need one graph or more and a task row of dim {d} for each, got {batch} "
+            f"graphs and task rows of shape {np.shape(task_vecs)}"
+        )
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
@@ -728,19 +724,14 @@ def minibatch_loss_and_grads(
     probs, g_latent = _group_sites(params, matrix, fused, eps[g_eps])
 
     # Edge rows (b, i, t) by trajectory, step, then source; site t(t+1)/2 + 1 + i.
-    pairs = [
-        (b, i, t) for b, graph in enumerate(graphs)
-        for t in range(graph.n_steps) for i in range(t)
-    ]
-    edge_sets = [set(graph.edges) for graph in graphs]
-    labels = np.array([(i, t) in edge_sets[b] for b, i, t in pairs], dtype=bool)
-    e_traj, e_src, e_dst = np.array(pairs, dtype=int).reshape(-1, 3).T
+    e_traj, e_src, e_dst = _edge_site_index([graph.n_steps for graph in graphs])
+    edges = {(b, i, t) for b, graph in enumerate(graphs) for i, t in graph.edges}
+    labels = np.array([site in edges for site in zip(e_traj, e_src, e_dst)], dtype=bool)
     e_prior = prior_e.take(e_traj)
-    features = _edge_features(
-        fused, g_base[e_traj] + e_src, matrix[targets[g_base[e_traj] + e_dst]], z[e_traj]
-    )
-    p_edge, (mlp_cache, e_latent, head_cache) = _edge_sites(
-        params, features, eps[site_base[e_traj] + e_dst * (e_dst + 1) // 2 + 1 + e_src]
+    e_fused, e_group = g_base[e_traj] + e_src, targets[g_base[e_traj] + e_dst]
+    p_edge, (e_h1, e_latent, head_cache) = _edge_sites(
+        params, fused, matrix, z, e_fused, e_group, e_traj,
+        eps[site_base[e_traj] + e_dst * (e_dst + 1) // 2 + 1 + e_src],
     )
 
     p_target = probs[g_rows, targets]
@@ -775,18 +766,26 @@ def minibatch_loss_and_grads(
         params, g_latent, d_logits @ matrix, beta_group, g_prior, grads
     )
 
-    # Edge sites. Feature layout: [fused source, group embedding (frozen), z].
+    # Edge sites: edge_mlp.l1 takes one product per input row, after summing
+    # the sites by row. Group rows are frozen, as an edge never targets STOP.
     d_logit = np.where(p_event > LOG_FLOOR, p_edge - labels, 0.0)
     d_code = _mlp_backward(params, "edge_head", head_cache, d_logit[:, None], grads)
     d_pre, d_mu_e, d_ls_e = _latent_backward(
         params, e_latent, d_code, beta_edge, e_prior, grads
     )
-    d_features = _mlp_backward(params, "edge_mlp", mlp_cache, d_pre, grads)
-    np.add.at(d_fused, g_base[e_traj] + e_src, d_features[:, :d])
-    dz = _sum_by(e_traj, d_features[:, 2 * d :], batch)
+    dh1 = nn.affine_backward(params, "edge_mlp.l2", e_h1, d_pre, grads)
+    da1 = nn.relu_backward(e_h1, dh1)
+    d_src, d_task = _sum_by(e_fused, da1, len(fused)), _sum_by(e_traj, da1, batch)
+    d_grp = _sum_by(e_group, da1, len(matrix))
+    d_w = np.hstack([d_src.T @ fused, d_grp.T @ matrix, d_task.T @ z])
+    accumulate(grads, "edge_mlp.l1.w", d_w)
+    accumulate(grads, "edge_mlp.l1.b", d_task.sum(axis=0))
+    w = params["edge_mlp.l1.w"]
+    d_fused += d_src @ w[:, :d]
+    dz = d_task @ w[:, 2 * d :]
     d_mu_e, d_ls_e = _sum_by(e_traj, d_mu_e, batch), _sum_by(e_traj, d_ls_e, batch)
     # The edge-site caches are dead now; free them before the passes below.
-    del features, mlp_cache, e_latent, head_cache, d_code, d_pre, d_features
+    del e_h1, e_latent, head_cache, d_code, d_pre, dh1, da1
 
     d_states, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
     np.add.at(dz, g_traj, d_z_fuse)

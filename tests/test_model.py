@@ -174,8 +174,11 @@ def test_group_site_is_distribution(tiny):
 
 def test_edge_site_in_unit_interval(tiny):
     fused, z = first_fused_state(tiny)
-    features = np.concatenate([fused, tiny.candidates.matrix[0], z])[None]
-    p, _ = model_mod._edge_sites(tiny.params, features, np.zeros((1, tiny.config.dim)))
+    first = np.zeros(1, dtype=int)
+    p, _ = model_mod._edge_sites(
+        tiny.params, fused[None], tiny.candidates.matrix, z[None], first, first, first,
+        np.zeros((1, tiny.config.dim)),
+    )
     assert p.shape == (1,)
     assert 0.0 < p[0] < 1.0
 
@@ -406,3 +409,37 @@ def test_loss_noise_stream_length(tiny):
         tiny.params, tiny.config, tiny.candidates, tiny.task_vec, graph,
         noise=noise, compute_grads=False,
     )
+
+
+def _minibatch(setup, task_vecs, graphs):
+    return model_mod.minibatch_loss_and_grads(
+        setup.params, setup.config, setup.candidates, task_vecs, graphs,
+        [None] * len(graphs), beta_group=0.0, beta_edge=0.0,
+    )
+
+
+GRAPH = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda s, dim: _minibatch(s, np.zeros((0, dim)), []),
+                 "one graph or more", id="empty_minibatch"),
+    pytest.param(lambda s, dim: _minibatch(s, np.zeros((1, dim)), [GRAPH, GRAPH]),
+                 "task row", id="minibatch_short_of_rows"),
+    pytest.param(lambda s, dim: _minibatch(s, np.zeros((2, dim + 1)), [GRAPH, GRAPH]),
+                 "task row", id="minibatch_wrong_dim"),
+    pytest.param(lambda s, dim: gt.loss_and_grads(
+        s.params, s.config, s.candidates, np.zeros(dim + 1), GRAPH),
+                 "task row", id="loss_wrong_dim"),
+    pytest.param(lambda s, dim: gt.graph_log_likelihood(
+        s.params, s.config, s.candidates, np.zeros(dim - 1), GRAPH),
+                 "task row", id="likelihood_wrong_dim"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.zeros((2, dim + 1)), [0, 1]),
+                 "of dim", id="generate_wrong_dim"),
+])
+def test_bad_task_inputs_raise_validation_error(tiny, call, match):
+    """Task vectors that do not fit the model, and an empty minibatch, end in
+    ValidationError instead of a NumPy error from deep inside a pass."""
+    with pytest.raises(ValidationError, match=match):
+        call(tiny, tiny.config.dim)

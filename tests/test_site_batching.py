@@ -385,6 +385,26 @@ def test_edge_pass_matches_per_site_probabilities(dim, hidden):
     assert checked > 0
 
 
+def test_generation_never_reads_posterior_ls_heads():
+    """Generation decodes at the posterior mean, so NaN in every weight of
+    the ``enc_g.ls`` and ``enc_e.ls`` heads changes no graph and no edge
+    probability."""
+    config, params, candidates, task_vecs = sharpened_setup(64, 32, n_queries=20)
+    blind = {name: np.full_like(value, np.nan) if name.startswith(("enc_g.ls.", "enc_e.ls."))
+             else value for name, value in params.items()}
+    assert sum(np.isnan(value).all() for value in blind.values()) == 4
+    seeds = list(range(len(task_vecs)))
+    for forced in (None, 2, 5, 8):
+        want = gt.generate_graphs(params, config, candidates, task_vecs, seeds,
+                                  forced_steps=forced)
+        assert gt.generate_graphs(blind, config, candidates, task_vecs, seeds,
+                                  forced_steps=forced) == want, forced
+        for a, b in zip(edge_pass_probs(params, config, candidates, task_vecs, forced),
+                        edge_pass_probs(blind, config, candidates, task_vecs, forced),
+                        strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True)), forced
+
+
 # ---------------------------------------------------------------------------
 # Minibatch against per-trajectory.
 
