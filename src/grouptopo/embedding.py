@@ -113,6 +113,8 @@ class HttpEncoderClient:
                 f"encoder returned shape {matrix.shape}, "
                 f"expected {(len(texts), self._dim)}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise BackendError("encoder returned NaN or infinite embeddings")
         return matrix
 
 

@@ -129,6 +129,7 @@ class GroupGraph:
         object.__setattr__(self, "selected", tuple(int(s) for s in self.selected))
         canon = sorted((int(i), int(t)) for i, t in self.edges)
         object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "truncated", bool(self.truncated))
 
     @property
     def n_steps(self) -> int:

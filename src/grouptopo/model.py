@@ -87,15 +87,11 @@ class ModelConfig:
         return cls(**values)
 
 
-def _draw_order(config: ModelConfig) -> list[tuple[str | None, tuple[int, ...]]]:
-    """Name and shape of every tensor :func:`init_params` draws, in order.
-
-    The gated projections ``grp_gru`` and ``edge_gru`` draw a full GRU and
-    keep only their gate tensors, so a seed gives the same numbers as when
-    all three were GRUs. Tensors drawn and dropped have no name.
-    """
+def _draw_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in the order
+    :func:`init_params` draws them."""
     d, h = config.dim, config.hidden
-    order: list[tuple[str | None, tuple[int, ...]]] = []
+    order: list[tuple[str, tuple[int, ...]]] = []
 
     def affine(prefix: str, n_out: int, n_in: int) -> None:
         order.append((f"{prefix}.w", (n_out, n_in)))
@@ -103,11 +99,10 @@ def _draw_order(config: ModelConfig) -> list[tuple[str | None, tuple[int, ...]]]
 
     affine("task_ffn.l1", h, d)
     affine("task_ffn.l2", d, h)
-    for prefix in ("his_gru", "grp_gru", "edge_gru"):
-        for key in nn.GRU_SUFFIXES:
-            kept = prefix == "his_gru" or key in nn.GATE_SUFFIXES
-            shape = (d,) if key.startswith("b") else (d, d)
-            order.append((f"{prefix}.{key}" if kept else None, shape))
+    for prefix, keys in (("his_gru", nn.GRU_SUFFIXES), ("grp_gru", nn.GATE_SUFFIXES),
+                         ("edge_gru", nn.GATE_SUFFIXES)):
+        order.extend((f"{prefix}.{key}", (d,) if key.startswith("b") else (d, d))
+                     for key in keys)
     affine("edge_mlp.l1", h, 3 * d)
     affine("edge_mlp.l2", d, h)
     order.append(("step_embed", (config.max_steps, d)))
@@ -130,11 +125,9 @@ def init_params(config: ModelConfig) -> Params:
     p: Params = {}
     for name, shape in _draw_order(config):
         if len(shape) == 2 or name == "end_embed":
-            value = rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
+            p[name] = rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
         else:
-            value = np.zeros(shape)
-        if name is not None:
-            p[name] = value
+            p[name] = np.zeros(shape)
     return p
 
 
@@ -142,7 +135,7 @@ def check_params(params: Params, config: ModelConfig) -> None:
     """Raise :class:`ValidationError` unless ``params`` has exactly the names
     and shapes that ``config`` implies and only finite values; the message
     lists every mismatch."""
-    expected = {name: shape for name, shape in _draw_order(config) if name}
+    expected = dict(_draw_order(config))
     found = {name: value.shape for name, value in params.items()}
     wrong = [n for n in sorted(expected.keys() | found.keys())
              if expected.get(n) != found.get(n)]
@@ -484,6 +477,8 @@ def generate_graphs(
             f"need one task row per seed, of dim {config.dim}; got {task_vecs.shape} "
             f"and {len(seeds)} seeds"
         )
+    if not np.all(np.isfinite(task_vecs)):
+        raise ValidationError("task rows hold NaN or infinite values")
     if candidates.pool_size != config.pool_size:
         raise ValidationError(
             f"candidate pool size {candidates.pool_size} does not match "
@@ -674,18 +669,21 @@ def minibatch_loss_and_grads(
     """
     d = config.dim
     batch = len(graphs)
-    if not batch or np.shape(task_vecs) != (batch, d):
+    if not batch or np.shape(task_vecs) != (batch, d) or len(noises) != batch:
         raise ValidationError(
-            f"need one graph or more and a task row of dim {d} for each, got {batch} "
-            f"graphs and task rows of shape {np.shape(task_vecs)}"
+            f"need one graph or more, and a task row of dim {d} and a noise entry for "
+            f"each; got {batch} graphs, task rows of shape {np.shape(task_vecs)} and "
+            f"{len(noises)} noise entries"
         )
+    if not np.all(np.isfinite(task_vecs)):
+        raise ValidationError("task rows hold NaN or infinite values")
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
     n_group = np.array([min(g.n_steps + 1, config.max_steps) for g in graphs], dtype=int)
     n_sites = np.array([_site_count(graph, config) for graph in graphs], dtype=int)
     eps_parts = []
-    for noise, count in zip(noises, n_sites, strict=True):
+    for noise, count in zip(noises, n_sites):
         if noise is None:
             noise = [np.zeros(d)] * count
         if len(noise) < count:

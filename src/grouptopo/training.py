@@ -108,6 +108,10 @@ def train(
     latent noise come from one counter-based stream, drawn trajectory by
     trajectory in minibatch order, so two runs with identical inputs produce
     bit-identical loss histories.
+
+    Caller-supplied ``params`` must match ``model_config`` and an
+    ``opt_state``'s moments must match ``params``, or ValidationError is
+    raised before any work.
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
@@ -118,12 +122,19 @@ def train(
     for traj in dataset:
         validate_group_graph(traj.graph, pool.size, model_config.max_steps)
 
-    candidates = build_candidate_matrix(provider, pool)
-    task_vecs = provider.encode([traj.query for traj in dataset])
     if params is None:
         params = model_mod.init_params(model_config)
+    else:
+        model_mod.check_params(params, model_config)
     if opt_state is None:
         opt_state = OptimizerState.for_params(params)
+    shapes = {name: p.shape for name, p in params.items()}
+    for moments in (opt_state.m, opt_state.v):
+        if {name: np.shape(m) for name, m in moments.items()} != shapes:
+            raise ValidationError("optimizer moments do not match the parameters")
+
+    candidates = build_candidate_matrix(provider, pool)
+    task_vecs = provider.encode([traj.query for traj in dataset])
 
     rng = make_rng(train_config.seed)
     n = len(dataset)

@@ -726,10 +726,24 @@ def test_unusable_out_exits_before_training(valid_inputs, tmp_path, monkeypatch)
     assert result.exit_code == 2, result.output
 
 
+@pytest.fixture(scope="module")
+def varied_checkpoint(valid_inputs, tmp_path_factory):
+    """A checkpoint trained like ``valid_inputs``'s but with ``--seed 2``: its
+    free-running graphs differ across the queries below, where the shared
+    checkpoint's all come out the same."""
+    path = str(tmp_path_factory.mktemp("varied") / "model.npz")
+    result = CliRunner().invoke(main, [
+        "train", "--pool", valid_inputs["pool"], "--dataset", valid_inputs["graphs"],
+        "--out", path, *TINY_TRAIN, "--seed", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    return path
+
+
 @pytest.mark.parametrize("forced", [None, 3], ids=["free", "forced3"])
 @pytest.mark.parametrize("batch", [3, cli_mod.GENERATE_BATCH], ids=["batch3", "default"])
-def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, monkeypatch,
-                                                       forced, batch):
+def test_generate_dataset_matches_per_query_generation(valid_inputs, varied_checkpoint,
+                                                       tmp_path, monkeypatch, forced, batch):
     """``generate --dataset`` encodes and samples its queries in batches; its
     records and stdout are those of ``generate_graph`` per query with seed
     ``--seed`` + i."""
@@ -743,7 +757,7 @@ def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, m
     gt.write_records(dataset, [gt.example_to_record(gt.EvalExample(query=q, answer="1"))
                                for q in queries])
     args = ["generate", "--pool", valid_inputs["pool"], "--checkpoint",
-            valid_inputs["checkpoint"], "--dataset", dataset, "--out", out, "--seed", "5"]
+            varied_checkpoint, "--dataset", dataset, "--out", out, "--seed", "5"]
     if forced is not None:
         args += ["--forced-steps", str(forced)]
     result = CliRunner().invoke(main, args)
@@ -753,7 +767,7 @@ def test_generate_dataset_matches_per_query_generation(valid_inputs, tmp_path, m
     ]
 
     pool = gt.load_pool(valid_inputs["pool"])
-    params, _, saved = gt.load_checkpoint(valid_inputs["checkpoint"])
+    params, _, saved = gt.load_checkpoint(varied_checkpoint)
     config = gt.ModelConfig.from_dict(saved["model"])
     provider = gt.HashingTextEmbedder(config.dim)
     candidates = gt.build_candidate_matrix(provider, pool)

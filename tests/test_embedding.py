@@ -106,6 +106,14 @@ def test_http_encoder_wrong_shape():
         client.encode(["a"])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_http_encoder_rejects_non_finite_embeddings(bad):
+    session = FakeSession([FakeResponse(payload={"embeddings": [[1.0, 0.0], [bad, 1.0]]})])
+    client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)
+    with pytest.raises(BackendError, match="NaN or infinite"):
+        client.encode(["a", "b"])
+
+
 def test_http_encoder_transport_error(sleeps):
     session = FakeSession([ConnectionError("refused")] * 3)
     client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)

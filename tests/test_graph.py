@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,14 @@ def two_role_pool() -> gt.GroupPool:
 
 # ---------------------------------------------------------------------------
 # Validation.
+
+
+def test_group_graph_stores_python_scalars():
+    graph = gt.GroupGraph(selected=np.array([2, 0]), edges=[(np.int64(0), np.int64(1))],
+                          truncated=np.bool_(True))
+    assert graph == gt.GroupGraph(selected=(2, 0), edges=((0, 1),), truncated=True)
+    assert type(graph.truncated) is bool
+    assert all(type(x) is int for x in (*graph.selected, *graph.edges[0]))
 
 
 def test_validate_accepts_wellformed():

@@ -4,7 +4,9 @@ the enumeration oracle for the graph measure, and gradient spot checks."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -246,6 +248,34 @@ def test_generate_graphs_rejects_bad_batches(tiny):
         gt.generate_graphs(gt.init_params(config), config, tiny.candidates, vecs, [0, 1])
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_older_v2_checkpoint_generates_the_same_graphs():
+    """``data/v2_tiny.npz`` (4 groups, dim 16, hidden 8, at most 4 steps,
+    trained from seed 9, no optimizer state) and ``data/v2_tiny_graphs.json``,
+    the graphs it gave, were written while ``init_params`` still drew and
+    dropped the zero-state GRU matrices of ``grp_gru`` and ``edge_gru``.
+    Parameter names and shapes did not change, so the file still loads,
+    passes ``check_params`` and generates the same graphs."""
+    params, opt_state, saved = gt.load_checkpoint(DATA / "v2_tiny.npz")
+    config = gt.ModelConfig.from_dict(saved["model"])
+    gt.check_params(params, config)
+    assert opt_state is None
+    provider = gt.HashingTextEmbedder(config.dim)
+    pool = gt.GroupPool(groups=gt.default_pool().groups[: config.pool_size])
+    candidates = gt.build_candidate_matrix(provider, pool)
+    expected = json.loads((DATA / "v2_tiny_graphs.json").read_text())
+    for forced in (None, 3):
+        rows = [row for row in expected if row["forced_steps"] == forced]
+        graphs = gt.generate_graphs(
+            params, config, candidates, provider.encode([row["query"] for row in rows]),
+            [row["seed"] for row in rows], forced_steps=forced,
+        )
+        assert [gt.group_graph_to_record(g) for g in graphs] == [r["graph"] for r in rows]
+    assert len({json.dumps(row["graph"]) for row in expected}) > 2
+
+
 def test_generated_graphs_always_valid():
     # Mini version of the 1000-seed sweep in the acceptance suite.
     setup = make_tiny(pool_size=4, dim=12, hidden=6, max_steps=5, seed=1)
@@ -257,6 +287,7 @@ def test_generated_graphs_always_valid():
         task_vec = setup.provider.encode([f"probe number {seed}"])[0]
         graph = gt.generate_graph(params, config, setup.candidates, task_vec, seed)
         gt.validate_group_graph(graph, 4, 5)
+        assert type(graph.truncated) is bool
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +468,26 @@ GRAPH = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
     pytest.param(lambda s, dim: gt.generate_graphs(
         s.params, s.config, s.candidates, np.zeros((2, dim + 1)), [0, 1]),
                  "of dim", id="generate_wrong_dim"),
+    pytest.param(lambda s, dim: _minibatch(s, np.full((2, dim), np.nan), [GRAPH, GRAPH]),
+                 "NaN or infinite", id="minibatch_nan_rows"),
+    pytest.param(lambda s, dim: gt.graph_log_likelihood(
+        s.params, s.config, s.candidates, np.full(dim, -np.inf), GRAPH),
+                 "NaN or infinite", id="likelihood_infinite_row"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.full((2, dim), np.nan), [0, 1]),
+                 "NaN or infinite", id="generate_nan_rows"),
+    pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
+        s.params, s.config, s.candidates, np.zeros((2, dim)), [GRAPH, GRAPH], [None],
+        beta_group=0.0, beta_edge=0.0),
+                 "noise entry for each", id="minibatch_short_of_noises"),
+    pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None, None],
+        beta_group=0.0, beta_edge=0.0),
+                 "noise entry for each", id="minibatch_extra_noises"),
 ])
 def test_bad_task_inputs_raise_validation_error(tiny, call, match):
-    """Task vectors that do not fit the model, and an empty minibatch, end in
-    ValidationError instead of a NumPy error from deep inside a pass."""
+    """Task vectors that do not fit the model or are not finite, noise lists of
+    the wrong length, and an empty minibatch end in ValidationError instead of
+    a NumPy error from deep inside a pass, or a silent NaN."""
     with pytest.raises(ValidationError, match=match):
         call(tiny, tiny.config.dim)

@@ -279,6 +279,24 @@ def test_train_rejects_invalid_trajectory(pool4):
         gt.train(pool4, setup.provider, dataset + [bad], model_config, train_config)
 
 
+def test_train_rejects_params_and_moments_that_do_not_match(pool4):
+    setup, dataset, model_config, train_config = overfit_setup(epochs=1)
+    args = (pool4, setup.provider, dataset, model_config, train_config)
+    params = gt.init_params(model_config)
+    del params["end_embed"]
+    with pytest.raises(ValidationError, match="end_embed"):
+        gt.train(*args, params=params)
+    params = gt.init_params(model_config)
+    for moments in ("m", "v"):
+        for edit in ("drop", "reshape"):
+            opt_state = nn.OptimizerState.for_params(params)
+            getattr(opt_state, moments).pop("end_embed")
+            if edit == "reshape":
+                getattr(opt_state, moments)["end_embed"] = np.zeros(3)
+            with pytest.raises(ValidationError, match="moments"):
+                gt.train(*args, params=params, opt_state=opt_state)
+
+
 def test_train_resume_from_params(pool4):
     setup, dataset, model_config, train_config = overfit_setup(epochs=6)
     full = gt.train(pool4, setup.provider, dataset, model_config, train_config)
