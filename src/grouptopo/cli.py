@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
+from typing import Callable
 
 import click
 
@@ -23,11 +25,11 @@ from .embedding import (
 )
 from .errors import BackendError, ValidationError
 from .graph import (
-    RECORD_VERSION,
     GroupPool,
     Trajectory,
     check_writable,
     group_graph_from_record,
+    make_record,
     read_records,
     render_diagram,
     trajectory_from_record,
@@ -83,25 +85,20 @@ def _load_pool(path: str | None) -> GroupPool:
     return load_pool(path) if path else default_pool()
 
 
-def _load_examples(path: str) -> list[EvalExample]:
-    records = read_records(path)
-    examples = [example_from_record(r) for r in records if r.get("kind") == "example"]
-    if not examples:
-        raise ValidationError(f"no example records in {path}")
-    return examples
+EXAMPLES = {"example": example_from_record}
+GRAPHS = {
+    "trajectory": trajectory_from_record,
+    "group_graph": lambda record: Trajectory(query="", graph=group_graph_from_record(record)),
+}
+EXPLORATIONS = {"exploration": exploration_result_from_record}
 
 
-def _load_trajectories(path: str) -> list[Trajectory]:
-    records = read_records(path)
-    out = []
-    for record in records:
-        kind = record.get("kind")
-        if kind == "trajectory":
-            out.append(trajectory_from_record(record))
-        elif kind == "group_graph":
-            out.append(Trajectory(query="", graph=group_graph_from_record(record)))
+def _load(path: str, decoders: dict[str, Callable[[dict], object]]) -> list:
+    """Decode the records in ``path`` whose kind has a decoder, in file order;
+    other kinds are skipped. Raises ValidationError if none has one."""
+    out = [decoders[r["kind"]](r) for r in read_records(path) if r["kind"] in decoders]
     if not out:
-        raise ValidationError(f"no trajectory or group_graph records in {path}")
+        raise ValidationError(f"no {' or '.join(decoders)} records in {path}")
     return out
 
 
@@ -177,7 +174,7 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
     """Probe topology families against the backend and label the outcomes."""
     check_writable(out)
     pool = _load_pool(pool_path)
-    examples = _load_examples(dataset)
+    examples = _load(dataset, EXAMPLES)
     backend_obj = _make_backend(backend, examples)
     config = ExplorationConfig(
         families=tuple(f.strip() for f in families.split(",") if f.strip()),
@@ -190,21 +187,18 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
     results = explore_and_label(
         pool, examples, backend_obj, config, max_workers=workers
     )
+    n_correct = sum(1 for r in results if r.correct)
     records = [exploration_result_to_record(r) for r in results]
     records.append(
-        {
-            "v": RECORD_VERSION,
-            "kind": "discover_summary",
-            "seed": seed,
-            "n_results": len(results),
-            "n_correct": sum(1 for r in results if r.correct),
-        }
+        make_record(
+            "discover_summary",
+            seed=seed,
+            n_results=len(results),
+            n_correct=n_correct,
+        )
     )
     write_records(out, records)
-    click.echo(
-        f"explored {len(results)} runs, "
-        f"{sum(1 for r in results if r.correct)} correct -> {out}"
-    )
+    click.echo(f"explored {len(results)} runs, {n_correct} correct -> {out}")
 
 
 @main.command()
@@ -215,14 +209,7 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
 def curate(results_path, out) -> None:
     """Keep the cheapest correct graph per query."""
     check_writable(out)
-    records = read_records(results_path)
-    results = [
-        exploration_result_from_record(r)
-        for r in records
-        if r.get("kind") == "exploration"
-    ]
-    if not results:
-        raise ValidationError(f"no exploration records in {results_path}")
+    results = _load(results_path, EXPLORATIONS)
     trajectories, excluded = curate_minimal(results)
     write_records(out, [trajectory_to_record(t) for t in trajectories])
     click.echo(f"curated {len(trajectories)} trajectories -> {out}")
@@ -253,7 +240,7 @@ def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
     """Teacher-force the generator on curated trajectories."""
     check_writable(out_path)
     pool = _load_pool(pool_path)
-    trajectories = _load_trajectories(dataset)
+    trajectories = _load(dataset, GRAPHS)
     provider = _make_provider(encoder, dim)
     model_config = ModelConfig(
         pool_size=pool.size,
@@ -315,7 +302,7 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
     provider = _make_provider(str(encoder.get("kind", "hash")), dim)
     query_list = list(queries)
     if dataset:
-        query_list.extend(e.query for e in _load_examples(dataset))
+        query_list.extend(e.query for e in _load(dataset, EXAMPLES))
     if not query_list:
         raise ValidationError("no queries given; use --query or --dataset")
     candidates = build_candidate_matrix(provider, pool)
@@ -372,8 +359,8 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
     if out:
         check_writable(out)
     pool = _load_pool(pool_path)
-    trajectories = _load_trajectories(graphs_path)
-    examples = _load_examples(dataset) if dataset else None
+    trajectories = _load(graphs_path, GRAPHS)
+    examples = _load(dataset, EXAMPLES) if dataset else None
     backend_obj = _make_backend(backend, examples)
     attack = _parse_attack(attack_target, attack_text)
     report = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack)
@@ -384,33 +371,17 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
         f"{report.stats.calls} calls"
     )
     if out:
-        records = [
-            {
-                "v": RECORD_VERSION,
-                "kind": "run_item",
-                "query": item.query,
-                "expected": item.expected,
-                "got": item.got,
-                "correct": item.correct,
-                "prompt_tokens": item.prompt_tokens,
-                "completion_tokens": item.completion_tokens,
-                "calls": item.calls,
-            }
-            for item in report.items
-        ]
+        records = [make_record("run_item", **asdict(item)) for item in report.items]
         records.append(
-            {
-                "v": RECORD_VERSION,
-                "kind": "run_summary",
-                "seed": seed,
-                "mode": mode,
-                "rounds": rounds,
-                "accuracy": report.accuracy,
-                "prompt_tokens": report.stats.prompt_tokens,
-                "completion_tokens": report.stats.completion_tokens,
-                "calls": report.stats.calls,
-                "attacked": attack is not None,
-            }
+            make_record(
+                "run_summary",
+                seed=seed,
+                mode=mode,
+                rounds=rounds,
+                accuracy=report.accuracy,
+                attacked=attack is not None,
+                **asdict(report.stats),
+            )
         )
         write_records(out, records)
         click.echo(f"wrote report -> {out}")
@@ -433,8 +404,8 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
     if out:
         check_writable(out)
     pool = _load_pool(pool_path)
-    trajectories = _load_trajectories(graphs_path)
-    examples = _load_examples(dataset)
+    trajectories = _load(graphs_path, GRAPHS)
+    examples = _load(dataset, EXAMPLES)
     backend_obj = _make_backend(backend, examples)
     injection = _parse_attack(attack_target, attack_text)
     clean = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, None)
@@ -449,14 +420,13 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
         write_records(
             out,
             [
-                {
-                    "v": RECORD_VERSION,
-                    "kind": "attack_report",
-                    "clean_accuracy": clean.accuracy,
-                    "attacked_accuracy": attacked.accuracy,
-                    "degradation": clean.accuracy - attacked.accuracy,
-                    "target": attack_target,
-                }
+                make_record(
+                    "attack_report",
+                    clean_accuracy=clean.accuracy,
+                    attacked_accuracy=attacked.accuracy,
+                    degradation=clean.accuracy - attacked.accuracy,
+                    target=attack_target,
+                )
             ],
         )
         click.echo(f"wrote report -> {out}")
@@ -469,7 +439,7 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
 def diagram(pool_path, graphs_path) -> None:
     """Print stored graphs as static node/edge text."""
     pool = _load_pool(pool_path)
-    for traj in _load_trajectories(graphs_path):
+    for traj in _load(graphs_path, GRAPHS):
         if traj.query:
             click.echo(f"# {traj.query}")
         click.echo(render_diagram(traj.graph, pool))

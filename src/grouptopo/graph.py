@@ -4,8 +4,10 @@ A group-level graph is an ordered sequence of selected groups plus directed
 edges (i, t) with i < t; it is materialized into an executable agent graph
 either as one composite agent per group or as one agent per member role.
 
-Serialization uses line-delimited JSON records. Every record carries a
-schema version field ``"v": "v1"`` and a ``kind`` discriminator; edges are
+Serialization uses line-delimited JSON records, and this module owns their
+format: every record is written with :func:`make_record`, which adds the
+schema version ``"v": "v1"`` and a ``kind`` discriminator, and its fields
+are read with :func:`record_field`, which checks their JSON types. Edges are
 encoded as ``"i->t"`` strings.
 """
 
@@ -331,7 +333,7 @@ def format_edge(edge: tuple[int, int]) -> str:
 
 def parse_edge(text: str) -> tuple[int, int]:
     """Parse an ``"i->t"`` edge string; rejects i >= t."""
-    match = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", str(text))
+    match = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", text)
     if not match:
         raise ValidationError(f"malformed edge '{text}', expected 'i->t'")
     i, t = int(match.group(1)), int(match.group(2))
@@ -340,88 +342,107 @@ def parse_edge(text: str) -> tuple[int, int]:
     return i, t
 
 
-def _require(record: dict, key: str, kind: str):
+def make_record(kind: str, **fields) -> dict:
+    """A record of ``kind``: ``fields`` under the schema header."""
+    return {"v": RECORD_VERSION, "kind": kind, **fields}
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def record_field(record: dict, key: str, json_type: type, default=_REQUIRED):
+    """``record[key]``, which must hold the JSON type ``json_type`` (``str``,
+    ``int``, ``bool``, ``list`` or ``dict``; a bool is not an int), or
+    ``default`` when the key is absent and a default is given.
+
+    Raises:
+        ValidationError: naming ``key``, if it is absent without a default or
+            holds another type.
+    """
     if key not in record:
-        raise ValidationError(f"{kind} record is missing '{key}'")
-    return record[key]
+        if default is _REQUIRED:
+            raise ValidationError(f"record is missing '{key}'")
+        return default
+    value = record[key]
+    if not isinstance(value, json_type) or isinstance(value, bool) != (json_type is bool):
+        raise ValidationError(f"'{key}' must be {_JSON_TYPES[json_type]}")
+    return value
 
 
-def _check_header(record: dict, kind: str | None = None) -> str:
+def check_header(record: dict, kind: str | None = None) -> str:
+    """Check that ``record`` is an object with this schema version and a string
+    ``kind``, equal to ``kind`` when given; return its kind.
+
+    Raises:
+        ValidationError: on the first check that fails.
+    """
     if not isinstance(record, dict):
         raise ValidationError("record is not an object")
-    version = record.get("v")
-    if version is None:
+    if "v" not in record:
         raise ValidationError("record is missing schema version 'v'")
-    if version != RECORD_VERSION:
-        raise ValidationError(f"unsupported schema version '{version}'")
-    actual = record.get("kind")
-    if actual is None:
-        raise ValidationError("record is missing 'kind'")
+    if record["v"] != RECORD_VERSION:
+        raise ValidationError(f"unsupported schema version '{record['v']}'")
+    actual = record_field(record, "kind", str)
     if kind is not None and actual != kind:
         raise ValidationError(f"expected kind '{kind}', found '{actual}'")
-    return str(actual)
+    return actual
 
 
 def group_graph_to_record(graph: GroupGraph) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "kind": "group_graph",
-        "selected": list(graph.selected),
-        "edges": [format_edge(e) for e in graph.edges],
-        "truncated": bool(graph.truncated),
-    }
+    return make_record(
+        "group_graph",
+        selected=list(graph.selected),
+        edges=[format_edge(e) for e in graph.edges],
+        truncated=bool(graph.truncated),
+    )
 
 
 def group_graph_from_record(record: dict) -> GroupGraph:
-    _check_header(record, "group_graph")
-    selected = _require(record, "selected", "group_graph")
-    if not isinstance(selected, list) or any(
-        isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in selected
-    ):
+    check_header(record, "group_graph")
+    selected = record_field(record, "selected", list)
+    if any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in selected):
         raise ValidationError("'selected' must be a list of non-negative integers")
-    edges_raw = _require(record, "edges", "group_graph")
-    if not isinstance(edges_raw, list):
+    edges_raw = record_field(record, "edges", list)
+    if not all(isinstance(e, str) for e in edges_raw):
         raise ValidationError("'edges' must be a list of 'i->t' strings")
     edges = tuple(parse_edge(e) for e in edges_raw)
     n = len(selected)
     for i, t in edges:
         if t >= n:
             raise ValidationError(f"edge {i}->{t} exceeds the {n} recorded steps")
-    truncated = record.get("truncated", False)
-    if not isinstance(truncated, bool):
-        raise ValidationError("'truncated' must be true or false")
+    truncated = record_field(record, "truncated", bool, False)
     return GroupGraph(selected=tuple(selected), edges=edges, truncated=truncated)
 
 
 def group_to_record(group: CandidateGroup) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "kind": "group",
-        "name": group.name,
-        "description": group.description,
-        "pattern": group.pattern.value,
-        "roles": [{"name": r.name, "prompt": r.prompt} for r in group.roles],
-    }
+    return make_record(
+        "group",
+        name=group.name,
+        description=group.description,
+        pattern=group.pattern.value,
+        roles=[{"name": r.name, "prompt": r.prompt} for r in group.roles],
+    )
 
 
 def group_from_record(record: dict) -> CandidateGroup:
-    _check_header(record, "group")
-    roles_raw = _require(record, "roles", "group")
-    if not isinstance(roles_raw, list) or not roles_raw:
-        raise ValidationError("'roles' must be a non-empty list")
-    roles = []
-    for r in roles_raw:
-        if not isinstance(r, dict) or "name" not in r or "prompt" not in r:
-            raise ValidationError("each role needs 'name' and 'prompt'")
-        roles.append(RoleSpec(name=str(r["name"]), prompt=str(r["prompt"])))
+    check_header(record, "group")
+    roles_raw = record_field(record, "roles", list)
+    if not roles_raw or not all(isinstance(r, dict) for r in roles_raw):
+        raise ValidationError("'roles' must be a non-empty list of objects")
+    roles = tuple(
+        RoleSpec(name=record_field(r, "name", str), prompt=record_field(r, "prompt", str))
+        for r in roles_raw
+    )
     try:
-        pattern = IntraPattern(str(_require(record, "pattern", "group")))
+        pattern = IntraPattern(record_field(record, "pattern", str))
     except ValueError as exc:
         raise ValidationError(f"unknown intra pattern '{record['pattern']}'") from exc
     return CandidateGroup(
-        name=str(_require(record, "name", "group")),
-        description=str(record.get("description", "")),
-        roles=tuple(roles),
+        name=record_field(record, "name", str),
+        description=record_field(record, "description", str, ""),
+        roles=roles,
         pattern=pattern,
     )
 
@@ -436,19 +457,18 @@ def pool_from_records(records: Sequence[dict]) -> GroupPool:
 
 
 def trajectory_to_record(traj: Trajectory) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "kind": "trajectory",
-        "query": traj.query,
-        "graph": group_graph_to_record(traj.graph),
-    }
+    return make_record(
+        "trajectory",
+        query=traj.query,
+        graph=group_graph_to_record(traj.graph),
+    )
 
 
 def trajectory_from_record(record: dict) -> Trajectory:
-    _check_header(record, "trajectory")
-    query = _require(record, "query", "trajectory")
-    graph = group_graph_from_record(_require(record, "graph", "trajectory"))
-    return Trajectory(query=str(query), graph=graph)
+    check_header(record, "trajectory")
+    query = record_field(record, "query", str)
+    graph = group_graph_from_record(record_field(record, "graph", dict))
+    return Trajectory(query=query, graph=graph)
 
 
 def read_records(path: str | os.PathLike) -> list[dict]:
@@ -481,7 +501,7 @@ def read_records(path: str | os.PathLike) -> list[dict]:
         except RecursionError as exc:
             raise ValidationError("JSON nested too deeply", line=lineno) from exc
         try:
-            _check_header(record)
+            check_header(record)
         except ValidationError as exc:
             raise ValidationError(str(exc), line=lineno) from exc
         records.append(record)

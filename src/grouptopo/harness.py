@@ -19,11 +19,13 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from .errors import BackendError, ValidationError
 from .graph import (
-    RECORD_VERSION,
     AgentGraph,
     GroupGraph,
     GroupPool,
+    check_header,
+    make_record,
     materialize_agent_graph,
+    record_field,
 )
 
 # Numeric answers match within this relative and absolute tolerance.
@@ -196,6 +198,10 @@ class HttpAgentBackend:
             raise BackendError(
                 f"agent backend returned an unusable payload: {exc}"
             ) from exc
+        if not isinstance(text, str):
+            raise BackendError(
+                f"agent backend returned an unusable payload: content is {text!r}"
+            )
         usage = body.get("usage")
         usage = {} if usage is None else usage
         if not isinstance(usage, dict):
@@ -211,7 +217,7 @@ class HttpAgentBackend:
                     "agent backend returned an unusable payload: "
                     f"token count {count!r} is not a non-negative integer"
                 )
-        return BackendResult(str(text), *counts)
+        return BackendResult(text, *counts)
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +445,20 @@ class EvalExample:
 
 
 def example_to_record(example: EvalExample) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "kind": "example",
-        "query": example.query,
-        "answer": example.answer,
-        "match": example.match,
-    }
+    return make_record(
+        "example",
+        query=example.query,
+        answer=example.answer,
+        match=example.match,
+    )
 
 
 def example_from_record(record: dict) -> EvalExample:
-    if record.get("kind") != "example":
-        raise ValidationError(f"expected kind 'example', found '{record.get('kind')}'")
-    if "query" not in record or "answer" not in record:
-        raise ValidationError("example record needs 'query' and 'answer'")
+    check_header(record, "example")
     return EvalExample(
-        query=str(record["query"]),
-        answer=str(record["answer"]),
-        match=str(record.get("match", "auto")),
+        query=record_field(record, "query", str),
+        answer=record_field(record, "answer", str),
+        match=record_field(record, "match", str, "auto"),
     )
 
 

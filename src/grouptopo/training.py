@@ -19,12 +19,14 @@ from . import nn
 from .embedding import CandidateMatrix, EmbeddingProvider, build_candidate_matrix
 from .errors import ValidationError
 from .graph import (
-    RECORD_VERSION,
     GroupGraph,
     GroupPool,
     Trajectory,
+    check_header,
     group_graph_from_record,
     group_graph_to_record,
+    make_record,
+    record_field,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -258,41 +260,35 @@ class ExplorationResult:
 
 
 def exploration_result_to_record(result: ExplorationResult) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "kind": "exploration",
-        "query": result.query,
-        "answer": result.answer,
-        "graph": group_graph_to_record(result.graph),
-        "family": result.family,
-        "correct": bool(result.correct),
-        "final_text": result.final_text,
-        "prompt_tokens": int(result.prompt_tokens),
-        "completion_tokens": int(result.completion_tokens),
-    }
+    return make_record(
+        "exploration",
+        query=result.query,
+        answer=result.answer,
+        graph=group_graph_to_record(result.graph),
+        family=result.family,
+        correct=bool(result.correct),
+        final_text=result.final_text,
+        prompt_tokens=int(result.prompt_tokens),
+        completion_tokens=int(result.completion_tokens),
+    )
 
 
 def exploration_result_from_record(record: dict) -> ExplorationResult:
-    if record.get("kind") != "exploration":
-        raise ValidationError(
-            f"expected kind 'exploration', found '{record.get('kind')}'"
-        )
-    for key in ("query", "graph", "correct"):
-        if key not in record:
-            raise ValidationError(f"exploration record is missing '{key}'")
-    if not isinstance(record["correct"], bool):
-        raise ValidationError("'correct' must be true or false")
-    tokens = {key: record.get(key, 0) for key in ("prompt_tokens", "completion_tokens")}
+    check_header(record, "exploration")
+    tokens = {
+        key: record_field(record, key, int, 0)
+        for key in ("prompt_tokens", "completion_tokens")
+    }
     for key, value in tokens.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if value < 0:
             raise ValidationError(f"'{key}' must be a non-negative integer")
     return ExplorationResult(
-        query=str(record["query"]),
-        answer=str(record.get("answer", "")),
-        graph=group_graph_from_record(record["graph"]),
-        family=str(record.get("family", "")),
-        correct=record["correct"],
-        final_text=str(record.get("final_text", "")),
+        query=record_field(record, "query", str),
+        answer=record_field(record, "answer", str, ""),
+        graph=group_graph_from_record(record_field(record, "graph", dict)),
+        family=record_field(record, "family", str, ""),
+        correct=record_field(record, "correct", bool),
+        final_text=record_field(record, "final_text", str, ""),
         **tokens,
     )
 

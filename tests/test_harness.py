@@ -611,6 +611,15 @@ def test_http_backend_rejects_unusable_usage(payload):
         backend.complete("s", "u", role="r")
 
 
+@pytest.mark.parametrize("content", [None, 5, ["hi"], {"text": "hi"}],
+                         ids=["null", "number", "list", "object"])
+def test_http_backend_rejects_content_that_is_not_a_string(content):
+    session = FakeSession([FakeResponse(200, chat_payload(content))])
+    backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
+    with pytest.raises(BackendError, match="unusable payload: content is"):
+        backend.complete("s", "u", role="r")
+
+
 def test_http_backend_usage_may_be_partial_or_null():
     payloads = [
         {**chat_payload("a"), "usage": None},
