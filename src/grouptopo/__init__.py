@@ -7,7 +7,6 @@ accounting.
 """
 
 from .embedding import (
-    CandidateMatrix,
     EmbeddingProvider,
     HashingTextEmbedder,
     HttpEncoderClient,

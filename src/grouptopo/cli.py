@@ -110,12 +110,17 @@ def _make_provider(kind: str, dim: int) -> EmbeddingProvider:
     raise ValidationError(f"unknown encoder '{kind}'")
 
 
-def _make_backend(kind: str, examples: list[EvalExample] | None):
+def _make_backend(
+    kind: str, examples: list[EvalExample] | None, attack: AttackSpec | None = None
+):
+    """The agent backend. A scripted backend for an attacked run treats the
+    injected text as its compromise marker; a clean run gets no marker, since
+    a short text can also occur in an ordinary role prompt."""
     if kind == "http":
         return HttpAgentBackend()
     if kind == "scripted":
         answers = {e.query: e.answer for e in examples} if examples else {}
-        return AnswerKeyBackend(answers)
+        return AnswerKeyBackend(answers, attack.text if attack else None)
     raise ValidationError(f"unknown backend '{kind}'")
 
 
@@ -361,8 +366,8 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
     pool = _load_pool(pool_path)
     trajectories = _load(graphs_path, GRAPHS)
     examples = _load(dataset, EXAMPLES) if dataset else None
-    backend_obj = _make_backend(backend, examples)
     attack = _parse_attack(attack_target, attack_text)
+    backend_obj = _make_backend(backend, examples, attack)
     report = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack)
     click.echo(
         f"accuracy {report.accuracy:.3f} on {len(report.items)} items, "
@@ -406,11 +411,13 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
     pool = _load_pool(pool_path)
     trajectories = _load(graphs_path, GRAPHS)
     examples = _load(dataset, EXAMPLES)
-    backend_obj = _make_backend(backend, examples)
     injection = _parse_attack(attack_target, attack_text)
-    clean = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, None)
+    clean = _run_eval(
+        pool, trajectories, examples, _make_backend(backend, examples), mode, rounds, None
+    )
     attacked = _run_eval(
-        pool, trajectories, examples, backend_obj, mode, rounds, injection
+        pool, trajectories, examples, _make_backend(backend, examples, injection), mode,
+        rounds, injection,
     )
     click.echo(
         f"clean accuracy {clean.accuracy:.3f}, "

@@ -1,4 +1,4 @@
-"""Text embedding providers and the candidate scoring matrix.
+"""Text embedding providers and the candidate group embeddings.
 
 Two providers are shipped: a deterministic feature-hashing embedder that
 needs no network (used throughout the tests), and a client for an external
@@ -9,7 +9,6 @@ sentence-encoder HTTP service configured through the ``GOA_ENCODER_URL`` /
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -118,40 +117,7 @@ class HttpEncoderClient:
         return matrix
 
 
-@dataclass(frozen=True)
-class CandidateMatrix:
-    """Frozen embeddings for the K pool groups plus a STOP row.
-
-    Row ``end_index`` (== pool size) is a placeholder; the model swaps in its
-    learnable STOP embedding when scoring, so the stored row stays zero.
-    """
-
-    matrix: np.ndarray
-    pool_size: int
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != self.pool_size + 1:
-            raise ValidationError(
-                f"candidate matrix must have {self.pool_size + 1} rows, "
-                f"got shape {mat.shape}"
-            )
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
-
-    @property
-    def end_index(self) -> int:
-        return self.pool_size
-
-
-def build_candidate_matrix(
-    provider: EmbeddingProvider, pool: GroupPool
-) -> CandidateMatrix:
-    """Embed every group's canonical text; append a zero STOP row."""
-    texts = [g.text() for g in pool]
-    embedded = provider.encode(texts)
-    matrix = np.vstack([embedded, np.zeros((1, provider.dim))])
-    return CandidateMatrix(matrix=matrix, pool_size=pool.size)
+def build_candidate_matrix(provider: EmbeddingProvider, pool: GroupPool) -> np.ndarray:
+    """Embed every group's canonical text: one row per group, in pool order.
+    The model appends its learnable STOP row when it scores them."""
+    return provider.encode([g.text() for g in pool])

@@ -40,9 +40,9 @@ def count_tokens(text: str) -> int:
     ``words`` splits on whitespace; ``chars`` counts non-whitespace
     characters. Empty or all-whitespace text counts as zero.
     """
-    words = len(text.split())
-    chars = sum(1 for c in text if not c.isspace())
-    return math.ceil((words + math.ceil(chars / 4)) / 2)
+    words = text.split()
+    chars = sum(map(len, words))
+    return math.ceil((len(words) + math.ceil(chars / 4)) / 2)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ class AnswerKeyBackend:
 
 # Retry policy of every HTTP client. Transport errors (``OSError``, which
 # ``requests`` errors subclass), 429 and 5xx are retried with exponential backoff,
-# or after the server's ``Retry-After`` when it gives whole seconds. Other 4xx and
-# bodies that are not JSON raise BackendError at once; other exceptions propagate.
+# or after the server's ``Retry-After`` when it gives whole seconds, capped at
+# HTTP_TIMEOUT_S. Other 4xx and bodies that are not JSON raise BackendError at
+# once; other exceptions propagate.
 HTTP_TIMEOUT_S = 60.0
 HTTP_ATTEMPTS = 3
 HTTP_BACKOFF_S = 0.5
@@ -148,7 +149,8 @@ class HttpEndpoint:
             if status == 429 or status >= 500:
                 failure = f"HTTP {status}"
                 retry_after = response.headers.get("Retry-After", "")
-                delay = int(retry_after) if retry_after.isdecimal() else delay
+                if retry_after.isdecimal():
+                    delay = min(int(retry_after), HTTP_TIMEOUT_S)
                 continue
             if status >= 400:
                 raise BackendError(

@@ -4,8 +4,8 @@ The model factorizes a graph's probability into per-step group selections and
 per-pair edge decisions. Each step fuses a recurrent history summary with the
 projected task vector through a scalar gate, refines the fused state, and
 passes it through a stochastic bottleneck whose prior is conditioned on the
-task. Selection scores come from similarity against the candidate matrix; a
-learnable STOP row terminates generation.
+task. Selection scores come from similarity against the candidate group
+embeddings; a learnable STOP row terminates generation.
 
 Teacher forcing and generation share one forward function per site kind. A
 group site is a fused row; an edge site reads its source's fused row, its
@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .embedding import CandidateMatrix
 from .errors import ValidationError
 from .graph import GroupGraph, check_graph_shape
 from .nn import Grads, Params, accumulate, make_rng
@@ -315,16 +314,26 @@ def _fuse_backward(
     return d_h, d_z
 
 
-def scoring_matrix(params: Params, candidates: CandidateMatrix) -> np.ndarray:
-    """Candidate rows with the learnable STOP embedding swapped in."""
-    if candidates.dim != params["end_embed"].shape[0]:
-        raise ValidationError(
-            f"candidate dim {candidates.dim} does not match model dim "
-            f"{params['end_embed'].shape[0]}"
-        )
-    matrix = candidates.matrix.copy()
-    matrix[candidates.end_index] = params["end_embed"]
-    return matrix
+def _check_rows(rows: np.ndarray, shape: tuple[int, int], name: str, need: str) -> None:
+    """Raise ValidationError unless the ``name`` have ``shape``, which ``need``
+    describes, and hold only finite values."""
+    if np.shape(rows) != shape:
+        raise ValidationError(f"need {need}; got {name} of shape {np.shape(rows)}")
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError(f"{name} hold NaN or infinite values")
+
+
+def scoring_matrix(
+    params: Params, config: ModelConfig, candidates: np.ndarray
+) -> np.ndarray:
+    """The ``(pool_size, dim)`` candidate rows with the learnable STOP
+    embedding appended as row ``pool_size``."""
+    _check_rows(
+        candidates, (config.pool_size, config.dim), "candidate rows",
+        f"one candidate row per group of the pool of {config.pool_size}, "
+        f"of dim {config.dim}",
+    )
+    return np.vstack([candidates, params["end_embed"]])
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +427,17 @@ def _edge_sites(
 
 
 def _decode_batch(
-    params: Params, matrix: np.ndarray, end_index: int, z: np.ndarray, limit: int,
-    allow_stop: bool,
+    params: Params, matrix: np.ndarray, z: np.ndarray, limit: int, allow_stop: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy selection for every task row of ``z``, then one pass over all
-    edge sites. Returns the chosen groups ``(B, limit)``, each query's step
-    count and the probability of every edge site ``(b, i, t)``, ordered by
-    query b, target t, then source i."""
+    edge sites; the last row of ``matrix`` is STOP. Returns the chosen groups
+    ``(B, limit)``, each query's step count and the probability of every edge
+    site ``(b, i, t)``, ordered by query b, target t, then source i."""
     batch, d = z.shape
     fused = np.zeros((batch, limit, d))
     chosen = np.zeros((batch, limit), dtype=int)
     n_steps = np.zeros(batch, dtype=int)
+    end_index = len(matrix) - 1
     running, history = np.arange(batch), np.zeros_like(z)
     for t in range(limit):
         rows, _ = fuse_step(params, history, z[running], t)
@@ -449,7 +458,7 @@ def _decode_batch(
 def generate_graphs(
     params: Params,
     config: ModelConfig,
-    candidates: CandidateMatrix,
+    candidates: np.ndarray,
     task_vecs: np.ndarray,
     seeds: Sequence[int],
     *,
@@ -472,18 +481,8 @@ def generate_graphs(
     most ``config.max_steps`` (the rows of the step-embedding table).
     """
     task_vecs = np.asarray(task_vecs, dtype=np.float64)
-    if task_vecs.shape != (len(seeds), config.dim):
-        raise ValidationError(
-            f"need one task row per seed, of dim {config.dim}; got {task_vecs.shape} "
-            f"and {len(seeds)} seeds"
-        )
-    if not np.all(np.isfinite(task_vecs)):
-        raise ValidationError("task rows hold NaN or infinite values")
-    if candidates.pool_size != config.pool_size:
-        raise ValidationError(
-            f"candidate pool size {candidates.pool_size} does not match "
-            f"config pool_size {config.pool_size}"
-        )
+    _check_rows(task_vecs, (len(seeds), config.dim), "task rows",
+                f"one task row per seed, of dim {config.dim}")
     limit = config.max_steps
     if forced_steps is not None:
         if not 1 <= forced_steps <= config.max_steps:
@@ -491,11 +490,9 @@ def generate_graphs(
                 f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
             )
         limit = forced_steps
-    matrix = scoring_matrix(params, candidates)
+    matrix = scoring_matrix(params, config, candidates)
     z, _ = project_task(params, task_vecs)
-    chosen, n_steps, p_edge = _decode_batch(
-        params, matrix, candidates.end_index, z, limit, forced_steps is None
-    )
+    chosen, n_steps, p_edge = _decode_batch(params, matrix, z, limit, forced_steps is None)
     graphs, start = [], 0
     for seed, selected, n in zip(seeds, chosen, n_steps):
         rng = make_rng(seed)
@@ -519,7 +516,7 @@ def generate_graphs(
 def generate_graph(
     params: Params,
     config: ModelConfig,
-    candidates: CandidateMatrix,
+    candidates: np.ndarray,
     task_vec: np.ndarray,
     seed: int = 0,
     *,
@@ -539,7 +536,7 @@ def generate_graph(
 def graph_log_likelihood(
     params: Params,
     config: ModelConfig,
-    candidates: CandidateMatrix,
+    candidates: np.ndarray,
     task_vec: np.ndarray,
     graph: GroupGraph,
 ) -> float:
@@ -600,7 +597,7 @@ def _site_count(graph: GroupGraph, config: ModelConfig) -> int:
 def loss_and_grads(
     params: Params,
     config: ModelConfig,
-    candidates: CandidateMatrix,
+    candidates: np.ndarray,
     task_vec: np.ndarray,
     graph: GroupGraph,
     *,
@@ -641,7 +638,7 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 def minibatch_loss_and_grads(
     params: Params,
     config: ModelConfig,
-    candidates: CandidateMatrix,
+    candidates: np.ndarray,
     task_vecs: np.ndarray,
     graphs: Sequence[GroupGraph],
     noises: Sequence[list[np.ndarray] | None],
@@ -669,14 +666,12 @@ def minibatch_loss_and_grads(
     """
     d = config.dim
     batch = len(graphs)
-    if not batch or np.shape(task_vecs) != (batch, d) or len(noises) != batch:
+    if not batch or len(noises) != batch:
         raise ValidationError(
-            f"need one graph or more, and a task row of dim {d} and a noise entry for "
-            f"each; got {batch} graphs, task rows of shape {np.shape(task_vecs)} and "
-            f"{len(noises)} noise entries"
+            f"need one graph or more, and a noise entry for each; got {batch} graphs "
+            f"and {len(noises)} noise entries"
         )
-    if not np.all(np.isfinite(task_vecs)):
-        raise ValidationError("task rows hold NaN or infinite values")
+    _check_rows(task_vecs, (batch, d), "task rows", f"a task row of dim {d} per graph")
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
@@ -692,8 +687,8 @@ def minibatch_loss_and_grads(
     eps = np.concatenate(eps_parts)
     site_base = np.cumsum(n_sites) - n_sites
 
-    matrix = scoring_matrix(params, candidates)
-    end_index = candidates.end_index
+    matrix = scoring_matrix(params, config, candidates)
+    end_index = config.pool_size
     z, task_cache = project_task(params, task_vecs)
     prior_g, prior_g_cache = _bottleneck(params, "prior_g", z)
     prior_e, prior_e_cache = _bottleneck(params, "prior_e", z)

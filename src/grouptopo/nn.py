@@ -426,9 +426,10 @@ def load_checkpoint(
     if not os.path.exists(path):
         raise ValidationError(f"checkpoint not found: {os.fspath(path)}")
     # Reading any member can fail too: a bad CRC raises BadZipFile, and an
-    # empty file raises EOFError.
+    # empty file raises EOFError. The file is opened here, because np.load
+    # leaves its own handle open when the zip directory fails to parse.
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             keys = set(data.files)
             found = str(data["meta/format"]) if "meta/format" in keys else None
             if found != CHECKPOINT_FORMAT:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import nn
-from .embedding import CandidateMatrix, EmbeddingProvider, build_candidate_matrix
+from .embedding import EmbeddingProvider, build_candidate_matrix
 from .errors import ValidationError
 from .graph import (
     GroupGraph,
@@ -88,7 +88,7 @@ class TrainResult:
     params: Params
     opt_state: OptimizerState
     history: list[EpochLog] = field(default_factory=list)
-    candidates: CandidateMatrix | None = None
+    candidates: np.ndarray | None = None
 
 
 def train(

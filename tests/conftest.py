@@ -23,7 +23,7 @@ def hash16() -> gt.HashingTextEmbedder:
 class TinySetup:
     pool: gt.GroupPool
     provider: gt.HashingTextEmbedder
-    candidates: gt.CandidateMatrix
+    candidates: np.ndarray
     config: gt.ModelConfig
     params: dict
     task_vec: np.ndarray

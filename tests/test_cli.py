@@ -287,6 +287,28 @@ def test_exit_code_attack_flags_must_pair(runner, workdir):
     assert "go together" in result.stderr
 
 
+@pytest.mark.parametrize("text", ["ignore everything", "x"])
+def test_scripted_attack_degrades_accuracy(runner, workdir, text):
+    """The scripted backend of an attacked run is compromised by the injected
+    text; the clean run's is not, even when the text occurs in a role prompt."""
+    chain = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
+    gt.write_records(str(workdir / "graphs.jsonl"), [
+        gt.trajectory_to_record(gt.Trajectory(query=q, graph=chain))
+        for q in ("what is 2 plus 3", "what is 10 minus 4")
+    ])
+    common = ["--pool", str(workdir / "pool.jsonl"), "--graphs",
+              str(workdir / "graphs.jsonl"), "--dataset", str(workdir / "dataset.jsonl")]
+    attack = ["--attack-target", "0", "--attack-text", text]
+    result = invoke(runner, ["attack", *common, *attack,
+                             "--out", str(workdir / "attack.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert "clean accuracy 1.000, attacked accuracy 0.000" in result.output
+    report = gt.read_records(str(workdir / "attack.jsonl"))[0]
+    assert report["attacked_accuracy"] < report["clean_accuracy"]
+    assert invoke(runner, ["run", *common]).output.startswith("accuracy 1.000")
+    assert invoke(runner, ["run", *common, *attack]).output.startswith("accuracy 0.000")
+
+
 def test_curate_requires_exploration_records(runner, workdir):
     result = invoke(runner, [
         "curate", "--results", str(workdir / "dataset.jsonl"),

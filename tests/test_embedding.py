@@ -65,17 +65,11 @@ def test_candidate_matrix_layout():
     pool = gt.default_pool()
     emb = gt.HashingTextEmbedder(24)
     cand = gt.build_candidate_matrix(emb, pool)
-    assert cand.matrix.shape == (pool.size + 1, 24)
-    assert cand.end_index == pool.size
-    assert cand.dim == 24
-    assert np.array_equal(cand.matrix[-1], np.zeros(24))
-    # Frozen rows are the embeddings of each group's canonical text.
-    assert np.array_equal(cand.matrix[0], emb.encode_one(pool[0].text()))
-
-
-def test_candidate_matrix_validates_shape():
-    with pytest.raises(ValidationError, match="rows"):
-        gt.CandidateMatrix(matrix=np.zeros((3, 8)), pool_size=4)
+    # One frozen row per group, the embedding of its canonical text; the
+    # model appends its own STOP row.
+    assert cand.shape == (pool.size, 24)
+    assert cand.dtype == np.float64
+    assert np.array_equal(cand[0], emb.encode_one(pool[0].text()))
 
 
 def test_http_encoder_success():

@@ -6,16 +6,19 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import sys
 import threading
 import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grouptopo as gt
 from grouptopo.errors import BackendError, ValidationError
-from grouptopo.harness import AttackSpec
+from grouptopo.harness import HTTP_TIMEOUT_S, AttackSpec
 
 from conftest import FakeResponse, FakeSession, pool4  # noqa: F401
 
@@ -36,6 +39,22 @@ def test_count_tokens(text, expected):
 
 def test_count_tokens_ignores_whitespace_runs():
     assert gt.count_tokens("a   b") == gt.count_tokens("a b")
+
+
+# Any code point, surrogates included, mixed with whitespace of several kinds.
+ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    " \t\n\x0b\x1c\x1f\x85\xa0\u1680\u2000\u200b\u2028\u3000\ufeff"
+))
+
+
+@settings(max_examples=300)
+@given(ANY_TEXT)
+def test_count_tokens_counts_non_whitespace_characters(text):
+    """Over any Unicode text, the estimate is the documented formula with
+    ``chars`` counted one character at a time."""
+    chars = sum(1 for c in text if not c.isspace())
+    expected = math.ceil((len(text.split()) + math.ceil(chars / 4)) / 2)
+    assert gt.count_tokens(text) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +714,8 @@ def test_http_retries_with_backoff(http_call, sleeps, failure):
 @pytest.mark.parametrize("retry_after, delay", [
     ("2", 2),
     ("Wed, 21 Oct 2026 07:28:00 GMT", 0.5),
-], ids=["seconds", "date"])
+    ("86400", HTTP_TIMEOUT_S),
+], ids=["seconds", "date", "capped_at_timeout"])
 def test_http_honours_retry_after(http_call, sleeps, retry_after, delay):
     http_call(FakeResponse(429, headers={"Retry-After": retry_after}))
     assert sleeps == [delay]

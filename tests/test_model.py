@@ -160,7 +160,7 @@ def first_fused_state(tiny):
 def first_group_probs(tiny):
     """Selection probabilities of step 0, from a one-row group-site pass."""
     fused, _ = first_fused_state(tiny)
-    matrix = model_mod.scoring_matrix(tiny.params, tiny.candidates)
+    matrix = model_mod.scoring_matrix(tiny.params, tiny.config, tiny.candidates)
     probs, _ = model_mod._group_sites(
         tiny.params, matrix, fused[None], np.zeros((1, tiny.config.dim))
     )
@@ -178,17 +178,60 @@ def test_edge_site_in_unit_interval(tiny):
     fused, z = first_fused_state(tiny)
     first = np.zeros(1, dtype=int)
     p, _ = model_mod._edge_sites(
-        tiny.params, fused[None], tiny.candidates.matrix, z[None], first, first, first,
+        tiny.params, fused[None], tiny.candidates, z[None], first, first, first,
         np.zeros((1, tiny.config.dim)),
     )
     assert p.shape == (1,)
     assert 0.0 < p[0] < 1.0
 
 
+def test_scoring_matrix_appends_stop_row(tiny):
+    matrix = model_mod.scoring_matrix(tiny.params, tiny.config, tiny.candidates)
+    assert matrix.shape == (tiny.pool.size + 1, tiny.config.dim)
+    assert np.array_equal(matrix[:-1], tiny.candidates)
+    assert np.array_equal(matrix[-1], tiny.params["end_embed"])
+
+
 def test_scoring_matrix_dim_mismatch(tiny):
     other = gt.build_candidate_matrix(gt.HashingTextEmbedder(8), tiny.pool)
     with pytest.raises(ValidationError, match="dim"):
-        model_mod.scoring_matrix(tiny.params, other)
+        model_mod.scoring_matrix(tiny.params, tiny.config, other)
+
+
+@pytest.mark.parametrize("rows", [-1, 1], ids=["fewer_rows", "extra_row"])
+def test_scoring_matrix_row_count(tiny, rows):
+    """One candidate row per pool group, no more and no fewer: with an extra
+    row, STOP's index would score that row and not ``end_embed``."""
+    n = tiny.pool.size + rows
+    candidates = np.resize(tiny.candidates, (n, tiny.config.dim))
+    with pytest.raises(ValidationError, match="pool of 4"):
+        model_mod.scoring_matrix(tiny.params, tiny.config, candidates)
+
+
+@pytest.mark.parametrize("selected", [(4,), (10,)])
+def test_teacher_forcing_rejects_candidates_of_another_pool(tiny, selected):
+    """A 16-group model given the 4 candidate rows of ``tiny``: group 4 would
+    be scored against the STOP row, group 10 would index past the matrix."""
+    config = gt.ModelConfig(pool_size=16, dim=tiny.config.dim, hidden=tiny.config.hidden,
+                            max_steps=4)
+    args = (gt.init_params(config), config, tiny.candidates)
+    graph = gt.GroupGraph(selected=selected)
+    with pytest.raises(ValidationError, match="pool of 16"):
+        gt.graph_log_likelihood(*args, tiny.task_vec, graph)
+    with pytest.raises(ValidationError, match="pool of 16"):
+        model_mod.minibatch_loss_and_grads(
+            *args, tiny.task_vec[None], [graph], [None], beta_group=0.0, beta_edge=0.0
+        )
+
+
+def test_nan_candidate_rows_are_rejected(tiny):
+    candidates = tiny.candidates.copy()
+    candidates[2] = np.nan
+    args = (tiny.params, tiny.config, candidates)
+    with pytest.raises(ValidationError, match="candidate rows hold NaN"):
+        gt.generate_graphs(*args, tiny.task_vec[None], [0])
+    with pytest.raises(ValidationError, match="candidate rows hold NaN"):
+        gt.graph_log_likelihood(*args, tiny.task_vec, gt.GroupGraph(selected=(0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +369,7 @@ def test_likelihood_empty_graph_is_stop_probability(tiny):
     ll = gt.graph_log_likelihood(
         tiny.params, tiny.config, tiny.candidates, tiny.task_vec, gt.GroupGraph()
     )
-    assert ll == pytest.approx(math.log(probs[tiny.candidates.end_index]))
+    assert ll == pytest.approx(math.log(probs[tiny.config.pool_size]))
 
 
 def test_likelihood_rejects_structural_problems(tiny):

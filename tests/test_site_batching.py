@@ -152,16 +152,16 @@ def ref_decode(params, matrix, end_index, z, limit, eps, graph=None, rng=None,
 
 
 def ref_generate_graph(params, config, candidates, task_vec, seed, forced_steps=None):
-    matrix = model_mod.scoring_matrix(params, candidates)
+    matrix = model_mod.scoring_matrix(params, config, candidates)
     z, _ = ref_project_task(params, task_vec)
     limit = config.max_steps if forced_steps is None else forced_steps
     eps = itertools.repeat(np.zeros(config.dim))
     group_sites, edge_sites, _ = ref_decode(
-        params, matrix, candidates.end_index, z, limit, eps, rng=nn.make_rng(seed),
+        params, matrix, config.pool_size, z, limit, eps, rng=nn.make_rng(seed),
         allow_stop=forced_steps is None,
     )
     choices = [site[1] for site in group_sites]
-    stopped = choices[-1] == candidates.end_index
+    stopped = choices[-1] == config.pool_size
     return gt.GroupGraph(
         selected=tuple(choices[:-1] if stopped else choices),
         edges=tuple((i, t) for i, t, taken, _, _ in edge_sites if taken),
@@ -172,8 +172,8 @@ def ref_generate_graph(params, config, candidates, task_vec, seed, forced_steps=
 def ref_loss_and_grads(params, config, candidates, task_vec, graph, beta_group,
                        beta_edge, noise):
     dim, n = config.dim, graph.n_steps
-    matrix = model_mod.scoring_matrix(params, candidates)
-    end_index = candidates.end_index
+    matrix = model_mod.scoring_matrix(params, config, candidates)
+    end_index = config.pool_size
     z, (x, a1, h1) = ref_project_task(params, task_vec)
     prior_g, prior_g_cache = ref_bottleneck(params, "prior_g", z)
     prior_e, prior_e_cache = ref_bottleneck(params, "prior_e", z)
@@ -320,10 +320,8 @@ def edge_pass_probs(params, config, candidates, task_vecs, forced):
     query into one probability row per target step."""
     limit = config.max_steps if forced is None else forced
     z, _ = model_mod.project_task(params, task_vecs)
-    matrix = model_mod.scoring_matrix(params, candidates)
-    _, n_steps, p_edge = model_mod._decode_batch(
-        params, matrix, candidates.end_index, z, limit, forced is None
-    )
+    matrix = model_mod.scoring_matrix(params, config, candidates)
+    _, n_steps, p_edge = model_mod._decode_batch(params, matrix, z, limit, forced is None)
     bounds = np.cumsum([t for n in n_steps for t in range(1, n)])[:-1]
     rows = iter(np.split(p_edge, bounds))
     return [[next(rows) for _ in range(1, n)] for n in n_steps]
@@ -365,7 +363,7 @@ def test_edge_pass_matches_per_site_probabilities(dim, hidden):
     """Every probability of the one-pass edge scoring, with ``edge_mlp.l1``
     split by input, is within relative 1e-12 of ``ref_edge_site``."""
     config, params, candidates, task_vecs = sharpened_setup(dim, hidden, n_queries=20)
-    matrix = model_mod.scoring_matrix(params, candidates)
+    matrix = model_mod.scoring_matrix(params, config, candidates)
     checked = 0
     for forced in (None, 8):
         limit = config.max_steps if forced is None else forced
@@ -373,7 +371,7 @@ def test_edge_pass_matches_per_site_probabilities(dim, hidden):
         for q, (task_vec, rows) in enumerate(zip(task_vecs, got)):
             z, _ = ref_project_task(params, task_vec)
             _, edge_sites, _ = ref_decode(
-                params, matrix, candidates.end_index, z, limit,
+                params, matrix, config.pool_size, z, limit,
                 itertools.repeat(np.zeros(dim)), rng=nn.make_rng(q),
                 allow_stop=forced is None,
             )
