@@ -31,6 +31,7 @@ from .graph import (
     group_graph_from_record,
     make_record,
     read_records,
+    record_field,
     render_diagram,
     trajectory_from_record,
     trajectory_to_record,
@@ -270,11 +271,7 @@ def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
     result = train(
         pool, provider, trajectories, model_config, train_config, callback=callback
     )
-    config = {
-        "model": model_config.to_dict(),
-        "encoder": {"kind": encoder, "dim": dim},
-        "train_seed": seed,
-    }
+    config = {"model": model_config.to_dict(), "encoder": {"kind": encoder}}
     save_checkpoint(out_path, result.params, config, result.opt_state)
     click.echo(f"saved checkpoint -> {out_path}")
 
@@ -293,18 +290,15 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
     check_writable(out)
     pool = _load_pool(pool_path)
     params, _, config = load_checkpoint(checkpoint)
-    model_config = ModelConfig.from_dict(config.get("model", {}))
+    model_config = ModelConfig.from_dict(record_field(config, "model", dict))
     if model_config.pool_size != pool.size:
         raise ValidationError(
             f"checkpoint was trained against a pool of {model_config.pool_size} "
             f"groups, this pool has {pool.size}"
         )
     check_params(params, model_config)
-    encoder = config.get("encoder", {})
-    dim = model_config.dim
-    if not isinstance(encoder, dict) or encoder.get("dim", dim) != dim:
-        raise ValidationError(f"checkpoint encoder {encoder!r} does not match dim {dim}")
-    provider = _make_provider(str(encoder.get("kind", "hash")), dim)
+    encoder = record_field(config, "encoder", dict, {})
+    provider = _make_provider(record_field(encoder, "kind", str, "hash"), model_config.dim)
     query_list = list(queries)
     if dataset:
         query_list.extend(e.query for e in _load(dataset, EXAMPLES))

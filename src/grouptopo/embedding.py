@@ -9,7 +9,7 @@ sentence-encoder HTTP service configured through the ``GOA_ENCODER_URL`` /
 from __future__ import annotations
 
 import re
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -22,12 +22,8 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-@runtime_checkable
 class EmbeddingProvider(Protocol):
     """Anything that maps a batch of texts to fixed-width float64 vectors."""
-
-    @property
-    def dim(self) -> int: ...
 
     def encode(self, texts: Sequence[str]) -> np.ndarray: ...
 
@@ -55,10 +51,6 @@ class HashingTextEmbedder:
         if dim < 1:
             raise ValidationError(f"embedding dim must be positive, got {dim}")
         self._dim = int(dim)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def encode_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self._dim, dtype=np.float64)
@@ -94,10 +86,6 @@ class HttpEncoderClient:
     ):
         self._dim = int(dim)
         self.endpoint = HttpEndpoint("encoder", "GOA_ENCODER", url, key, session)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:

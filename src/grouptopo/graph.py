@@ -347,15 +347,16 @@ def make_record(kind: str, **fields) -> dict:
     return {"v": RECORD_VERSION, "kind": kind, **fields}
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", bool: "true or false",
-               list: "a list", dict: "an object"}
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", list: "a list", dict: "an object"}
 _REQUIRED = object()
 
 
 def record_field(record: dict, key: str, json_type: type, default=_REQUIRED):
     """``record[key]``, which must hold the JSON type ``json_type`` (``str``,
-    ``int``, ``bool``, ``list`` or ``dict``; a bool is not an int), or
-    ``default`` when the key is absent and a default is given.
+    ``int``, ``float``, ``bool``, ``list`` or ``dict``; a float may hold an
+    int, and a bool is neither), or ``default`` when the key is absent and a
+    default is given.
 
     Raises:
         ValidationError: naming ``key``, if it is absent without a default or
@@ -366,7 +367,8 @@ def record_field(record: dict, key: str, json_type: type, default=_REQUIRED):
             raise ValidationError(f"record is missing '{key}'")
         return default
     value = record[key]
-    if not isinstance(value, json_type) or isinstance(value, bool) != (json_type is bool):
+    kinds = (int, float) if json_type is float else json_type
+    if not isinstance(value, kinds) or isinstance(value, bool) != (json_type is bool):
         raise ValidationError(f"'{key}' must be {_JSON_TYPES[json_type]}")
     return value
 

@@ -15,7 +15,7 @@ import re
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .errors import BackendError, ValidationError
 from .graph import (
@@ -54,7 +54,6 @@ class BackendResult:
     completion_tokens: int | None = None
 
 
-@runtime_checkable
 class AgentBackend(Protocol):
     def complete(self, system: str, user: str, *, role: str) -> BackendResult: ...
 

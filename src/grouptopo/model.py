@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nn
 from .errors import ValidationError
-from .graph import GroupGraph, check_graph_shape
+from .graph import GroupGraph, check_graph_shape, record_field
 from .nn import Grads, Params, accumulate, make_rng
 
 LOG_SIGMA_MIN = -6.0
@@ -73,17 +73,10 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         if not isinstance(data, dict):
             raise ValidationError(f"model config must be an object, got {data!r}")
-        values = {}
-        for field in dataclasses.fields(cls):
-            if field.name not in data:
-                raise ValidationError(f"model config is missing '{field.name}'")
-            value = values[field.name] = data[field.name]
-            kinds = (int, float) if field.type == "float" else int
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValidationError(
-                    f"model config '{field.name}' must be {field.type}, got {value!r}"
-                )
-        return cls(**values)
+        return cls(**{
+            f.name: record_field(data, f.name, float if f.type == "float" else int)
+            for f in dataclasses.fields(cls)
+        })
 
 
 def _draw_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

@@ -58,8 +58,6 @@ INSPECTOR = RoleSpec(
     ),
 )
 
-BASE_ROLES = (SOLVER, ANALYST, PROGRAMMER, INSPECTOR)
-
 
 def _group(name, description, roles, pattern) -> CandidateGroup:
     return CandidateGroup(

@@ -47,6 +47,9 @@ def kl_warmup(epoch: int, warmup_epochs: int, target: float) -> float:
 
 @dataclass
 class TrainConfig:
+    """Epoch loop and AdamW settings. ``weight_decay`` and ``clip_norm`` must
+    be non-negative; 0 turns off weight decay or gradient clipping."""
+
     epochs: int = 100
     warmup_epochs: int = 10
     batch_size: int = 40
@@ -64,8 +67,8 @@ class TrainConfig:
             raise ValidationError("warmup_epochs must be non-negative")
         for name in ("lr", "weight_decay", "clip_norm"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
         if self.lr <= 0.0:
             raise ValidationError("lr must be positive")
 

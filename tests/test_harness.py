@@ -483,6 +483,11 @@ def test_evaluate_perfect_backend(pool4):
     assert all(item.correct for item in report.items)
 
 
+def test_evaluate_rejects_an_empty_dataset(pool4):
+    with pytest.raises(ValidationError, match="evaluation dataset is empty"):
+        gt.evaluate([], [], pool4, gt.AnswerKeyBackend({}))
+
+
 def test_evaluate_per_item_graphs(pool4):
     dataset = arithmetic_dataset(2)
     backend = gt.AnswerKeyBackend({ex.query: ex.answer for ex in dataset})

@@ -37,12 +37,34 @@ def test_config_validation():
     for field, value in [("beta_group", float("nan")), ("beta_edge", float("inf"))]:
         with pytest.raises(ValidationError, match=field):
             gt.ModelConfig(pool_size=2, **{field: value})
+    for field in ("dim", "hidden"):
+        with pytest.raises(ValidationError, match="dim and hidden must be positive"):
+            gt.ModelConfig(pool_size=2, **{field: 0})
 
 
 def test_config_dict_roundtrip():
     config = gt.ModelConfig(pool_size=5, dim=12, hidden=6, max_steps=3,
                             beta_group=0.1, beta_edge=0.2, seed=7)
     assert gt.ModelConfig.from_dict(config.to_dict()) == config
+    assert gt.ModelConfig.from_dict({**config.to_dict(), "beta_edge": 1}).beta_edge == 1
+    with pytest.raises(ValidationError, match="must be an object"):
+        gt.ModelConfig.from_dict([config.to_dict()])
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("beta_edge", True, "'beta_edge' must be a number"),
+    ("beta_group", "0.1", "'beta_group' must be a number"),
+    ("dim", 12.0, "'dim' must be an integer"),
+    ("seed", False, "'seed' must be an integer"),
+    ("pool_size", None, "'pool_size' must be an integer"),
+])
+def test_config_from_dict_checks_json_types(field, value, needle):
+    data = gt.ModelConfig(pool_size=5, dim=12, hidden=6).to_dict()
+    with pytest.raises(ValidationError, match=needle):
+        gt.ModelConfig.from_dict({**data, field: value})
+    del data[field]
+    with pytest.raises(ValidationError, match=f"missing '{field}'"):
+        gt.ModelConfig.from_dict(data)
     with pytest.raises(ValidationError, match="missing"):
         gt.ModelConfig.from_dict({"dim": 4})
 

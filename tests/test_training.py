@@ -52,7 +52,8 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         gt.TrainConfig(warmup_epochs=-1)
     for field, value in [("lr", float("nan")), ("lr", float("inf")),
-                         ("weight_decay", float("nan")), ("clip_norm", float("inf"))]:
+                         ("weight_decay", float("nan")), ("clip_norm", float("inf")),
+                         ("weight_decay", -1e-3), ("clip_norm", -1.0)]:
         with pytest.raises(ValidationError, match=field):
             gt.TrainConfig(**{field: value})
 
