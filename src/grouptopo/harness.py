@@ -12,8 +12,9 @@ import heapq
 import math
 import os
 import re
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -282,116 +283,219 @@ class RunTranscript:
     rounds: int
 
 
-def _run_all(
-    runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend, *,
-    rounds: int, attack: AttackSpec | None, max_workers: int | None,
-) -> list[RunTranscript]:
-    """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
-    one schedule; return the transcripts in run order. At most ``max_workers``
-    calls run at once (``None``: the worker count of the largest graph). Ready
-    calls start in run order, then transcript order, so a bound of 1 runs the
-    calls of a serial loop, in its order, on this thread."""
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    # A call is (run, round, node), numbered run by run in transcript order:
-    # the n workers of a run, nodes 0 to n - 1, once per round, then its
-    # summarizer, node n. A call waits for its predecessors' calls in the same
-    # round and, for a worker, for its own call n positions back.
-    calls: list[tuple[int, int, int]] = []
-    waiting: list[int] = []
-    dependents: list[list[int]] = []
-    ends: list[int] = []
-    # Per run and node, the nodes whose replies it reads, in prompt order.
-    preds: list[list[list[int]]] = []
-    attack_idx: list[int | None] = []
-    widest = 1
-    for r, (agent_graph, _) in enumerate(runs):
-        n = agent_graph.summarizer
-        widest = max(widest, n)
-        attack_idx.append(attack.resolve(agent_graph) if attack is not None else None)
-        preds.append([[] for _ in agent_graph.nodes])
-        for i, t in sorted(agent_graph.edges):
-            preds[r][t].append(i)
-        for round_no in range(1, rounds + 1):
-            base = len(calls)
-            for node_idx in range(n + 1 if round_no == rounds else n):
-                inputs = [base + u for u in preds[r][node_idx]]
-                if round_no > 1 and node_idx < n:
-                    inputs.append(base - n + node_idx)
-                for source in inputs:
-                    dependents[source].append(len(calls))
-                calls.append((r, round_no, node_idx))
-                waiting.append(len(inputs))
-                dependents.append([])
-        ends.append(len(calls))
-    entries: dict[tuple[int, int, int], TranscriptEntry] = {}
-    ready = [pos for pos, count in enumerate(waiting) if not count]  # a heap
+# One executor serves every schedule in the process. It is made on first need,
+# made again when a schedule bounds more calls in flight than it has threads,
+# and made again in a forked child, which has none of its parent's threads.
+# Its idle threads stay between runs and exit with the interpreter; a replaced
+# executor's threads exit once no submission holds it.
+_executor_lock = threading.Lock()
+_executor: ThreadPoolExecutor | None = None
+_executor_width = 0
+_executor_pid = 0
 
-    def prompts(pos: int) -> tuple[str, str]:
-        r, round_no, node_idx = calls[pos]
-        nodes = runs[r][0].nodes
-        system = nodes[node_idx].prompt
-        if node_idx == attack_idx[r]:
-            system = f"{attack.text}\n{system}"
-        parts = [f"Task: {runs[r][1]}"]
-        for u in preds[r][node_idx]:
-            reply = entries[r, round_no, u].text
+
+def _shared_executor(width: int) -> ThreadPoolExecutor:
+    """The process's executor, with at least ``width`` threads."""
+    global _executor, _executor_width, _executor_pid
+    with _executor_lock:
+        if _executor is None or _executor_width < width or _executor_pid != os.getpid():
+            _executor = ThreadPoolExecutor(max_workers=width)
+            _executor_width, _executor_pid = width, os.getpid()
+        return _executor
+
+
+def _retire_shared_executor() -> None:
+    """Shut the process's executor down, so that every thread it has exits
+    once idle; the next submission makes a new one. An interrupt inside
+    ``submit`` can leave a started thread the executor does not know of, which
+    only a shutdown tells to exit; the interpreter waits for it at exit."""
+    global _executor, _executor_width
+    with _executor_lock:
+        executor, _executor, _executor_width = _executor, None, 0
+    if executor is not None:
+        executor.shutdown(wait=False)
+
+
+class _Schedule:
+    """The calls of a set of runs, each started as soon as its inputs exist.
+
+    A call is (run, round, node), numbered run by run in transcript order:
+    the n workers of a run, nodes 0 to n - 1, once per round, then its
+    summarizer, node n. A call waits for its predecessors' calls in the same
+    round and, for a worker, for its own call n positions back.
+
+    The thread that ends a call starts the calls that became ready, in run
+    order and then transcript order, while fewer than ``bound`` are in flight
+    and no call has failed. It runs the first itself and submits the others to
+    the shared executor, so a chain of dependent calls stays on one thread and
+    a bound of 1 runs the calls of a serial loop, in its order, on the caller
+    thread. What changes after construction (``entries``, ``waiting``,
+    ``ready``, ``running`` and ``error``) is read and written under ``cond``.
+    """
+
+    def __init__(
+        self, runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend,
+        rounds: int, attack: AttackSpec | None, max_workers: int | None,
+    ):
+        self.runs = runs
+        self.backend = backend
+        self.rounds = rounds
+        self.calls: list[tuple[int, int, int]] = []
+        self.waiting: list[int] = []
+        self.dependents: list[list[int]] = []
+        self.ends: list[int] = []
+        # Per run and node, the nodes whose replies it reads, in prompt order,
+        # and its system prompt, attack included.
+        self.preds: list[list[list[int]]] = []
+        self.systems: list[list[str]] = []
+        widest = 1
+        for r, (agent_graph, _) in enumerate(runs):
+            n = agent_graph.summarizer
+            widest = max(widest, n)
+            systems = [node.prompt for node in agent_graph.nodes]
+            if attack is not None:
+                target = attack.resolve(agent_graph)
+                systems[target] = f"{attack.text}\n{systems[target]}"
+            self.systems.append(systems)
+            preds = [[] for _ in agent_graph.nodes]
+            for i, t in sorted(agent_graph.edges):
+                preds[t].append(i)
+            self.preds.append(preds)
+            for round_no in range(1, rounds + 1):
+                base = len(self.calls)
+                for node_idx in range(n + 1 if round_no == rounds else n):
+                    inputs = [base + u for u in preds[node_idx]]
+                    if round_no > 1 and node_idx < n:
+                        inputs.append(base - n + node_idx)
+                    for source in inputs:
+                        self.dependents[source].append(len(self.calls))
+                    self.calls.append((r, round_no, node_idx))
+                    self.waiting.append(len(inputs))
+                    self.dependents.append([])
+            self.ends.append(len(self.calls))
+        # Per (run, node), the token count of its system prompt. The calls of
+        # one node run one after another, so no two threads write one key.
+        self.system_tokens: dict[tuple[int, int], int] = {}
+        self.entries: dict[tuple[int, int, int], TranscriptEntry] = {}
+        self.ready = [pos for pos, count in enumerate(self.waiting) if not count]  # a heap
+        self.bound = max_workers or widest
+        self.running = 0
+        self.error: BaseException | None = None
+        self.cond = threading.Condition(threading.Lock())
+
+    def run(self) -> list[RunTranscript]:
+        """Run every call and return the transcripts in run order. After a
+        failure, wait for the calls in flight, then raise the first error."""
+        with self.cond:
+            started = self._start()
+        try:
+            self._run_from(started)
+            with self.cond:
+                while self.running:
+                    self.cond.wait()
+        except BaseException as exc:  # an interrupt or a failed submit; re-raised
+            with self.cond:
+                if self.error is None:
+                    self.error = exc  # no further call starts
+            _retire_shared_executor()
+            raise
+        if self.error is not None:
+            try:
+                raise self.error
+            finally:
+                self.error = None  # its traceback holds this schedule: no cycle
+        transcripts = []
+        for (_, query), start, end in zip(self.runs, [0] + self.ends, self.ends):
+            ordered = tuple(self.entries[key] for key in self.calls[start:end])
+            stats = TokenStats()
+            for entry in ordered:
+                stats.add(entry.prompt_tokens, entry.completion_tokens)
+            transcripts.append(
+                RunTranscript(query, ordered, ordered[-1].text, stats, self.rounds)
+            )
+        return transcripts
+
+    def _start(self) -> list[tuple[int, str, str]]:
+        """Under ``cond``: take the ready calls that may start, with their prompts."""
+        started = []
+        while self.ready and self.running < self.bound and self.error is None:
+            pos = heapq.heappop(self.ready)
+            started.append((pos, *self._prompts(pos)))
+            self.running += 1
+        return started
+
+    def _prompts(self, pos: int) -> tuple[str, str]:
+        r, round_no, node_idx = self.calls[pos]
+        agent_graph, query = self.runs[r]
+        nodes = agent_graph.nodes
+        parts = [f"Task: {query}"]
+        for u in self.preds[r][node_idx]:
+            reply = self.entries[r, round_no, u].text
             parts.append(f"[{nodes[u].name} | {nodes[u].role}]: {reply}")
-        previous = entries.get((r, round_no - 1, node_idx))
+        previous = self.entries.get((r, round_no - 1, node_idx))
         if previous is not None:
             parts.append(f"[your previous reply]: {previous.text}")
-        return system, "\n".join(parts)
+        return self.systems[r][node_idx], "\n".join(parts)
 
-    def call(pos: int, system: str, user: str) -> TranscriptEntry:
-        r, round_no, node_idx = calls[pos]
-        node = runs[r][0].nodes[node_idx]
-        result = backend.complete(system, user, role=node.role)
+    def _run_from(self, started: list[tuple[int, str, str]]) -> None:
+        """Submit all but the first started call and run the first here; then
+        go on with the first call that its end started, until none does."""
+        while started:
+            (pos, system, user), *others = started
+            for call in others:
+                _shared_executor(self.bound).submit(self._run_from, [call])
+            try:
+                entry = self._call(pos, system, user)
+            except BaseException as exc:  # run() raises it on the caller thread
+                started = self._settle(pos, None, exc)
+            else:
+                started = self._settle(pos, entry, None)
+
+    def _call(self, pos: int, system: str, user: str) -> TranscriptEntry:
+        r, round_no, node_idx = self.calls[pos]
+        node = self.runs[r][0].nodes[node_idx]
+        result = self.backend.complete(system, user, role=node.role)
         prompt_tokens = result.prompt_tokens
         if prompt_tokens is None:
-            prompt_tokens = count_tokens(system) + count_tokens(user)
+            if (r, node_idx) not in self.system_tokens:
+                self.system_tokens[r, node_idx] = count_tokens(system)
+            prompt_tokens = self.system_tokens[r, node_idx] + count_tokens(user)
         completion_tokens = result.completion_tokens
         if completion_tokens is None:
             completion_tokens = count_tokens(result.text)
         return TranscriptEntry(round_no, node_idx, node.name, node.role,
                                prompt_tokens, completion_tokens, result.text)
 
-    def finish(pos: int, entry: TranscriptEntry) -> None:
-        entries[calls[pos]] = entry
-        for later in dependents[pos]:
-            waiting[later] -= 1
-            if not waiting[later]:
-                heapq.heappush(ready, later)
+    def _settle(
+        self, pos: int, entry: TranscriptEntry | None, error: BaseException | None
+    ) -> list[tuple[int, str, str]]:
+        """Record the end of the call at ``pos``; return the calls it starts."""
+        with self.cond:
+            self.running -= 1
+            if error is None:
+                self.entries[self.calls[pos]] = entry
+                for later in self.dependents[pos]:
+                    self.waiting[later] -= 1
+                    if not self.waiting[later]:
+                        heapq.heappush(self.ready, later)
+            elif self.error is None:
+                self.error = error
+            started = self._start()
+            if not self.running:
+                self.cond.notify()
+            return started
 
-    # Only this thread reads or writes the schedule; pool threads run ``call``.
-    bound = max_workers or widest
-    running: dict[Future, int] = {}
-    executor: ThreadPoolExecutor | None = None
-    try:
-        while ready or running:
-            if bound == 1 or (len(ready) == 1 and not running):
-                pos = heapq.heappop(ready)
-                finish(pos, call(pos, *prompts(pos)))
-                continue
-            if executor is None:
-                executor = ThreadPoolExecutor(max_workers=bound)
-            while ready and len(running) < bound:
-                pos = heapq.heappop(ready)
-                running[executor.submit(call, pos, *prompts(pos))] = pos
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                finish(running.pop(future), future.result())
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
 
-    transcripts = []
-    for (_, query), start, end in zip(runs, [0] + ends, ends):
-        ordered = tuple(entries[key] for key in calls[start:end])
-        stats = TokenStats()
-        for entry in ordered:
-            stats.add(entry.prompt_tokens, entry.completion_tokens)
-        transcripts.append(RunTranscript(query, ordered, ordered[-1].text, stats, rounds))
-    return transcripts
+def _run_all(
+    runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend, *,
+    rounds: int, attack: AttackSpec | None, max_workers: int | None,
+) -> list[RunTranscript]:
+    """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
+    one schedule; return the transcripts in run order. At most ``max_workers``
+    calls run at once (``None``: the worker count of the largest graph)."""
+    if rounds < 1:
+        raise ValidationError(f"rounds must be >= 1, got {rounds}")
+    return _Schedule(runs, backend, rounds, attack, max_workers).run()
 
 
 def run_graph(
@@ -411,12 +515,14 @@ def run_graph(
     :func:`count_tokens` unless the backend reports usage.
 
     Each call starts as soon as the replies it reads exist, so calls with no
-    path between them run concurrently on a thread pool, and a backend's
-    ``complete`` must be thread-safe. The pool is created only when two calls
-    are ready at once. The transcript lists calls round by round in
-    node order, summarizer last, whatever order they finished in. On
-    the first exception no further call starts; calls already running finish,
-    and that exception is raised.
+    path between them run concurrently, and a backend's ``complete`` must be
+    thread-safe. The calling thread runs the first call. The thread that
+    finishes a call runs the next call it made ready, and hands any other
+    that became ready to a thread pool that serves the whole process; so a
+    chain of dependent calls runs on one thread. The transcript lists calls
+    round by round in node order, summarizer last, whatever order they
+    finished in. On the first exception no further call starts; calls already
+    running finish, and that exception is raised.
     """
     return _run_all(
         [(agent_graph, query)], backend, rounds=rounds, attack=attack, max_workers=None

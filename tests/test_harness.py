@@ -6,10 +6,19 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import math
+import os
+import pathlib
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+import traceback
+import warnings
+import weakref
 
 import pytest
 import requests
@@ -17,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouptopo as gt
+from grouptopo import harness
 from grouptopo.errors import BackendError, ValidationError
 from grouptopo.harness import HTTP_TIMEOUT_S, AttackSpec
 
@@ -460,6 +470,189 @@ def test_evaluate_bounds_the_calls_in_flight():
     gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=1)
     assert backend.peak == 1
     assert backend.threads == {threading.get_ident()}
+
+
+def expanded_star():
+    return gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(13,)), gt.default_pool(), mode="expanded"
+    )
+
+
+def test_a_finished_run_keeps_no_reference_to_its_graph():
+    # With the collector off, only reference counts free the run's state: a
+    # reference cycle through the scheduler would keep the graph alive.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        star = expanded_star()
+        ref = weakref.ref(star)
+        backend = SleepBackend(0.005)
+        gt.run_graph(star, "q", backend, rounds=2)
+        assert backend.peak > 1
+        del star
+        # A pool thread may still be returning from its last call.
+        deadline = time.monotonic() + 5
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_wider_bound_gets_a_wider_pool(monkeypatch):
+    monkeypatch.setattr(harness, "_executor", None)
+    monkeypatch.setattr(harness, "_executor_width", 0)
+    pool = gt.default_pool()
+    dataset = arithmetic_dataset(4)
+    star = gt.GroupGraph(selected=(13,))
+    for width in (2, 5):
+        backend = SleepBackend(0.02)
+        gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=width)
+        assert backend.peak == width
+
+
+def wait_for_exit(pid, timeout):
+    """The wait status of child ``pid``, or None after killing it at ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+def test_a_forked_child_runs_graphs_on_its_own_pool():
+    star = expanded_star()
+    backend = SleepBackend(0.01)
+    gt.run_graph(star, "q", backend)  # the parent's pool now has threads
+    assert backend.peak > 1
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock;
+        # that the child still runs graphs is what this test checks.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            backend = SleepBackend(0.01)
+            gt.run_graph(star, "q", backend)
+            os._exit(0 if backend.peak > 1 else 2)
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+    assert wait_for_exit(pid, timeout=30) == 0
+
+
+def test_a_process_that_ran_a_parallel_graph_exits():
+    script = textwrap.dedent("""
+        import threading, time
+        import grouptopo as gt
+
+        class Sleep:
+            threads = set()
+
+            def complete(self, system, user, *, role):
+                self.threads.add(threading.get_ident())
+                time.sleep(0.01)
+                return gt.BackendResult(text="ok")
+
+        star = gt.materialize_agent_graph(
+            gt.GroupGraph(selected=(13,)), gt.default_pool(), mode="expanded")
+        gt.run_graph(star, "q", Sleep(), rounds=2)
+        print(len(Sleep.threads))
+    """)
+    src = pathlib.Path(gt.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) > 1
+
+
+class Interrupted(Exception):
+    pass
+
+
+def caller_waits():
+    """Whether the main thread is blocked in the scheduler's wait for calls."""
+    frame = sys._current_frames()[threading.main_thread().ident]
+    return frame.f_code.co_name == "wait" and frame.f_back.f_code.co_name == "run"
+
+
+class InterruptingBackend(SleepBackend):
+    """Calls on the caller thread return at once, and calls on other threads
+    sleep ``delay``. The first of those, once the caller waits, sends this
+    process SIGINT."""
+
+    def __init__(self, delay):
+        super().__init__(delay)
+        self.calls = 0
+        self.signalled = False
+
+    def complete(self, system, user, *, role):
+        with self.lock:
+            self.calls += 1
+            signal_now = not self.signalled and threading.current_thread() is not threading.main_thread()
+            self.signalled |= signal_now
+        if threading.current_thread() is threading.main_thread():
+            return gt.BackendResult(text=f"reply from {role}")
+        if signal_now:
+            deadline = time.monotonic() + 5
+            while not caller_waits() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            os.kill(os.getpid(), signal.SIGINT)
+        return super().complete(system, user, role=role)
+
+
+def test_an_interrupted_caller_starts_no_further_call(monkeypatch):
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    monkeypatch.setattr(harness, "_executor", None)
+    monkeypatch.setattr(harness, "_executor_width", 0)
+    threads = threading.active_count()
+    pool = gt.default_pool()
+    dataset = arithmetic_dataset(6)
+    star = gt.GroupGraph(selected=(13,))
+    backend = InterruptingBackend(0.02)
+    previous = signal.signal(signal.SIGINT, interrupt)
+    try:
+        with pytest.raises(Interrupted):
+            gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=3)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    deadline = time.monotonic() + 5
+    while backend.running and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert backend.running == 0
+    calls = backend.calls
+    time.sleep(0.2)
+    assert backend.calls == calls
+    assert calls < len(dataset) * len(expanded_star().nodes)
+    # The pool the run used is shut down: its threads exit.
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert threading.active_count() == threads
+
+
+def test_each_system_prompt_is_counted_once_per_run(monkeypatch):
+    counted = []
+
+    def count_tokens(text):
+        counted.append(text)
+        return gt.count_tokens(text)
+
+    monkeypatch.setattr(harness, "count_tokens", count_tokens)
+    star = expanded_star()
+    attack = AttackSpec(target=1, text="INJECTED")
+    transcript = gt.run_graph(star, "q", EchoRecorder(), rounds=3, attack=attack)
+    # One count per user prompt and per reply, and one per node's system prompt.
+    assert len(counted) == 2 * transcript.stats.calls + len(star.nodes)
+    assert counted.count(f"INJECTED\n{star.nodes[1].prompt}") == 1
 
 
 # ---------------------------------------------------------------------------
