@@ -52,15 +52,23 @@ class RoleSpec:
 
 @dataclass(frozen=True)
 class CandidateGroup:
+    """Member roles wired by an intra-group pattern, ``roles`` stored as a tuple.
+    Raises ValidationError if there are no roles or the pattern is unknown."""
+
     name: str
     description: str
     roles: tuple[RoleSpec, ...]
     pattern: IntraPattern
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "roles", tuple(self.roles))
         if not self.roles:
             raise ValidationError(f"group '{self.name}' has no roles")
-        object.__setattr__(self, "pattern", IntraPattern(self.pattern))
+        try:
+            pattern = IntraPattern(self.pattern)
+        except ValueError as exc:
+            raise ValidationError(f"unknown intra pattern '{self.pattern}'") from exc
+        object.__setattr__(self, "pattern", pattern)
 
     def text(self) -> str:
         """Canonical text used to embed this group as a selection candidate."""
@@ -120,7 +128,10 @@ class GroupGraph:
 
     Repeated selections are legal; each occurrence is a distinct step.
     ``truncated`` marks graphs cut off at the step budget rather than
-    terminated by a STOP decision.
+    terminated by a STOP decision. Values are stored as Python ints and a
+    bool, NumPy scalars included, with the edges sorted. A negative selection,
+    an edge outside ``0 <= i < t < n_steps`` or an edge listed twice raises
+    ValidationError.
     """
 
     selected: tuple[int, ...] = ()
@@ -129,9 +140,17 @@ class GroupGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "selected", tuple(int(s) for s in self.selected))
-        canon = sorted((int(i), int(t)) for i, t in self.edges)
-        object.__setattr__(self, "edges", tuple(canon))
+        edges = sorted((int(i), int(t)) for i, t in self.edges)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "truncated", bool(self.truncated))
+        if any(s < 0 for s in self.selected):
+            raise ValidationError("'selected' must be a list of non-negative integers")
+        n = self.n_steps
+        for k, (i, t) in enumerate(edges):
+            if not 0 <= i < t < n:
+                raise ValidationError(f"edge {i}->{t} is out of range for {n} steps")
+            if k and edges[k - 1] == (i, t):
+                raise ValidationError(f"duplicate edge {i}->{t}")
 
     @property
     def n_steps(self) -> int:
@@ -147,28 +166,20 @@ class Trajectory:
 
 
 def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
-    """Check that a likelihood can score ``graph``: at most ``max_steps`` steps,
-    selections within the pool, and distinct forward edges (i < t) between steps."""
-    n = graph.n_steps
-    if n > max_steps:
-        raise ValidationError(f"graph has {n} steps, budget is {max_steps}")
+    """Check ``graph`` against a pool and budget: at most ``max_steps`` steps, each
+    selecting a group below ``pool_size``. :class:`GroupGraph` checks the edges."""
+    if graph.n_steps > max_steps:
+        raise ValidationError(f"graph has {graph.n_steps} steps, budget is {max_steps}")
     for t, gid in enumerate(graph.selected):
-        if not 0 <= gid < pool_size:
+        if gid >= pool_size:
             raise ValidationError(
                 f"step {t} selects group {gid}, pool has {pool_size} groups"
             )
-    seen: set[tuple[int, int]] = set()
-    for i, t in graph.edges:
-        if not 0 <= i < t < n:
-            raise ValidationError(f"edge {i}->{t} is out of range for {n} steps")
-        if (i, t) in seen:
-            raise ValidationError(f"duplicate edge {i}->{t}")
-        seen.add((i, t))
 
 
 def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
-    """Check that ``graph`` can run: :func:`check_graph_shape`, and every step
-    after the first has an incoming edge. Raise ValidationError on the first hit."""
+    """Check that ``graph`` can run: :func:`check_graph_shape` (budget and pool
+    range), then an incoming edge for every step after the first."""
     check_graph_shape(graph, pool_size, max_steps)
     missing = set(range(1, graph.n_steps)) - {t for _, t in graph.edges}
     if missing:
@@ -404,18 +415,13 @@ def group_graph_to_record(graph: GroupGraph) -> dict:
 def group_graph_from_record(record: dict) -> GroupGraph:
     check_header(record, "group_graph")
     selected = record_field(record, "selected", list)
-    if any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in selected):
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in selected):
         raise ValidationError("'selected' must be a list of non-negative integers")
-    edges_raw = record_field(record, "edges", list)
-    if not all(isinstance(e, str) for e in edges_raw):
+    edges = record_field(record, "edges", list)
+    if not all(isinstance(e, str) for e in edges):
         raise ValidationError("'edges' must be a list of 'i->t' strings")
-    edges = tuple(parse_edge(e) for e in edges_raw)
-    n = len(selected)
-    for i, t in edges:
-        if t >= n:
-            raise ValidationError(f"edge {i}->{t} exceeds the {n} recorded steps")
     truncated = record_field(record, "truncated", bool, False)
-    return GroupGraph(selected=tuple(selected), edges=edges, truncated=truncated)
+    return GroupGraph(selected, [parse_edge(e) for e in edges], truncated)
 
 
 def group_to_record(group: CandidateGroup) -> dict:
@@ -433,19 +439,13 @@ def group_from_record(record: dict) -> CandidateGroup:
     roles_raw = record_field(record, "roles", list)
     if not roles_raw or not all(isinstance(r, dict) for r in roles_raw):
         raise ValidationError("'roles' must be a non-empty list of objects")
-    roles = tuple(
-        RoleSpec(name=record_field(r, "name", str), prompt=record_field(r, "prompt", str))
-        for r in roles_raw
-    )
-    try:
-        pattern = IntraPattern(record_field(record, "pattern", str))
-    except ValueError as exc:
-        raise ValidationError(f"unknown intra pattern '{record['pattern']}'") from exc
+    roles = [RoleSpec(record_field(r, "name", str), record_field(r, "prompt", str))
+             for r in roles_raw]
     return CandidateGroup(
         name=record_field(record, "name", str),
         description=record_field(record, "description", str, ""),
         roles=roles,
-        pattern=pattern,
+        pattern=record_field(record, "pattern", str),
     )
 
 

@@ -86,10 +86,10 @@ class AnswerKeyBackend:
     The query is read from the ``Task: <query>`` line that :func:`run_graph`
     puts first in every user prompt, and must match a key exactly.
 
-    If ``marker`` appears anywhere in the prompt the node is considered
-    compromised and replies with ``CORRUPTION`` instead; downstream nodes
-    that see a corrupted reply propagate it, so one poisoned system prompt
-    taints the whole path to the final answer.
+    A node whose system prompt holds ``marker`` is compromised and replies
+    with ``CORRUPTION``; so does a node whose user prompt holds a corrupted
+    reply, so one poisoned system prompt taints the path to the final answer.
+    A marker in the query compromises no node; one in a role prompt does.
     """
 
     def __init__(self, answers: dict[str, str], marker: str | None = None):
@@ -97,8 +97,7 @@ class AnswerKeyBackend:
         self.marker = marker
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
-        combined = f"{system}\n{user}"
-        if (self.marker and self.marker in combined) or CORRUPTION in combined:
+        if (self.marker and self.marker in system) or CORRUPTION in user:
             return BackendResult(text=CORRUPTION)
         task_line = user.split("\n", 1)[0]
         query = task_line[len("Task: ") :] if task_line.startswith("Task: ") else None

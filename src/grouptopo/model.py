@@ -497,9 +497,9 @@ def generate_graphs(
             if not taken.any():
                 # Connectivity fallback: force the most likely source.
                 taken[np.argmax(p)] = True
-            edges.extend((int(i), t) for i in np.flatnonzero(taken))
+            edges.extend((i, t) for i in np.flatnonzero(taken))
         graphs.append(GroupGraph(
-            selected=tuple(int(g) for g in selected[:n]),
+            selected=selected[:n],
             edges=tuple(edges),
             truncated=forced_steps is None and n == limit,
         ))

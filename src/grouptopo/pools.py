@@ -59,64 +59,58 @@ INSPECTOR = RoleSpec(
 )
 
 
-def _group(name, description, roles, pattern) -> CandidateGroup:
-    return CandidateGroup(
-        name=name, description=description, roles=tuple(roles), pattern=pattern
-    )
-
-
 def default_pool() -> GroupPool:
     """The 16-group default pool."""
     g = []
     # Solo specialists.
-    g.append(_group("solo-solver", "one solver works alone",
-                    [SOLVER], IntraPattern.SINGLE))
-    g.append(_group("solo-analyst", "one analyst works alone",
-                    [ANALYST], IntraPattern.SINGLE))
-    g.append(_group("solo-programmer", "one programmer works alone",
-                    [PROGRAMMER], IntraPattern.SINGLE))
-    g.append(_group("solo-inspector", "one inspector works alone",
-                    [INSPECTOR], IntraPattern.SINGLE))
+    g.append(CandidateGroup("solo-solver", "one solver works alone",
+                            [SOLVER], IntraPattern.SINGLE))
+    g.append(CandidateGroup("solo-analyst", "one analyst works alone",
+                            [ANALYST], IntraPattern.SINGLE))
+    g.append(CandidateGroup("solo-programmer", "one programmer works alone",
+                            [PROGRAMMER], IntraPattern.SINGLE))
+    g.append(CandidateGroup("solo-inspector", "one inspector works alone",
+                            [INSPECTOR], IntraPattern.SINGLE))
     # Two-stage chains.
-    g.append(_group("chain-solve-check", "a solver hands off to an inspector",
-                    [SOLVER, INSPECTOR], IntraPattern.CHAIN))
-    g.append(_group("chain-plan-solve", "an analyst plans, a solver executes",
-                    [ANALYST, SOLVER], IntraPattern.CHAIN))
-    g.append(_group("chain-code-check", "a programmer codes, an inspector verifies",
-                    [PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
-    g.append(_group("chain-plan-code", "an analyst plans, a programmer implements",
-                    [ANALYST, PROGRAMMER], IntraPattern.CHAIN))
+    g.append(CandidateGroup("chain-solve-check", "a solver hands off to an inspector",
+                            [SOLVER, INSPECTOR], IntraPattern.CHAIN))
+    g.append(CandidateGroup("chain-plan-solve", "an analyst plans, a solver executes",
+                            [ANALYST, SOLVER], IntraPattern.CHAIN))
+    g.append(CandidateGroup("chain-code-check", "a programmer codes, an inspector verifies",
+                            [PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
+    g.append(CandidateGroup("chain-plan-code", "an analyst plans, a programmer implements",
+                            [ANALYST, PROGRAMMER], IntraPattern.CHAIN))
     # Three-stage chains.
-    g.append(_group("pipeline-plan-solve-check",
-                    "plan, solve, then verify in sequence",
-                    [ANALYST, SOLVER, INSPECTOR], IntraPattern.CHAIN))
-    g.append(_group("pipeline-plan-code-check",
-                    "plan, implement, then verify in sequence",
-                    [ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
-    g.append(_group("pipeline-solve-code-check",
-                    "solve by hand, cross-check in code, then verify",
-                    [SOLVER, PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
+    g.append(CandidateGroup("pipeline-plan-solve-check",
+                            "plan, solve, then verify in sequence",
+                            [ANALYST, SOLVER, INSPECTOR], IntraPattern.CHAIN))
+    g.append(CandidateGroup("pipeline-plan-code-check",
+                            "plan, implement, then verify in sequence",
+                            [ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
+    g.append(CandidateGroup("pipeline-solve-code-check",
+                            "solve by hand, cross-check in code, then verify",
+                            [SOLVER, PROGRAMMER, INSPECTOR], IntraPattern.CHAIN))
     # Stars: independent attempts fanned into a finisher.
-    g.append(_group("star-dual-attempt",
-                    "a solver and a programmer attempt independently, an "
-                    "inspector reconciles",
-                    [SOLVER, PROGRAMMER, INSPECTOR], IntraPattern.STAR))
-    g.append(_group("star-plan-and-attempt",
-                    "an analyst and a programmer work independently, a solver "
-                    "integrates",
-                    [ANALYST, PROGRAMMER, SOLVER], IntraPattern.STAR))
-    g.append(_group("star-triple-attempt",
-                    "three independent attempts reconciled by an inspector",
-                    [SOLVER, ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.STAR))
+    g.append(CandidateGroup("star-dual-attempt",
+                            "a solver and a programmer attempt independently, an "
+                            "inspector reconciles",
+                            [SOLVER, PROGRAMMER, INSPECTOR], IntraPattern.STAR))
+    g.append(CandidateGroup("star-plan-and-attempt",
+                            "an analyst and a programmer work independently, a solver "
+                            "integrates",
+                            [ANALYST, PROGRAMMER, SOLVER], IntraPattern.STAR))
+    g.append(CandidateGroup("star-triple-attempt",
+                            "three independent attempts reconciled by an inspector",
+                            [SOLVER, ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.STAR))
     # Fully connected review circles.
-    g.append(_group("panel-solve",
-                    "solver, analyst, and inspector each see all prior "
-                    "contributions",
-                    [SOLVER, ANALYST, INSPECTOR], IntraPattern.FULL))
-    g.append(_group("panel-code",
-                    "analyst, programmer, and inspector each see all prior "
-                    "contributions",
-                    [ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.FULL))
+    g.append(CandidateGroup("panel-solve",
+                            "solver, analyst, and inspector each see all prior "
+                            "contributions",
+                            [SOLVER, ANALYST, INSPECTOR], IntraPattern.FULL))
+    g.append(CandidateGroup("panel-code",
+                            "analyst, programmer, and inspector each see all prior "
+                            "contributions",
+                            [ANALYST, PROGRAMMER, INSPECTOR], IntraPattern.FULL))
     return GroupPool(groups=tuple(g))
 
 

@@ -246,12 +246,15 @@ def sample_candidate_topology(
     """Uniformly choose groups (with repeats) into a family edge template."""
     if pool_size < 1:
         raise ValidationError("pool_size must be >= 1")
-    selected = tuple(int(g) for g in rng.integers(0, pool_size, size=n_steps))
+    selected = rng.integers(0, pool_size, size=n_steps)
     return GroupGraph(selected=selected, edges=family_edges(family, n_steps))
 
 
 @dataclass(frozen=True)
 class ExplorationResult:
+    """One explored graph's outcome on one query, ``correct`` stored as a bool.
+    Each token count must be a non-negative integer, NumPy's included."""
+
     query: str
     answer: str
     graph: GroupGraph
@@ -261,6 +264,15 @@ class ExplorationResult:
     prompt_tokens: int
     completion_tokens: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "correct", bool(self.correct))
+        for key in ("prompt_tokens", "completion_tokens"):
+            value = getattr(self, key)
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integral or value < 0:
+                raise ValidationError(f"'{key}' must be a non-negative integer")
+            object.__setattr__(self, key, int(value))
+
 
 def exploration_result_to_record(result: ExplorationResult) -> dict:
     return make_record(
@@ -269,22 +281,15 @@ def exploration_result_to_record(result: ExplorationResult) -> dict:
         answer=result.answer,
         graph=group_graph_to_record(result.graph),
         family=result.family,
-        correct=bool(result.correct),
+        correct=result.correct,
         final_text=result.final_text,
-        prompt_tokens=int(result.prompt_tokens),
-        completion_tokens=int(result.completion_tokens),
+        prompt_tokens=result.prompt_tokens,
+        completion_tokens=result.completion_tokens,
     )
 
 
 def exploration_result_from_record(record: dict) -> ExplorationResult:
     check_header(record, "exploration")
-    tokens = {
-        key: record_field(record, key, int, 0)
-        for key in ("prompt_tokens", "completion_tokens")
-    }
-    for key, value in tokens.items():
-        if value < 0:
-            raise ValidationError(f"'{key}' must be a non-negative integer")
     return ExplorationResult(
         query=record_field(record, "query", str),
         answer=record_field(record, "answer", str, ""),
@@ -292,7 +297,8 @@ def exploration_result_from_record(record: dict) -> ExplorationResult:
         family=record_field(record, "family", str, ""),
         correct=record_field(record, "correct", bool),
         final_text=record_field(record, "final_text", str, ""),
-        **tokens,
+        prompt_tokens=record_field(record, "prompt_tokens", int, 0),
+        completion_tokens=record_field(record, "completion_tokens", int, 0),
     )
 
 

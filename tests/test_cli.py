@@ -647,7 +647,10 @@ def exploration_line(**fields):
     (exploration_line(prompt_tokens="x"), "prompt_tokens"),
     (exploration_line(completion_tokens=-1), "completion_tokens"),
     (b"[" * 200_000 + b"\n", "line 1"),
-], ids=["not_utf8", "correct_string", "tokens_string", "tokens_negative", "deep_nesting"])
+    (exploration_line(graph={"v": "v1", "kind": "group_graph", "selected": [0, 1],
+                             "edges": ["0->1", "0->1"]}), "duplicate edge 0->1"),
+], ids=["not_utf8", "correct_string", "tokens_string", "tokens_negative", "deep_nesting",
+        "duplicate_edge"])
 def test_curate_rejects_bad_results(runner, workdir, content, needle):
     bad = workdir / "explored.jsonl"
     bad.write_bytes(content)

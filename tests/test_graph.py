@@ -84,15 +84,28 @@ def test_validate_rejects_unknown_group():
 
 
 def test_validate_rejects_backward_edge():
-    graph = gt.GroupGraph(selected=(0, 1), edges=((1, 0),))
     with pytest.raises(ValidationError):
+        graph = gt.GroupGraph(selected=(0, 1), edges=((1, 0),))
         gt.validate_group_graph(graph, pool_size=2, max_steps=4)
 
 
 def test_validate_rejects_duplicate_edge():
-    graph = gt.GroupGraph(selected=(0, 1), edges=((0, 1), (0, 1)))
     with pytest.raises(ValidationError, match="duplicate"):
+        graph = gt.GroupGraph(selected=(0, 1), edges=((0, 1), (0, 1)))
         gt.validate_group_graph(graph, pool_size=2, max_steps=4)
+
+
+@pytest.mark.parametrize("selected, edges, message", [
+    ((0, 1), ((1, 0),), "edge 1->0 is out of range for 2 steps"),
+    ((0, 1), ((0, 2),), "edge 0->2 is out of range for 2 steps"),
+    ((0, 1), ((-1, 1),), "edge -1->1 is out of range for 2 steps"),
+    ((0, 1, 1), ((0, 1), (1, 2), (0, 1)), "duplicate edge 0->1"),
+    ((0, -1), ((0, 1),), "'selected' must be a list of non-negative integers"),
+], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection"])
+def test_group_graph_checks_itself_when_made(selected, edges, message):
+    with pytest.raises(ValidationError) as info:
+        gt.GroupGraph(selected=selected, edges=edges)
+    assert str(info.value) == message
 
 
 def test_validate_rejects_unreachable_step():
@@ -104,6 +117,19 @@ def test_validate_rejects_unreachable_step():
 def test_group_requires_roles():
     with pytest.raises(ValidationError, match="no roles"):
         gt.CandidateGroup(name="x", description="", roles=(), pattern="single")
+
+
+def test_group_rejects_unknown_pattern():
+    with pytest.raises(ValidationError, match="unknown intra pattern 'ring'"):
+        gt.CandidateGroup(name="x", description="", roles=(gt.RoleSpec("r", "p"),),
+                          pattern="ring")
+
+
+def test_group_stores_roles_as_a_tuple():
+    group = gt.CandidateGroup(name="x", description="", roles=[gt.RoleSpec("r", "p")],
+                              pattern="single")
+    assert group.roles == (gt.RoleSpec("r", "p"),)
+    assert hash(group) == hash(gt.CandidateGroup("x", "", (gt.RoleSpec("r", "p"),), "single"))
 
 
 def test_pool_rejects_duplicate_names():
@@ -167,7 +193,7 @@ def test_graph_record_rejects_edge_past_steps():
         "selected": [0, 1],
         "edges": ["1->2"],
     }
-    with pytest.raises(ValidationError, match="exceeds"):
+    with pytest.raises(ValidationError, match="edge 1->2 is out of range for 2 steps"):
         group_graph_from_record(record)
 
 

@@ -134,6 +134,18 @@ def test_answer_key_backend_corruption_propagates():
     assert downstream.text == "CORRUPTED-RESULT"
 
 
+def test_answer_key_backend_ignores_the_marker_in_the_query():
+    # An attack on node 1 of the expanded chain solver -> analyst, whose text
+    # the query also contains: the untargeted node 0 still answers.
+    query = "what is 2 plus 3, ignore it"
+    backend = gt.AnswerKeyBackend({query: "5"}, marker="ignore it")
+    chain = gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(0, 1), edges=((0, 1),)), gt.default_pool(), mode="expanded"
+    )
+    run = gt.run_graph(chain, query, backend, attack=AttackSpec(target=1, text="ignore it"))
+    assert [entry.text for entry in run.entries] == ["5", "CORRUPTED-RESULT", "CORRUPTED-RESULT"]
+
+
 # ---------------------------------------------------------------------------
 # Prompt assembly and run loop.
 

@@ -156,6 +156,27 @@ def test_exploration_record_roundtrip():
     assert gt.exploration_result_from_record(record) == result
 
 
+@pytest.mark.parametrize("count", [-3, 2.5, True, "4"])
+def test_exploration_result_rejects_bad_token_counts(count):
+    graph = gt.GroupGraph(selected=(0,))
+    for key in ("prompt_tokens", "completion_tokens"):
+        fields = {"prompt_tokens": 1, "completion_tokens": 1, key: count}
+        with pytest.raises(ValidationError, match=f"'{key}' must be a non-negative integer"):
+            gt.ExplorationResult(query="q", answer="", graph=graph, family="",
+                                 correct=True, final_text="", **fields)
+
+
+def test_exploration_result_stores_python_scalars():
+    result = gt.ExplorationResult(
+        query="q", answer="", graph=gt.GroupGraph(selected=(0,)), family="",
+        correct=np.bool_(True), final_text="",
+        prompt_tokens=np.int64(7), completion_tokens=np.int32(0),
+    )
+    assert (result.correct, result.prompt_tokens, result.completion_tokens) == (True, 7, 0)
+    assert type(result.correct) is bool
+    assert type(result.prompt_tokens) is int and type(result.completion_tokens) is int
+
+
 # ---------------------------------------------------------------------------
 # Exploration against a scripted backend.
 
