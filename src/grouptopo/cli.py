@@ -28,9 +28,9 @@ from .graph import (
     GroupPool,
     Trajectory,
     check_writable,
+    decode_records,
     group_graph_from_record,
     make_record,
-    read_records,
     record_field,
     render_diagram,
     trajectory_from_record,
@@ -97,7 +97,9 @@ EXPLORATIONS = {"exploration": exploration_result_from_record}
 def _load(path: str, decoders: dict[str, Callable[[dict], object]]) -> list:
     """Decode the records in ``path`` whose kind has a decoder, in file order;
     other kinds are skipped. Raises ValidationError if none has one."""
-    out = [decoders[r["kind"]](r) for r in read_records(path) if r["kind"] in decoders]
+    out = decode_records(
+        path, lambda r: decoders[r["kind"]](r) if r["kind"] in decoders else None
+    )
     if not out:
         raise ValidationError(f"no {' or '.join(decoders)} records in {path}")
     return out
@@ -172,11 +174,9 @@ def main() -> None:
 @click.option("--families", default="chain,star,full", show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Most agent calls in flight.")
 @_guarded
 def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
-             steps, samples, workers) -> None:
+             steps, samples) -> None:
     """Probe topology families against the backend and label the outcomes."""
     check_writable(out)
     pool = _load_pool(pool_path)
@@ -190,9 +190,7 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
         mode=mode,
         seed=seed,
     )
-    results = explore_and_label(
-        pool, examples, backend_obj, config, max_workers=workers
-    )
+    results = explore_and_label(pool, examples, backend_obj, config)
     n_correct = sum(1 for r in results if r.correct)
     records = [exploration_result_to_record(r) for r in results]
     records.append(

@@ -21,7 +21,9 @@ import re
 import uuid
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -122,16 +124,21 @@ class GroupPool:
         return self.groups[idx]
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GroupGraph:
     """Ordered group selections plus inter-step edges (i, t) with i < t.
 
     Repeated selections are legal; each occurrence is a distinct step.
     ``truncated`` marks graphs cut off at the step budget rather than
-    terminated by a STOP decision. Values are stored as Python ints and a
-    bool, NumPy scalars included, with the edges sorted. A negative selection,
-    an edge outside ``0 <= i < t < n_steps`` or an edge listed twice raises
-    ValidationError.
+    terminated by a STOP decision. Selections and edges must be integers and
+    ``truncated`` a bool, NumPy's included, stored as Python ints and a bool
+    with the edges sorted. A negative selection, an edge outside
+    ``0 <= i < t < n_steps`` or an edge listed twice raises ValidationError.
     """
 
     selected: tuple[int, ...] = ()
@@ -139,12 +146,16 @@ class GroupGraph:
     truncated: bool = False
 
     def __post_init__(self) -> None:
+        if not all(is_integer(s) and s >= 0 for s in self.selected):
+            raise ValidationError("'selected' must be a list of non-negative integers")
+        if not all(is_integer(i) and is_integer(t) for i, t in self.edges):
+            raise ValidationError("'edges' must be pairs of integers")
+        if not isinstance(self.truncated, (bool, np.bool_)):
+            raise ValidationError("'truncated' must be true or false")
         object.__setattr__(self, "selected", tuple(int(s) for s in self.selected))
         edges = sorted((int(i), int(t)) for i, t in self.edges)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "truncated", bool(self.truncated))
-        if any(s < 0 for s in self.selected):
-            raise ValidationError("'selected' must be a list of non-negative integers")
         n = self.n_steps
         for k, (i, t) in enumerate(edges):
             if not 0 <= i < t < n:
@@ -415,8 +426,6 @@ def group_graph_to_record(graph: GroupGraph) -> dict:
 def group_graph_from_record(record: dict) -> GroupGraph:
     check_header(record, "group_graph")
     selected = record_field(record, "selected", list)
-    if any(isinstance(s, bool) or not isinstance(s, int) for s in selected):
-        raise ValidationError("'selected' must be a list of non-negative integers")
     edges = record_field(record, "edges", list)
     if not all(isinstance(e, str) for e in edges):
         raise ValidationError("'edges' must be a list of 'i->t' strings")
@@ -453,11 +462,6 @@ def pool_to_records(pool: GroupPool) -> list[dict]:
     return [group_to_record(g) for g in pool]
 
 
-def pool_from_records(records: Sequence[dict]) -> GroupPool:
-    groups = tuple(group_from_record(r) for r in records)
-    return GroupPool(groups=groups)
-
-
 def trajectory_to_record(traj: Trajectory) -> dict:
     return make_record(
         "trajectory",
@@ -481,7 +485,14 @@ def read_records(path: str | os.PathLike) -> list[dict]:
             malformed JSON, or version mismatches; a message about content
             carries the 1-based line number.
     """
-    records = []
+    return decode_records(path, lambda record: record)
+
+
+def decode_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> list:
+    """Read records as :func:`read_records` does and return ``decode`` of each,
+    in file order, leaving out a None. A ValidationError that ``decode``
+    raises carries the record's line number too."""
+    out = []
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()
@@ -504,10 +515,12 @@ def read_records(path: str | os.PathLike) -> list[dict]:
             raise ValidationError("JSON nested too deeply", line=lineno) from exc
         try:
             check_header(record)
+            value = decode(record)
         except ValidationError as exc:
             raise ValidationError(str(exc), line=lineno) from exc
-        records.append(record)
-    return records
+        if value is not None:
+            out.append(value)
+    return out
 
 
 @contextlib.contextmanager

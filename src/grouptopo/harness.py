@@ -324,17 +324,18 @@ class _Schedule:
     round and, for a worker, for its own call n positions back.
 
     The thread that ends a call starts the calls that became ready, in run
-    order and then transcript order, while fewer than ``bound`` are in flight
-    and no call has failed. It runs the first itself and submits the others to
-    the shared executor, so a chain of dependent calls stays on one thread and
-    a bound of 1 runs the calls of a serial loop, in its order, on the caller
-    thread. What changes after construction (``entries``, ``waiting``,
-    ``ready``, ``running`` and ``error``) is read and written under ``cond``.
+    order and then transcript order, while fewer than ``widest`` (the most
+    workers of any run) are in flight and no call has failed. It runs the
+    first itself and submits the others to the shared executor, so a chain of
+    dependent calls stays on one thread, and runs one worker wide run the
+    calls of a serial loop, in its order, on the caller thread. What changes
+    after construction (``entries``, ``waiting``, ``ready``, ``running`` and
+    ``error``) is read and written under ``cond``.
     """
 
     def __init__(
         self, runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend,
-        rounds: int, attack: AttackSpec | None, max_workers: int | None,
+        rounds: int, attack: AttackSpec | None,
     ):
         self.runs = runs
         self.backend = backend
@@ -347,10 +348,10 @@ class _Schedule:
         # and its system prompt, attack included.
         self.preds: list[list[list[int]]] = []
         self.systems: list[list[str]] = []
-        widest = 1
+        self.widest = 1
         for r, (agent_graph, _) in enumerate(runs):
             n = agent_graph.summarizer
-            widest = max(widest, n)
+            self.widest = max(self.widest, n)
             systems = [node.prompt for node in agent_graph.nodes]
             if attack is not None:
                 target = attack.resolve(agent_graph)
@@ -377,7 +378,6 @@ class _Schedule:
         self.system_tokens: dict[tuple[int, int], int] = {}
         self.entries: dict[tuple[int, int, int], TranscriptEntry] = {}
         self.ready = [pos for pos, count in enumerate(self.waiting) if not count]  # a heap
-        self.bound = max_workers or widest
         self.running = 0
         self.error: BaseException | None = None
         self.cond = threading.Condition(threading.Lock())
@@ -417,7 +417,7 @@ class _Schedule:
     def _start(self) -> list[tuple[int, str, str]]:
         """Under ``cond``: take the ready calls that may start, with their prompts."""
         started = []
-        while self.ready and self.running < self.bound and self.error is None:
+        while self.ready and self.running < self.widest and self.error is None:
             pos = heapq.heappop(self.ready)
             started.append((pos, *self._prompts(pos)))
             self.running += 1
@@ -442,7 +442,7 @@ class _Schedule:
         while started:
             (pos, system, user), *others = started
             for call in others:
-                _shared_executor(self.bound).submit(self._run_from, [call])
+                _shared_executor(self.widest).submit(self._run_from, [call])
             try:
                 entry = self._call(pos, system, user)
             except BaseException as exc:  # run() raises it on the caller thread
@@ -487,14 +487,14 @@ class _Schedule:
 
 def _run_all(
     runs: Sequence[tuple[AgentGraph, str]], backend: AgentBackend, *,
-    rounds: int, attack: AttackSpec | None, max_workers: int | None,
+    rounds: int, attack: AttackSpec | None,
 ) -> list[RunTranscript]:
     """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
-    one schedule; return the transcripts in run order. At most ``max_workers``
-    calls run at once (``None``: the worker count of the largest graph)."""
+    one schedule; return the transcripts in run order. At most as many calls
+    run at once as the widest graph has workers, nodes besides its summarizer."""
     if rounds < 1:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    return _Schedule(runs, backend, rounds, attack, max_workers).run()
+    return _Schedule(runs, backend, rounds, attack).run()
 
 
 def run_graph(
@@ -523,9 +523,7 @@ def run_graph(
     finished in. On the first exception no further call starts; calls already
     running finish, and that exception is raised.
     """
-    return _run_all(
-        [(agent_graph, query)], backend, rounds=rounds, attack=attack, max_workers=None
-    )[0]
+    return _run_all([(agent_graph, query)], backend, rounds=rounds, attack=attack)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,17 +619,14 @@ def evaluate(
     mode: str = "composite",
     rounds: int = 1,
     attack: AttackSpec | None = None,
-    max_workers: int | None = None,
 ) -> EvalReport:
     """Run each example through its graph and score the final answers.
 
     ``graphs`` is either one graph reused for every example or a sequence
     aligned with the dataset. The calls of all examples share one schedule,
-    as in :func:`run_graph`: at most ``max_workers`` run at once, and ``None``
-    means the worker count of the largest graph. Results keep dataset order.
+    as in :func:`run_graph`, and at most as many run at once as the widest
+    graph has workers. Results keep dataset order.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
     if not dataset:
         raise ValidationError("evaluation dataset is empty")
     graph_list = [graphs] * len(dataset) if isinstance(graphs, GroupGraph) else list(graphs)
@@ -645,7 +640,6 @@ def evaluate(
         backend,
         rounds=rounds,
         attack=attack,
-        max_workers=max_workers,
     )
     items = [
         ItemResult(

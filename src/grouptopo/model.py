@@ -569,8 +569,9 @@ class LossBreakdown:
 
 def trajectory_noise(
     rng: np.random.Generator, graph: GroupGraph, config: ModelConfig
-) -> list[np.ndarray]:
-    """Draw the latent noise for every site of a teacher-forced pass.
+) -> np.ndarray:
+    """Draw the latent noise for every site of a teacher-forced pass: one
+    ``(sites, dim)`` array, a row per site.
 
     Site order is fixed: for each step, the selection site first, then its
     edge sites by ascending source, so step t's sites start at index
@@ -578,7 +579,7 @@ def trajectory_noise(
     comes last. The draw count depends only on the graph shape, so a fixed
     seed yields the same noise for any parameters.
     """
-    return [rng.standard_normal(config.dim) for _ in range(_site_count(graph, config))]
+    return rng.standard_normal((_site_count(graph, config), config.dim))
 
 
 def _site_count(graph: GroupGraph, config: ModelConfig) -> int:
@@ -594,28 +595,20 @@ def loss_and_grads(
     task_vec: np.ndarray,
     graph: GroupGraph,
     *,
-    beta_group: float | None = None,
-    beta_edge: float | None = None,
-    noise: list[np.ndarray] | None = None,
+    noise: np.ndarray | None = None,
     compute_grads: bool = True,
 ) -> tuple[LossBreakdown, Grads]:
     """Teacher-forced loss for one trajectory, with exact gradients.
 
     The objective is selection NLL + edge BCE + weighted KL between the
-    latent posteriors and the task-conditioned priors. ``noise`` holds one
-    vector per site (see :func:`trajectory_noise`); without it, the posterior
-    means are used. The betas default to the config's. This is
-    :func:`minibatch_loss_and_grads` on a minibatch of one.
+    latent posteriors and the task-conditioned priors, weighted by the
+    config's betas. ``noise`` holds one row per site (see
+    :func:`trajectory_noise`); without it, the posterior means are used. This
+    is :func:`minibatch_loss_and_grads` on a minibatch of one.
     """
     breakdowns, grads = minibatch_loss_and_grads(
-        params,
-        config,
-        candidates,
-        np.asarray(task_vec)[None],
-        [graph],
-        [noise],
-        beta_group=config.beta_group if beta_group is None else beta_group,
-        beta_edge=config.beta_edge if beta_edge is None else beta_edge,
+        params, config, candidates, np.asarray(task_vec)[None], [graph], [noise],
+        beta_group=config.beta_group, beta_edge=config.beta_edge,
         compute_grads=compute_grads,
     )
     return breakdowns[0], grads
@@ -634,7 +627,7 @@ def minibatch_loss_and_grads(
     candidates: np.ndarray,
     task_vecs: np.ndarray,
     graphs: Sequence[GroupGraph],
-    noises: Sequence[list[np.ndarray] | None],
+    noises: Sequence[np.ndarray | None],
     *,
     beta_group: float,
     beta_edge: float,
@@ -644,9 +637,9 @@ def minibatch_loss_and_grads(
     gradient of their sum.
 
     Trajectory b is the task vector ``task_vecs[b]``, the graph ``graphs[b]``
-    and its noise ``noises[b]`` (one vector per site in the order of
-    :func:`trajectory_noise`, or None for the posterior means). Returns one
-    :class:`LossBreakdown` per trajectory.
+    and its noise ``noises[b]`` (a finite ``(sites, dim)`` array in the site
+    order of :func:`trajectory_noise`, or None for the posterior means).
+    Returns one :class:`LossBreakdown` per trajectory.
 
     Under teacher forcing the history depends only on the graph's own
     selections, so every pass covers the whole minibatch, with one row per
@@ -670,14 +663,14 @@ def minibatch_loss_and_grads(
         check_graph_shape(graph, config.pool_size, config.max_steps)
     n_group = np.array([min(g.n_steps + 1, config.max_steps) for g in graphs], dtype=int)
     n_sites = np.array([_site_count(graph, config) for graph in graphs], dtype=int)
-    eps_parts = []
     for noise, count in zip(noises, n_sites):
-        if noise is None:
-            noise = [np.zeros(d)] * count
-        if len(noise) < count:
-            raise ValidationError("noise stream shorter than the site count")
-        eps_parts.append(np.asarray(noise[:count]))
-    eps = np.concatenate(eps_parts)
+        if noise is not None:
+            _check_rows(noise, (count, d), "noise rows",
+                        f"{count} noise rows of dim {d}, one per site")
+    eps = np.concatenate([
+        np.zeros((count, d)) if noise is None else noise
+        for noise, count in zip(noises, n_sites)
+    ])
     site_base = np.cumsum(n_sites) - n_sites
 
     matrix = scoring_matrix(params, config, candidates)

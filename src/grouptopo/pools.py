@@ -16,9 +16,9 @@ from .graph import (
     GroupPool,
     IntraPattern,
     RoleSpec,
-    pool_from_records,
+    decode_records,
+    group_from_record,
     pool_to_records,
-    read_records,
     write_records,
 )
 
@@ -115,7 +115,7 @@ def default_pool() -> GroupPool:
 
 
 def load_pool(path: str | os.PathLike) -> GroupPool:
-    return pool_from_records(read_records(path))
+    return GroupPool(tuple(decode_records(path, group_from_record)))
 
 
 def save_pool(path: str | os.PathLike, pool: GroupPool) -> None:

@@ -25,6 +25,7 @@ from .graph import (
     check_header,
     group_graph_from_record,
     group_graph_to_record,
+    is_integer,
     make_record,
     record_field,
     validate_group_graph,
@@ -252,8 +253,8 @@ def sample_candidate_topology(
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """One explored graph's outcome on one query, ``correct`` stored as a bool.
-    Each token count must be a non-negative integer, NumPy's included."""
+    """One explored graph's outcome on one query. ``correct`` must be a bool and
+    each token count a non-negative integer, NumPy's included."""
 
     query: str
     answer: str
@@ -265,11 +266,12 @@ class ExplorationResult:
     completion_tokens: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.correct, (bool, np.bool_)):
+            raise ValidationError("'correct' must be true or false")
         object.__setattr__(self, "correct", bool(self.correct))
         for key in ("prompt_tokens", "completion_tokens"):
             value = getattr(self, key)
-            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integral or value < 0:
+            if not is_integer(value) or value < 0:
                 raise ValidationError(f"'{key}' must be a non-negative integer")
             object.__setattr__(self, key, int(value))
 
@@ -307,14 +309,13 @@ def explore_and_label(
     dataset: Sequence[EvalExample],
     backend: AgentBackend,
     config: ExplorationConfig,
-    *,
-    max_workers: int | None = None,
 ) -> list[ExplorationResult]:
     """Run every (query, family, sample) combination and mark correctness.
 
     Sampling happens up front from one seeded stream, so results are
-    reproducible and independent of worker scheduling; the graphs then run
-    through :func:`~grouptopo.harness.evaluate`, dataset-major, family-minor.
+    reproducible and independent of which call finishes first; the graphs
+    then run on one schedule through :func:`~grouptopo.harness.evaluate`,
+    dataset-major, family-minor.
     """
     rng = make_rng(config.seed)
     tasks: list[tuple[EvalExample, str, GroupGraph]] = []
@@ -335,7 +336,6 @@ def explore_and_label(
         backend,
         mode=config.mode,
         rounds=config.rounds,
-        max_workers=max_workers,
     )
     return [
         ExplorationResult(

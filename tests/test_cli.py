@@ -9,6 +9,7 @@ import os
 import pathlib
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ class OffMainThreadFailure:
 
 @pytest.mark.parametrize("command, args", [
     ("discover", ["--dataset", "dataset.jsonl", "--out", "out.jsonl",
-                  "--families", "star", "--workers", "2"]),
+                  "--families", "star"]),
     ("run", ["--graphs", "graphs.jsonl"]),
     ("attack", ["--graphs", "graphs.jsonl", "--dataset", "dataset.jsonl",
                 "--attack-target", "0", "--attack-text", "x"]),
@@ -235,6 +236,38 @@ def test_backend_error_in_worker_thread_exits_3(runner, workdir, monkeypatch,
     assert result.exit_code == 3, result.output
     assert "HTTP 401" in result.stderr
     assert OffMainThreadFailure.failed
+
+
+class SleepingBackend:
+    """Answers "5" after a short sleep; records the most calls in flight at once."""
+
+    def __init__(self):
+        self.running = 0
+        self.peak = 0
+        self.lock = threading.Lock()
+
+    def complete(self, system, user, *, role):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        time.sleep(0.01)
+        with self.lock:
+            self.running -= 1
+        return gt.BackendResult(text="5")
+
+
+def test_discover_runs_independent_calls_concurrently(runner, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    backend = SleepingBackend()
+    monkeypatch.setattr(cli_mod, "_make_backend", lambda *args, **kwargs: backend)
+    args = ["discover", "--pool", "pool.jsonl", "--dataset", "dataset.jsonl",
+            "--out", "out.jsonl", "--families", "star"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0, result.output
+    assert backend.peak > 1
+    # The bound is the width of the graphs; there is no option to set it.
+    result = invoke(runner, [*args, "--workers", "2"])
+    assert result.exit_code == 1
 
 
 def test_exit_code_bad_flag_value(runner, workdir):
@@ -633,6 +666,21 @@ def test_pool_with_a_malformed_group_exits_2(runner, workdir, edit, needle):
     assert needle in result.stderr
 
 
+def test_pool_error_names_its_line(runner, workdir):
+    records = gt.read_records(str(workdir / "pool.jsonl"))
+    records[1]["pattern"] = "ring"
+    lines = [json.dumps(record).encode() for record in records]
+    (workdir / "bad_pool.jsonl").write_bytes(b"\n".join(lines[:1] + [b""] + lines[1:]))
+    gt.write_records(str(workdir / "graphs.jsonl"), [gt.trajectory_to_record(
+        gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,))),
+    )])
+    result = invoke(runner, ["diagram", "--pool", str(workdir / "bad_pool.jsonl"),
+                             "--graphs", str(workdir / "graphs.jsonl")])
+    assert result.exit_code == 2
+    # The blank line counts: the second group is on line 3.
+    assert result.stderr == "validation error: line 3: unknown intra pattern 'ring'\n"
+
+
 def exploration_line(**fields):
     record = {
         "v": "v1", "kind": "exploration", "query": "q", "correct": True,
@@ -649,8 +697,11 @@ def exploration_line(**fields):
     (b"[" * 200_000 + b"\n", "line 1"),
     (exploration_line(graph={"v": "v1", "kind": "group_graph", "selected": [0, 1],
                              "edges": ["0->1", "0->1"]}), "duplicate edge 0->1"),
+    (exploration_line() * 2 + exploration_line(graph={
+        "v": "v1", "kind": "group_graph", "selected": [0, 1], "edges": ["0->1", "0->1"]}),
+     "validation error: line 3: duplicate edge 0->1"),
 ], ids=["not_utf8", "correct_string", "tokens_string", "tokens_negative", "deep_nesting",
-        "duplicate_edge"])
+        "duplicate_edge", "third_line"])
 def test_curate_rejects_bad_results(runner, workdir, content, needle):
     bad = workdir / "explored.jsonl"
     bad.write_bytes(content)

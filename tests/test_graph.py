@@ -21,8 +21,6 @@ from grouptopo.graph import (
     group_graph_from_record,
     group_graph_to_record,
     parse_edge,
-    pool_from_records,
-    pool_to_records,
     read_records,
     trajectory_from_record,
     trajectory_to_record,
@@ -95,16 +93,28 @@ def test_validate_rejects_duplicate_edge():
         gt.validate_group_graph(graph, pool_size=2, max_steps=4)
 
 
-@pytest.mark.parametrize("selected, edges, message", [
-    ((0, 1), ((1, 0),), "edge 1->0 is out of range for 2 steps"),
-    ((0, 1), ((0, 2),), "edge 0->2 is out of range for 2 steps"),
-    ((0, 1), ((-1, 1),), "edge -1->1 is out of range for 2 steps"),
-    ((0, 1, 1), ((0, 1), (1, 2), (0, 1)), "duplicate edge 0->1"),
-    ((0, -1), ((0, 1),), "'selected' must be a list of non-negative integers"),
-], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection"])
-def test_group_graph_checks_itself_when_made(selected, edges, message):
+NOT_INTEGERS = "'selected' must be a list of non-negative integers"
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(selected=(0, 1), edges=((1, 0),)), "edge 1->0 is out of range for 2 steps"),
+    (dict(selected=(0, 1), edges=((0, 2),)), "edge 0->2 is out of range for 2 steps"),
+    (dict(selected=(0, 1), edges=((-1, 1),)), "edge -1->1 is out of range for 2 steps"),
+    (dict(selected=(0, 1, 1), edges=((0, 1), (1, 2), (0, 1))), "duplicate edge 0->1"),
+    (dict(selected=(0, -1), edges=((0, 1),)), NOT_INTEGERS),
+    (dict(selected=(2.5, "1"), edges=((0, 1),)), NOT_INTEGERS),
+    (dict(selected=(0, "1")), NOT_INTEGERS),
+    (dict(selected=(True,)), NOT_INTEGERS),
+    (dict(selected=(0, 1), edges=((0.9, 1.2),)), "'edges' must be pairs of integers"),
+    (dict(selected=(0, 1), edges=((False, True),)), "'edges' must be pairs of integers"),
+    (dict(selected=(0,), truncated="no"), "'truncated' must be true or false"),
+    (dict(selected=(0,), truncated=1), "'truncated' must be true or false"),
+], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection",
+        "float_selection", "string_selection", "bool_selection", "float_edge", "bool_edge",
+        "string_truncated", "int_truncated"])
+def test_group_graph_checks_itself_when_made(fields, message):
     with pytest.raises(ValidationError) as info:
-        gt.GroupGraph(selected=selected, edges=edges)
+        gt.GroupGraph(**fields)
     assert str(info.value) == message
 
 
@@ -213,10 +223,10 @@ def test_graph_record_rejects_non_bool_truncated(value):
     assert group_graph_from_record(record).truncated
 
 
-def test_pool_record_roundtrip():
+def test_pool_record_roundtrip(tmp_path):
     pool = gt.default_pool()
-    again = pool_from_records(pool_to_records(pool))
-    assert again == pool
+    gt.save_pool(tmp_path / "pool.jsonl", pool)
+    assert gt.load_pool(tmp_path / "pool.jsonl") == pool
 
 
 def test_trajectory_record_roundtrip():

@@ -461,7 +461,7 @@ def test_worker_error_is_raised_and_stops_the_run():
         backend = FailingBackend(failed.prompt, delay=delay)
         with pytest.raises(BackendError) as excinfo:
             gt.evaluate(arithmetic_dataset(2), gt.GroupGraph(selected=(13,)), pool,
-                        backend, mode="expanded", max_workers=2)
+                        backend, mode="expanded")
         assert excinfo.value is backend.error
         assert backend.running == 0
         assert backend.slept == pytest.approx(delay * len(backend.started))
@@ -473,13 +473,15 @@ def test_evaluate_bounds_the_calls_in_flight():
     star = gt.GroupGraph(selected=(13,))
     backend = SleepBackend(0.02)
     start = time.perf_counter()
-    gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=2)
+    gt.evaluate(dataset, star, pool, backend, mode="expanded")
     wall = time.perf_counter() - start
-    assert backend.peak == 2
+    # The expanded star has four agents besides its summarizer.
+    assert backend.peak == len(expanded_star().nodes) - 1 == 4
     assert wall < backend.slept
 
+    # In composite mode the one-step graph is one agent wide.
     backend = SleepBackend(0.002)
-    gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=1)
+    gt.evaluate(dataset, star, pool, backend)
     assert backend.peak == 1
     assert backend.threads == {threading.get_ident()}
 
@@ -517,10 +519,12 @@ def test_a_wider_bound_gets_a_wider_pool(monkeypatch):
     monkeypatch.setattr(harness, "_executor_width", 0)
     pool = gt.default_pool()
     dataset = arithmetic_dataset(4)
-    star = gt.GroupGraph(selected=(13,))
     for width in (2, 5):
+        # A composite star of ``width`` steps: step 0 feeds every other step.
+        star = gt.GroupGraph(selected=(0,) * width,
+                             edges=tuple((0, t) for t in range(1, width)))
         backend = SleepBackend(0.02)
-        gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=width)
+        gt.evaluate(dataset, star, pool, backend)
         assert backend.peak == width
 
 
@@ -598,7 +602,9 @@ def caller_waits():
 class InterruptingBackend(SleepBackend):
     """Calls on the caller thread return at once, and calls on other threads
     sleep ``delay``. The first of those, once the caller waits, sends this
-    process SIGINT."""
+    process SIGINT, and sleeps only once the caller has stopped waiting: on a
+    busy machine the caller may take longer than ``delay`` to run its signal
+    handler."""
 
     def __init__(self, delay):
         super().__init__(delay)
@@ -617,6 +623,8 @@ class InterruptingBackend(SleepBackend):
             while not caller_waits() and time.monotonic() < deadline:
                 time.sleep(0.001)
             os.kill(os.getpid(), signal.SIGINT)
+            while caller_waits() and time.monotonic() < deadline:
+                time.sleep(0.001)
         return super().complete(system, user, role=role)
 
 
@@ -634,7 +642,7 @@ def test_an_interrupted_caller_starts_no_further_call(monkeypatch):
     previous = signal.signal(signal.SIGINT, interrupt)
     try:
         with pytest.raises(Interrupted):
-            gt.evaluate(dataset, star, pool, backend, mode="expanded", max_workers=3)
+            gt.evaluate(dataset, star, pool, backend, mode="expanded")
     finally:
         signal.signal(signal.SIGINT, previous)
     deadline = time.monotonic() + 5
@@ -707,11 +715,16 @@ def test_evaluate_worker_parity(pool4):
     dataset = arithmetic_dataset(6)
     backend = gt.AnswerKeyBackend({ex.query: ex.answer for ex in dataset})
     graph = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
-    serial = gt.evaluate(dataset, graph, pool4, backend)
-    threaded = gt.evaluate(dataset, graph, pool4, backend, max_workers=3)
-    assert serial.accuracy == threaded.accuracy
-    assert serial.stats == threaded.stats
-    assert [i.got for i in serial.items] == [i.got for i in threaded.items]
+    # One schedule for the whole dataset reports what a schedule per item does.
+    alone = [gt.evaluate([example], graph, pool4, backend) for example in dataset]
+    together = gt.evaluate(dataset, graph, pool4, backend)
+    assert together.accuracy == sum(r.accuracy for r in alone) / len(alone)
+    assert together.stats == gt.TokenStats(
+        sum(r.stats.prompt_tokens for r in alone),
+        sum(r.stats.completion_tokens for r in alone),
+        sum(r.stats.calls for r in alone),
+    )
+    assert together.items == tuple(r.items[0] for r in alone)
 
     # Every item equals its graph run on its own by the serial reference.
     pool = gt.default_pool()
@@ -737,12 +750,11 @@ def test_evaluate_worker_parity(pool4):
                         completion_tokens=run.stats.completion_tokens,
                         calls=run.stats.calls,
                     ))
-                for max_workers in (1, 2, None):
-                    backend = EchoRecorder()
-                    report = gt.evaluate(dataset, graphs, pool, backend, mode=mode,
-                                         rounds=rounds, max_workers=max_workers)
-                    assert report.items == tuple(expected)
-                    assert backend.calls == expected_backend.calls
+                backend = EchoRecorder()
+                report = gt.evaluate(dataset, graphs, pool, backend, mode=mode,
+                                     rounds=rounds)
+                assert report.items == tuple(expected)
+                assert backend.calls == expected_backend.calls
 
 
 def test_evaluate_attack_lowers_accuracy(pool4):

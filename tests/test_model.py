@@ -517,6 +517,13 @@ def _minibatch(setup, task_vecs, graphs):
 GRAPH = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
 
 
+def _loss_with_noise(setup, dim, fill):
+    """``loss_and_grads`` on GRAPH with one noise row per site, of ``dim``."""
+    sites = len(model_mod.trajectory_noise(nn.make_rng(0), GRAPH, setup.config))
+    return gt.loss_and_grads(setup.params, setup.config, setup.candidates, setup.task_vec,
+                             GRAPH, noise=np.full((sites, dim), fill))
+
+
 @pytest.mark.parametrize("call,match", [
     pytest.param(lambda s, dim: _minibatch(s, np.zeros((0, dim)), []),
                  "one graph or more", id="empty_minibatch"),
@@ -549,10 +556,14 @@ GRAPH = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
         s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None, None],
         beta_group=0.0, beta_edge=0.0),
                  "noise entry for each", id="minibatch_extra_noises"),
+    pytest.param(lambda s, dim: _loss_with_noise(s, dim + 1, 0.0),
+                 "noise rows of dim", id="loss_wrong_dim_noise"),
+    pytest.param(lambda s, dim: _loss_with_noise(s, dim, np.nan),
+                 "NaN or infinite", id="loss_nan_noise"),
 ])
 def test_bad_task_inputs_raise_validation_error(tiny, call, match):
-    """Task vectors that do not fit the model or are not finite, noise lists of
-    the wrong length, and an empty minibatch end in ValidationError instead of
-    a NumPy error from deep inside a pass, or a silent NaN."""
+    """Task vectors and noise that do not fit the model or are not finite, noise
+    lists of the wrong length, and an empty minibatch end in ValidationError
+    instead of a NumPy error from deep inside a pass, or a silent NaN."""
     with pytest.raises(ValidationError, match=match):
         call(tiny, tiny.config.dim)

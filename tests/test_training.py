@@ -166,6 +166,14 @@ def test_exploration_result_rejects_bad_token_counts(count):
                                  correct=True, final_text="", **fields)
 
 
+@pytest.mark.parametrize("correct", ["no", 1, None])
+def test_exploration_result_rejects_a_correct_that_is_not_a_bool(correct):
+    with pytest.raises(ValidationError, match="'correct' must be true or false"):
+        gt.ExplorationResult(query="q", answer="", graph=gt.GroupGraph(selected=(0,)),
+                             family="", correct=correct, final_text="",
+                             prompt_tokens=0, completion_tokens=0)
+
+
 def test_exploration_result_stores_python_scalars():
     result = gt.ExplorationResult(
         query="q", answer="", graph=gt.GroupGraph(selected=(0,)), family="",
@@ -211,23 +219,16 @@ def test_explore_and_label_counts(pool4):
 def test_explore_and_label_worker_parity(pool4):
     dataset = make_dataset()
     config = gt.ExplorationConfig(n_steps=2, samples_per_family=1, seed=8)
-    serial = gt.explore_and_label(pool4, dataset, answer_backend(dataset), config)
-    threaded = gt.explore_and_label(
-        pool4, dataset, answer_backend(dataset), config, max_workers=4
-    )
-    assert serial == threaded
-
-
-@pytest.mark.parametrize("max_workers", [0, -3])
-def test_bad_max_workers_is_rejected(pool4, max_workers):
-    dataset = make_dataset()
     backend = answer_backend(dataset)
-    with pytest.raises(ValidationError, match="max_workers"):
-        gt.evaluate(dataset, gt.GroupGraph(selected=(0,)), pool4, backend,
-                    max_workers=max_workers)
-    with pytest.raises(ValidationError, match="max_workers"):
-        gt.explore_and_label(pool4, dataset, backend, gt.ExplorationConfig(),
-                             max_workers=max_workers)
+    results = gt.explore_and_label(pool4, dataset, backend, config)
+    # Each result is its graph evaluated on a schedule of its own.
+    for example, result in zip([e for e in dataset for _ in config.families], results):
+        (item,) = gt.evaluate([example], result.graph, pool4, backend).items
+        assert result == gt.ExplorationResult(
+            query=item.query, answer=item.expected, graph=result.graph,
+            family=result.family, correct=item.correct, final_text=item.got,
+            prompt_tokens=item.prompt_tokens, completion_tokens=item.completion_tokens,
+        )
 
 
 # ---------------------------------------------------------------------------
