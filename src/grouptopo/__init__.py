@@ -60,22 +60,18 @@ from .model import (
     LossBreakdown,
     ModelConfig,
     check_params,
-    conditional_prior,
     fuse_step,
     generate_graph,
     generate_graphs,
     graph_log_likelihood,
     init_params,
-    kl_diag,
     loss_and_grads,
     minibatch_loss_and_grads,
     reparameterize,
 )
 from .nn import (
-    FiniteDiffReport,
     OptimizerState,
     adamw_step,
-    finite_diff_check,
     load_checkpoint,
     make_rng,
     save_checkpoint,

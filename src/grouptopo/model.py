@@ -153,25 +153,16 @@ class GaussianDiag:
     mu: np.ndarray
     log_sigma: np.ndarray
 
-    @classmethod
-    def standard(cls, dim: int) -> "GaussianDiag":
-        return cls(mu=np.zeros(dim), log_sigma=np.zeros(dim))
-
     def take(self, rows: np.ndarray) -> "GaussianDiag":
         """The distributions at ``rows``, one per index."""
         return GaussianDiag(mu=self.mu[rows], log_sigma=self.log_sigma[rows])
 
 
 def _kl_terms(q: GaussianDiag, p: GaussianDiag) -> np.ndarray:
-    """KL(q || p) per coordinate; it sums to :func:`kl_diag`."""
+    """KL(q || p) between diagonal Gaussians per coordinate, in nats."""
     lq, lp = q.log_sigma, p.log_sigma
     diff = q.mu - p.mu
     return lp - lq + 0.5 * (np.exp(2.0 * lq) + diff * diff) * np.exp(-2.0 * lp) - 0.5
-
-
-def kl_diag(q: GaussianDiag, p: GaussianDiag) -> float:
-    """KL(q || p) between diagonal Gaussians, in nats."""
-    return float(np.sum(_kl_terms(q, p)))
 
 
 def _kl_diag_backward(
@@ -205,6 +196,8 @@ class _BottleneckCache:
 def _bottleneck(
     params: Params, prefix: str, x: np.ndarray
 ) -> tuple[GaussianDiag, _BottleneckCache]:
+    """The Gaussian head under ``prefix``: a task-conditioned prior
+    ("prior_g", "prior_e") or a posterior ("enc_g", "enc_e")."""
     mu = nn.affine(params, f"{prefix}.mu", x)
     ls_raw = nn.affine(params, f"{prefix}.ls", x)
     ls = np.clip(ls_raw, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
@@ -225,14 +218,6 @@ def _bottleneck_backward(
     dx = nn.affine_backward(params, f"{prefix}.mu", cache.x, d_mu, grads)
     dx += nn.affine_backward(params, f"{prefix}.ls", cache.x, d_ls_raw, grads)
     return dx
-
-
-def conditional_prior(params: Params, prefix: str, z: np.ndarray) -> GaussianDiag:
-    """The Gaussian head under ``prefix``: the task-conditioned prior for
-    "prior_g"/"prior_e", the posterior for "enc_g"/"enc_e". All-zero weights
-    give the standard normal."""
-    dist, _ = _bottleneck(params, prefix, z)
-    return dist
 
 
 @dataclass
@@ -772,7 +757,7 @@ def minibatch_loss_and_grads(
     # Backprop through time over the history fold, latest step first, so that
     # a state's gradient is complete before it flows back. State 0 is a constant.
     for rows, his_cache in reversed(his_steps):
-        _, d_prev = nn.gru_backward(params, "his_gru", his_cache, d_states[rows + 1], grads)
+        d_prev = nn.gru_backward(params, "his_gru", his_cache, d_states[rows + 1], grads)
         d_states[rows] += d_prev
 
     # Task-conditioned priors, then the task projection itself.

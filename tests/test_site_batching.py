@@ -21,6 +21,8 @@ from grouptopo import nn
 from grouptopo.model import LOG_FLOOR, LOG_SIGMA_MAX, LOG_SIGMA_MIN
 from grouptopo.training import family_edges
 
+from finite_diff import finite_diff_check
+
 # ---------------------------------------------------------------------------
 # The per-site reference.
 
@@ -183,10 +185,10 @@ def ref_loss_and_grads(params, config, candidates, task_vec, graph, beta_group,
     group_nll = edge_bce = kl_group = kl_edge = 0.0
     for _, target, _, probs, latent, _ in group_sites:
         group_nll += -math.log(max(float(probs[target]), LOG_FLOOR))
-        kl_group += gt.kl_diag(latent[4], prior_g)
+        kl_group += model_mod._kl_terms(latent[4], prior_g).sum()
     for _, _, label, prob, e_cache in edge_sites:
         edge_bce += -math.log(max(prob if label else 1.0 - prob, LOG_FLOOR))
-        kl_edge += gt.kl_diag(e_cache[3][4], prior_e)
+        kl_edge += model_mod._kl_terms(e_cache[3][4], prior_e).sum()
     breakdown = gt.LossBreakdown(
         group_nll=group_nll, edge_bce=edge_bce, kl_group=kl_group, kl_edge=kl_edge,
         beta_group=beta_group, beta_edge=beta_edge,
@@ -226,7 +228,7 @@ def ref_loss_and_grads(params, config, candidates, task_vec, graph, beta_group,
     carry = np.zeros(dim)
     for j in range(n - 1, -1, -1):
         total = carry + d_state_acc[j + 1]
-        _, carry = nn.gru_backward(params, "his_gru", his_caches[j], total, grads)
+        carry = nn.gru_backward(params, "his_gru", his_caches[j], total, grads)
     dz += ref_bottleneck_backward(params, "prior_g", prior_g_cache, *prior_g_acc, grads)
     dz += ref_bottleneck_backward(params, "prior_e", prior_e_cache, *prior_e_acc, grads)
     dh1 = nn.affine_backward(params, "task_ffn.l2", h1, dz, grads)
@@ -513,7 +515,7 @@ def test_minibatch_gradient_matches_finite_differences():
         )
 
     _, grads = minibatch(params, True)
-    report = nn.finite_diff_check(
+    report = finite_diff_check(
         lambda p: sum(b.total for b in minibatch(p, False)[0]), params, grads, step=3e-4
     )
     assert report.max_rel_err < 1e-4, report
