@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import math
 import os
 import re
 import uuid
@@ -129,6 +130,29 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_integer_fields(record, minimums: dict[str, int]) -> None:
+    """Raise ValidationError unless each field of ``record`` named in
+    ``minimums`` is an integer (see :func:`is_integer`) of at least its
+    minimum; store each as a Python int, which JSON can write."""
+    for name, low in minimums.items():
+        value = getattr(record, name)
+        if not (is_integer(value) and value >= low):
+            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(record, name, int(value))
+
+
+def check_number_fields(record, names: Iterable[str]) -> None:
+    """Raise ValidationError unless each named field of ``record`` is a finite,
+    non-negative Python or NumPy number; a bool is not."""
+    for name in names:
+        value = getattr(record, name)
+        finite = is_integer(value) or (
+            isinstance(value, (float, np.floating)) and math.isfinite(value)
+        )
+        if not (finite and value >= 0):
+            raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupGraph:
     """Ordered group selections plus inter-step edges (i, t) with i < t.
@@ -146,14 +170,22 @@ class GroupGraph:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if not all(is_integer(s) and s >= 0 for s in self.selected):
+        try:
+            selected = tuple(self.selected)
+        except TypeError:
+            selected = (None,)
+        if not all(is_integer(s) and s >= 0 for s in selected):
             raise ValidationError("'selected' must be a list of non-negative integers")
-        if not all(is_integer(i) and is_integer(t) for i, t in self.edges):
+        try:
+            edges = [(i, t) for i, t in self.edges]
+        except (TypeError, ValueError):  # not iterable, or not a pair
+            edges = [(None, None)]
+        if not all(is_integer(i) and is_integer(t) for i, t in edges):
             raise ValidationError("'edges' must be pairs of integers")
         if not isinstance(self.truncated, (bool, np.bool_)):
             raise ValidationError("'truncated' must be true or false")
-        object.__setattr__(self, "selected", tuple(int(s) for s in self.selected))
-        edges = sorted((int(i), int(t)) for i, t in self.edges)
+        object.__setattr__(self, "selected", tuple(int(s) for s in selected))
+        edges = sorted((int(i), int(t)) for i, t in edges)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "truncated", bool(self.truncated))
         n = self.n_steps

@@ -32,7 +32,14 @@ import numpy as np
 
 from . import nn
 from .errors import ValidationError
-from .graph import GroupGraph, check_graph_shape, record_field
+from .graph import (
+    GroupGraph,
+    check_graph_shape,
+    check_integer_fields,
+    check_number_fields,
+    is_integer,
+    record_field,
+)
 from .nn import Grads, Params, accumulate, make_rng
 
 LOG_SIGMA_MIN = -6.0
@@ -53,18 +60,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pool_size < 1:
-            raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.dim < 1 or self.hidden < 1:
-            raise ValidationError("dim and hidden must be positive")
-        if self.max_steps < 1:
-            raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
-        for name in ("beta_group", "beta_edge"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(
-                    f"{name} must be finite and non-negative, got {value}"
-                )
+        check_integer_fields(
+            self, {"pool_size": 1, "dim": 1, "hidden": 1, "max_steps": 1, "seed": 0}
+        )
+        check_number_fields(self, ("beta_group", "beta_edge"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -295,8 +294,12 @@ def _fuse_backward(
 def _check_rows(rows: np.ndarray, shape: tuple[int, int], name: str, need: str) -> None:
     """Raise ValidationError unless the ``name`` have ``shape``, which ``need``
     describes, and hold only finite values."""
-    if np.shape(rows) != shape:
-        raise ValidationError(f"need {need}; got {name} of shape {np.shape(rows)}")
+    try:
+        found = np.shape(rows)
+    except ValueError:  # rows of different lengths have no shape
+        raise ValidationError(f"need {need}; got ragged {name}") from None
+    if found != shape:
+        raise ValidationError(f"need {need}; got {name} of shape {found}")
     if not np.all(np.isfinite(rows)):
         raise ValidationError(f"{name} hold NaN or infinite values")
 
@@ -458,12 +461,13 @@ def generate_graphs(
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).
     """
-    task_vecs = np.asarray(task_vecs, dtype=np.float64)
     _check_rows(task_vecs, (len(seeds), config.dim), "task rows",
                 f"one task row per seed, of dim {config.dim}")
+    if not all(is_integer(seed) and seed >= 0 for seed in seeds):
+        raise ValidationError("seeds must be non-negative integers")
     limit = config.max_steps
     if forced_steps is not None:
-        if not 1 <= forced_steps <= config.max_steps:
+        if not (is_integer(forced_steps) and 1 <= forced_steps <= config.max_steps):
             raise ValidationError(
                 f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
             )

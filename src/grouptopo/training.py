@@ -8,7 +8,6 @@ ramp in linearly over the first warm-up epochs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,6 +22,8 @@ from .graph import (
     GroupPool,
     Trajectory,
     check_header,
+    check_integer_fields,
+    check_number_fields,
     group_graph_from_record,
     group_graph_to_record,
     is_integer,
@@ -60,16 +61,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.warmup_epochs < 0:
-            raise ValidationError("warmup_epochs must be non-negative")
-        for name in ("lr", "weight_decay", "clip_norm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+        check_integer_fields(
+            self, {"epochs": 1, "warmup_epochs": 0, "batch_size": 1, "seed": 0}
+        )
+        check_number_fields(self, ("lr", "weight_decay", "clip_norm"))
         if self.lr <= 0.0:
             raise ValidationError("lr must be positive")
 
@@ -224,10 +219,9 @@ class ExplorationConfig:
         for fam in self.families:
             if fam not in TOPOLOGY_FAMILIES:
                 raise ValidationError(f"unknown topology family '{fam}'")
-        if self.n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
-        if self.samples_per_family < 1:
-            raise ValidationError("samples_per_family must be >= 1")
+        check_integer_fields(
+            self, {"n_steps": 1, "samples_per_family": 1, "rounds": 1, "seed": 0}
+        )
 
 
 def family_edges(family: str, n_steps: int) -> tuple[tuple[int, int], ...]:

@@ -107,10 +107,15 @@ NOT_INTEGERS = "'selected' must be a list of non-negative integers"
     (dict(selected=(True,)), NOT_INTEGERS),
     (dict(selected=(0, 1), edges=((0.9, 1.2),)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1), edges=((False, True),)), "'edges' must be pairs of integers"),
+    (dict(selected=(0, 1, 2), edges=("0->1",)), "'edges' must be pairs of integers"),
+    (dict(selected=(0, 1, 2), edges=((0, 1, 2),)), "'edges' must be pairs of integers"),
+    (dict(selected=(0, 1), edges=1), "'edges' must be pairs of integers"),
+    (dict(selected=5), NOT_INTEGERS),
     (dict(selected=(0,), truncated="no"), "'truncated' must be true or false"),
     (dict(selected=(0,), truncated=1), "'truncated' must be true or false"),
 ], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection",
         "float_selection", "string_selection", "bool_selection", "float_edge", "bool_edge",
+        "string_edge", "triple_edge", "scalar_edges", "scalar_selection",
         "string_truncated", "int_truncated"])
 def test_group_graph_checks_itself_when_made(fields, message):
     with pytest.raises(ValidationError) as info:

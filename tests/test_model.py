@@ -39,7 +39,7 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=field):
             gt.ModelConfig(pool_size=2, **{field: value})
     for field in ("dim", "hidden"):
-        with pytest.raises(ValidationError, match="dim and hidden must be positive"):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
             gt.ModelConfig(pool_size=2, **{field: 0})
 
 
@@ -559,10 +559,31 @@ def _loss_with_noise(setup, dim, fill):
                  "noise rows of dim", id="loss_wrong_dim_noise"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim, np.nan),
                  "NaN or infinite", id="loss_nan_noise"),
+    pytest.param(lambda s, dim: gt.loss_and_grads(
+        s.params, s.config, s.candidates, s.task_vec, GRAPH,
+        noise=[np.zeros(dim)] * 3 + [np.zeros(3)]),
+                 "got ragged noise rows", id="loss_ragged_noise"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, [*s.candidates[:-1], np.zeros(3)], np.zeros((1, dim)), [0]),
+                 "got ragged candidate rows", id="generate_ragged_candidates"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, [np.zeros(dim), np.zeros(3)], [0, 1]),
+                 "got ragged task rows", id="generate_ragged_task_rows"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [-1]),
+                 "seeds must be non-negative integers", id="generate_negative_seed"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [1.5]),
+                 "seeds must be non-negative integers", id="generate_float_seed"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [0], forced_steps=2.5),
+                 "forced_steps must be in", id="generate_float_forced_steps"),
 ])
 def test_bad_task_inputs_raise_validation_error(tiny, call, match):
-    """Task vectors and noise that do not fit the model or are not finite, noise
-    lists of the wrong length, and an empty minibatch end in ValidationError
-    instead of a NumPy error from deep inside a pass, or a silent NaN."""
+    """Task vectors, candidate rows and noise that do not fit the model, are
+    ragged or are not finite, noise lists of the wrong length, an empty
+    minibatch, and seeds or step counts that are not integers in range end in
+    ValidationError instead of a NumPy error from deep inside a pass, or a
+    silent NaN."""
     with pytest.raises(ValidationError, match=match):
         call(tiny, tiny.config.dim)

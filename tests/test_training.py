@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,26 @@ def test_exploration_config_validation():
         gt.ExplorationConfig(families=("pentagon",))
     with pytest.raises(ValidationError):
         gt.ExplorationConfig(n_steps=0)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda v: gt.ModelConfig(pool_size=2, dim=v), "dim", 2.5),
+    (lambda v: gt.ModelConfig(pool_size=2, seed=v), "seed", -1),
+    (lambda v: gt.TrainConfig(epochs=v), "epochs", float("nan")),
+    (lambda v: gt.TrainConfig(batch_size=v), "batch_size", True),
+    (lambda v: gt.ExplorationConfig(n_steps=v), "n_steps", 2.5),
+    (lambda v: gt.ExplorationConfig(rounds=v), "rounds", 0),
+], ids=["model_float_dim", "model_negative_seed", "train_nan_epochs", "train_bool_batch",
+        "exploration_float_steps", "exploration_zero_rounds"])
+def test_config_counts_must_be_integers_in_range(make, field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer >= "):
+        make(value)
+
+
+def test_config_counts_are_stored_as_python_ints():
+    config = gt.ModelConfig(pool_size=np.int64(3), dim=np.int32(8))
+    assert type(config.pool_size) is int and type(config.dim) is int
+    assert gt.ModelConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 # ---------------------------------------------------------------------------
