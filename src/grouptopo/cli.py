@@ -116,9 +116,9 @@ def _make_provider(kind: str, dim: int) -> EmbeddingProvider:
 def _make_backend(
     kind: str, examples: list[EvalExample] | None, attack: AttackSpec | None = None
 ):
-    """The agent backend. A scripted backend for an attacked run treats the
-    injected text as its compromise marker; a clean run gets no marker, since
-    a short text can also occur in an ordinary role prompt."""
+    """The agent backend. A scripted backend takes the attack text as its
+    compromise marker, which fires only on the line the attack prepends, so
+    one backend serves a clean and an attacked pass alike."""
     if kind == "http":
         return HttpAgentBackend()
     if kind == "scripted":
@@ -132,12 +132,10 @@ def _parse_attack(target: str | None, text: str | None) -> AttackSpec | None:
         return None
     if target is None or text is None:
         raise ValidationError("--attack-target and --attack-text go together")
-    resolved: int | str
     try:
-        resolved = int(target)
-    except ValueError:
-        resolved = target
-    return AttackSpec(target=resolved, text=text)
+        return AttackSpec(target=int(target), text=text)
+    except ValueError:  # not an integer: a node name
+        return AttackSpec(target=target, text=text)
 
 
 pool_option = click.option(
@@ -404,13 +402,9 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
     trajectories = _load(graphs_path, GRAPHS)
     examples = _load(dataset, EXAMPLES)
     injection = _parse_attack(attack_target, attack_text)
-    clean = _run_eval(
-        pool, trajectories, examples, _make_backend(backend, examples), mode, rounds, None
-    )
-    attacked = _run_eval(
-        pool, trajectories, examples, _make_backend(backend, examples, injection), mode,
-        rounds, injection,
-    )
+    backend_obj = _make_backend(backend, examples, injection)
+    clean = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, None)
+    attacked = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, injection)
     click.echo(
         f"clean accuracy {clean.accuracy:.3f}, "
         f"attacked accuracy {attacked.accuracy:.3f}"

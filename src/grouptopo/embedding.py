@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, ValidationError
-from .graph import GroupPool
+from .graph import GroupPool, is_integer
 from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -39,6 +39,13 @@ def _tokenize(text: str) -> list[str]:
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
+def _check_dim(dim) -> int:
+    """``dim`` as a Python int; ValidationError unless it is an integer >= 1."""
+    if not (is_integer(dim) and dim >= 1):
+        raise ValidationError(f"'dim' must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 class HashingTextEmbedder:
     """Signed feature hashing over unigrams and bigrams, L2-normalized.
 
@@ -48,9 +55,7 @@ class HashingTextEmbedder:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValidationError(f"embedding dim must be positive, got {dim}")
-        self._dim = int(dim)
+        self._dim = _check_dim(dim)
 
     def encode_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self._dim, dtype=np.float64)
@@ -84,7 +89,7 @@ class HttpEncoderClient:
     def __init__(
         self, dim: int, url: str | None = None, key: str | None = None, *, session=None
     ):
-        self._dim = int(dim)
+        self._dim = _check_dim(dim)
         self.endpoint = HttpEndpoint("encoder", "GOA_ENCODER", url, key, session)
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
-import math
 import os
 import re
+import sys
 import uuid
 from dataclasses import dataclass
 from enum import Enum
@@ -130,27 +130,30 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_integer_fields(record, minimums: dict[str, int]) -> None:
-    """Raise ValidationError unless each field of ``record`` named in
-    ``minimums`` is an integer (see :func:`is_integer`) of at least its
-    minimum; store each as a Python int, which JSON can write."""
-    for name, low in minimums.items():
+def check_fields(record, ints: dict[str, int] | None = None,
+                 numbers: Iterable[str] = (), bools: Iterable[str] = ()) -> None:
+    """Raise ValidationError, naming the field and its value, unless each of
+    ``ints`` is an integer of at least its minimum, each of ``numbers`` a finite
+    number >= 0 and each of ``bools`` a bool (NumPy's scalars included; a bool
+    is neither an integer nor a number); store each as that Python scalar."""
+    for name, low in (ints or {}).items():
         value = getattr(record, name)
         if not (is_integer(value) and value >= low):
-            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            raise ValidationError(f"'{name}' must be an integer >= {low}, got {value!r}")
         object.__setattr__(record, name, int(value))
-
-
-def check_number_fields(record, names: Iterable[str]) -> None:
-    """Raise ValidationError unless each named field of ``record`` is a finite,
-    non-negative Python or NumPy number; a bool is not."""
-    for name in names:
+    for name in numbers:
         value = getattr(record, name)
-        finite = is_integer(value) or (
-            isinstance(value, (float, np.floating)) and math.isfinite(value)
-        )
-        if not (finite and value >= 0):
-            raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
+        value = float(value) if isinstance(value, np.floating) else value
+        real = is_integer(value) or isinstance(value, float)
+        # NaN fails both bounds; the upper one fails infinity and huge integers.
+        if not (real and 0 <= value <= sys.float_info.max):
+            raise ValidationError(f"'{name}' must be a finite number >= 0, got {value!r}")
+        object.__setattr__(record, name, float(value))
+    for name in bools:
+        value = getattr(record, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValidationError(f"'{name}' must be true or false, got {value!r}")
+        object.__setattr__(record, name, bool(value))
 
 
 @dataclass(frozen=True)
@@ -182,12 +185,10 @@ class GroupGraph:
             edges = [(None, None)]
         if not all(is_integer(i) and is_integer(t) for i, t in edges):
             raise ValidationError("'edges' must be pairs of integers")
-        if not isinstance(self.truncated, (bool, np.bool_)):
-            raise ValidationError("'truncated' must be true or false")
+        check_fields(self, bools=("truncated",))
         object.__setattr__(self, "selected", tuple(int(s) for s in selected))
         edges = sorted((int(i), int(t)) for i, t in edges)
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "truncated", bool(self.truncated))
         n = self.n_steps
         for k, (i, t) in enumerate(edges):
             if not 0 <= i < t < n:

@@ -23,7 +23,9 @@ from .graph import (
     AgentGraph,
     GroupGraph,
     GroupPool,
+    check_fields,
     check_header,
+    is_integer,
     make_record,
     materialize_agent_graph,
     record_field,
@@ -86,10 +88,10 @@ class AnswerKeyBackend:
     The query is read from the ``Task: <query>`` line that :func:`run_graph`
     puts first in every user prompt, and must match a key exactly.
 
-    A node whose system prompt holds ``marker`` is compromised and replies
-    with ``CORRUPTION``; so does a node whose user prompt holds a corrupted
-    reply, so one poisoned system prompt taints the path to the final answer.
-    A marker in the query compromises no node; one in a role prompt does.
+    A node whose system prompt starts with the line ``marker``, as an attack
+    with that text makes its target's, is compromised and replies with
+    ``CORRUPTION``; so does a node whose user prompt holds a corrupted reply,
+    so one poisoned system prompt taints the path to the final answer.
     """
 
     def __init__(self, answers: dict[str, str], marker: str | None = None):
@@ -97,7 +99,7 @@ class AnswerKeyBackend:
         self.marker = marker
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
-        if (self.marker and self.marker in system) or CORRUPTION in user:
+        if (self.marker and system.startswith(self.marker + "\n")) or CORRUPTION in user:
             return BackendResult(text=CORRUPTION)
         task_line = user.split("\n", 1)[0]
         query = task_line[len("Task: ") :] if task_line.startswith("Task: ") else None
@@ -203,17 +205,14 @@ class HttpAgentBackend:
             raise BackendError(
                 f"agent backend returned an unusable payload: content is {text!r}"
             )
-        usage = body.get("usage")
-        usage = {} if usage is None else usage
+        usage = {} if body.get("usage") is None else body["usage"]
         if not isinstance(usage, dict):
             raise BackendError(
                 f"agent backend returned an unusable payload: usage is {usage!r}"
             )
         counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
         for count in counts:
-            if count is not None and (
-                isinstance(count, bool) or not isinstance(count, int) or count < 0
-            ):
+            if count is not None and not (is_integer(count) and count >= 0):
                 raise BackendError(
                     "agent backend returned an unusable payload: "
                     f"token count {count!r} is not a non-negative integer"
@@ -227,23 +226,24 @@ class HttpAgentBackend:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Prompt-injection attack: ``text`` is prepended to the system prompt of
-    the ``target`` node (name or index) on every call."""
+    """Prompt-injection attack: ``text`` is prepended, as its own line, to the
+    system prompt of the ``target`` node on every call. ``target`` is a node
+    name or an integer index >= 0, stored as an ``int``."""
 
     target: int | str
     text: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.target, str):
+            check_fields(self, ints={"target": 0})
+
     def resolve(self, agent_graph: AgentGraph) -> int:
-        if isinstance(self.target, int):
-            if not 0 <= self.target < len(agent_graph.nodes):
-                raise ValidationError(
-                    f"attack target index {self.target} out of range"
-                )
+        names = [node.name for node in agent_graph.nodes]
+        if isinstance(self.target, int) and self.target < len(names):
             return self.target
-        for idx, node in enumerate(agent_graph.nodes):
-            if node.name == self.target:
-                return idx
-        raise ValidationError(f"attack target '{self.target}' not found")
+        if self.target in names:
+            return names.index(self.target)
+        raise ValidationError(f"attack target {self.target!r} not found")
 
 
 @dataclass(frozen=True)
@@ -492,8 +492,8 @@ def _run_all(
     """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
     one schedule; return the transcripts in run order. At most as many calls
     run at once as the widest graph has workers, nodes besides its summarizer."""
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
+    if not (is_integer(rounds) and rounds >= 1):
+        raise ValidationError(f"'rounds' must be an integer >= 1, got {rounds!r}")
     return _Schedule(runs, backend, rounds, attack).run()
 
 

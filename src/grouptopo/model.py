@@ -24,6 +24,7 @@ differences.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,9 +35,8 @@ from . import nn
 from .errors import ValidationError
 from .graph import (
     GroupGraph,
+    check_fields,
     check_graph_shape,
-    check_integer_fields,
-    check_number_fields,
     is_integer,
     record_field,
 )
@@ -60,10 +60,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integer_fields(
-            self, {"pool_size": 1, "dim": 1, "hidden": 1, "max_steps": 1, "seed": 0}
-        )
-        check_number_fields(self, ("beta_group", "beta_edge"))
+        ints = {"pool_size": 1, "dim": 1, "hidden": 1, "max_steps": 1, "seed": 0}
+        check_fields(self, ints=ints, numbers=("beta_group", "beta_edge"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -304,6 +302,18 @@ def _check_rows(rows: np.ndarray, shape: tuple[int, int], name: str, need: str) 
         raise ValidationError(f"{name} hold NaN or infinite values")
 
 
+def _no_overflow(fn):
+    """``fn``, raising ValidationError where its float64 products overflow."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValidationError(f"rows or parameters too large: {exc}") from exc
+    return checked
+
+
 def scoring_matrix(
     params: Params, config: ModelConfig, candidates: np.ndarray
 ) -> np.ndarray:
@@ -436,6 +446,7 @@ def _decode_batch(
     return chosen, n_steps, p_edge
 
 
+@_no_overflow
 def generate_graphs(
     params: Params,
     config: ModelConfig,
@@ -465,13 +476,11 @@ def generate_graphs(
                 f"one task row per seed, of dim {config.dim}")
     if not all(is_integer(seed) and seed >= 0 for seed in seeds):
         raise ValidationError("seeds must be non-negative integers")
-    limit = config.max_steps
-    if forced_steps is not None:
-        if not (is_integer(forced_steps) and 1 <= forced_steps <= config.max_steps):
-            raise ValidationError(
-                f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
-            )
-        limit = forced_steps
+    limit = config.max_steps if forced_steps is None else forced_steps
+    if not (is_integer(limit) and 1 <= limit <= config.max_steps):
+        raise ValidationError(
+            f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
+        )
     matrix = scoring_matrix(params, config, candidates)
     z, _ = project_task(params, task_vecs)
     chosen, n_steps, p_edge = _decode_batch(params, matrix, z, limit, forced_steps is None)
@@ -610,6 +619,7 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@_no_overflow
 def minibatch_loss_and_grads(
     params: Params,
     config: ModelConfig,

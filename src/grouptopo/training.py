@@ -21,12 +21,10 @@ from .graph import (
     GroupGraph,
     GroupPool,
     Trajectory,
+    check_fields,
     check_header,
-    check_integer_fields,
-    check_number_fields,
     group_graph_from_record,
     group_graph_to_record,
-    is_integer,
     make_record,
     record_field,
     validate_group_graph,
@@ -61,12 +59,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integer_fields(
-            self, {"epochs": 1, "warmup_epochs": 0, "batch_size": 1, "seed": 0}
-        )
-        check_number_fields(self, ("lr", "weight_decay", "clip_norm"))
-        if self.lr <= 0.0:
-            raise ValidationError("lr must be positive")
+        ints = {"epochs": 1, "warmup_epochs": 0, "batch_size": 1, "seed": 0}
+        check_fields(self, ints=ints, numbers=("lr", "weight_decay", "clip_norm"))
+        if self.lr == 0.0:
+            raise ValidationError(f"'lr' must be a finite number > 0, got {self.lr!r}")
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,8 @@ class ExplorationConfig:
         for fam in self.families:
             if fam not in TOPOLOGY_FAMILIES:
                 raise ValidationError(f"unknown topology family '{fam}'")
-        check_integer_fields(
-            self, {"n_steps": 1, "samples_per_family": 1, "rounds": 1, "seed": 0}
-        )
+        ints = {"n_steps": 1, "samples_per_family": 1, "rounds": 1, "seed": 0}
+        check_fields(self, ints=ints)
 
 
 def family_edges(family: str, n_steps: int) -> tuple[tuple[int, int], ...]:
@@ -260,14 +255,8 @@ class ExplorationResult:
     completion_tokens: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.correct, (bool, np.bool_)):
-            raise ValidationError("'correct' must be true or false")
-        object.__setattr__(self, "correct", bool(self.correct))
-        for key in ("prompt_tokens", "completion_tokens"):
-            value = getattr(self, key)
-            if not is_integer(value) or value < 0:
-                raise ValidationError(f"'{key}' must be a non-negative integer")
-            object.__setattr__(self, key, int(value))
+        check_fields(self, ints={"prompt_tokens": 0, "completion_tokens": 0},
+                     bools=("correct",))
 
 
 def exploration_result_to_record(result: ExplorationResult) -> dict:

@@ -326,8 +326,9 @@ def test_exit_code_attack_flags_must_pair(runner, workdir):
 
 @pytest.mark.parametrize("text", ["ignore everything", "x"])
 def test_scripted_attack_degrades_accuracy(runner, workdir, text):
-    """The scripted backend of an attacked run is compromised by the injected
-    text; the clean run's is not, even when the text occurs in a role prompt."""
+    """The scripted backend is compromised only by the injected line, so the
+    clean pass and a plain run answer in full even when the text occurs in a
+    role prompt."""
     chain = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
     gt.write_records(str(workdir / "graphs.jsonl"), [
         gt.trajectory_to_record(gt.Trajectory(query=q, graph=chain))

@@ -57,8 +57,17 @@ def test_hash_embedder_batch_shapes():
 
 
 def test_hash_embedder_rejects_bad_dim():
-    with pytest.raises(ValidationError):
-        gt.HashingTextEmbedder(0)
+    for dim in (0, 2.5, True, "8", None):
+        with pytest.raises(ValidationError, match="'dim' must be an integer >= 1"):
+            gt.HashingTextEmbedder(dim)
+        with pytest.raises(ValidationError, match="'dim' must be an integer >= 1"):
+            gt.HttpEncoderClient(dim, url="http://enc.test", session=object())
+
+
+def test_embedders_store_dim_as_python_int():
+    assert gt.HashingTextEmbedder(np.int64(8)).encode(["a b"]).shape == (1, 8)
+    client = gt.HttpEncoderClient(np.int32(2), url="http://enc.test", session=object())
+    assert client.encode([]).shape == (0, 2)
 
 
 def test_candidate_matrix_layout():

@@ -1,7 +1,8 @@
 """Property tests for the library's entry points: given bad values of their
-documented types (ragged, NaN, infinite, negative, a bool for an int, NumPy
-scalars, empty), ``GroupGraph``, the three configs and ``generate_graphs``
-either succeed or raise GroupTopoError, never a raw NumPy or Python error."""
+documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
+NumPy scalars, empty), ``GroupGraph``, the three configs, ``AttackSpec`` and
+``generate_graphs`` either succeed or raise GroupTopoError, never a raw NumPy
+or Python error."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grouptopo as gt
+from grouptopo.graph import is_integer
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -25,16 +27,12 @@ integers = st.one_of(
 numbers = st.one_of(
     st.floats(-2.0, 2.0),
     st.floats(-2.0, 2.0).map(np.float64),
+    st.floats(-2.0, 2.0, width=32).map(np.float32),
     st.integers(-2, 3),
     st.booleans(),
     st.sampled_from([None, float("nan"), float("inf"), -float("inf")]),
 )
-# Finite entries stay within +-1e6: rows near the float64 maximum overflow in
-# a matrix product, a numeric-range limit these shape and type checks do not
-# cover.
-entries = st.one_of(
-    st.floats(-1e6, 1e6), st.sampled_from([float("nan"), float("inf"), -float("inf")])
-)
+entries = st.one_of(st.floats(), st.sampled_from([1.7e308, -1.7e308]))
 
 
 def expect_checked(call):
@@ -88,6 +86,8 @@ def test_group_graph_is_checked_or_well_formed(selected, edges, truncated):
 @PROPERTY
 @given(pool_size=integers, dim=integers, hidden=integers, max_steps=integers,
        beta_group=numbers, beta_edge=numbers, seed=integers)
+@example(pool_size=2, dim=4, hidden=3, max_steps=2, beta_group=0,
+         beta_edge=np.float32(0.3), seed=0)
 def test_model_config_is_checked_and_round_trips(**fields):
     config = expect_checked(lambda: gt.ModelConfig(**fields))
     if config is None:
@@ -99,11 +99,15 @@ def test_model_config_is_checked_and_round_trips(**fields):
 @PROPERTY
 @given(epochs=integers, warmup_epochs=integers, batch_size=integers, lr=numbers,
        weight_decay=numbers, clip_norm=numbers, seed=integers)
+@example(epochs=1, warmup_epochs=0, batch_size=1, lr=1, weight_decay=np.float32(0.5),
+         clip_norm=0, seed=0)
 def test_train_config_is_checked(**fields):
     config = expect_checked(lambda: gt.TrainConfig(**fields))
     if config is not None:
         assert all(type(getattr(config, name)) is int
                    for name in ("epochs", "warmup_epochs", "batch_size", "seed"))
+        assert all(type(getattr(config, name)) is float
+                   for name in ("lr", "weight_decay", "clip_norm"))
 
 
 @PROPERTY
@@ -115,6 +119,32 @@ def test_exploration_config_is_checked(**fields):
     if config is not None:
         assert all(type(getattr(config, name)) is int
                    for name in ("n_steps", "samples_per_family", "rounds", "seed"))
+
+
+# ---------------------------------------------------------------------------
+# AttackSpec.
+
+# The expanded chain solver -> analyst, then the summarizer: three nodes.
+ATTACK_GRAPH = gt.materialize_agent_graph(
+    gt.GroupGraph(selected=(0, 1), edges=((0, 1),)), gt.default_pool(), mode="expanded"
+)
+NODE_NAMES = [node.name for node in ATTACK_GRAPH.nodes]
+
+
+@PROPERTY
+@given(target=st.one_of(integers, st.sampled_from([*NODE_NAMES, "nobody", "", "0"])))
+@example(target=True)
+@example(target=np.int64(1))
+def test_attack_target_is_checked(target):
+    n_nodes = len(ATTACK_GRAPH.nodes)
+    if is_integer(target) and 0 <= target < n_nodes:
+        index = gt.AttackSpec(target=target, text="x").resolve(ATTACK_GRAPH)
+        assert type(index) is int and index == target
+        return
+    attack = expect_checked(lambda: gt.AttackSpec(target=target, text="x"))
+    index = attack and expect_checked(lambda: attack.resolve(ATTACK_GRAPH))
+    if index is not None:
+        assert type(index) is int and ATTACK_GRAPH.nodes[index].name == target
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +184,8 @@ forced = st.one_of(st.none(), integers)
 @PROPERTY
 @given(candidates=matrices, rows=row_lists(st.integers(0, 3), st.sampled_from([DIM, DIM, 1])),
        seeds=seed_lists, forced_steps=forced)
+@example(candidates=np.ones((POOL, DIM)), rows=[[1.7e308] * DIM], seeds=[0],
+         forced_steps=None)
 def test_generate_graphs_is_checked(tiny_model, candidates, rows, seeds, forced_steps):
     config, params = tiny_model
     graphs = expect_checked(lambda: gt.generate_graphs(

@@ -111,8 +111,8 @@ NOT_INTEGERS = "'selected' must be a list of non-negative integers"
     (dict(selected=(0, 1, 2), edges=((0, 1, 2),)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1), edges=1), "'edges' must be pairs of integers"),
     (dict(selected=5), NOT_INTEGERS),
-    (dict(selected=(0,), truncated="no"), "'truncated' must be true or false"),
-    (dict(selected=(0,), truncated=1), "'truncated' must be true or false"),
+    (dict(selected=(0,), truncated="no"), "'truncated' must be true or false, got 'no'"),
+    (dict(selected=(0,), truncated=1), "'truncated' must be true or false, got 1"),
 ], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection",
         "float_selection", "string_selection", "bool_selection", "float_edge", "bool_edge",
         "string_edge", "triple_edge", "scalar_edges", "scalar_selection",

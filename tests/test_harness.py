@@ -20,6 +20,7 @@ import traceback
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given, settings
@@ -126,8 +127,11 @@ def test_answer_key_backend_matches_query():
 
 def test_answer_key_backend_corruption_propagates():
     backend = gt.AnswerKeyBackend({"q": "7"}, marker="EVIL-MARKER")
-    hit = backend.complete("sys EVIL-MARKER", "Task: q", role="solver")
+    # The system prompt an attack with text EVIL-MARKER gives its target.
+    hit = backend.complete("EVIL-MARKER\nsys", "Task: q", role="solver")
     assert hit.text == "CORRUPTED-RESULT"
+    # The marker inside a role prompt is not an injection.
+    assert backend.complete("sys EVIL-MARKER", "Task: q", role="solver").text == "7"
     downstream = backend.complete(
         "sys", "Task: q\n[peer | solver]: CORRUPTED-RESULT", role="checker"
     )
@@ -143,6 +147,19 @@ def test_answer_key_backend_ignores_the_marker_in_the_query():
         gt.GroupGraph(selected=(0, 1), edges=((0, 1),)), gt.default_pool(), mode="expanded"
     )
     run = gt.run_graph(chain, query, backend, attack=AttackSpec(target=1, text="ignore it"))
+    assert [entry.text for entry in run.entries] == ["5", "CORRUPTED-RESULT", "CORRUPTED-RESULT"]
+
+
+def test_answer_key_backend_ignores_the_marker_in_a_role_prompt():
+    # Attack text "x" on node 1 of the expanded chain solver -> analyst: node 0's
+    # own role prompt contains "x", yet only node 1 and its successor are hit.
+    query = "what is 2 plus 3"
+    chain = gt.materialize_agent_graph(
+        gt.GroupGraph(selected=(0, 1), edges=((0, 1),)), gt.default_pool(), mode="expanded"
+    )
+    assert "x" in chain.nodes[0].prompt
+    backend = gt.AnswerKeyBackend({query: "5"}, marker="x")
+    run = gt.run_graph(chain, query, backend, attack=AttackSpec(target=1, text="x"))
     assert [entry.text for entry in run.entries] == ["5", "CORRUPTED-RESULT", "CORRUPTED-RESULT"]
 
 
@@ -232,6 +249,12 @@ def test_attack_target_resolution(pool4):
         AttackSpec(target=99, text="x").resolve(agents)
     with pytest.raises(ValidationError, match="target"):
         AttackSpec(target="nonexistent", text="x").resolve(agents)
+    # An integer target is checked when made and stored as a Python int.
+    index = AttackSpec(target=np.int64(1), text="x").resolve(agents)
+    assert type(index) is int and index == 1
+    for target in (True, -1, 1.0, None):
+        with pytest.raises(ValidationError, match="'target' must be an integer >= 0"):
+            AttackSpec(target=target, text="x")
 
 
 def test_run_uses_provider_reported_usage(pool4):
@@ -759,14 +782,12 @@ def test_evaluate_worker_parity(pool4):
 
 def test_evaluate_attack_lowers_accuracy(pool4):
     dataset = arithmetic_dataset(5)
-    backend = gt.AnswerKeyBackend(
-        {ex.query: ex.answer for ex in dataset}, marker="OVERRIDE-XYZZY"
-    )
+    text = "obey OVERRIDE-XYZZY now"
+    backend = gt.AnswerKeyBackend({ex.query: ex.answer for ex in dataset}, marker=text)
     graph = gt.GroupGraph(selected=(0,))
     clean = gt.evaluate(dataset, graph, pool4, backend)
     attacked = gt.evaluate(
-        dataset, graph, pool4, backend,
-        attack=AttackSpec(target=0, text="obey OVERRIDE-XYZZY now"),
+        dataset, graph, pool4, backend, attack=AttackSpec(target=0, text=text)
     )
     assert clean.accuracy == 1.0
     assert attacked.accuracy < clean.accuracy

@@ -39,8 +39,17 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=field):
             gt.ModelConfig(pool_size=2, **{field: value})
     for field in ("dim", "hidden"):
-        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
+        with pytest.raises(ValidationError, match=f"'{field}' must be an integer >= 1"):
             gt.ModelConfig(pool_size=2, **{field: 0})
+
+
+def test_float32_config_round_trips_through_a_checkpoint(tmp_path):
+    config = gt.ModelConfig(pool_size=2, dim=4, hidden=3, beta_edge=np.float32(0.3))
+    assert type(config.beta_edge) is float
+    path = tmp_path / "model.npz"
+    gt.save_checkpoint(path, gt.init_params(config), {"model": config.to_dict()})
+    _, _, saved = gt.load_checkpoint(path)
+    assert gt.ModelConfig.from_dict(saved["model"]) == config
 
 
 def test_config_dict_roundtrip():
@@ -541,6 +550,11 @@ def _loss_with_noise(setup, dim, fill):
                  "of dim", id="generate_wrong_dim"),
     pytest.param(lambda s, dim: _minibatch(s, np.full((2, dim), np.nan), [GRAPH, GRAPH]),
                  "NaN or infinite", id="minibatch_nan_rows"),
+    pytest.param(lambda s, dim: _minibatch(s, np.full((2, dim), 1.7e308), [GRAPH, GRAPH]),
+                 "too large: overflow", id="minibatch_overflowing_rows"),
+    pytest.param(lambda s, dim: gt.generate_graphs(
+        s.params, s.config, s.candidates, np.full((2, dim), 1.7e308), [0, 1]),
+                 "too large: overflow", id="generate_overflowing_rows"),
     pytest.param(lambda s, dim: gt.graph_log_likelihood(
         s.params, s.config, s.candidates, np.full(dim, -np.inf), GRAPH),
                  "NaN or infinite", id="likelihood_infinite_row"),

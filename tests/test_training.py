@@ -79,7 +79,7 @@ def test_exploration_config_validation():
 ], ids=["model_float_dim", "model_negative_seed", "train_nan_epochs", "train_bool_batch",
         "exploration_float_steps", "exploration_zero_rounds"])
 def test_config_counts_must_be_integers_in_range(make, field, value):
-    with pytest.raises(ValidationError, match=f"{field} must be an integer >= "):
+    with pytest.raises(ValidationError, match=f"'{field}' must be an integer >= "):
         make(value)
 
 
@@ -183,7 +183,7 @@ def test_exploration_result_rejects_bad_token_counts(count):
     graph = gt.GroupGraph(selected=(0,))
     for key in ("prompt_tokens", "completion_tokens"):
         fields = {"prompt_tokens": 1, "completion_tokens": 1, key: count}
-        with pytest.raises(ValidationError, match=f"'{key}' must be a non-negative integer"):
+        with pytest.raises(ValidationError, match=f"'{key}' must be an integer >= 0"):
             gt.ExplorationResult(query="q", answer="", graph=graph, family="",
                                  correct=True, final_text="", **fields)
 
