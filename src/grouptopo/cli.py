@@ -292,7 +292,7 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
             f"checkpoint was trained against a pool of {model_config.pool_size} "
             f"groups, this pool has {pool.size}"
         )
-    check_params(params, model_config)
+    params = check_params(params, model_config)
     encoder = record_field(config, "encoder", dict, {})
     provider = _make_provider(record_field(encoder, "kind", str, "hash"), model_config.dim)
     query_list = list(queries)

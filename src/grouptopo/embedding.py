@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, ValidationError
-from .graph import GroupPool, is_integer
+from .graph import GroupPool, check_array, is_integer
 from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -83,7 +83,8 @@ class HttpEncoderClient:
 
     The service accepts ``POST {url}`` with ``{"texts": [...]}`` and returns
     ``{"embeddings": [[...], ...]}``. URL and bearer key default to the
-    ``GOA_ENCODER_URL`` and ``GOA_ENCODER_KEY`` environment variables.
+    ``GOA_ENCODER_URL`` and ``GOA_ENCODER_KEY`` environment variables. A reply
+    that is not one finite real row of ``dim`` per text raises BackendError.
     """
 
     def __init__(
@@ -97,17 +98,10 @@ class HttpEncoderClient:
             return np.zeros((0, self._dim))
         body = self.endpoint.post_json({"texts": list(texts)})
         try:
-            matrix = np.asarray(body["embeddings"], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return check_array(body["embeddings"], (len(texts), self._dim), "embeddings",
+                               f"one embedding of dim {self._dim} per text")
+        except (KeyError, TypeError, ValidationError) as exc:
             raise BackendError(f"encoder returned an unusable payload: {exc}") from exc
-        if matrix.shape != (len(texts), self._dim):
-            raise BackendError(
-                f"encoder returned shape {matrix.shape}, "
-                f"expected {(len(texts), self._dim)}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise BackendError("encoder returned NaN or infinite embeddings")
-        return matrix
 
 
 def build_candidate_matrix(provider: EmbeddingProvider, pool: GroupPool) -> np.ndarray:

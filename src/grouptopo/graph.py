@@ -47,16 +47,20 @@ class IntraPattern(str, Enum):
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One member role: a display name and its system prompt."""
+    """One member role: a display name and its system prompt, both strings."""
 
     name: str
     prompt: str
+
+    def __post_init__(self) -> None:
+        check_fields(self, strs=("name", "prompt"))
 
 
 @dataclass(frozen=True)
 class CandidateGroup:
     """Member roles wired by an intra-group pattern, ``roles`` stored as a tuple.
-    Raises ValidationError if there are no roles or the pattern is unknown."""
+    Raises ValidationError unless ``name`` and ``description`` are strings and
+    ``roles`` one or more :class:`RoleSpec` values, or if the pattern is unknown."""
 
     name: str
     description: str
@@ -64,7 +68,11 @@ class CandidateGroup:
     pattern: IntraPattern
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", tuple(self.roles))
+        check_fields(self, strs=("name", "description"))
+        roles = tuple(self.roles) if isinstance(self.roles, Iterable) else (None,)
+        if not all(isinstance(role, RoleSpec) for role in roles):
+            raise ValidationError(f"'roles' must be RoleSpec values, got {self.roles!r}")
+        object.__setattr__(self, "roles", roles)
         if not self.roles:
             raise ValidationError(f"group '{self.name}' has no roles")
         try:
@@ -130,12 +138,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_fields(record, ints: dict[str, int] | None = None,
-                 numbers: Iterable[str] = (), bools: Iterable[str] = ()) -> None:
+def check_fields(record, ints: dict[str, int] | None = None, numbers: Iterable[str] = (),
+                 bools: Iterable[str] = (), strs: Iterable[str] = ()) -> None:
     """Raise ValidationError, naming the field and its value, unless each of
     ``ints`` is an integer of at least its minimum, each of ``numbers`` a finite
-    number >= 0 and each of ``bools`` a bool (NumPy's scalars included; a bool
-    is neither an integer nor a number); store each as that Python scalar."""
+    number >= 0, each of ``bools`` a bool and each of ``strs`` a string (NumPy's
+    scalars included; a bool is neither an integer nor a number); store each as
+    that Python scalar."""
     for name, low in (ints or {}).items():
         value = getattr(record, name)
         if not (is_integer(value) and value >= low):
@@ -154,6 +163,28 @@ def check_fields(record, ints: dict[str, int] | None = None,
         if not isinstance(value, (bool, np.bool_)):
             raise ValidationError(f"'{name}' must be true or false, got {value!r}")
         object.__setattr__(record, name, bool(value))
+    for name in strs:
+        value = getattr(record, name)
+        if not isinstance(value, str):
+            raise ValidationError(f"'{name}' must be a string, got {value!r}")
+        object.__setattr__(record, name, str(value))
+
+
+def check_array(value, shape: tuple[int, ...], name: str, need: str) -> np.ndarray:
+    """``value`` as a float64 array, the same object if it is one. ValidationError
+    (``need <need>; got <name> ...``, or ``<name> hold NaN ...``) unless it has
+    ``shape`` and finite integers or floats: bools, complex, strings, objects fail."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # rows of different lengths have no shape
+        raise ValidationError(f"need {need}; got ragged {name}") from None
+    if array.shape != shape or array.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"need {need}; got {name} of shape {array.shape} and dtype {array.dtype}")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} hold NaN or infinite values")
+    return array
 
 
 @dataclass(frozen=True)
@@ -203,10 +234,27 @@ class GroupGraph:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A query paired with a target group graph, for teacher forcing."""
+    """A query string paired with a target group graph, for teacher forcing."""
 
     query: str
     graph: GroupGraph
+
+    def __post_init__(self) -> None:
+        check_fields(self, strs=("query",))
+        if not isinstance(self.graph, GroupGraph):
+            raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
+
+
+def check_graphs(graphs) -> list[GroupGraph]:
+    """``graphs`` as a list; ValidationError unless it is a sequence of
+    :class:`GroupGraph` values."""
+    if not isinstance(graphs, Iterable):
+        raise ValidationError(f"'graphs' must be a sequence, got {graphs!r}")
+    graphs = list(graphs)
+    for graph in graphs:
+        if not isinstance(graph, GroupGraph):
+            raise ValidationError(f"'graphs' must hold GroupGraph values, got {graph!r}")
+    return graphs
 
 
 def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None:

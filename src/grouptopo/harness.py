@@ -24,6 +24,7 @@ from .graph import (
     GroupGraph,
     GroupPool,
     check_fields,
+    check_graphs,
     check_header,
     is_integer,
     make_record,
@@ -536,7 +537,8 @@ class EvalExample:
 
     Rules: "exact" (stripped equality), "numeric" (last number in the reply
     within tolerance), "contains" (answer substring), or "auto" (numeric when
-    the answer parses as a number, containment otherwise).
+    the answer parses as a number, containment otherwise). ``query`` and
+    ``answer`` must be strings.
     """
 
     query: str
@@ -544,6 +546,7 @@ class EvalExample:
     match: str = "auto"
 
     def __post_init__(self) -> None:
+        check_fields(self, strs=("query", "answer"))
         if self.match not in ("exact", "numeric", "contains", "auto"):
             raise ValidationError(f"unknown match rule '{self.match}'")
 
@@ -629,7 +632,9 @@ def evaluate(
     """
     if not dataset:
         raise ValidationError("evaluation dataset is empty")
-    graph_list = [graphs] * len(dataset) if isinstance(graphs, GroupGraph) else list(graphs)
+    graph_list = (
+        [graphs] * len(dataset) if isinstance(graphs, GroupGraph) else check_graphs(graphs)
+    )
     if len(graph_list) != len(dataset):
         raise ValidationError(f"{len(graph_list)} graphs for {len(dataset)} examples")
     transcripts = _run_all(

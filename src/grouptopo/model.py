@@ -24,7 +24,6 @@ differences.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,8 +34,10 @@ from . import nn
 from .errors import ValidationError
 from .graph import (
     GroupGraph,
+    check_array,
     check_fields,
     check_graph_shape,
+    check_graphs,
     is_integer,
     record_field,
 )
@@ -120,23 +121,21 @@ def init_params(config: ModelConfig) -> Params:
     return p
 
 
-def check_params(params: Params, config: ModelConfig) -> None:
-    """Raise :class:`ValidationError` unless ``params`` has exactly the names
-    and shapes that ``config`` implies and only finite values; the message
-    lists every mismatch."""
-    expected = dict(_draw_order(config))
-    found = {name: value.shape for name, value in params.items()}
-    wrong = [n for n in sorted(expected.keys() | found.keys())
-             if expected.get(n) != found.get(n)]
+def check_params(params: Params, config: ModelConfig) -> Params:
+    """``params``, in order, as float64 arrays through :func:`~grouptopo.graph.check_array`;
+    ValidationError, listing every mismatch, unless the names and shapes are ``config``'s."""
+    expected, checked, wrong = dict(_draw_order(config)), {}, []
+    for name, shape in {**dict.fromkeys(params), **expected}.items():
+        need = f"{name} of shape {shape}" if shape else f"no {name}"  # None fits no array
+        try:
+            if name not in params:
+                raise ValidationError(f"need {need}; got none")
+            checked[name] = check_array(params[name], shape, f"{name} entries", need)
+        except ValidationError as exc:
+            wrong.append(str(exc))
     if wrong:
-        raise ValidationError("parameters do not match the model config: " + ", ".join(
-            f"{n} has shape {found.get(n)}, expected {expected.get(n)}" for n in wrong
-        ))
-    non_finite = [n for n in sorted(params) if not np.all(np.isfinite(params[n]))]
-    if non_finite:
-        raise ValidationError(
-            "parameters hold NaN or infinite values: " + ", ".join(non_finite)
-        )
+        raise ValidationError("parameters do not match the model config: " + ", ".join(wrong))
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def _mlp_backward(
 
 def project_task(params: Params, task_vec: np.ndarray) -> tuple[np.ndarray, _MlpCache]:
     """Two-layer projection of the raw sentence vector into model space."""
-    return _mlp(params, "task_ffn", np.asarray(task_vec, dtype=np.float64))
+    return _mlp(params, "task_ffn", task_vec)
 
 
 @dataclass
@@ -261,16 +260,17 @@ def fuse_step(
     with ``step`` the array of step indices; ``z`` is one task vector, or
     one per row of ``h_his``. Per row the gate is
     sigmoid(<h_his, z> / sqrt(dim)), a scalar kept in the cache, and the
-    fused state is ``(1 - g) * h_his + g * z + step_embed[step]``.
+    fused state is ``(1 - g) * h_his + g * z + step_embed[step]``. A step
+    outside the table or a non-finite <h_his, z> raises ValidationError.
     """
     table = params["step_embed"]
     steps = np.asarray(step)
     if steps.size and not (steps.min() >= 0 and steps.max() < table.shape[0]):
-        raise ValidationError(
-            f"step {step} outside the embedding table ({table.shape[0]} rows)"
-        )
+        raise ValidationError(f"step {step} outside the embedding table ({len(table)} rows)")
     scale = 1.0 / math.sqrt(z.shape[-1])
     raw = np.einsum("...d,...d->...", h_his, z)
+    if not np.isfinite(raw).all():  # np.einsum reports no overflow
+        raise ValidationError("values too large: gate score is not finite")
     gate = nn.sigmoid(np.asarray(raw * scale)[..., None])
     fused = (1.0 - gate) * h_his + gate * z + table[steps]
     return fused, _FuseCache(h_his=h_his, z=z, step=steps, gate=gate, scale=scale)
@@ -289,41 +289,14 @@ def _fuse_backward(
     return d_h, d_z
 
 
-def _check_rows(rows: np.ndarray, shape: tuple[int, int], name: str, need: str) -> None:
-    """Raise ValidationError unless the ``name`` have ``shape``, which ``need``
-    describes, and hold only finite values."""
-    try:
-        found = np.shape(rows)
-    except ValueError:  # rows of different lengths have no shape
-        raise ValidationError(f"need {need}; got ragged {name}") from None
-    if found != shape:
-        raise ValidationError(f"need {need}; got {name} of shape {found}")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError(f"{name} hold NaN or infinite values")
-
-
-def _no_overflow(fn):
-    """``fn``, raising ValidationError where its float64 products overflow."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise ValidationError(f"rows or parameters too large: {exc}") from exc
-    return checked
-
-
 def scoring_matrix(
     params: Params, config: ModelConfig, candidates: np.ndarray
 ) -> np.ndarray:
     """The ``(pool_size, dim)`` candidate rows with the learnable STOP
     embedding appended as row ``pool_size``."""
-    _check_rows(
-        candidates, (config.pool_size, config.dim), "candidate rows",
-        f"one candidate row per group of the pool of {config.pool_size}, "
-        f"of dim {config.dim}",
-    )
+    shape = (config.pool_size, config.dim)
+    need = f"one candidate row per group of the pool of {shape[0]}, of dim {shape[1]}"
+    candidates = check_array(candidates, shape, "candidate rows", need)
     return np.vstack([candidates, params["end_embed"]])
 
 
@@ -446,7 +419,7 @@ def _decode_batch(
     return chosen, n_steps, p_edge
 
 
-@_no_overflow
+@nn.no_overflow
 def generate_graphs(
     params: Params,
     config: ModelConfig,
@@ -472,8 +445,8 @@ def generate_graphs(
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).
     """
-    _check_rows(task_vecs, (len(seeds), config.dim), "task rows",
-                f"one task row per seed, of dim {config.dim}")
+    task_vecs = check_array(task_vecs, (len(seeds), config.dim), "task rows",
+                            f"one task row per seed, of dim {config.dim}")
     if not all(is_integer(seed) and seed >= 0 for seed in seeds):
         raise ValidationError("seeds must be non-negative integers")
     limit = config.max_steps if forced_steps is None else forced_steps
@@ -515,7 +488,7 @@ def generate_graph(
 ) -> GroupGraph:
     """Sample one group graph: :func:`generate_graphs` on a batch of one."""
     return generate_graphs(
-        params, config, candidates, np.asarray(task_vec)[None], [seed],
+        params, config, candidates, [task_vec], [seed],
         forced_steps=forced_steps,
     )[0]
 
@@ -605,7 +578,7 @@ def loss_and_grads(
     is :func:`minibatch_loss_and_grads` on a minibatch of one.
     """
     breakdowns, grads = minibatch_loss_and_grads(
-        params, config, candidates, np.asarray(task_vec)[None], [graph], [noise],
+        params, config, candidates, [task_vec], [graph], [noise],
         beta_group=config.beta_group, beta_edge=config.beta_edge,
         compute_grads=compute_grads,
     )
@@ -619,7 +592,7 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@_no_overflow
+@nn.no_overflow
 def minibatch_loss_and_grads(
     params: Params,
     config: ModelConfig,
@@ -638,7 +611,8 @@ def minibatch_loss_and_grads(
     Trajectory b is the task vector ``task_vecs[b]``, the graph ``graphs[b]``
     and its noise ``noises[b]`` (a finite ``(sites, dim)`` array in the site
     order of :func:`trajectory_noise`, or None for the posterior means).
-    Returns one :class:`LossBreakdown` per trajectory.
+    ``beta_group`` and ``beta_edge`` weight the KL terms and must be finite
+    numbers >= 0. Returns one :class:`LossBreakdown` per trajectory.
 
     Under teacher forcing the history depends only on the graph's own
     selections, so every pass covers the whole minibatch, with one row per
@@ -650,24 +624,28 @@ def minibatch_loss_and_grads(
     prior and task gradient back into its trajectory.
     """
     d = config.dim
+    graphs = check_graphs(graphs)
+    if not isinstance(noises, Sequence):
+        raise ValidationError(f"'noises' must be a sequence, got {noises!r}")
     batch = len(graphs)
     if not batch or len(noises) != batch:
         raise ValidationError(
             f"need one graph or more, and a noise entry for each; got {batch} graphs "
             f"and {len(noises)} noise entries"
         )
-    _check_rows(task_vecs, (batch, d), "task rows", f"a task row of dim {d} per graph")
+    task_vecs = check_array(task_vecs, (batch, d), "task rows",
+                            f"a task row of dim {d} per graph")
+    # The betas follow the rule a ModelConfig checks its own betas with.
+    betas = dataclasses.replace(config, beta_group=beta_group, beta_edge=beta_edge)
+    beta_group, beta_edge = betas.beta_group, betas.beta_edge
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
     n_group = np.array([min(g.n_steps + 1, config.max_steps) for g in graphs], dtype=int)
     n_sites = np.array([_site_count(graph, config) for graph in graphs], dtype=int)
-    for noise, count in zip(noises, n_sites):
-        if noise is not None:
-            _check_rows(noise, (count, d), "noise rows",
-                        f"{count} noise rows of dim {d}, one per site")
     eps = np.concatenate([
-        np.zeros((count, d)) if noise is None else noise
+        np.zeros((count, d)) if noise is None else check_array(
+            noise, (count, d), "noise rows", f"{count} noise rows of dim {d}, one per site")
         for noise, count in zip(noises, n_sites)
     ])
     site_base = np.cumsum(n_sites) - n_sites

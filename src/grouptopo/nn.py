@@ -9,6 +9,7 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import zipfile
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write
+from .graph import atomic_write, check_array
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -29,6 +30,18 @@ CHECKPOINT_FORMAT = "grouptopo-checkpoint-v2"
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; identical seeds give identical streams."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def no_overflow(fn):
+    """``fn``, raising ValidationError where its float64 arithmetic overflows."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValidationError(f"values too large: {exc}") from exc
+    return checked
 
 
 def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
@@ -262,6 +275,7 @@ def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
+@no_overflow
 def adamw_step(
     params: Params,
     grads: Mapping[str, np.ndarray],
@@ -278,13 +292,15 @@ def adamw_step(
     moment estimates. Returns the pre-clip global gradient norm.
 
     Raises:
-        ValidationError: if any gradient is non-finite, naming the parameter.
+        ValidationError: if a gradient has no parameter or fails ``check_array``,
+            or a gradient or moment is so large that the update overflows.
     """
+    grads = dict(grads)
     for name, g in grads.items():
         if name not in params:
             raise ValidationError(f"gradient for unknown parameter '{name}'")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"non-finite gradient for parameter '{name}'")
+        grads[name] = check_array(g, params[name].shape, f"gradient entries for '{name}'",
+                                  f"a gradient of shape {params[name].shape} for '{name}'")
 
     norm = global_grad_norm(grads)
     scale = 1.0

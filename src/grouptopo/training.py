@@ -106,9 +106,9 @@ def train(
     trajectory in minibatch order, so two runs with identical inputs produce
     bit-identical loss histories.
 
-    Caller-supplied ``params`` must match ``model_config`` and an
-    ``opt_state``'s moments must match ``params``, or ValidationError is
-    raised before any work.
+    Caller-supplied ``params`` and ``opt_state`` moments (``v`` >= 0) must pass
+    :func:`~grouptopo.model.check_params`, or ValidationError is raised before
+    any work; the result holds float64 copies of other real dtypes.
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
@@ -119,16 +119,18 @@ def train(
     for traj in dataset:
         validate_group_graph(traj.graph, pool.size, model_config.max_steps)
 
-    if params is None:
-        params = model_mod.init_params(model_config)
-    else:
-        model_mod.check_params(params, model_config)
+    params = (model_mod.init_params(model_config) if params is None
+              else model_mod.check_params(params, model_config))
     if opt_state is None:
         opt_state = OptimizerState.for_params(params)
-    shapes = {name: p.shape for name, p in params.items()}
-    for moments in (opt_state.m, opt_state.v):
-        if {name: np.shape(m) for name, m in moments.items()} != shapes:
-            raise ValidationError("optimizer moments do not match the parameters")
+    else:
+        try:
+            opt_state.m, opt_state.v = (model_mod.check_params(moments, model_config)
+                                        for moments in (opt_state.m, opt_state.v))
+            if any((v < 0.0).any() for v in opt_state.v.values()):
+                raise ValidationError("second moments 'v' hold negative values")
+        except ValidationError as exc:
+            raise ValidationError(f"optimizer moments: {exc}") from exc
 
     candidates = build_candidate_matrix(provider, pool)
     task_vecs = provider.encode([traj.query for traj in dataset])
@@ -242,8 +244,10 @@ def sample_candidate_topology(
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """One explored graph's outcome on one query. ``correct`` must be a bool and
-    each token count a non-negative integer, NumPy's included."""
+    """One explored graph's outcome on one query. ``query``, ``answer``,
+    ``family`` and ``final_text`` must be strings, ``graph`` a GroupGraph,
+    ``correct`` a bool and each token count a non-negative integer, NumPy's
+    included."""
 
     query: str
     answer: str
@@ -256,7 +260,9 @@ class ExplorationResult:
 
     def __post_init__(self) -> None:
         check_fields(self, ints={"prompt_tokens": 0, "completion_tokens": 0},
-                     bools=("correct",))
+                     bools=("correct",), strs=("query", "answer", "family", "final_text"))
+        if not isinstance(self.graph, GroupGraph):
+            raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
 
 
 def exploration_result_to_record(result: ExplorationResult) -> dict:

@@ -525,7 +525,8 @@ def corrupt_member(arrays):
     (zip_magic_only, "unreadable checkpoint"),
     (corrupt_member, "Bad CRC-32"),
     (empty_file, "unreadable checkpoint"),
-    (non_finite_params, "NaN or infinite values: edge_head.l2.b, end_embed"),
+    (non_finite_params,
+     "edge_head.l2.b entries hold NaN or infinite values, end_embed entries hold NaN"),
     (vector_step, "opt/step must be a non-negative integer scalar"),
     (float_step, "opt/step must be a non-negative integer scalar"),
     (negative_step, "opt/step must be a non-negative integer scalar"),

@@ -117,6 +117,20 @@ def test_http_encoder_rejects_non_finite_embeddings(bad):
         client.encode(["a", "b"])
 
 
+@pytest.mark.parametrize("rows", [
+    [[True, False], [False, True]],
+    [["1.0", "0.0"], ["0.0", "1.0"]],
+    [[10**400, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [1.0]],
+    [[1.0, None], [0.0, 1.0]],
+], ids=["bools", "strings", "huge_int", "ragged", "null"])
+def test_http_encoder_rejects_rows_that_are_not_real_numbers(rows):
+    session = FakeSession([FakeResponse(payload={"embeddings": rows})])
+    client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)
+    with pytest.raises(BackendError, match="unusable payload"):
+        client.encode(["a", "b"])
+
+
 def test_http_encoder_transport_error(sleeps):
     session = FakeSession([ConnectionError("refused")] * 3)
     client = gt.HttpEncoderClient(2, url="http://enc.test", session=session)

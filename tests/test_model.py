@@ -179,6 +179,17 @@ def test_fuse_step_bounds(tiny):
         gt.fuse_step(tiny.params, z, z, tiny.config.max_steps)
 
 
+def test_fuse_step_rejects_an_overflowing_gate_score():
+    """``np.einsum`` reports no overflow, so a gate score that overflows is
+    caught by checking it, even where overflow is set to raise."""
+    config = gt.ModelConfig(pool_size=2, dim=4, hidden=3, max_steps=3)
+    params = {name: np.zeros_like(value) for name, value in gt.init_params(config).items()}
+    h_his = np.array([[1e308, -1e308, 1e308, -1e308]])
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ValidationError, match="gate score is not finite"):
+            gt.fuse_step(params, np.ones((1, 4)), h_his, 1)
+
+
 # ---------------------------------------------------------------------------
 # Site heads, at the posterior mean.
 
