@@ -69,10 +69,7 @@ class CandidateGroup:
 
     def __post_init__(self) -> None:
         check_fields(self, strs=("name", "description"))
-        roles = tuple(self.roles) if isinstance(self.roles, Iterable) else (None,)
-        if not all(isinstance(role, RoleSpec) for role in roles):
-            raise ValidationError(f"'roles' must be RoleSpec values, got {self.roles!r}")
-        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "roles", check_items(self.roles, RoleSpec, "roles"))
         if not self.roles:
             raise ValidationError(f"group '{self.name}' has no roles")
         try:
@@ -115,7 +112,7 @@ class GroupPool:
     groups: tuple[CandidateGroup, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", check_items(self.groups, CandidateGroup, "groups"))
         if not self.groups:
             raise ValidationError("group pool is empty")
         names = [g.name for g in self.groups]
@@ -245,16 +242,16 @@ class Trajectory:
             raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
 
 
-def check_graphs(graphs) -> list[GroupGraph]:
-    """``graphs`` as a list; ValidationError unless it is a sequence of
-    :class:`GroupGraph` values."""
-    if not isinstance(graphs, Iterable):
-        raise ValidationError(f"'graphs' must be a sequence, got {graphs!r}")
-    graphs = list(graphs)
-    for graph in graphs:
-        if not isinstance(graph, GroupGraph):
-            raise ValidationError(f"'graphs' must hold GroupGraph values, got {graph!r}")
-    return graphs
+def check_items(value, kind: type, name: str) -> tuple:
+    """``value`` as a tuple; ValidationError unless it is an iterable of ``kind``
+    values."""
+    if not isinstance(value, Iterable):
+        raise ValidationError(f"'{name}' must be a sequence, got {value!r}")
+    items = tuple(value)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValidationError(f"'{name}' must hold {kind.__name__} values, got {item!r}")
+    return items
 
 
 def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
@@ -537,10 +534,6 @@ def group_from_record(record: dict) -> CandidateGroup:
         roles=roles,
         pattern=record_field(record, "pattern", str),
     )
-
-
-def pool_to_records(pool: GroupPool) -> list[dict]:
-    return [group_to_record(g) for g in pool]
 
 
 def trajectory_to_record(traj: Trajectory) -> dict:

@@ -24,8 +24,8 @@ from .graph import (
     GroupGraph,
     GroupPool,
     check_fields,
-    check_graphs,
     check_header,
+    check_items,
     is_integer,
     make_record,
     materialize_agent_graph,
@@ -227,16 +227,16 @@ class HttpAgentBackend:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Prompt-injection attack: ``text`` is prepended, as its own line, to the
-    system prompt of the ``target`` node on every call. ``target`` is a node
-    name or an integer index >= 0, stored as an ``int``."""
+    """Prompt-injection attack: the string ``text`` is prepended, as its own
+    line, to the system prompt of the ``target`` node on every call. ``target``
+    is a node name or an integer index >= 0, stored as an ``int``."""
 
     target: int | str
     text: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.target, str):
-            check_fields(self, ints={"target": 0})
+        ints = {} if isinstance(self.target, str) else {"target": 0}
+        check_fields(self, ints=ints, strs=("text",))
 
     def resolve(self, agent_graph: AgentGraph) -> int:
         names = [node.name for node in agent_graph.nodes]
@@ -632,9 +632,8 @@ def evaluate(
     """
     if not dataset:
         raise ValidationError("evaluation dataset is empty")
-    graph_list = (
-        [graphs] * len(dataset) if isinstance(graphs, GroupGraph) else check_graphs(graphs)
-    )
+    graph_list = ([graphs] * len(dataset) if isinstance(graphs, GroupGraph)
+                  else check_items(graphs, GroupGraph, "graphs"))
     if len(graph_list) != len(dataset):
         raise ValidationError(f"{len(graph_list)} graphs for {len(dataset)} examples")
     transcripts = _run_all(

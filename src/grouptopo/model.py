@@ -37,7 +37,7 @@ from .graph import (
     check_array,
     check_fields,
     check_graph_shape,
-    check_graphs,
+    check_items,
     is_integer,
     record_field,
 )
@@ -445,10 +445,12 @@ def generate_graphs(
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).
     """
+    if not ((isinstance(seeds, Sequence) or getattr(seeds, "ndim", 0) == 1)
+            and all(is_integer(seed) and seed >= 0 for seed in seeds)):
+        raise ValidationError(
+            f"seeds must be non-negative integers, given as a sequence; got {seeds!r}")
     task_vecs = check_array(task_vecs, (len(seeds), config.dim), "task rows",
                             f"one task row per seed, of dim {config.dim}")
-    if not all(is_integer(seed) and seed >= 0 for seed in seeds):
-        raise ValidationError("seeds must be non-negative integers")
     limit = config.max_steps if forced_steps is None else forced_steps
     if not (is_integer(limit) and 1 <= limit <= config.max_steps):
         raise ValidationError(
@@ -578,9 +580,7 @@ def loss_and_grads(
     is :func:`minibatch_loss_and_grads` on a minibatch of one.
     """
     breakdowns, grads = minibatch_loss_and_grads(
-        params, config, candidates, [task_vec], [graph], [noise],
-        beta_group=config.beta_group, beta_edge=config.beta_edge,
-        compute_grads=compute_grads,
+        params, config, candidates, [task_vec], [graph], [noise], compute_grads=compute_grads
     )
     return breakdowns[0], grads
 
@@ -601,8 +601,6 @@ def minibatch_loss_and_grads(
     graphs: Sequence[GroupGraph],
     noises: Sequence[np.ndarray | None],
     *,
-    beta_group: float,
-    beta_edge: float,
     compute_grads: bool = True,
 ) -> tuple[list[LossBreakdown], Grads]:
     """Teacher-forced loss of every trajectory of a minibatch, with the exact
@@ -610,9 +608,9 @@ def minibatch_loss_and_grads(
 
     Trajectory b is the task vector ``task_vecs[b]``, the graph ``graphs[b]``
     and its noise ``noises[b]`` (a finite ``(sites, dim)`` array in the site
-    order of :func:`trajectory_noise`, or None for the posterior means).
-    ``beta_group`` and ``beta_edge`` weight the KL terms and must be finite
-    numbers >= 0. Returns one :class:`LossBreakdown` per trajectory.
+    order of :func:`trajectory_noise`, or None for the posterior means). The
+    config's betas weight the KL terms. Returns one :class:`LossBreakdown` per
+    trajectory.
 
     Under teacher forcing the history depends only on the graph's own
     selections, so every pass covers the whole minibatch, with one row per
@@ -624,7 +622,7 @@ def minibatch_loss_and_grads(
     prior and task gradient back into its trajectory.
     """
     d = config.dim
-    graphs = check_graphs(graphs)
+    graphs = check_items(graphs, GroupGraph, "graphs")
     if not isinstance(noises, Sequence):
         raise ValidationError(f"'noises' must be a sequence, got {noises!r}")
     batch = len(graphs)
@@ -635,9 +633,6 @@ def minibatch_loss_and_grads(
         )
     task_vecs = check_array(task_vecs, (batch, d), "task rows",
                             f"a task row of dim {d} per graph")
-    # The betas follow the rule a ModelConfig checks its own betas with.
-    betas = dataclasses.replace(config, beta_group=beta_group, beta_edge=beta_edge)
-    beta_group, beta_edge = betas.beta_group, betas.beta_edge
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
@@ -702,8 +697,8 @@ def minibatch_loss_and_grads(
             edge_bce=float(bce[b]),
             kl_group=float(kl_g[b]),
             kl_edge=float(kl_e[b]),
-            beta_group=beta_group,
-            beta_edge=beta_edge,
+            beta_group=config.beta_group,
+            beta_edge=config.beta_edge,
             n_group_sites=int(n_group[b]),
             n_edge_sites=int(n_sites[b] - n_group[b]),
         )
@@ -719,7 +714,7 @@ def minibatch_loss_and_grads(
     d_logits[p_target <= LOG_FLOOR] = 0.0
     accumulate(grads, "end_embed", d_logits[:, end_index] @ g_latent.code)
     d_fused, d_mu_g, d_ls_g = _latent_backward(
-        params, g_latent, d_logits @ matrix, beta_group, g_prior, grads
+        params, g_latent, d_logits @ matrix, config.beta_group, g_prior, grads
     )
 
     # Edge sites: edge_mlp.l1 takes one product per input row, after summing
@@ -727,7 +722,7 @@ def minibatch_loss_and_grads(
     d_logit = np.where(p_event > LOG_FLOOR, p_edge - labels, 0.0)
     d_code = _mlp_backward(params, "edge_head", head_cache, d_logit[:, None], grads)
     d_pre, d_mu_e, d_ls_e = _latent_backward(
-        params, e_latent, d_code, beta_edge, e_prior, grads
+        params, e_latent, d_code, config.beta_edge, e_prior, grads
     )
     dh1 = nn.affine_backward(params, "edge_mlp.l2", e_h1, d_pre, grads)
     da1 = nn.relu_backward(e_h1, dh1)

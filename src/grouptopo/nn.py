@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_array
+from .graph import atomic_write, check_array, check_fields
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -253,11 +253,14 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter, an integer >= 0."""
 
     m: Params = field(default_factory=dict)
     v: Params = field(default_factory=dict)
     step: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self, ints={"step": 0})
 
     @classmethod
     def for_params(cls, params: Params) -> "OptimizerState":

@@ -18,8 +18,6 @@ from .graph import (
     RoleSpec,
     decode_records,
     group_from_record,
-    pool_to_records,
-    write_records,
 )
 
 SOLVER = RoleSpec(
@@ -116,7 +114,3 @@ def default_pool() -> GroupPool:
 
 def load_pool(path: str | os.PathLike) -> GroupPool:
     return GroupPool(tuple(decode_records(path, group_from_record)))
-
-
-def save_pool(path: str | os.PathLike, pool: GroupPool) -> None:
-    write_records(path, pool_to_records(pool))

@@ -8,6 +8,7 @@ ramp in linearly over the first warm-up epochs.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -83,7 +84,6 @@ class TrainResult:
     params: Params
     opt_state: OptimizerState
     history: list[EpochLog] = field(default_factory=list)
-    candidates: np.ndarray | None = None
 
 
 def train(
@@ -142,6 +142,7 @@ def train(
     for epoch in range(train_config.epochs):
         beta_g = kl_warmup(epoch, train_config.warmup_epochs, model_config.beta_group)
         beta_e = kl_warmup(epoch, train_config.warmup_epochs, model_config.beta_edge)
+        epoch_config = dataclasses.replace(model_config, beta_group=beta_g, beta_edge=beta_e)
         order = rng.permutation(n)
         sums = {"loss": 0.0, "nll": 0.0, "bce": 0.0, "klg": 0.0, "kle": 0.0}
         last_norm = 0.0
@@ -150,13 +151,11 @@ def train(
             graphs = [dataset[int(idx)].graph for idx in batch]
             breakdowns, grads = model_mod.minibatch_loss_and_grads(
                 params,
-                model_config,
+                epoch_config,
                 candidates,
                 task_vecs[batch],
                 graphs,
                 [model_mod.trajectory_noise(rng, graph, model_config) for graph in graphs],
-                beta_group=beta_g,
-                beta_edge=beta_e,
             )
             for breakdown in breakdowns:
                 sums["loss"] += breakdown.total
@@ -193,9 +192,7 @@ def train(
         if callback is not None:
             callback(log)
 
-    return TrainResult(
-        params=params, opt_state=opt_state, history=history, candidates=candidates
-    )
+    return TrainResult(params=params, opt_state=opt_state, history=history)
 
 
 # ---------------------------------------------------------------------------

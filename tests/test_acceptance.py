@@ -155,15 +155,15 @@ def test_criterion_03_structural_invariants(announce):
 
 def test_criterion_04_bottleneck_analytics(announce):
     rng = nn.make_rng(2)
-    q = gt.GaussianDiag(mu=rng.normal(size=8), log_sigma=rng.normal(size=8) * 0.5)
+    q = gt.model.GaussianDiag(mu=rng.normal(size=8), log_sigma=rng.normal(size=8) * 0.5)
     kl_self = abs(model_mod._kl_terms(q, q).sum())
 
-    shifted = gt.GaussianDiag(mu=np.array([1.0]), log_sigma=np.array([0.0]))
-    standard = gt.GaussianDiag(mu=np.zeros(1), log_sigma=np.zeros(1))
+    shifted = gt.model.GaussianDiag(mu=np.array([1.0]), log_sigma=np.array([0.0]))
+    standard = gt.model.GaussianDiag(mu=np.zeros(1), log_sigma=np.zeros(1))
     kl_shift = abs(model_mod._kl_terms(shifted, standard).sum() - 0.5)
 
     mean_exact = np.array_equal(
-        gt.reparameterize(q, np.zeros(8)), q.mu
+        gt.model.reparameterize(q, np.zeros(8)), q.mu
     )
 
     config = gt.ModelConfig(pool_size=3, dim=6, hidden=4, max_steps=2, seed=0)
@@ -187,10 +187,10 @@ def test_criterion_04_bottleneck_analytics(announce):
 
 def test_criterion_05_warmup_schedule(announce):
     target, e_warm = 0.3, 10
-    start_zero = gt.kl_warmup(0, e_warm, target) == 0.0
-    end_target = gt.kl_warmup(e_warm, e_warm, target) == target
-    halfway = gt.kl_warmup(e_warm // 2, e_warm, target) == target / 2
-    values = [gt.kl_warmup(e, e_warm, target) for e in range(16)]
+    start_zero = gt.training.kl_warmup(0, e_warm, target) == 0.0
+    end_target = gt.training.kl_warmup(e_warm, e_warm, target) == target
+    halfway = gt.training.kl_warmup(e_warm // 2, e_warm, target) == target / 2
+    values = [gt.training.kl_warmup(e, e_warm, target) for e in range(16)]
     monotone = all(a <= b for a, b in zip(values, values[1:]))
     ok = start_zero and end_target and halfway and monotone
     announce(5, ok, (
@@ -244,11 +244,10 @@ def test_criterion_06_overfit_reconstruction(announce):
     cpu = time.process_time() - start
 
     hits = 0
+    candidates = gt.build_candidate_matrix(provider, pool)
     for traj in dataset:
         task_vec = provider.encode([traj.query])[0]
-        got = gt.generate_graph(
-            result.params, model_config, result.candidates, task_vec, 0
-        )
+        got = gt.generate_graph(result.params, model_config, candidates, task_vec, 0)
         hits += int(
             got.selected == traj.graph.selected and got.edges == traj.graph.edges
         )

@@ -1,10 +1,11 @@
 """Property tests for the library's entry points: given bad values of their
 documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
 NumPy scalars, empty, arrays of bools, complex numbers, strings or objects),
-``GroupGraph``, the record types, the three configs, ``AttackSpec``,
-``generate_graphs``, ``minibatch_loss_and_grads``, ``check_params``,
-``adamw_step`` and ``train`` either succeed or raise GroupTopoError, never a
-raw NumPy or Python error, and what they return is finite."""
+``GroupGraph``, the record types, ``GroupPool``, the three configs,
+``AttackSpec``, ``OptimizerState``, ``generate_graphs``,
+``minibatch_loss_and_grads``, ``check_params``, ``adamw_step`` and ``train``
+either succeed or raise GroupTopoError, never a raw NumPy or Python error, and
+what they return is finite."""
 
 from __future__ import annotations
 
@@ -273,27 +274,18 @@ graph_lists = st.one_of(
              max_size=3),
     st.sampled_from([None, GRAPHS[1], 5]),
 )
-betas = st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 2.0), numbers)
 
 
 @PROPERTY
 @given(graphs=graph_lists, row_kind=MOSTLY_VALID,
        noise_kinds=st.lists(st.one_of(st.none(), VALID, KINDS), min_size=4, max_size=4),
-       extra=st.sampled_from([0, 0, 0, 0, -1, 1, None]), beta_group=betas, beta_edge=betas)
-@example(graphs=[GRAPHS[1]], row_kind=float, noise_kinds=[None] * 4, extra=0,
-         beta_group=float("nan"), beta_edge=0.3)
-@example(graphs=[GRAPHS[1]], row_kind=float, noise_kinds=[None] * 4, extra=0,
-         beta_group=0.0, beta_edge=-1.0)
-@example(graphs=[None], row_kind=float, noise_kinds=[None] * 4, extra=0,
-         beta_group=0.0, beta_edge=0.3)
-@example(graphs=[GRAPHS[1]], row_kind=float, noise_kinds=[None] * 4, extra=None,
-         beta_group=0.0, beta_edge=0.3)
-@example(graphs=[GRAPHS[2]], row_kind=str, noise_kinds=[None] * 4, extra=0,
-         beta_group=0.0, beta_edge=0.3)
-@example(graphs=[GRAPHS[2]], row_kind=float, noise_kinds=[complex] * 4, extra=0,
-         beta_group=0.0, beta_edge=0.3)
+       extra=st.sampled_from([0, 0, 0, 0, -1, 1, None]))
+@example(graphs=[None], row_kind=float, noise_kinds=[None] * 4, extra=0)
+@example(graphs=[GRAPHS[1]], row_kind=float, noise_kinds=[None] * 4, extra=None)
+@example(graphs=[GRAPHS[2]], row_kind=str, noise_kinds=[None] * 4, extra=0)
+@example(graphs=[GRAPHS[2]], row_kind=float, noise_kinds=[complex] * 4, extra=0)
 def test_minibatch_loss_and_grads_is_checked(tiny_model, graphs, row_kind, noise_kinds,
-                                            extra, beta_group, beta_edge):
+                                            extra):
     config, params = tiny_model
     batch = graphs if isinstance(graphs, list) else [GRAPHS[1]]
     rows = make_array(row_kind, (len(batch), DIM))
@@ -305,14 +297,11 @@ def test_minibatch_loss_and_grads_is_checked(tiny_model, graphs, row_kind, noise
     ][: len(batch) + extra]
     result = expect_checked(lambda: gt.minibatch_loss_and_grads(
         params, config, np.eye(POOL, DIM), rows, graphs, noises,
-        beta_group=beta_group, beta_edge=beta_edge,
     ))
     if result is None:
         return
     breakdowns, grads = result
     assert real_arrays(rows, *(noise for noise in noises if noise is not None))
-    assert all(not isinstance(beta, bool) and 0 <= beta < float("inf")
-               for beta in (beta_group, beta_edge))
     assert finite([b.total for b in breakdowns]) and finite(grads.values())
 
 
@@ -354,7 +343,7 @@ ADAM_SHAPES = {"a": (2,), "b": (2, 3)}
 @example(edits={"b": "list"})
 def test_adamw_step_checks_each_gradient(edits):
     params = {name: np.ones(shape) for name, shape in ADAM_SHAPES.items()}
-    state = gt.OptimizerState.for_params(params)
+    state = gt.nn.OptimizerState.for_params(params)
     grads = {name: make_array(kind, ADAM_SHAPES.get(name, (2,))) for name, kind in edits.items()}
     norm = expect_checked(lambda: gt.adamw_step(params, grads, state, lr=0.1, clip_norm=1.0))
     if norm is None:
@@ -362,6 +351,13 @@ def test_adamw_step_checks_each_gradient(edits):
     assert real_arrays(*grads.values())
     assert all(np.shape(grads[name]) == ADAM_SHAPES[name] for name in grads)
     assert finite([norm]) and finite(params.values())
+
+
+@pytest.mark.parametrize("step", ["x", -1, 1.5, True, None])
+def test_optimizer_step_is_a_non_negative_integer(step):
+    with pytest.raises(gt.ValidationError, match="'step' must be an integer >= 0"):
+        gt.nn.OptimizerState(step=step)
+    assert type(gt.nn.OptimizerState(step=np.int64(2)).step) is int
 
 
 TRAIN_POOL = gt.GroupPool(gt.default_pool().groups[:POOL])
@@ -389,7 +385,7 @@ def test_train_checks_params_and_moments(tiny_model, edits, moments):
             given_params[name] = make_array(kind, params.get(name, np.zeros(2)).shape)
     opt_state = None
     if moments is not None:
-        opt_state = gt.OptimizerState.for_params(params)
+        opt_state = gt.nn.OptimizerState.for_params(params)
         which, name, kind = moments
         table = getattr(opt_state, which)
         if kind == "drop":
@@ -453,6 +449,14 @@ def test_record_types_check_strings_and_parts(kind, texts, graph, roles):
         assert record.roles and all(isinstance(role, gt.RoleSpec) for role in record.roles)
         gt.materialize_agent_graph(GRAPHS[1], gt.GroupPool([record]), mode="expanded")
         record.text()
+
+
+@pytest.mark.parametrize("groups", [None, 5, [None], "ab", [ROLE],
+                                    [gt.default_pool()[0], "x"]])
+def test_group_pool_holds_candidate_groups(groups):
+    with pytest.raises(gt.ValidationError, match="'groups'"):
+        gt.GroupPool(groups)
+    assert gt.GroupPool(iter(gt.default_pool())).groups == gt.default_pool().groups
 
 
 @pytest.mark.parametrize("graphs", [None, [None], 5, "0->1", [GRAPHS[1], "x"]])

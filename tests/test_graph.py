@@ -230,7 +230,7 @@ def test_graph_record_rejects_non_bool_truncated(value):
 
 def test_pool_record_roundtrip(tmp_path):
     pool = gt.default_pool()
-    gt.save_pool(tmp_path / "pool.jsonl", pool)
+    gt.write_records(tmp_path / "pool.jsonl", [gt.graph.group_to_record(g) for g in pool])
     assert gt.load_pool(tmp_path / "pool.jsonl") == pool
 
 

@@ -98,7 +98,7 @@ def test_example_record_roundtrip():
     ex = gt.EvalExample(query="what is 1 plus 1", answer="2", match="numeric")
     record = gt.example_to_record(ex)
     assert record["kind"] == "example"
-    assert gt.example_from_record(record) == ex
+    assert gt.harness.example_from_record(record) == ex
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,9 @@ def test_attack_target_resolution(pool4):
     for target in (True, -1, 1.0, None):
         with pytest.raises(ValidationError, match="'target' must be an integer >= 0"):
             AttackSpec(target=target, text="x")
+    for text in (None, 5, b"x"):
+        with pytest.raises(ValidationError, match="'text' must be a string"):
+            AttackSpec(target=0, text=text)
 
 
 def test_run_uses_provider_reported_usage(pool4):
@@ -298,7 +301,7 @@ def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
     """The round-by-round serial loop ``run_graph`` replaced, as a reference."""
     worker_order = range(agent_graph.summarizer)
     attack_idx = attack.resolve(agent_graph) if attack is not None else None
-    stats = gt.TokenStats()
+    stats = gt.harness.TokenStats()
     entries = []
     previous_round = {}
 
@@ -319,7 +322,7 @@ def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
         prompt_tokens = count_or(result.prompt_tokens, system, user)
         completion_tokens = count_or(result.completion_tokens, result.text)
         stats.add(prompt_tokens, completion_tokens)
-        entries.append(gt.TranscriptEntry(
+        entries.append(gt.harness.TranscriptEntry(
             round=round_no, node=node_idx, name=node.name, role=node.role,
             prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
             text=result.text,
@@ -333,7 +336,7 @@ def serial_run_graph(agent_graph, query, backend, *, rounds=1, attack=None):
             current[node_idx] = call(node_idx, round_no, current)
         previous_round = current
     final_text = call(agent_graph.summarizer, rounds, current)
-    return gt.RunTranscript(query=query, entries=tuple(entries),
+    return gt.harness.RunTranscript(query=query, entries=tuple(entries),
                             final_text=final_text, stats=stats, rounds=rounds)
 
 
@@ -742,7 +745,7 @@ def test_evaluate_worker_parity(pool4):
     alone = [gt.evaluate([example], graph, pool4, backend) for example in dataset]
     together = gt.evaluate(dataset, graph, pool4, backend)
     assert together.accuracy == sum(r.accuracy for r in alone) / len(alone)
-    assert together.stats == gt.TokenStats(
+    assert together.stats == gt.harness.TokenStats(
         sum(r.stats.prompt_tokens for r in alone),
         sum(r.stats.completion_tokens for r in alone),
         sum(r.stats.calls for r in alone),
@@ -765,7 +768,7 @@ def test_evaluate_worker_parity(pool4):
                 for agents, example in zip(agent_graphs, dataset):
                     run = serial_run_graph(agents, example.query, expected_backend,
                                            rounds=rounds)
-                    expected.append(gt.ItemResult(
+                    expected.append(gt.harness.ItemResult(
                         query=example.query, expected=example.answer,
                         got=run.final_text,
                         correct=gt.answer_matches(example.answer, run.final_text),

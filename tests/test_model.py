@@ -114,27 +114,27 @@ def test_check_params_names_every_mismatch():
 
 def test_kl_self_is_zero():
     rng = nn.make_rng(0)
-    q = gt.GaussianDiag(mu=rng.normal(size=6), log_sigma=rng.normal(size=6) * 0.3)
+    q = gt.model.GaussianDiag(mu=rng.normal(size=6), log_sigma=rng.normal(size=6) * 0.3)
     assert abs(model_mod._kl_terms(q, q).sum()) <= 1e-12
 
 
 def test_kl_unit_shift_is_half():
-    q = gt.GaussianDiag(mu=np.array([1.0]), log_sigma=np.array([0.0]))
-    p = gt.GaussianDiag(mu=np.zeros(1), log_sigma=np.zeros(1))
+    q = gt.model.GaussianDiag(mu=np.array([1.0]), log_sigma=np.array([0.0]))
+    p = gt.model.GaussianDiag(mu=np.zeros(1), log_sigma=np.zeros(1))
     assert abs(model_mod._kl_terms(q, p).sum() - 0.5) <= 1e-9
 
 
 def test_kl_is_nonnegative():
     rng = nn.make_rng(4)
     for _ in range(20):
-        q = gt.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
-        p = gt.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
+        q = gt.model.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
+        p = gt.model.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
         assert model_mod._kl_terms(q, p).sum() >= -1e-12
 
 
 def test_reparameterize_zero_noise_is_mean():
-    q = gt.GaussianDiag(mu=np.array([0.3, -1.2]), log_sigma=np.array([0.5, -0.5]))
-    assert np.array_equal(gt.reparameterize(q, np.zeros(2)), q.mu)
+    q = gt.model.GaussianDiag(mu=np.array([0.3, -1.2]), log_sigma=np.array([0.5, -0.5]))
+    assert np.array_equal(gt.model.reparameterize(q, np.zeros(2)), q.mu)
 
 
 def test_zero_prior_net_is_standard_normal(tiny):
@@ -162,13 +162,13 @@ def test_log_sigma_clamped(tiny):
 
 def test_fuse_zero_history_gate_is_half(tiny):
     z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    fused, cache = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
+    fused, cache = gt.model.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
     assert cache.gate == pytest.approx(0.5)
     expected = 0.5 * z + tiny.params["step_embed"][0]
     assert np.allclose(fused, expected)
     # One row per step: every zero-history row gates at one half too.
     steps = np.arange(3)
-    rows, cache = gt.fuse_step(tiny.params, np.zeros((3, tiny.config.dim)), z, steps)
+    rows, cache = gt.model.fuse_step(tiny.params, np.zeros((3, tiny.config.dim)), z, steps)
     assert np.allclose(cache.gate, 0.5)
     assert np.allclose(rows, 0.5 * z + tiny.params["step_embed"][steps])
 
@@ -176,7 +176,7 @@ def test_fuse_zero_history_gate_is_half(tiny):
 def test_fuse_step_bounds(tiny):
     z = np.zeros(tiny.config.dim)
     with pytest.raises(ValidationError, match="embedding table"):
-        gt.fuse_step(tiny.params, z, z, tiny.config.max_steps)
+        gt.model.fuse_step(tiny.params, z, z, tiny.config.max_steps)
 
 
 def test_fuse_step_rejects_an_overflowing_gate_score():
@@ -187,7 +187,7 @@ def test_fuse_step_rejects_an_overflowing_gate_score():
     h_his = np.array([[1e308, -1e308, 1e308, -1e308]])
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(ValidationError, match="gate score is not finite"):
-            gt.fuse_step(params, np.ones((1, 4)), h_his, 1)
+            gt.model.fuse_step(params, np.ones((1, 4)), h_his, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_fuse_step_rejects_an_overflowing_gate_score():
 
 def first_fused_state(tiny):
     z, _ = model_mod.project_task(tiny.params, tiny.task_vec)
-    fused, _ = gt.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
+    fused, _ = gt.model.fuse_step(tiny.params, np.zeros(tiny.config.dim), z, 0)
     return fused, z
 
 
@@ -263,7 +263,7 @@ def test_teacher_forcing_rejects_candidates_of_another_pool(tiny, selected):
         gt.graph_log_likelihood(*args, tiny.task_vec, graph)
     with pytest.raises(ValidationError, match="pool of 16"):
         model_mod.minibatch_loss_and_grads(
-            *args, tiny.task_vec[None], [graph], [None], beta_group=0.0, beta_edge=0.0
+            *args, tiny.task_vec[None], [graph], [None]
         )
 
 
@@ -328,6 +328,11 @@ def test_generate_graphs_rejects_bad_batches(tiny):
     for forced in (0, -1, tiny.config.max_steps + 1):
         with pytest.raises(ValidationError, match="forced_steps"):
             gt.generate_graphs(*args, vecs, [0, 1], forced_steps=forced)
+    for seeds in (None, 5, {0}, np.int64(0), np.array(0)):
+        with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+            gt.generate_graphs(*args, vecs[:1], seeds)
+    assert gt.generate_graphs(*args, vecs, np.array([0, 1])) == gt.generate_graphs(
+        *args, vecs, (0, 1))
     config = gt.ModelConfig(pool_size=tiny.pool.size + 1, dim=tiny.config.dim,
                             hidden=tiny.config.hidden)
     with pytest.raises(ValidationError, match="pool"):
@@ -358,7 +363,7 @@ def test_older_v2_checkpoint_generates_the_same_graphs():
             params, config, candidates, provider.encode([row["query"] for row in rows]),
             [row["seed"] for row in rows], forced_steps=forced,
         )
-        assert [gt.group_graph_to_record(g) for g in graphs] == [r["graph"] for r in rows]
+        assert [gt.graph.group_graph_to_record(g) for g in graphs] == [r["graph"] for r in rows]
     assert len({json.dumps(row["graph"]) for row in expected}) > 2
 
 
@@ -529,7 +534,7 @@ def test_loss_noise_stream_length(tiny):
 def _minibatch(setup, task_vecs, graphs):
     return model_mod.minibatch_loss_and_grads(
         setup.params, setup.config, setup.candidates, task_vecs, graphs,
-        [None] * len(graphs), beta_group=0.0, beta_edge=0.0,
+        [None] * len(graphs),
     )
 
 
@@ -573,12 +578,10 @@ def _loss_with_noise(setup, dim, fill):
         s.params, s.config, s.candidates, np.full((2, dim), np.nan), [0, 1]),
                  "NaN or infinite", id="generate_nan_rows"),
     pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
-        s.params, s.config, s.candidates, np.zeros((2, dim)), [GRAPH, GRAPH], [None],
-        beta_group=0.0, beta_edge=0.0),
+        s.params, s.config, s.candidates, np.zeros((2, dim)), [GRAPH, GRAPH], [None]),
                  "noise entry for each", id="minibatch_short_of_noises"),
     pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
-        s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None, None],
-        beta_group=0.0, beta_edge=0.0),
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None, None]),
                  "noise entry for each", id="minibatch_extra_noises"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim + 1, 0.0),
                  "noise rows of dim", id="loss_wrong_dim_noise"),

@@ -42,17 +42,17 @@ def one_line_per_kind() -> bytes:
         completion_tokens=np.int64(7),
     )
     gt.write_records("library.jsonl", [
-        gt.group_graph_to_record(graph),
+        gt.graph.group_graph_to_record(graph),
         gt.graph.group_to_record(pool[13]),
-        gt.trajectory_to_record(gt.Trajectory(query="what is 2 plus 3", graph=graph)),
+        gt.graph.trajectory_to_record(gt.Trajectory(query="what is 2 plus 3", graph=graph)),
         gt.example_to_record(examples[1]),
-        gt.exploration_result_to_record(exploration),
+        gt.training.exploration_result_to_record(exploration),
     ])
     gt.write_records("examples.jsonl", [gt.example_to_record(e) for e in examples])
     # The third query has no answer, so accuracies are not whole numbers.
     queries = [e.query for e in examples] + ["what is 7 times 6"]
     gt.write_records("graphs.jsonl", [
-        gt.trajectory_to_record(gt.Trajectory(query=q, graph=graph)) for q in queries
+        gt.graph.trajectory_to_record(gt.Trajectory(query=q, graph=graph)) for q in queries
     ])
     for args in (
         ["discover", "--dataset", "examples.jsonl", "--out", "explored.jsonl",
@@ -87,14 +87,14 @@ def valid_records() -> dict[str, tuple]:
         final_text="5", prompt_tokens=3, completion_tokens=1,
     )
     return {
-        "group_graph": (gt.group_graph_from_record, gt.group_graph_to_record(graph)),
+        "group_graph": (gt.graph.group_graph_from_record, gt.graph.group_graph_to_record(graph)),
         "group": (gt.graph.group_from_record, gt.graph.group_to_record(gt.default_pool()[4])),
-        "trajectory": (gt.trajectory_from_record,
-                       gt.trajectory_to_record(gt.Trajectory(query="q", graph=graph))),
-        "example": (gt.example_from_record,
+        "trajectory": (gt.graph.trajectory_from_record,
+                       gt.graph.trajectory_to_record(gt.Trajectory(query="q", graph=graph))),
+        "example": (gt.harness.example_from_record,
                     gt.example_to_record(gt.EvalExample(query="q", answer="5"))),
-        "exploration": (gt.exploration_result_from_record,
-                        gt.exploration_result_to_record(exploration)),
+        "exploration": (gt.training.exploration_result_from_record,
+                        gt.training.exploration_result_to_record(exploration)),
     }
 
 
@@ -144,7 +144,7 @@ def test_library_decoders_check_the_header(kind, header):
 @pytest.mark.parametrize("kind", [["trajectory"], 5, None, {"trajectory": 1}])
 def test_kind_that_is_not_a_string_exits_2(tmp_path, kind):
     graph = gt.GroupGraph(selected=(0,))
-    valid = gt.trajectory_to_record(gt.Trajectory(query="q", graph=graph))
+    valid = gt.graph.trajectory_to_record(gt.Trajectory(query="q", graph=graph))
     path = tmp_path / "graphs.jsonl"
     gt.write_records(path, [valid, {**valid, "kind": kind}])
     with pytest.raises(ValidationError, match="line 2: 'kind' must be a string"):

@@ -9,6 +9,7 @@ same generated graphs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -31,7 +32,7 @@ def ref_bottleneck(params, prefix, x):
     mu = nn.affine(params, f"{prefix}.mu", x)
     ls_raw = nn.affine(params, f"{prefix}.ls", x)
     ls = np.clip(ls_raw, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-    return gt.GaussianDiag(mu=mu, log_sigma=ls), (x, ls_raw)
+    return gt.model.GaussianDiag(mu=mu, log_sigma=ls), (x, ls_raw)
 
 
 def ref_bottleneck_backward(params, prefix, cache, d_mu, d_ls, grads):
@@ -54,7 +55,7 @@ def ref_kl_backward(q, p, weight):
 def ref_latent(params, gate_prefix, enc_prefix, x, eps):
     x_gated, gate_cache = nn.gate_step(params, gate_prefix, x)
     q, enc_cache = ref_bottleneck(params, enc_prefix, x_gated)
-    code = gt.reparameterize(q, eps)
+    code = gt.model.reparameterize(q, eps)
     return code, (gate_prefix, enc_prefix, gate_cache, enc_cache, q, eps)
 
 
@@ -171,9 +172,9 @@ def ref_generate_graph(params, config, candidates, task_vec, seed, forced_steps=
     )
 
 
-def ref_loss_and_grads(params, config, candidates, task_vec, graph, beta_group,
-                       beta_edge, noise):
+def ref_loss_and_grads(params, config, candidates, task_vec, graph, noise):
     dim, n = config.dim, graph.n_steps
+    beta_group, beta_edge = config.beta_group, config.beta_edge
     matrix = model_mod.scoring_matrix(params, config, candidates)
     end_index = config.pool_size
     z, (x, a1, h1) = ref_project_task(params, task_vec)
@@ -189,7 +190,7 @@ def ref_loss_and_grads(params, config, candidates, task_vec, graph, beta_group,
     for _, _, label, prob, e_cache in edge_sites:
         edge_bce += -math.log(max(prob if label else 1.0 - prob, LOG_FLOOR))
         kl_edge += model_mod._kl_terms(e_cache[3][4], prior_e).sum()
-    breakdown = gt.LossBreakdown(
+    breakdown = gt.model.LossBreakdown(
         group_nll=group_nll, edge_bce=edge_bce, kl_group=kl_group, kl_edge=kl_edge,
         beta_group=beta_group, beta_edge=beta_edge,
         n_group_sites=len(group_sites), n_edge_sites=len(edge_sites),
@@ -302,8 +303,7 @@ def test_loss_and_grads_match_per_site_reference(dim, hidden):
                 )
                 got = gt.loss_and_grads(prm, cfg, candidates, task_vec, graph,
                                         noise=noise if sampled else None)
-                want = ref_loss_and_grads(prm, cfg, candidates, task_vec, graph,
-                                          cfg.beta_group, cfg.beta_edge, noise)
+                want = ref_loss_and_grads(prm, cfg, candidates, task_vec, graph, noise)
                 assert (n < max_steps) == (want[0].n_group_sites == n + 1)
                 assert_matches_reference(*got, *want, (graph, max_steps, sampled))
 
@@ -410,20 +410,17 @@ def test_generation_never_reads_posterior_ls_heads():
 
 
 def assert_minibatch_matches_reference(params, config, candidates, task_vecs, graphs,
-                                       noises, beta_group, beta_edge, label):
+                                       noises, label):
     """The minibatch pass against one per-site reference call per trajectory:
     each breakdown to relative 1e-12, and every tensor of the summed gradient
     to 1e-12 of its largest entry."""
     breakdowns, grads = model_mod.minibatch_loss_and_grads(
-        params, config, candidates, task_vecs, graphs, noises,
-        beta_group=beta_group, beta_edge=beta_edge,
+        params, config, candidates, task_vecs, graphs, noises
     )
     assert len(breakdowns) == len(graphs)
     ref_grads = {}
     for b, (task_vec, graph, noise) in enumerate(zip(task_vecs, graphs, noises)):
-        want, want_grads = ref_loss_and_grads(
-            params, config, candidates, task_vec, graph, beta_group, beta_edge, noise
-        )
+        want, want_grads = ref_loss_and_grads(params, config, candidates, task_vec, graph, noise)
         assert_breakdown_matches(breakdowns[b], want, (label, b))
         for name, g in want_grads.items():
             nn.accumulate(ref_grads, name, g)
@@ -465,8 +462,9 @@ def bench_first_minibatch(seed):
 def test_minibatch_matches_reference_on_bench_minibatch(betas):
     config, params, candidates, task_vecs, graphs, noises = bench_first_minibatch(1)
     assert sorted({g.n_steps for g in graphs}) == list(range(1, 9))
+    config = dataclasses.replace(config, beta_group=betas[0], beta_edge=betas[1])
     assert_minibatch_matches_reference(
-        params, config, candidates, task_vecs, graphs, noises, *betas, betas
+        params, config, candidates, task_vecs, graphs, noises, betas
     )
 
 
@@ -491,8 +489,7 @@ def test_minibatch_edge_cases_match_reference(counts):
     noises = [model_mod.trajectory_noise(nn.make_rng(b), g, config)
               for b, g in enumerate(graphs)]
     breakdowns, _ = assert_minibatch_matches_reference(
-        params, config, candidates, task_vecs, graphs, noises,
-        config.beta_group, config.beta_edge, counts,
+        params, config, candidates, task_vecs, graphs, noises, counts,
     )
     assert [b.n_group_sites for b in breakdowns] == [min(n + 1, 8) for n in counts]
     assert [b.n_edge_sites for b in breakdowns] == [n * (n - 1) // 2 for n in counts]
@@ -509,9 +506,7 @@ def test_minibatch_gradient_matches_finite_differences():
 
     def minibatch(p, compute_grads):
         return model_mod.minibatch_loss_and_grads(
-            p, config, candidates, task_vecs, graphs, noises,
-            beta_group=config.beta_group, beta_edge=config.beta_edge,
-            compute_grads=compute_grads,
+            p, config, candidates, task_vecs, graphs, noises, compute_grads=compute_grads,
         )
 
     _, grads = minibatch(params, True)

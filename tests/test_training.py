@@ -20,24 +20,24 @@ from conftest import make_tiny
 
 
 def test_warmup_schedule_values():
-    assert gt.kl_warmup(0, 10, 0.3) == 0.0
-    assert gt.kl_warmup(5, 10, 0.3) == pytest.approx(0.15)
-    assert gt.kl_warmup(10, 10, 0.3) == 0.3
-    assert gt.kl_warmup(25, 10, 0.3) == 0.3
+    assert gt.training.kl_warmup(0, 10, 0.3) == 0.0
+    assert gt.training.kl_warmup(5, 10, 0.3) == pytest.approx(0.15)
+    assert gt.training.kl_warmup(10, 10, 0.3) == 0.3
+    assert gt.training.kl_warmup(25, 10, 0.3) == 0.3
 
 
 def test_warmup_no_warmup_is_constant():
-    assert gt.kl_warmup(0, 0, 0.4) == 0.4
+    assert gt.training.kl_warmup(0, 0, 0.4) == 0.4
 
 
 def test_warmup_monotone():
-    vals = [gt.kl_warmup(e, 7, 1.0) for e in range(15)]
+    vals = [gt.training.kl_warmup(e, 7, 1.0) for e in range(15)]
     assert vals == sorted(vals)
 
 
 def test_warmup_rejects_negative_epoch():
     with pytest.raises(ValidationError):
-        gt.kl_warmup(-1, 10, 0.3)
+        gt.training.kl_warmup(-1, 10, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_family_edges_shapes():
 
 def test_sampled_topologies_are_valid():
     rng = nn.make_rng(12)
-    for family in gt.TOPOLOGY_FAMILIES:
+    for family in gt.training.TOPOLOGY_FAMILIES:
         for _ in range(10):
             graph = sample_candidate_topology(rng, 5, family, 3)
             gt.validate_group_graph(graph, 5, 8)
@@ -172,10 +172,10 @@ def test_exploration_record_roundtrip():
         correct=True, final_text="the answer is 4",
         prompt_tokens=12, completion_tokens=5,
     )
-    record = gt.exploration_result_to_record(result)
+    record = gt.training.exploration_result_to_record(result)
     assert record["v"] == "v1"
     assert record["kind"] == "exploration"
-    assert gt.exploration_result_from_record(record) == result
+    assert gt.training.exploration_result_from_record(record) == result
 
 
 @pytest.mark.parametrize("count", [-3, 2.5, True, "4"])
