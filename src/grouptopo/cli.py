@@ -25,16 +25,16 @@ from .embedding import (
 )
 from .errors import BackendError, ValidationError
 from .graph import (
+    GroupGraph,
     GroupPool,
     Trajectory,
     check_writable,
     decode_records,
-    group_graph_from_record,
+    from_record,
     make_record,
     record_field,
     render_diagram,
-    trajectory_from_record,
-    trajectory_to_record,
+    to_record,
     write_records,
 )
 from .harness import (
@@ -43,18 +43,16 @@ from .harness import (
     EvalExample,
     HttpAgentBackend,
     evaluate,
-    example_from_record,
 )
 from .model import ModelConfig, check_params, generate_graphs
 from .nn import load_checkpoint, save_checkpoint
 from .pools import default_pool, load_pool
 from .training import (
     ExplorationConfig,
+    ExplorationResult,
     TrainConfig,
     curate_minimal,
     explore_and_label,
-    exploration_result_from_record,
-    exploration_result_to_record,
     train,
 )
 
@@ -86,12 +84,12 @@ def _load_pool(path: str | None) -> GroupPool:
     return load_pool(path) if path else default_pool()
 
 
-EXAMPLES = {"example": example_from_record}
+EXAMPLES = {"example": lambda r: from_record(r, EvalExample)}
 GRAPHS = {
-    "trajectory": trajectory_from_record,
-    "group_graph": lambda record: Trajectory(query="", graph=group_graph_from_record(record)),
+    "trajectory": lambda r: from_record(r, Trajectory),
+    "group_graph": lambda r: Trajectory(query="", graph=from_record(r, GroupGraph)),
 }
-EXPLORATIONS = {"exploration": exploration_result_from_record}
+EXPLORATIONS = {"exploration": lambda r: from_record(r, ExplorationResult)}
 
 
 def _load(path: str, decoders: dict[str, Callable[[dict], object]]) -> list:
@@ -190,7 +188,7 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
     )
     results = explore_and_label(pool, examples, backend_obj, config)
     n_correct = sum(1 for r in results if r.correct)
-    records = [exploration_result_to_record(r) for r in results]
+    records = [to_record(r) for r in results]
     records.append(
         make_record(
             "discover_summary",
@@ -213,7 +211,7 @@ def curate(results_path, out) -> None:
     check_writable(out)
     results = _load(results_path, EXPLORATIONS)
     trajectories, excluded = curate_minimal(results)
-    write_records(out, [trajectory_to_record(t) for t in trajectories])
+    write_records(out, [to_record(t) for t in trajectories])
     click.echo(f"curated {len(trajectories)} trajectories -> {out}")
     for query in excluded:
         click.echo(f"excluded (no correct graph): {query}", err=True)
@@ -310,7 +308,7 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
                                   forced_steps=forced_steps)
     records = []
     for query, query_seed, graph in zip(query_list, seeds, graphs):
-        record = trajectory_to_record(Trajectory(query=query, graph=graph))
+        record = to_record(Trajectory(query=query, graph=graph))
         record["seed"] = query_seed
         records.append(record)
         click.echo(f"query: {query}")

@@ -5,16 +5,18 @@ edges (i, t) with i < t; it is materialized into an executable agent graph
 either as one composite agent per group or as one agent per member role.
 
 Serialization uses line-delimited JSON records, and this module owns their
-format: every record is written with :func:`make_record`, which adds the
-schema version ``"v": "v1"`` and a ``kind`` discriminator, and its fields
-are read with :func:`record_field`, which checks their JSON types. Edges are
-encoded as ``"i->t"`` strings.
+format: :func:`to_record` and :func:`from_record` walk the fields of a record
+type, a dataclass that names its ``RECORD_KIND``, under the header
+``"v": "v1"`` and that ``kind``. Each field's annotation picks its form, as
+``"i->t"`` strings for edges, and its JSON type is checked on reading.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
+import functools
 import json
 import os
 import re
@@ -22,7 +24,7 @@ import sys
 import uuid
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -61,6 +63,9 @@ class CandidateGroup:
     """Member roles wired by an intra-group pattern, ``roles`` stored as a tuple.
     Raises ValidationError unless ``name`` and ``description`` are strings and
     ``roles`` one or more :class:`RoleSpec` values, or if the pattern is unknown."""
+
+    RECORD_KIND: ClassVar[str] = "group"
+    RECORD_DEFAULTS: ClassVar[dict] = {"description": ""}
 
     name: str
     description: str
@@ -196,6 +201,9 @@ class GroupGraph:
     ``0 <= i < t < n_steps`` or an edge listed twice raises ValidationError.
     """
 
+    RECORD_KIND: ClassVar[str] = "group_graph"
+    RECORD_DEFAULTS: ClassVar[dict] = {"truncated": False}
+
     selected: tuple[int, ...] = ()
     edges: tuple[tuple[int, int], ...] = ()
     truncated: bool = False
@@ -232,6 +240,8 @@ class GroupGraph:
 @dataclass(frozen=True)
 class Trajectory:
     """A query string paired with a target group graph, for teacher forcing."""
+
+    RECORD_KIND: ClassVar[str] = "trajectory"
 
     query: str
     graph: GroupGraph
@@ -492,63 +502,58 @@ def check_header(record: dict, kind: str | None = None) -> str:
     return actual
 
 
-def group_graph_to_record(graph: GroupGraph) -> dict:
-    return make_record(
-        "group_graph",
-        selected=list(graph.selected),
-        edges=[format_edge(e) for e in graph.edges],
-        truncated=bool(graph.truncated),
-    )
+@functools.cache
+def _field_plan(cls: type) -> tuple:
+    """``(name, JSON type, reader default, encode, decode)`` for each field of
+    the record type ``cls``. Raises TypeError for an annotation with no form."""
+    defaults = getattr(cls, "RECORD_DEFAULTS", {})
+    plan = []
+    for f in dataclasses.fields(cls):
+        if f.type not in _FORMS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no record form for {f.type!r}")
+        json_type, encode, decode = _FORMS[f.type]
+        plan.append((f.name, json_type, defaults.get(f.name, _REQUIRED), encode, decode))
+    return tuple(plan)
 
 
-def group_graph_from_record(record: dict) -> GroupGraph:
-    check_header(record, "group_graph")
-    selected = record_field(record, "selected", list)
-    edges = record_field(record, "edges", list)
-    if not all(isinstance(e, str) for e in edges):
-        raise ValidationError("'edges' must be a list of 'i->t' strings")
-    truncated = record_field(record, "truncated", bool, False)
-    return GroupGraph(selected, [parse_edge(e) for e in edges], truncated)
+def to_record(obj) -> dict:
+    """``obj``, an instance of a record type, as a record of its ``RECORD_KIND``."""
+    record = make_record(obj.RECORD_KIND)
+    for name, _, _, encode, _ in _field_plan(type(obj)):
+        value = getattr(obj, name)
+        record[name] = value if encode is None else encode(value)
+    return record
 
 
-def group_to_record(group: CandidateGroup) -> dict:
-    return make_record(
-        "group",
-        name=group.name,
-        description=group.description,
-        pattern=group.pattern.value,
-        roles=[{"name": r.name, "prompt": r.prompt} for r in group.roles],
-    )
+def from_record(record: dict, cls: type):
+    """The ``cls`` value that ``record`` holds, each field read with
+    :func:`record_field`: a key that ``cls.RECORD_DEFAULTS`` names may be absent.
+    ValidationError if the header is not ``cls``'s or ``cls`` rejects a value."""
+    check_header(record, cls.RECORD_KIND)
+    fields = {}
+    for name, json_type, default, _, decode in _field_plan(cls):
+        value = record_field(record, name, json_type, default)
+        fields[name] = value if decode is None else decode(value)
+    return cls(**fields)
 
 
-def group_from_record(record: dict) -> CandidateGroup:
-    check_header(record, "group")
-    roles_raw = record_field(record, "roles", list)
-    if not roles_raw or not all(isinstance(r, dict) for r in roles_raw):
-        raise ValidationError("'roles' must be a non-empty list of objects")
-    roles = [RoleSpec(record_field(r, "name", str), record_field(r, "prompt", str))
-             for r in roles_raw]
-    return CandidateGroup(
-        name=record_field(record, "name", str),
-        description=record_field(record, "description", str, ""),
-        roles=roles,
-        pattern=record_field(record, "pattern", str),
-    )
-
-
-def trajectory_to_record(traj: Trajectory) -> dict:
-    return make_record(
-        "trajectory",
-        query=traj.query,
-        graph=group_graph_to_record(traj.graph),
-    )
-
-
-def trajectory_from_record(record: dict) -> Trajectory:
-    check_header(record, "trajectory")
-    query = record_field(record, "query", str)
-    graph = group_graph_from_record(record_field(record, "graph", dict))
-    return Trajectory(query=query, graph=graph)
+# Record form of each field annotation of a record type: the JSON type that
+# record_field reads, then how a value is encoded and decoded (None keeps it).
+_FORMS: dict[str, tuple[type, Callable | None, Callable | None]] = {
+    "str": (str, None, None),
+    "int": (int, None, None),
+    "bool": (bool, None, None),
+    "tuple[int, ...]": (list, list, None),
+    "tuple[tuple[int, int], ...]": (
+        list, lambda edges: [format_edge(e) for e in edges],
+        lambda edges: [parse_edge(e) for e in check_items(edges, str, "edges")]),
+    "tuple[RoleSpec, ...]": (
+        list, lambda roles: [{"name": r.name, "prompt": r.prompt} for r in roles],
+        lambda roles: [RoleSpec(record_field(r, "name", str), record_field(r, "prompt", str))
+                       for r in check_items(roles, dict, "roles")]),
+    "IntraPattern": (str, lambda pattern: pattern.value, None),
+    "GroupGraph": (dict, to_record, lambda record: from_record(record, GroupGraph)),
+}
 
 
 def read_records(path: str | os.PathLike) -> list[dict]:

@@ -16,7 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import ClassVar, Protocol, Sequence
 
 from .errors import BackendError, ValidationError
 from .graph import (
@@ -24,12 +24,10 @@ from .graph import (
     GroupGraph,
     GroupPool,
     check_fields,
-    check_header,
     check_items,
     is_integer,
-    make_record,
     materialize_agent_graph,
-    record_field,
+    to_record,
 )
 
 # Numeric answers match within this relative and absolute tolerance.
@@ -492,9 +490,13 @@ def _run_all(
 ) -> list[RunTranscript]:
     """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
     one schedule; return the transcripts in run order. At most as many calls
-    run at once as the widest graph has workers, nodes besides its summarizer."""
+    run at once as the widest graph has workers, nodes besides its summarizer.
+    Raises ValidationError, before any call, unless each query is a string."""
     if not (is_integer(rounds) and rounds >= 1):
         raise ValidationError(f"'rounds' must be an integer >= 1, got {rounds!r}")
+    for _, query in runs:
+        if not isinstance(query, str):
+            raise ValidationError(f"'query' must be a string, got {query!r}")
     return _Schedule(runs, backend, rounds, attack).run()
 
 
@@ -541,6 +543,9 @@ class EvalExample:
     ``answer`` must be strings.
     """
 
+    RECORD_KIND: ClassVar[str] = "example"
+    RECORD_DEFAULTS: ClassVar[dict] = {"match": "auto"}
+
     query: str
     answer: str
     match: str = "auto"
@@ -551,22 +556,7 @@ class EvalExample:
             raise ValidationError(f"unknown match rule '{self.match}'")
 
 
-def example_to_record(example: EvalExample) -> dict:
-    return make_record(
-        "example",
-        query=example.query,
-        answer=example.answer,
-        match=example.match,
-    )
-
-
-def example_from_record(record: dict) -> EvalExample:
-    check_header(record, "example")
-    return EvalExample(
-        query=record_field(record, "query", str),
-        answer=record_field(record, "answer", str),
-        match=record_field(record, "match", str, "auto"),
-    )
+example_to_record = to_record
 
 
 def answer_matches(expected: str, got: str, rule: str = "auto") -> bool:
@@ -630,6 +620,7 @@ def evaluate(
     as in :func:`run_graph`, and at most as many run at once as the widest
     graph has workers. Results keep dataset order.
     """
+    dataset = check_items(dataset, EvalExample, "dataset")
     if not dataset:
         raise ValidationError("evaluation dataset is empty")
     graph_list = ([graphs] * len(dataset) if isinstance(graphs, GroupGraph)

@@ -17,7 +17,7 @@ from .graph import (
     IntraPattern,
     RoleSpec,
     decode_records,
-    group_from_record,
+    from_record,
 )
 
 SOLVER = RoleSpec(
@@ -113,4 +113,4 @@ def default_pool() -> GroupPool:
 
 
 def load_pool(path: str | os.PathLike) -> GroupPool:
-    return GroupPool(tuple(decode_records(path, group_from_record)))
+    return GroupPool(tuple(decode_records(path, lambda r: from_record(r, CandidateGroup))))

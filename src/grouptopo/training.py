@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -23,11 +23,7 @@ from .graph import (
     GroupPool,
     Trajectory,
     check_fields,
-    check_header,
-    group_graph_from_record,
-    group_graph_to_record,
-    make_record,
-    record_field,
+    check_items,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -110,6 +106,7 @@ def train(
     :func:`~grouptopo.model.check_params`, or ValidationError is raised before
     any work; the result holds float64 copies of other real dtypes.
     """
+    dataset = check_items(dataset, Trajectory, "dataset")
     if not dataset:
         raise ValidationError("training dataset is empty")
     if model_config.pool_size != pool.size:
@@ -246,6 +243,10 @@ class ExplorationResult:
     ``correct`` a bool and each token count a non-negative integer, NumPy's
     included."""
 
+    RECORD_KIND: ClassVar[str] = "exploration"
+    RECORD_DEFAULTS: ClassVar[dict] = {"answer": "", "family": "", "final_text": "",
+                                       "prompt_tokens": 0, "completion_tokens": 0}
+
     query: str
     answer: str
     graph: GroupGraph
@@ -260,34 +261,6 @@ class ExplorationResult:
                      bools=("correct",), strs=("query", "answer", "family", "final_text"))
         if not isinstance(self.graph, GroupGraph):
             raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
-
-
-def exploration_result_to_record(result: ExplorationResult) -> dict:
-    return make_record(
-        "exploration",
-        query=result.query,
-        answer=result.answer,
-        graph=group_graph_to_record(result.graph),
-        family=result.family,
-        correct=result.correct,
-        final_text=result.final_text,
-        prompt_tokens=result.prompt_tokens,
-        completion_tokens=result.completion_tokens,
-    )
-
-
-def exploration_result_from_record(record: dict) -> ExplorationResult:
-    check_header(record, "exploration")
-    return ExplorationResult(
-        query=record_field(record, "query", str),
-        answer=record_field(record, "answer", str, ""),
-        graph=group_graph_from_record(record_field(record, "graph", dict)),
-        family=record_field(record, "family", str, ""),
-        correct=record_field(record, "correct", bool),
-        final_text=record_field(record, "final_text", str, ""),
-        prompt_tokens=record_field(record, "prompt_tokens", int, 0),
-        completion_tokens=record_field(record, "completion_tokens", int, 0),
-    )
 
 
 def explore_and_label(
@@ -348,6 +321,7 @@ def curate_minimal(
     function of the result set. Queries with no correct graph are excluded
     and reported back.
     """
+    results = check_items(results, ExplorationResult, "results")
     by_query: dict[str, list[ExplorationResult]] = {}
     for result in results:
         by_query.setdefault(result.query, []).append(result)

@@ -32,7 +32,7 @@ def runner():
 
 @pytest.fixture()
 def workdir(tmp_path, pool4):
-    gt.write_records(tmp_path / "pool.jsonl", [gt.graph.group_to_record(g) for g in pool4])
+    gt.write_records(tmp_path / "pool.jsonl", [gt.graph.to_record(g) for g in pool4])
     examples = [
         gt.EvalExample(query="what is 2 plus 3", answer="5"),
         gt.EvalExample(query="what is 10 minus 4", answer="6"),
@@ -143,7 +143,7 @@ def test_generate_seed_offsets_per_query(runner, workdir):
 
     gt.write_records(
         str(workdir / "trajectories.jsonl"),
-        [gt.graph.trajectory_to_record(
+        [gt.graph.to_record(
             gt.Trajectory(query="q one", graph=gt.GroupGraph(selected=(0,)))
         )],
     )
@@ -189,7 +189,7 @@ def test_exit_code_missing_backend_env(runner, workdir, monkeypatch):
     monkeypatch.delenv("GOA_LLM_URL", raising=False)
     gt.write_records(
         str(workdir / "graphs.jsonl"),
-        [gt.graph.trajectory_to_record(
+        [gt.graph.to_record(
             gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,)))
         )],
     )
@@ -230,7 +230,7 @@ def test_backend_error_in_worker_thread_exits_3(runner, workdir, monkeypatch,
     # Steps 1 and 2 both wait only for step 0, so they run on pool threads.
     star = gt.GroupGraph(selected=(0, 1, 2), edges=((0, 1), (0, 2)))
     gt.write_records("graphs.jsonl", [
-        gt.graph.trajectory_to_record(gt.Trajectory(query="what is 2 plus 3", graph=star))
+        gt.graph.to_record(gt.Trajectory(query="what is 2 plus 3", graph=star))
     ])
     result = invoke(runner, [command, "--pool", "pool.jsonl", *args, "--backend", "http"])
     assert result.exit_code == 3, result.output
@@ -311,7 +311,7 @@ def test_exit_code_unknown_subcommand(runner):
 def test_exit_code_attack_flags_must_pair(runner, workdir):
     gt.write_records(
         str(workdir / "graphs.jsonl"),
-        [gt.graph.trajectory_to_record(
+        [gt.graph.to_record(
             gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,)))
         )],
     )
@@ -331,7 +331,7 @@ def test_scripted_attack_degrades_accuracy(runner, workdir, text):
     role prompt."""
     chain = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
     gt.write_records(str(workdir / "graphs.jsonl"), [
-        gt.graph.trajectory_to_record(gt.Trajectory(query=q, graph=chain))
+        gt.graph.to_record(gt.Trajectory(query=q, graph=chain))
         for q in ("what is 2 plus 3", "what is 10 minus 4")
     ])
     common = ["--pool", str(workdir / "pool.jsonl"), "--graphs",
@@ -360,7 +360,7 @@ def test_generate_pool_mismatch(runner, workdir):
     pool = str(workdir / "pool.jsonl")
     gt.write_records(
         str(workdir / "trajectories.jsonl"),
-        [gt.graph.trajectory_to_record(
+        [gt.graph.to_record(
             gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,)))
         )],
     )
@@ -387,7 +387,7 @@ TINY_TRAIN = ["--epochs", "1", "--warmup", "0", "--batch", "1",
 def train_tiny(runner, workdir, *extra):
     gt.write_records(
         str(workdir / "chain.jsonl"),
-        [gt.graph.trajectory_to_record(gt.Trajectory(
+        [gt.graph.to_record(gt.Trajectory(
             query="q", graph=gt.GroupGraph(selected=(0, 1, 2), edges=((0, 1), (1, 2))),
         ))],
     )
@@ -576,7 +576,7 @@ def test_generate_with_http_encoder_kind_needs_its_url(runner, workdir, monkeypa
 
 
 def test_train_logs_each_epoch_and_saves_model_and_encoder_kind(runner, workdir):
-    gt.write_records(str(workdir / "chain.jsonl"), [gt.graph.trajectory_to_record(
+    gt.write_records(str(workdir / "chain.jsonl"), [gt.graph.to_record(
         gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0, 1), edges=((0, 1),))),
     )])
     result = invoke(runner, [
@@ -611,8 +611,8 @@ def test_generate_from_a_checkpoint_with_encoder_dim_and_train_seed(runner, work
         *[arg for row in expected for arg in ("--query", row["query"])],
     ])
     assert result.exit_code == 0, result.output
-    assert [gt.graph.group_graph_to_record(t.graph) for t in
-            map(gt.graph.trajectory_from_record, gt.read_records(out))] == [
+    assert [gt.graph.to_record(gt.graph.from_record(r, gt.Trajectory).graph)
+            for r in gt.read_records(out)] == [
         row["graph"] for row in expected
     ]
     assert "edges: none" in result.stdout
@@ -636,7 +636,7 @@ def test_run_attack_target_by_node_name(runner, workdir):
     chain = gt.GroupGraph(selected=(0, 1), edges=((0, 1),))
     name = gt.materialize_agent_graph(chain, pool, mode="composite").nodes[1].name
     gt.write_records(str(workdir / "graphs.jsonl"), [
-        gt.graph.trajectory_to_record(gt.Trajectory(query=q, graph=chain))
+        gt.graph.to_record(gt.Trajectory(query=q, graph=chain))
         for q in ("what is 2 plus 3", "what is 10 minus 4")
     ])
     common = ["run", "--pool", str(workdir / "pool.jsonl"), "--graphs",
@@ -653,13 +653,13 @@ def test_run_attack_target_by_node_name(runner, workdir):
 
 @pytest.mark.parametrize("edit, needle", [
     ({"pattern": "ring"}, "unknown intra pattern 'ring'"),
-    ({"roles": []}, "'roles' must be a non-empty list of objects"),
+    ({"roles": []}, "group 'solo-analyst' has no roles"),
 ], ids=["unknown_pattern", "empty_roles"])
 def test_pool_with_a_malformed_group_exits_2(runner, workdir, edit, needle):
     records = gt.read_records(str(workdir / "pool.jsonl"))
     records[1].update(edit)
     gt.write_records(str(workdir / "bad_pool.jsonl"), records)
-    gt.write_records(str(workdir / "graphs.jsonl"), [gt.graph.trajectory_to_record(
+    gt.write_records(str(workdir / "graphs.jsonl"), [gt.graph.to_record(
         gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,))),
     )])
     result = invoke(runner, ["diagram", "--pool", str(workdir / "bad_pool.jsonl"),
@@ -673,7 +673,7 @@ def test_pool_error_names_its_line(runner, workdir):
     records[1]["pattern"] = "ring"
     lines = [json.dumps(record).encode() for record in records]
     (workdir / "bad_pool.jsonl").write_bytes(b"\n".join(lines[:1] + [b""] + lines[1:]))
-    gt.write_records(str(workdir / "graphs.jsonl"), [gt.graph.trajectory_to_record(
+    gt.write_records(str(workdir / "graphs.jsonl"), [gt.graph.to_record(
         gt.Trajectory(query="q", graph=gt.GroupGraph(selected=(0,))),
     )])
     result = invoke(runner, ["diagram", "--pool", str(workdir / "bad_pool.jsonl"),
@@ -686,7 +686,7 @@ def test_pool_error_names_its_line(runner, workdir):
 def exploration_line(**fields):
     record = {
         "v": "v1", "kind": "exploration", "query": "q", "correct": True,
-        "graph": gt.graph.group_graph_to_record(gt.GroupGraph(selected=(0,))),
+        "graph": gt.graph.to_record(gt.GroupGraph(selected=(0,))),
     }
     return json.dumps({**record, **fields}).encode() + b"\n"
 
@@ -797,11 +797,11 @@ def valid_inputs(tmp_path_factory):
     files = {name: str(root / name) for name in ("pool", "dataset", "graphs")}
     files["checkpoint"] = str(root / "model.npz")
     gt.write_records(files["pool"],
-                     [gt.graph.group_to_record(g) for g in gt.default_pool().groups[:4]])
+                     [gt.graph.to_record(g) for g in gt.default_pool().groups[:4]])
     gt.write_records(files["dataset"], [
         gt.example_to_record(gt.EvalExample(query="what is 2 plus 3", answer="5")),
     ])
-    gt.write_records(files["graphs"], [gt.graph.trajectory_to_record(gt.Trajectory(
+    gt.write_records(files["graphs"], [gt.graph.to_record(gt.Trajectory(
         query="what is 2 plus 3", graph=gt.GroupGraph(selected=(0, 1), edges=((0, 1),)),
     ))])
     result = CliRunner().invoke(main, [
@@ -991,7 +991,7 @@ def test_generate_dataset_matches_per_query_generation(valid_inputs, varied_chec
     ]
     assert len(set(graphs)) > 1
     assert gt.read_records(out) == [
-        {**gt.graph.trajectory_to_record(gt.Trajectory(query=q, graph=g)), "seed": 5 + i}
+        {**gt.graph.to_record(gt.Trajectory(query=q, graph=g)), "seed": 5 + i}
         for i, (q, g) in enumerate(zip(queries, graphs))
     ]
     assert result.stdout == "".join(

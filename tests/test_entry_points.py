@@ -3,9 +3,10 @@ documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
 NumPy scalars, empty, arrays of bools, complex numbers, strings or objects),
 ``GroupGraph``, the record types, ``GroupPool``, the three configs,
 ``AttackSpec``, ``OptimizerState``, ``generate_graphs``,
-``minibatch_loss_and_grads``, ``check_params``, ``adamw_step`` and ``train``
-either succeed or raise GroupTopoError, never a raw NumPy or Python error, and
-what they return is finite."""
+``minibatch_loss_and_grads``, ``check_params``, ``adamw_step``, ``train``,
+the record sequences of ``evaluate`` and ``curate_minimal``, ``run_graph``'s
+query and ``make_rng``'s seed either succeed or raise GroupTopoError, never a
+raw NumPy or Python error, and what they return is finite."""
 
 from __future__ import annotations
 
@@ -464,3 +465,40 @@ def test_evaluate_needs_a_sequence_of_graphs(graphs):
     dataset = [gt.EvalExample("q", "a")] * (len(graphs) if isinstance(graphs, Sized) else 1)
     with pytest.raises(gt.ValidationError, match="graphs"):
         gt.evaluate(dataset, graphs, gt.default_pool(), gt.CompressiveEchoBackend())
+
+
+@pytest.mark.parametrize("items", [None, 5, [None], "q", [TRAIN_SET[0], "x"]])
+@pytest.mark.parametrize("entry", ["evaluate", "train", "curate_minimal"])
+def test_record_sequences_hold_their_record_type(entry, items):
+    calls = {
+        "evaluate": lambda: gt.evaluate(items, GRAPHS[1], gt.default_pool(),
+                                        gt.CompressiveEchoBackend()),
+        "train": lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), items,
+                                  gt.ModelConfig(pool_size=POOL, dim=DIM, hidden=4),
+                                  gt.TrainConfig(epochs=1)),
+        "curate_minimal": lambda: gt.curate_minimal(items),
+    }
+    name = "results" if entry == "curate_minimal" else "dataset"
+    with pytest.raises(gt.ValidationError, match=f"'{name}' must"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("query", [None, 5, b"q", ["q"]])
+def test_run_graph_needs_a_string_query(query):
+    calls = []
+
+    class Recording(gt.CompressiveEchoBackend):
+        def complete(self, system, user, *, role):
+            calls.append(role)
+            return super().complete(system, user, role=role)
+
+    with pytest.raises(gt.ValidationError, match="'query' must be a string"):
+        gt.run_graph(ATTACK_GRAPH, query, Recording())
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [None, -1, True, 1.5, "3", np.int64(-2)])
+def test_make_rng_needs_a_non_negative_integer_seed(seed):
+    with pytest.raises(gt.ValidationError, match="seed must be a non-negative integer"):
+        gt.make_rng(seed)
+    assert gt.make_rng(np.uint64(3)).random() == gt.make_rng(3).random()

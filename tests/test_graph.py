@@ -18,12 +18,10 @@ from grouptopo.graph import (
     _slug,
     compose_group_prompt,
     format_edge,
-    group_graph_from_record,
-    group_graph_to_record,
+    from_record,
     parse_edge,
     read_records,
-    trajectory_from_record,
-    trajectory_to_record,
+    to_record,
     write_records,
 )
 
@@ -198,7 +196,7 @@ def graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_graph_record_roundtrip(graph):
-    assert group_graph_from_record(group_graph_to_record(graph)) == graph
+    assert from_record(to_record(graph), gt.GroupGraph) == graph
 
 
 def test_graph_record_rejects_edge_past_steps():
@@ -209,13 +207,13 @@ def test_graph_record_rejects_edge_past_steps():
         "edges": ["1->2"],
     }
     with pytest.raises(ValidationError, match="edge 1->2 is out of range for 2 steps"):
-        group_graph_from_record(record)
+        from_record(record, gt.GroupGraph)
 
 
 def test_graph_record_rejects_bool_selection():
     record = {"v": "v1", "kind": "group_graph", "selected": [True], "edges": []}
     with pytest.raises(ValidationError):
-        group_graph_from_record(record)
+        from_record(record, gt.GroupGraph)
 
 
 @pytest.mark.parametrize("value", ["false", 0, None, [True]])
@@ -223,14 +221,14 @@ def test_graph_record_rejects_non_bool_truncated(value):
     record = {"v": "v1", "kind": "group_graph", "selected": [0], "edges": [],
               "truncated": value}
     with pytest.raises(ValidationError, match="truncated"):
-        group_graph_from_record(record)
+        from_record(record, gt.GroupGraph)
     record["truncated"] = True
-    assert group_graph_from_record(record).truncated
+    assert from_record(record, gt.GroupGraph).truncated
 
 
 def test_pool_record_roundtrip(tmp_path):
     pool = gt.default_pool()
-    gt.write_records(tmp_path / "pool.jsonl", [gt.graph.group_to_record(g) for g in pool])
+    gt.write_records(tmp_path / "pool.jsonl", [gt.graph.to_record(g) for g in pool])
     assert gt.load_pool(tmp_path / "pool.jsonl") == pool
 
 
@@ -239,7 +237,7 @@ def test_trajectory_record_roundtrip():
         query="what is nine times three",
         graph=gt.GroupGraph(selected=(2, 0), edges=((0, 1),)),
     )
-    assert trajectory_from_record(trajectory_to_record(traj)) == traj
+    assert from_record(to_record(traj), gt.Trajectory) == traj
 
 
 def test_read_records_reports_line_numbers(tmp_path):
@@ -265,7 +263,7 @@ def test_read_records_rejects_wrong_version(tmp_path):
 
 def test_write_then_read_records(tmp_path):
     path = tmp_path / "out.jsonl"
-    records = [group_graph_to_record(gt.GroupGraph(selected=(1,)))]
+    records = [to_record(gt.GroupGraph(selected=(1,)))]
     write_records(path, records)
     assert read_records(path) == records
 
@@ -273,7 +271,7 @@ def test_write_then_read_records(tmp_path):
 def test_concurrent_writers_to_one_path(tmp_path):
     path = tmp_path / "out.jsonl"
     batches = [
-        [group_graph_to_record(gt.GroupGraph(selected=(w,) * n)) for n in range(1, 40)]
+        [to_record(gt.GroupGraph(selected=(w,) * n)) for n in range(1, 40)]
         for w in range(4)
     ]
     errors: list[BaseException] = []
@@ -305,7 +303,7 @@ def test_concurrent_writers_to_one_path(tmp_path):
 
 def test_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "out.jsonl"
-    records = [group_graph_to_record(gt.GroupGraph(selected=(1,)))]
+    records = [to_record(gt.GroupGraph(selected=(1,)))]
     write_records(path, records)
     with pytest.raises(TypeError):
         write_records(path, [*records, {"v": "v1", "kind": "x", "bad": object()}])

@@ -98,7 +98,7 @@ def test_example_record_roundtrip():
     ex = gt.EvalExample(query="what is 1 plus 1", answer="2", match="numeric")
     record = gt.example_to_record(ex)
     assert record["kind"] == "example"
-    assert gt.harness.example_from_record(record) == ex
+    assert gt.graph.from_record(record, gt.EvalExample) == ex
 
 
 # ---------------------------------------------------------------------------

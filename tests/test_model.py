@@ -363,7 +363,7 @@ def test_older_v2_checkpoint_generates_the_same_graphs():
             params, config, candidates, provider.encode([row["query"] for row in rows]),
             [row["seed"] for row in rows], forced_steps=forced,
         )
-        assert [gt.graph.group_graph_to_record(g) for g in graphs] == [r["graph"] for r in rows]
+        assert [gt.graph.to_record(g) for g in graphs] == [r["graph"] for r in rows]
     assert len({json.dumps(row["graph"]) for row in expected}) > 2
 
 

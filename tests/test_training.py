@@ -172,10 +172,10 @@ def test_exploration_record_roundtrip():
         correct=True, final_text="the answer is 4",
         prompt_tokens=12, completion_tokens=5,
     )
-    record = gt.training.exploration_result_to_record(result)
+    record = gt.graph.to_record(result)
     assert record["v"] == "v1"
     assert record["kind"] == "exploration"
-    assert gt.training.exploration_result_from_record(record) == result
+    assert gt.graph.from_record(record, gt.ExplorationResult) == result
 
 
 @pytest.mark.parametrize("count", [-3, 2.5, True, "4"])
