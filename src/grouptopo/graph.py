@@ -291,9 +291,14 @@ def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> N
 
 @dataclass(frozen=True)
 class AgentNode:
+    """One agent: its name, system prompt and role, each a string."""
+
     name: str
     prompt: str
     role: str
+
+    def __post_init__(self) -> None:
+        check_fields(self, strs=("name", "prompt", "role"))
 
 
 @dataclass(frozen=True)
@@ -302,14 +307,15 @@ class AgentGraph:
     ``i < t``, and the last node is the summarizer.
 
     Raises:
-        ValidationError: if there are no nodes or an edge does not point
-            forward between two nodes.
+        ValidationError: if ``nodes`` are not AgentNode values, there are
+            none, or an edge does not point forward between two nodes.
     """
 
     nodes: tuple[AgentNode, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", check_items(self.nodes, AgentNode, "nodes"))
         n = len(self.nodes)
         if not n:
             raise ValidationError("agent graph has no nodes")
@@ -623,22 +629,19 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
         raise
 
 
+class _Abandon(Exception):
+    """Leaves an :func:`atomic_write` block before its replace."""
+
+
 def check_writable(path: str | os.PathLike) -> None:
     """Raise the :class:`ValidationError` that :func:`atomic_write` would,
-    before any work, when ``path`` is a directory or its directory cannot
-    take a new file. Creates no file.
+    before any work: open and remove the temporary file it would open, then
+    refuse a directory, which its replace would. Leaves no file.
     """
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
+    with contextlib.suppress(_Abandon), atomic_write(path):
+        raise _Abandon
     if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    elif not os.access(parent, os.W_OK | os.X_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
+        raise ValidationError(f"cannot write {os.fspath(path)}: {os.strerror(errno.EISDIR)}")
 
 
 def write_records(path: str | os.PathLike, records: Iterable[dict]) -> None:

@@ -49,11 +49,16 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class BackendResult:
-    """One completion; token fields are provider-reported when available."""
+    """One completion: string ``text``; each token count an int >= 0, or None if not given."""
 
     text: str
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
+
+    def __post_init__(self) -> None:
+        counts = ("prompt_tokens", "completion_tokens")
+        ints = {name: 0 for name in counts if getattr(self, name) is not None}
+        check_fields(self, ints=ints, strs=("text",))
 
 
 class AgentBackend(Protocol):
@@ -168,9 +173,9 @@ class HttpAgentBackend:
     """Chat-completions client for a remote agent service.
 
     Endpoint and bearer key default to the ``GOA_LLM_URL`` / ``GOA_LLM_KEY``
-    environment variables. The request body follows the common
-    chat-completions shape (system + user messages); provider-reported usage
-    is surfaced so token accounting can prefer it.
+    environment variables. Requests take the chat-completions shape (system
+    and user messages); the reply's content and usage make a BackendResult,
+    and a reply without them, or one BackendResult rejects, raises BackendError.
     """
 
     def __init__(
@@ -196,27 +201,13 @@ class HttpAgentBackend:
         body = self.endpoint.post_json(payload)
         try:
             text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            usage = {} if body.get("usage") is None else body["usage"]
+            counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
+            return BackendResult(text, *counts)
+        except (KeyError, IndexError, TypeError, AttributeError, ValidationError) as exc:
             raise BackendError(
                 f"agent backend returned an unusable payload: {exc}"
             ) from exc
-        if not isinstance(text, str):
-            raise BackendError(
-                f"agent backend returned an unusable payload: content is {text!r}"
-            )
-        usage = {} if body.get("usage") is None else body["usage"]
-        if not isinstance(usage, dict):
-            raise BackendError(
-                f"agent backend returned an unusable payload: usage is {usage!r}"
-            )
-        counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
-        for count in counts:
-            if count is not None and not (is_integer(count) and count >= 0):
-                raise BackendError(
-                    "agent backend returned an unusable payload: "
-                    f"token count {count!r} is not a non-negative integer"
-                )
-        return BackendResult(text, *counts)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +318,9 @@ class _Schedule:
     workers of any run) are in flight and no call has failed. It runs the
     first itself and submits the others to the shared executor, so a chain of
     dependent calls stays on one thread, and runs one worker wide run the
-    calls of a serial loop, in its order, on the caller thread. What changes
-    after construction (``entries``, ``waiting``, ``ready``, ``running`` and
-    ``error``) is read and written under ``cond``.
+    calls of a serial loop, in its order, on the caller thread. Its mutable
+    state (``entries``, ``waiting``, ``ready``, ``running`` and ``error``) is
+    written only under ``cond``, and read without it only after the last call.
     """
 
     def __init__(
@@ -372,9 +363,6 @@ class _Schedule:
                     self.waiting.append(len(inputs))
                     self.dependents.append([])
             self.ends.append(len(self.calls))
-        # Per (run, node), the token count of its system prompt. The calls of
-        # one node run one after another, so no two threads write one key.
-        self.system_tokens: dict[tuple[int, int], int] = {}
         self.entries: dict[tuple[int, int, int], TranscriptEntry] = {}
         self.ready = [pos for pos, count in enumerate(self.waiting) if not count]  # a heap
         self.running = 0
@@ -391,17 +379,18 @@ class _Schedule:
             with self.cond:
                 while self.running:
                     self.cond.wait()
+                error, self.error = self.error, None
         except BaseException as exc:  # an interrupt or a failed submit; re-raised
             with self.cond:
                 if self.error is None:
                     self.error = exc  # no further call starts
             _retire_shared_executor()
             raise
-        if self.error is not None:
+        if error is not None:
             try:
-                raise self.error
+                raise error
             finally:
-                self.error = None  # its traceback holds this schedule: no cycle
+                del error  # its traceback holds this frame: no cycle
         transcripts = []
         for (_, query), start, end in zip(self.runs, [0] + self.ends, self.ends):
             ordered = tuple(self.entries[key] for key in self.calls[start:end])
@@ -455,9 +444,7 @@ class _Schedule:
         result = self.backend.complete(system, user, role=node.role)
         prompt_tokens = result.prompt_tokens
         if prompt_tokens is None:
-            if (r, node_idx) not in self.system_tokens:
-                self.system_tokens[r, node_idx] = count_tokens(system)
-            prompt_tokens = self.system_tokens[r, node_idx] + count_tokens(user)
+            prompt_tokens = count_tokens(system) + count_tokens(user)
         completion_tokens = result.completion_tokens
         if completion_tokens is None:
             completion_tokens = count_tokens(result.text)
@@ -491,10 +478,15 @@ def _run_all(
     """Execute each ``(agent_graph, query)`` run as :func:`run_graph` does, all on
     one schedule; return the transcripts in run order. At most as many calls
     run at once as the widest graph has workers, nodes besides its summarizer.
-    Raises ValidationError, before any call, unless each query is a string."""
+    Raises ValidationError, before any call, unless each run pairs an AgentGraph
+    with a string query and ``attack`` is an AttackSpec or None."""
     if not (is_integer(rounds) and rounds >= 1):
         raise ValidationError(f"'rounds' must be an integer >= 1, got {rounds!r}")
-    for _, query in runs:
+    if not (attack is None or isinstance(attack, AttackSpec)):
+        raise ValidationError(f"'attack' must be an AttackSpec or None, got {attack!r}")
+    for agent_graph, query in runs:
+        if not isinstance(agent_graph, AgentGraph):
+            raise ValidationError(f"'agent_graph' must be an AgentGraph, got {agent_graph!r}")
         if not isinstance(query, str):
             raise ValidationError(f"'query' must be a string, got {query!r}")
     return _Schedule(runs, backend, rounds, attack).run()

@@ -24,6 +24,7 @@ from .graph import (
     Trajectory,
     check_fields,
     check_items,
+    is_integer,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -229,9 +230,13 @@ def family_edges(family: str, n_steps: int) -> tuple[tuple[int, int], ...]:
 def sample_candidate_topology(
     rng: np.random.Generator, pool_size: int, family: str, n_steps: int
 ) -> GroupGraph:
-    """Uniformly choose groups (with repeats) into a family edge template."""
-    if pool_size < 1:
-        raise ValidationError("pool_size must be >= 1")
+    """Uniformly choose groups (with repeats) into a family edge template.
+    ``rng`` must be a NumPy Generator, ``pool_size`` and ``n_steps`` integers >= 1."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"'rng' must be a NumPy Generator, got {rng!r}")
+    for name, value in (("pool_size", pool_size), ("n_steps", n_steps)):
+        if not (is_integer(value) and value >= 1):
+            raise ValidationError(f"'{name}' must be an integer >= 1, got {value!r}")
     selected = rng.integers(0, pool_size, size=n_steps)
     return GroupGraph(selected=selected, edges=family_edges(family, n_steps))
 
@@ -276,6 +281,7 @@ def explore_and_label(
     then run on one schedule through :func:`~grouptopo.harness.evaluate`,
     dataset-major, family-minor.
     """
+    dataset = check_items(dataset, EvalExample, "dataset")
     rng = make_rng(config.seed)
     tasks: list[tuple[EvalExample, str, GroupGraph]] = []
     for example in dataset:

@@ -852,7 +852,14 @@ PATH_CASES = {
                              "{checkpoint}", "--query", "q", "--out", "{missing}"],
     "train_out_dir": ["train", "--pool", "{pool}", "--dataset", "{graphs}",
                       "--out", "{dir}", *TINY_TRAIN],
+    "train_out_long": ["train", "--pool", "{pool}", "--dataset", "{graphs}",
+                       "--out", "{long}", *TINY_TRAIN],
+    "run_out_long": ["run", "--pool", "{pool}", "--graphs", "{graphs}",
+                     "--dataset", "{dataset}", "--out", "{long}"],
 }
+# A basename that fits the file system's limit, but not once the temporary
+# file's suffix is added.
+LONG_NAME = "x" * 230
 
 
 @pytest.mark.parametrize("case", sorted(PATH_CASES))
@@ -861,7 +868,8 @@ def test_unusable_paths_exit_2(valid_inputs, tmp_path, case):
     written, is a validation error that names the path and leaves no temp file."""
     (tmp_path / "dir").mkdir()
     paths = {"tmp": str(tmp_path), "dir": str(tmp_path / "dir"),
-             "missing": str(tmp_path / "missing" / "out.jsonl")}
+             "missing": str(tmp_path / "missing" / "out.jsonl"),
+             "long": str(tmp_path / LONG_NAME)}
     args = [arg.format(**paths, **valid_inputs) for arg in PATH_CASES[case]]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
@@ -882,9 +890,12 @@ BACKEND_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(BACKEND_COMMANDS))
+@pytest.mark.parametrize("command, bad_out", [
+    *(pytest.param(name, "missing", id=name) for name in sorted(BACKEND_COMMANDS)),
+    *(pytest.param(name, "long", id=f"{name}-long") for name in sorted(BACKEND_COMMANDS)),
+])
 def test_unusable_out_exits_before_any_backend_call(valid_inputs, tmp_path, monkeypatch,
-                                                    command):
+                                                    command, bad_out):
     calls = []
     complete = gt.AnswerKeyBackend.complete
 
@@ -898,13 +909,13 @@ def test_unusable_out_exits_before_any_backend_call(valid_inputs, tmp_path, monk
         args = [arg.format(out=out, **valid_inputs) for arg in BACKEND_COMMANDS[command]]
         return CliRunner().invoke(main, args)
 
-    missing = tmp_path / "missing" / "out.jsonl"
-    result = invoke_with(missing)
+    bad = tmp_path / "missing" / "out.jsonl" if bad_out == "missing" else tmp_path / LONG_NAME
+    result = invoke_with(bad)
     assert result.exit_code == 2, result.output
-    assert f"validation error: cannot write {missing}" in result.stderr
+    assert f"validation error: cannot write {bad}" in result.stderr
     assert calls == []
     assert result.stdout == ""
-    assert not missing.parent.exists()
+    assert list(tmp_path.iterdir()) == []
     # The same command with a usable --out makes calls, so the count is live.
     result = invoke_with(tmp_path / "out.jsonl")
     assert result.exit_code == 0, result.output
@@ -937,6 +948,21 @@ def test_unusable_out_exits_before_training(valid_inputs, tmp_path, monkeypatch)
     ])
     assert trained == []
     assert result.exit_code == 2, result.output
+
+
+def test_a_long_out_basename_exits_before_training(valid_inputs, tmp_path, monkeypatch):
+    """The temporary file's name is what runs into the file system's limit."""
+    trained = []
+    monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: trained.append(args))
+    result = CliRunner().invoke(main, [
+        "train", "--pool", valid_inputs["pool"], "--dataset", valid_inputs["graphs"],
+        "--out", str(tmp_path / LONG_NAME), *TINY_TRAIN,
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {tmp_path / LONG_NAME}: File name too long" in result.stderr
+    assert result.stdout == ""
+    assert trained == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

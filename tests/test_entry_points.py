@@ -2,11 +2,13 @@
 documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
 NumPy scalars, empty, arrays of bools, complex numbers, strings or objects),
 ``GroupGraph``, the record types, ``GroupPool``, the three configs,
-``AttackSpec``, ``OptimizerState``, ``generate_graphs``,
-``minibatch_loss_and_grads``, ``check_params``, ``adamw_step``, ``train``,
-the record sequences of ``evaluate`` and ``curate_minimal``, ``run_graph``'s
-query and ``make_rng``'s seed either succeed or raise GroupTopoError, never a
-raw NumPy or Python error, and what they return is finite."""
+``AttackSpec``, ``OptimizerState``, ``BackendResult``, ``AgentNode``,
+``AgentGraph``, ``generate_graphs``, ``minibatch_loss_and_grads``,
+``check_params``, ``adamw_step``, ``train``, the record sequences of
+``evaluate``, ``explore_and_label`` and ``curate_minimal``, ``run_graph``'s
+graph, query and attack, ``sample_candidate_topology`` and ``make_rng``'s seed
+either succeed or raise GroupTopoError, never a raw NumPy or Python error, and
+what they return is finite."""
 
 from __future__ import annotations
 
@@ -421,6 +423,7 @@ BUILDERS = {
     "EvalExample": lambda s, graph, roles: gt.EvalExample(s[0], s[1]),
     "ExplorationResult": lambda s, graph, roles: gt.ExplorationResult(
         s[0], s[1], graph, s[2], True, s[3], 0, 0),
+    "AgentNode": lambda s, graph, roles: gt.AgentNode(s[0], s[1], s[2]),
 }
 ROLE = gt.RoleSpec("solver", "solve it")
 
@@ -438,6 +441,8 @@ ROLE = gt.RoleSpec("solver", "solve it")
 @example(kind="EvalExample", texts=[1, 2, "", ""], graph=GRAPHS[2], roles=[ROLE])
 @example(kind="ExplorationResult", texts=["q", "a", "chain", None], graph=GRAPHS[2],
          roles=[ROLE])
+@example(kind="AgentNode", texts=[None, "p", "r", ""], graph=GRAPHS[2], roles=[ROLE])
+@example(kind="AgentNode", texts=["n", 5, b"r", ""], graph=GRAPHS[2], roles=[ROLE])
 def test_record_types_check_strings_and_parts(kind, texts, graph, roles):
     record = expect_checked(lambda: BUILDERS[kind](texts, graph, roles))
     if record is None:
@@ -468,11 +473,14 @@ def test_evaluate_needs_a_sequence_of_graphs(graphs):
 
 
 @pytest.mark.parametrize("items", [None, 5, [None], "q", [TRAIN_SET[0], "x"]])
-@pytest.mark.parametrize("entry", ["evaluate", "train", "curate_minimal"])
+@pytest.mark.parametrize("entry", ["evaluate", "train", "curate_minimal",
+                                   "explore_and_label"])
 def test_record_sequences_hold_their_record_type(entry, items):
     calls = {
         "evaluate": lambda: gt.evaluate(items, GRAPHS[1], gt.default_pool(),
                                         gt.CompressiveEchoBackend()),
+        "explore_and_label": lambda: gt.explore_and_label(
+            gt.default_pool(), items, gt.CompressiveEchoBackend(), gt.ExplorationConfig()),
         "train": lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), items,
                                   gt.ModelConfig(pool_size=POOL, dim=DIM, hidden=4),
                                   gt.TrainConfig(epochs=1)),
@@ -502,3 +510,65 @@ def test_make_rng_needs_a_non_negative_integer_seed(seed):
     with pytest.raises(gt.ValidationError, match="seed must be a non-negative integer"):
         gt.make_rng(seed)
     assert gt.make_rng(np.uint64(3)).random() == gt.make_rng(3).random()
+
+
+@pytest.mark.parametrize("reply", [(None,), (b"ok",), ("ok", -5), ("ok", 2.5), ("ok", True),
+                                   ("ok", None, -1), ("ok", 1, 2.5), ("ok", "3", None)],
+                         ids=["text_none", "text_bytes", "negative", "float", "bool",
+                              "negative_completion", "float_completion", "string"])
+def test_backend_result_checks_its_text_and_counts(reply):
+    fields = "text|prompt_tokens|completion_tokens"
+    with pytest.raises(gt.ValidationError, match=f"'({fields})' must"):
+        gt.BackendResult(*reply)
+    result = gt.BackendResult(np.str_("ok"), np.int64(3), None)
+    assert result == gt.BackendResult("ok", 3)
+    assert type(result.text) is str and type(result.prompt_tokens) is int
+
+
+@pytest.mark.parametrize("reply", [("ok", -5, 2.5), (None,), ("ok", 1, True)],
+                         ids=["negative_and_float", "text_none", "bool"])
+def test_run_graph_rejects_a_bad_reply_before_any_total(monkeypatch, reply):
+    totals = []
+    monkeypatch.setattr(gt.harness.TokenStats, "add",
+                        lambda self, *counts: totals.append(counts))
+
+    class Custom:
+        def complete(self, system, user, *, role):
+            return gt.BackendResult(*reply)
+
+    with pytest.raises(gt.ValidationError, match="must be"):
+        gt.run_graph(ATTACK_GRAPH, "q", Custom())
+    assert totals == []
+
+
+@pytest.mark.parametrize("nodes", [(None,), None, 5, [ATTACK_GRAPH.nodes[0], "x"]],
+                         ids=["holds_none", "none", "int", "holds_str"])
+def test_agent_graph_holds_agent_nodes(nodes):
+    with pytest.raises(gt.ValidationError, match="'nodes' must"):
+        gt.AgentGraph(nodes, ())
+    assert gt.AgentGraph(list(ATTACK_GRAPH.nodes), ATTACK_GRAPH.edges) == ATTACK_GRAPH
+
+
+@pytest.mark.parametrize("agent_graph, attack", [
+    (None, None), (GRAPHS[1], None), (ATTACK_GRAPH, 5), (ATTACK_GRAPH, "x"),
+], ids=["graph_none", "group_graph", "attack_int", "attack_str"])
+def test_runs_need_an_agent_graph_and_an_attack_spec(agent_graph, attack):
+    with pytest.raises(gt.ValidationError, match="'(agent_graph|attack)' must"):
+        gt.run_graph(agent_graph, "q", gt.CompressiveEchoBackend(), attack=attack)
+    if agent_graph is ATTACK_GRAPH:
+        with pytest.raises(gt.ValidationError, match="'attack' must"):
+            gt.evaluate([gt.EvalExample("q", "a")], GRAPHS[1], gt.default_pool(),
+                        gt.CompressiveEchoBackend(), attack=attack)
+
+
+@pytest.mark.parametrize("rng, pool_size, n_steps", [
+    (np.random.default_rng(0), 4, 0), (np.random.default_rng(0), 4, -1),
+    (0, 4, 2), (None, 4, 2), (np.random.default_rng(0), 2.5, 2),
+    (np.random.default_rng(0), 0, 2), (np.random.default_rng(0), True, 2),
+    (np.random.default_rng(0), 4, 2.0),
+])
+def test_sample_candidate_topology_checks_its_arguments(rng, pool_size, n_steps):
+    with pytest.raises(gt.ValidationError, match="'(rng|pool_size|n_steps)' must"):
+        gt.sample_candidate_topology(rng, pool_size, "chain", n_steps)
+    graph = gt.sample_candidate_topology(np.random.default_rng(0), np.int64(4), "chain", 2)
+    assert graph.n_steps == 2 and all(0 <= gid < 4 for gid in graph.selected)

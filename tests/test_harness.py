@@ -685,7 +685,7 @@ def test_an_interrupted_caller_starts_no_further_call(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_each_system_prompt_is_counted_once_per_run(monkeypatch):
+def test_each_call_counts_its_own_prompts_and_reply(monkeypatch):
     counted = []
 
     def count_tokens(text):
@@ -696,9 +696,10 @@ def test_each_system_prompt_is_counted_once_per_run(monkeypatch):
     star = expanded_star()
     attack = AttackSpec(target=1, text="INJECTED")
     transcript = gt.run_graph(star, "q", EchoRecorder(), rounds=3, attack=attack)
-    # One count per user prompt and per reply, and one per node's system prompt.
-    assert len(counted) == 2 * transcript.stats.calls + len(star.nodes)
-    assert counted.count(f"INJECTED\n{star.nodes[1].prompt}") == 1
+    # One count per call for its system prompt, its user prompt and its reply,
+    # so the attacked worker's system prompt is counted once per round.
+    assert len(counted) == 3 * transcript.stats.calls
+    assert counted.count(f"INJECTED\n{star.nodes[1].prompt}") == transcript.rounds == 3
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +882,7 @@ def test_http_backend_rejects_unusable_usage(payload):
 def test_http_backend_rejects_content_that_is_not_a_string(content):
     session = FakeSession([FakeResponse(200, chat_payload(content))])
     backend = gt.HttpAgentBackend(url="http://llm.test", session=session)
-    with pytest.raises(BackendError, match="unusable payload: content is"):
+    with pytest.raises(BackendError, match="unusable payload: 'text' must be a string"):
         backend.complete("s", "u", role="r")
 
 
