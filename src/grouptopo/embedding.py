@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, ValidationError
-from .graph import GroupPool, check_array, is_integer
+from .graph import GroupPool, check_array, check_int, check_items
 from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -39,13 +39,6 @@ def _tokenize(text: str) -> list[str]:
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
-def _check_dim(dim) -> int:
-    """``dim`` as a Python int; ValidationError unless it is an integer >= 1."""
-    if not (is_integer(dim) and dim >= 1):
-        raise ValidationError(f"'dim' must be an integer >= 1, got {dim!r}")
-    return int(dim)
-
-
 class HashingTextEmbedder:
     """Signed feature hashing over unigrams and bigrams, L2-normalized.
 
@@ -55,7 +48,7 @@ class HashingTextEmbedder:
     """
 
     def __init__(self, dim: int):
-        self._dim = _check_dim(dim)
+        self._dim = check_int(dim, "dim", 1)
 
     def encode_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self._dim, dtype=np.float64)
@@ -73,6 +66,7 @@ class HashingTextEmbedder:
         return vec
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
+        texts = check_items(texts, str, "texts")
         return np.stack([self.encode_one(t) for t in texts]) if texts else np.zeros(
             (0, self._dim)
         )
@@ -90,10 +84,11 @@ class HttpEncoderClient:
     def __init__(
         self, dim: int, url: str | None = None, key: str | None = None, *, session=None
     ):
-        self._dim = _check_dim(dim)
+        self._dim = check_int(dim, "dim", 1)
         self.endpoint = HttpEndpoint("encoder", "GOA_ENCODER", url, key, session)
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
+        texts = check_items(texts, str, "texts")
         if not texts:
             return np.zeros((0, self._dim))
         body = self.endpoint.post_json({"texts": list(texts)})
@@ -106,5 +101,8 @@ class HttpEncoderClient:
 
 def build_candidate_matrix(provider: EmbeddingProvider, pool: GroupPool) -> np.ndarray:
     """Embed every group's canonical text: one row per group, in pool order.
-    The model appends its learnable STOP row when it scores them."""
+    The model appends its learnable STOP row when it scores them. ValidationError
+    unless ``pool`` is a GroupPool."""
+    if not isinstance(pool, GroupPool):
+        raise ValidationError(f"'pool' must be a GroupPool, got {pool!r}")
     return provider.encode([g.text() for g in pool])

@@ -112,7 +112,9 @@ class CandidateGroup:
 
 @dataclass(frozen=True)
 class GroupPool:
-    """The fixed candidate set; index K (== size) is reserved for STOP."""
+    """The fixed candidate set; index K (== size) is reserved for STOP. A
+    group's index is its position in ``groups``, an ordered iterable read by
+    :func:`check_items`, so a set or a string raises ValidationError."""
 
     groups: tuple[CandidateGroup, ...]
 
@@ -140,18 +142,25 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_int(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as a Python int. ValidationError (``'<name>' must be an integer
+    >= <low>, got <value>``, or ``in [<low>, <high>]`` with an upper bound)
+    unless it is a Python or NumPy integer, not a bool, within the bounds."""
+    if not (is_integer(value) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"'{name}' must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def check_fields(record, ints: dict[str, int] | None = None, numbers: Iterable[str] = (),
                  bools: Iterable[str] = (), strs: Iterable[str] = ()) -> None:
     """Raise ValidationError, naming the field and its value, unless each of
-    ``ints`` is an integer of at least its minimum, each of ``numbers`` a finite
-    number >= 0, each of ``bools`` a bool and each of ``strs`` a string (NumPy's
-    scalars included; a bool is neither an integer nor a number); store each as
-    that Python scalar."""
+    ``ints`` passes :func:`check_int` with its minimum, each of ``numbers`` is a
+    finite number >= 0, each of ``bools`` a bool and each of ``strs`` a string
+    (NumPy's scalars included; a bool is neither an integer nor a number);
+    store each as that Python scalar."""
     for name, low in (ints or {}).items():
-        value = getattr(record, name)
-        if not (is_integer(value) and value >= low):
-            raise ValidationError(f"'{name}' must be an integer >= {low}, got {value!r}")
-        object.__setattr__(record, name, int(value))
+        object.__setattr__(record, name, check_int(getattr(record, name), name, low))
     for name in numbers:
         value = getattr(record, name)
         value = float(value) if isinstance(value, np.floating) else value
@@ -195,10 +204,11 @@ class GroupGraph:
 
     Repeated selections are legal; each occurrence is a distinct step.
     ``truncated`` marks graphs cut off at the step budget rather than
-    terminated by a STOP decision. Selections and edges must be integers and
-    ``truncated`` a bool, NumPy's included, stored as Python ints and a bool
-    with the edges sorted. A negative selection, an edge outside
-    ``0 <= i < t < n_steps`` or an edge listed twice raises ValidationError.
+    terminated by a STOP decision. ``selected`` is an ordered sequence of
+    integers >= 0 (:func:`check_items`, :func:`check_int`), ``edges`` passes
+    :func:`check_edges` with ``n_steps`` and ``truncated`` is a bool, NumPy's
+    included; each is stored as Python ints and a bool, the edges sorted.
+    Anything else raises ValidationError.
     """
 
     RECORD_KIND: ClassVar[str] = "group_graph"
@@ -209,28 +219,10 @@ class GroupGraph:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            selected = tuple(self.selected)
-        except TypeError:
-            selected = (None,)
-        if not all(is_integer(s) and s >= 0 for s in selected):
-            raise ValidationError("'selected' must be a list of non-negative integers")
-        try:
-            edges = [(i, t) for i, t in self.edges]
-        except (TypeError, ValueError):  # not iterable, or not a pair
-            edges = [(None, None)]
-        if not all(is_integer(i) and is_integer(t) for i, t in edges):
-            raise ValidationError("'edges' must be pairs of integers")
+        selected = check_items(self.selected, object, "selected")
+        object.__setattr__(self, "selected", tuple(check_int(s, "selected") for s in selected))
+        object.__setattr__(self, "edges", check_edges(self.edges, self.n_steps, "steps"))
         check_fields(self, bools=("truncated",))
-        object.__setattr__(self, "selected", tuple(int(s) for s in selected))
-        edges = sorted((int(i), int(t)) for i, t in edges)
-        object.__setattr__(self, "edges", tuple(edges))
-        n = self.n_steps
-        for k, (i, t) in enumerate(edges):
-            if not 0 <= i < t < n:
-                raise ValidationError(f"edge {i}->{t} is out of range for {n} steps")
-            if k and edges[k - 1] == (i, t):
-                raise ValidationError(f"duplicate edge {i}->{t}")
 
     @property
     def n_steps(self) -> int:
@@ -253,15 +245,39 @@ class Trajectory:
 
 
 def check_items(value, kind: type, name: str) -> tuple:
-    """``value`` as a tuple; ValidationError unless it is an iterable of ``kind``
-    values."""
-    if not isinstance(value, Iterable):
+    """``value`` as a tuple; ValidationError unless it is an ordered iterable of
+    ``kind`` values. A set (no order), a string or bytes (an iterable of its
+    characters) and a 0-d array (not iterable) are refused."""
+    if isinstance(value, (str, bytes, set, frozenset)):
+        raise ValidationError(
+            f"'{name}' must be an ordered sequence, not a {type(value).__name__}")
+    if not isinstance(value, Iterable) or getattr(value, "ndim", None) == 0:
         raise ValidationError(f"'{name}' must be a sequence, got {value!r}")
     items = tuple(value)
     for item in items:
         if not isinstance(item, kind):
             raise ValidationError(f"'{name}' must hold {kind.__name__} values, got {item!r}")
     return items
+
+
+def check_edges(edges, n: int, unit: str) -> tuple[tuple[int, int], ...]:
+    """``edges`` as a sorted tuple of Python int pairs. ValidationError unless it
+    is an iterable (a set too, as the order is not kept) of integer pairs
+    ``(i, t)``, ``0 <= i < t < n``, each listed once; ``unit`` names what ``n``
+    counts in the message."""
+    try:
+        pairs = [(i, t) for i, t in edges]
+    except (TypeError, ValueError):  # not iterable, or not a pair
+        pairs = [(None, None)]
+    if not all(is_integer(i) and is_integer(t) for i, t in pairs):
+        raise ValidationError("'edges' must be pairs of integers")
+    pairs = sorted((int(i), int(t)) for i, t in pairs)
+    for k, (i, t) in enumerate(pairs):
+        if not 0 <= i < t < n:
+            raise ValidationError(f"edge {i}->{t} is out of range for {n} {unit}")
+        if k and pairs[k - 1] == (i, t):
+            raise ValidationError(f"duplicate edge {i}->{t}")
+    return tuple(pairs)
 
 
 def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
@@ -277,8 +293,11 @@ def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None
 
 
 def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
-    """Check that ``graph`` can run: :func:`check_graph_shape` (budget and pool
-    range), then an incoming edge for every step after the first."""
+    """Check that ``graph`` can run: a :class:`GroupGraph` that passes
+    :func:`check_graph_shape` (budget and pool range), with an incoming edge for
+    every step after the first."""
+    if not isinstance(graph, GroupGraph):
+        raise ValidationError(f"'graph' must be a GroupGraph, got {graph!r}")
     check_graph_shape(graph, pool_size, max_steps)
     missing = set(range(1, graph.n_steps)) - {t for _, t in graph.edges}
     if missing:
@@ -303,12 +322,12 @@ class AgentNode:
 
 @dataclass(frozen=True)
 class AgentGraph:
-    """Executable DAG of agents, listed in run order: every edge (i, t) has
-    ``i < t``, and the last node is the summarizer.
+    """Executable DAG of agents, listed in run order, the summarizer last; its
+    forward edges are checked and stored sorted by :func:`check_edges`.
 
     Raises:
-        ValidationError: if ``nodes`` are not AgentNode values, there are
-            none, or an edge does not point forward between two nodes.
+        ValidationError: if ``nodes`` is not an ordered sequence of AgentNode
+            values, there are none, or ``edges`` fails :func:`check_edges`.
     """
 
     nodes: tuple[AgentNode, ...]
@@ -316,14 +335,9 @@ class AgentGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", check_items(self.nodes, AgentNode, "nodes"))
-        n = len(self.nodes)
-        if not n:
+        if not self.nodes:
             raise ValidationError("agent graph has no nodes")
-        for i, t in self.edges:
-            if not 0 <= i < t < n:
-                raise ValidationError(
-                    f"agent edge {i}->{t} does not point forward within {n} nodes"
-                )
+        object.__setattr__(self, "edges", check_edges(self.edges, len(self.nodes), "nodes"))
 
     @property
     def summarizer(self) -> int:
@@ -388,7 +402,7 @@ def materialize_agent_graph(
     """
     if mode not in ("composite", "expanded"):
         raise ValidationError(f"unknown execution mode '{mode}'")
-    validate_group_graph(graph, pool.size, max_steps=max(graph.n_steps, 1))
+    validate_group_graph(graph, pool.size, max_steps=sys.maxsize)  # no step budget
     if graph.n_steps == 0:
         raise ValidationError("cannot materialize an empty graph")
 
@@ -425,7 +439,7 @@ def materialize_agent_graph(
 
 def render_diagram(graph: GroupGraph, pool: GroupPool) -> str:
     """Static text description of a group graph (nodes, then edges)."""
-    validate_group_graph(graph, pool.size, max_steps=max(graph.n_steps, 1))
+    validate_group_graph(graph, pool.size, max_steps=sys.maxsize)  # no step budget
     lines = []
     for t, gid in enumerate(graph.selected):
         group = pool[gid]

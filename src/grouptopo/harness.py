@@ -24,8 +24,8 @@ from .graph import (
     GroupGraph,
     GroupPool,
     check_fields,
+    check_int,
     check_items,
-    is_integer,
     materialize_agent_graph,
     to_record,
 )
@@ -40,8 +40,11 @@ def count_tokens(text: str) -> int:
     """Deterministic token estimate: ceil((words + ceil(chars/4)) / 2).
 
     ``words`` splits on whitespace; ``chars`` counts non-whitespace
-    characters. Empty or all-whitespace text counts as zero.
+    characters. Empty or all-whitespace text counts as zero. ValidationError
+    unless ``text`` is a string.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"'text' must be a string, got {text!r}")
     words = text.split()
     chars = sum(map(len, words))
     return math.ceil((len(words) + math.ceil(chars / 4)) / 2)
@@ -348,7 +351,7 @@ class _Schedule:
                 systems[target] = f"{attack.text}\n{systems[target]}"
             self.systems.append(systems)
             preds = [[] for _ in agent_graph.nodes]
-            for i, t in sorted(agent_graph.edges):
+            for i, t in agent_graph.edges:
                 preds[t].append(i)
             self.preds.append(preds)
             for round_no in range(1, rounds + 1):
@@ -442,6 +445,8 @@ class _Schedule:
         r, round_no, node_idx = self.calls[pos]
         node = self.runs[r][0].nodes[node_idx]
         result = self.backend.complete(system, user, role=node.role)
+        if not isinstance(result, BackendResult):
+            raise ValidationError(f"'complete' must return a BackendResult, got {result!r}")
         prompt_tokens = result.prompt_tokens
         if prompt_tokens is None:
             prompt_tokens = count_tokens(system) + count_tokens(user)
@@ -480,8 +485,7 @@ def _run_all(
     run at once as the widest graph has workers, nodes besides its summarizer.
     Raises ValidationError, before any call, unless each run pairs an AgentGraph
     with a string query and ``attack`` is an AttackSpec or None."""
-    if not (is_integer(rounds) and rounds >= 1):
-        raise ValidationError(f"'rounds' must be an integer >= 1, got {rounds!r}")
+    rounds = check_int(rounds, "rounds", 1)
     if not (attack is None or isinstance(attack, AttackSpec)):
         raise ValidationError(f"'attack' must be an AttackSpec or None, got {attack!r}")
     for agent_graph, query in runs:
@@ -552,6 +556,12 @@ example_to_record = to_record
 
 
 def answer_matches(expected: str, got: str, rule: str = "auto") -> bool:
+    """Whether the reply ``got`` matches ``expected`` under ``rule`` (see
+    :class:`EvalExample`). ValidationError unless both are strings and the rule
+    is known."""
+    for name, text in (("expected", expected), ("got", got)):
+        if not isinstance(text, str):
+            raise ValidationError(f"'{name}' must be a string, got {text!r}")
     expected = expected.strip()
     got = got.strip()
     if rule == "auto":

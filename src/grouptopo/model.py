@@ -37,8 +37,8 @@ from .graph import (
     check_array,
     check_fields,
     check_graph_shape,
+    check_int,
     check_items,
-    is_integer,
     record_field,
 )
 from .nn import Grads, Params, accumulate, make_rng
@@ -109,8 +109,11 @@ def init_params(config: ModelConfig) -> Params:
     """Fresh parameters, seeded from ``config.seed``.
 
     Weight matrices, the step table and the STOP embedding are drawn at
-    scale 1/sqrt(fan_in); biases start at zero.
+    scale 1/sqrt(fan_in); biases start at zero. ValidationError unless
+    ``config`` is a ModelConfig.
     """
+    if not isinstance(config, ModelConfig):
+        raise ValidationError(f"'config' must be a ModelConfig, got {config!r}")
     rng = make_rng(config.seed)
     p: Params = {}
     for name, shape in _draw_order(config):
@@ -444,18 +447,14 @@ def generate_graphs(
 
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).
+    ``seeds`` is an ordered sequence of integers >= 0 (:func:`check_items`,
+    so not a set), and ValidationError is raised for anything else.
     """
-    if not ((isinstance(seeds, Sequence) or getattr(seeds, "ndim", 0) == 1)
-            and all(is_integer(seed) and seed >= 0 for seed in seeds)):
-        raise ValidationError(
-            f"seeds must be non-negative integers, given as a sequence; got {seeds!r}")
+    seeds = [check_int(seed, "seeds") for seed in check_items(seeds, object, "seeds")]
     task_vecs = check_array(task_vecs, (len(seeds), config.dim), "task rows",
                             f"one task row per seed, of dim {config.dim}")
-    limit = config.max_steps if forced_steps is None else forced_steps
-    if not (is_integer(limit) and 1 <= limit <= config.max_steps):
-        raise ValidationError(
-            f"forced_steps must be in [1, {config.max_steps}], got {forced_steps}"
-        )
+    limit = (config.max_steps if forced_steps is None
+             else check_int(forced_steps, "forced_steps", 1, config.max_steps))
     matrix = scoring_matrix(params, config, candidates)
     z, _ = project_task(params, task_vecs)
     chosen, n_steps, p_edge = _decode_batch(params, matrix, z, limit, forced_steps is None)
@@ -623,8 +622,7 @@ def minibatch_loss_and_grads(
     """
     d = config.dim
     graphs = check_items(graphs, GroupGraph, "graphs")
-    if not isinstance(noises, Sequence):
-        raise ValidationError(f"'noises' must be a sequence, got {noises!r}")
+    noises = check_items(noises, object, "noises")
     batch = len(graphs)
     if not batch or len(noises) != batch:
         raise ValidationError(

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_array, check_fields, is_integer
+from .graph import atomic_write, check_array, check_fields, check_int
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -30,9 +30,7 @@ CHECKPOINT_FORMAT = "grouptopo-checkpoint-v2"
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; identical seeds give identical streams. Raises
     ValidationError unless ``seed`` is a non-negative integer, NumPy's included."""
-    if not (is_integer(seed) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(check_int(seed, "seed")))
 
 
 def no_overflow(fn):

@@ -23,8 +23,8 @@ from .graph import (
     GroupPool,
     Trajectory,
     check_fields,
+    check_int,
     check_items,
-    is_integer,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -36,8 +36,7 @@ TOPOLOGY_FAMILIES = ("chain", "star", "full")
 
 def kl_warmup(epoch: int, warmup_epochs: int, target: float) -> float:
     """Linear KL weight ramp: 0 at epoch 0, ``target`` from ``warmup_epochs`` on."""
-    if epoch < 0:
-        raise ValidationError(f"epoch must be non-negative, got {epoch}")
+    epoch = check_int(epoch, "epoch")
     if warmup_epochs <= 0:
         return float(target)
     return float(target) * min(1.0, epoch / warmup_epochs)
@@ -234,9 +233,8 @@ def sample_candidate_topology(
     ``rng`` must be a NumPy Generator, ``pool_size`` and ``n_steps`` integers >= 1."""
     if not isinstance(rng, np.random.Generator):
         raise ValidationError(f"'rng' must be a NumPy Generator, got {rng!r}")
-    for name, value in (("pool_size", pool_size), ("n_steps", n_steps)):
-        if not (is_integer(value) and value >= 1):
-            raise ValidationError(f"'{name}' must be an integer >= 1, got {value!r}")
+    pool_size = check_int(pool_size, "pool_size", 1)
+    n_steps = check_int(n_steps, "n_steps", 1)
     selected = rng.integers(0, pool_size, size=n_steps)
     return GroupGraph(selected=selected, edges=family_edges(family, n_steps))
 

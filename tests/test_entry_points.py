@@ -1,19 +1,25 @@
 """Property tests for the library's entry points: given bad values of their
 documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
-NumPy scalars, empty, arrays of bools, complex numbers, strings or objects),
-``GroupGraph``, the record types, ``GroupPool``, the three configs,
+NumPy scalars, empty, arrays of bools, complex numbers, strings, sets or
+objects), ``GroupGraph``, the record types, ``GroupPool``, the three configs,
 ``AttackSpec``, ``OptimizerState``, ``BackendResult``, ``AgentNode``,
 ``AgentGraph``, ``generate_graphs``, ``minibatch_loss_and_grads``,
 ``check_params``, ``adamw_step``, ``train``, the record sequences of
 ``evaluate``, ``explore_and_label`` and ``curate_minimal``, ``run_graph``'s
-graph, query and attack, ``sample_candidate_topology`` and ``make_rng``'s seed
-either succeed or raise GroupTopoError, never a raw NumPy or Python error, and
-what they return is finite."""
+graph, query, attack and backend replies, ``sample_candidate_topology``,
+``make_rng``'s seed, the embedders, the graph helpers, ``init_params``,
+``count_tokens`` and ``answer_matches`` either succeed or raise
+GroupTopoError, never a raw NumPy or Python error, and what they return is
+finite. ``NOT_SWEPT`` names each callable of the README's top-level table that
+has no bad-input case here, and why."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+import pathlib
+import threading
 from collections.abc import Sized
 
 import numpy as np
@@ -23,6 +29,7 @@ from hypothesis import strategies as st
 
 import grouptopo as gt
 from grouptopo.graph import is_integer
+from test_readme import readme_top_level
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -458,7 +465,8 @@ def test_record_types_check_strings_and_parts(kind, texts, graph, roles):
 
 
 @pytest.mark.parametrize("groups", [None, 5, [None], "ab", [ROLE],
-                                    [gt.default_pool()[0], "x"]])
+                                    [gt.default_pool()[0], "x"],
+                                    set(gt.default_pool().groups)])
 def test_group_pool_holds_candidate_groups(groups):
     with pytest.raises(gt.ValidationError, match="'groups'"):
         gt.GroupPool(groups)
@@ -507,7 +515,7 @@ def test_run_graph_needs_a_string_query(query):
 
 @pytest.mark.parametrize("seed", [None, -1, True, 1.5, "3", np.int64(-2)])
 def test_make_rng_needs_a_non_negative_integer_seed(seed):
-    with pytest.raises(gt.ValidationError, match="seed must be a non-negative integer"):
+    with pytest.raises(gt.ValidationError, match="'seed' must be an integer >= 0"):
         gt.make_rng(seed)
     assert gt.make_rng(np.uint64(3)).random() == gt.make_rng(3).random()
 
@@ -572,3 +580,174 @@ def test_sample_candidate_topology_checks_its_arguments(rng, pool_size, n_steps)
         gt.sample_candidate_topology(rng, pool_size, "chain", n_steps)
     graph = gt.sample_candidate_topology(np.random.default_rng(0), np.int64(4), "chain", 2)
     assert graph.n_steps == 2 and all(0 <= gid < 4 for gid in graph.selected)
+
+
+EXAMPLE = gt.EvalExample("q", "a")
+
+
+@pytest.mark.parametrize("entry", ["GroupPool", "evaluate", "train", "curate_minimal",
+                                   "explore_and_label", "generate_graphs"])
+def test_ordered_inputs_refuse_a_set(tiny_model, entry):
+    """A set has no order, so the pool's group indices, the pairing of examples
+    with graphs or seeds with rows would depend on the string hash seed."""
+    config, params = tiny_model
+    result = gt.ExplorationResult("q", "a", GRAPHS[1], "chain", True, "a", 1, 1)
+    calls = {
+        "GroupPool": lambda: gt.GroupPool(set(gt.default_pool().groups)),
+        "evaluate": lambda: gt.evaluate({EXAMPLE}, GRAPHS[1], gt.default_pool(),
+                                        gt.CompressiveEchoBackend()),
+        "train": lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), set(TRAIN_SET),
+                                  config, gt.TrainConfig(epochs=1)),
+        "curate_minimal": lambda: gt.curate_minimal({result}),
+        "explore_and_label": lambda: gt.explore_and_label(
+            gt.default_pool(), {EXAMPLE}, gt.CompressiveEchoBackend(), gt.ExplorationConfig()),
+        "generate_graphs": lambda: gt.generate_graphs(params, config, np.eye(POOL, DIM),
+                                                      np.zeros((1, DIM)), {0}),
+    }
+    with pytest.raises(gt.ValidationError, match="must be an ordered sequence, not a set"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("edges, message", [
+    (None, "'edges' must be pairs of integers"),
+    (((0, 1, 2),), "'edges' must be pairs of integers"),
+    (((0.5, 1),), "'edges' must be pairs of integers"),
+    ([(0, 1), (0, 1)], "duplicate edge 0->1"),
+    ([(2, 1)], "edge 2->1 is out of range for 3 nodes"),
+], ids=["none", "triple", "float", "duplicate", "backward"])
+def test_agent_graph_checks_its_edges(edges, message):
+    with pytest.raises(gt.ValidationError, match=message):
+        gt.AgentGraph(ATTACK_GRAPH.nodes, edges)
+    graph = gt.AgentGraph(ATTACK_GRAPH.nodes, [(np.int64(1), 2), (0, 1)])
+    assert graph.edges == ((0, 1), (1, 2))
+    assert all(type(i) is int and type(t) is int for i, t in graph.edges)
+
+
+@pytest.mark.parametrize("entry", ["run_graph", "evaluate"])
+def test_a_reply_that_is_not_a_backend_result_is_refused(monkeypatch, entry):
+    """Under ``evaluate``, only calls on the shared pool's threads reply with a
+    bare string, so the error is handed back from a pool thread."""
+    totals, pooled = [], []
+    monkeypatch.setattr(gt.harness.TokenStats, "add",
+                        lambda self, *counts: totals.append(counts))
+
+    class Plain:
+        def complete(self, system, user, *, role):
+            pooled.append(threading.current_thread() is not threading.main_thread())
+            return "text" if pooled[-1] or entry == "run_graph" else gt.BackendResult("ok")
+
+    star = gt.GroupGraph(selected=(0, 1, 2), edges=((0, 1), (0, 2)))
+    calls = {
+        "run_graph": lambda: gt.run_graph(ATTACK_GRAPH, "q", Plain()),
+        "evaluate": lambda: gt.evaluate([EXAMPLE] * 4, star, gt.default_pool(), Plain()),
+    }
+    with pytest.raises(gt.ValidationError,
+                       match="'complete' must return a BackendResult, got 'text'"):
+        calls[entry]()
+    assert totals == []
+    assert any(pooled) == (entry == "evaluate")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gt.count_tokens(None), "'text' must be a string", id="count_tokens"),
+    pytest.param(lambda: gt.answer_matches(None, "x"), "'expected' must be a string",
+                 id="answer_matches_expected"),
+    pytest.param(lambda: gt.answer_matches("x", 5), "'got' must be a string",
+                 id="answer_matches_got"),
+    pytest.param(lambda: gt.HashingTextEmbedder(8).encode([None]), "'texts' must hold str",
+                 id="hashing_encode_none"),
+    pytest.param(lambda: gt.HashingTextEmbedder(8).encode("ab"),
+                 "'texts' must be an ordered sequence, not a str", id="hashing_encode_str"),
+    pytest.param(lambda: gt.HttpEncoderClient(8, url="http://enc.test", session=object())
+                 .encode([None]), "'texts' must hold str", id="http_encode_none"),
+    pytest.param(lambda: gt.validate_group_graph(None, 3, 3), "'graph' must be a GroupGraph",
+                 id="validate_group_graph"),
+    pytest.param(lambda: gt.materialize_agent_graph(None, gt.default_pool()),
+                 "'graph' must be a GroupGraph", id="materialize_agent_graph"),
+    pytest.param(lambda: gt.render_diagram(None, gt.default_pool()),
+                 "'graph' must be a GroupGraph", id="render_diagram"),
+    pytest.param(lambda: gt.init_params(None), "'config' must be a ModelConfig",
+                 id="init_params"),
+    pytest.param(lambda: gt.build_candidate_matrix(gt.HashingTextEmbedder(8), None),
+                 "'pool' must be a GroupPool", id="build_candidate_matrix"),
+])
+def test_entry_points_check_their_arguments(call, message):
+    with pytest.raises(gt.ValidationError, match=message):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# The whole top-level table.
+
+NOT_SWEPT = {
+    "GroupTopoError": "an exception type: any message is valid",
+    "ValidationError": "an exception type: any message is valid",
+    "BackendError": "an exception type: any message is valid",
+    "IntraPattern": "an Enum, whose unknown values raise ValueError by the Enum contract; "
+                    "CandidateGroup turns that into ValidationError",
+    "default_pool": "takes no arguments",
+    "CompressiveEchoBackend": "takes no arguments",
+    "read_records": "bad files: tests/test_graph.py and tests/test_records.py; a path that "
+                    "is not a str or PathLike still raises open's TypeError",
+    "load_pool": "bad files: tests/test_cli.py; a path that is not a str or PathLike still "
+                 "raises open's TypeError",
+    "write_records": "records come from to_record; a value JSON cannot encode still "
+                     "raises json's TypeError",
+    "save_checkpoint": "bad paths: tests/test_cli.py; a config that is not a mapping "
+                       "still raises TypeError",
+    "load_checkpoint": "bad files: tests/test_nn.py",
+    "example_to_record": "an alias of graph.to_record, which reads a record type's fields; "
+                         "any other value still raises AttributeError",
+    "AnswerKeyBackend": "answers must be a mapping; None still raises dict's TypeError",
+    "HttpAgentBackend": "bad replies: tests/test_harness.py",
+    "generate_graph": "a wrapper of generate_graphs; bad inputs: tests/test_model.py",
+    "graph_log_likelihood": "a wrapper of minibatch_loss_and_grads; bad inputs: "
+                            "tests/test_model.py",
+    "loss_and_grads": "a wrapper of minibatch_loss_and_grads; bad inputs: tests/test_model.py",
+}
+
+
+def swept_names() -> set[str]:
+    """Each ``gt.<name>`` that this file calls where a bad input is expected: in
+    a ``pytest.raises`` block, an argument of ``expect_checked``, a ``try`` that
+    catches ``gt.GroupTopoError`` or a lambda, which those run. Only the
+    outermost call counts, not a call that builds one of its arguments."""
+    names = set()
+
+    def outermost(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "gt"):
+                names.add(func.attr)
+            outermost(func)  # gt.X(...).method(...) calls gt.X too
+            return
+        for child in ast.iter_child_nodes(node):
+            outermost(child)
+
+    for node in ast.walk(ast.parse(pathlib.Path(__file__).read_text("utf-8"))):
+        if isinstance(node, ast.With) and any(
+                ast.unparse(item.context_expr).startswith("pytest.raises")
+                for item in node.items):
+            regions = node.body
+        elif isinstance(node, ast.Try) and any(
+                handler.type is not None and ast.unparse(handler.type) == "gt.GroupTopoError"
+                for handler in node.handlers):
+            regions = node.body
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "expect_checked":
+            regions = node.args
+        elif isinstance(node, ast.Lambda):
+            regions = [node.body]
+        else:
+            continue
+        for region in regions:
+            outermost(region)
+    return names
+
+
+def test_every_top_level_callable_has_a_bad_input_case():
+    callables = {name for name in readme_top_level() if callable(getattr(gt, name))}
+    swept = swept_names()
+    assert all(reason.strip() for reason in NOT_SWEPT.values())
+    assert set(NOT_SWEPT) <= callables - swept, "stale NOT_SWEPT entries"
+    assert sorted(callables - swept - set(NOT_SWEPT)) == []

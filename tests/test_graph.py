@@ -91,24 +91,21 @@ def test_validate_rejects_duplicate_edge():
         gt.validate_group_graph(graph, pool_size=2, max_steps=4)
 
 
-NOT_INTEGERS = "'selected' must be a list of non-negative integers"
-
-
 @pytest.mark.parametrize("fields, message", [
     (dict(selected=(0, 1), edges=((1, 0),)), "edge 1->0 is out of range for 2 steps"),
     (dict(selected=(0, 1), edges=((0, 2),)), "edge 0->2 is out of range for 2 steps"),
     (dict(selected=(0, 1), edges=((-1, 1),)), "edge -1->1 is out of range for 2 steps"),
     (dict(selected=(0, 1, 1), edges=((0, 1), (1, 2), (0, 1))), "duplicate edge 0->1"),
-    (dict(selected=(0, -1), edges=((0, 1),)), NOT_INTEGERS),
-    (dict(selected=(2.5, "1"), edges=((0, 1),)), NOT_INTEGERS),
-    (dict(selected=(0, "1")), NOT_INTEGERS),
-    (dict(selected=(True,)), NOT_INTEGERS),
+    (dict(selected=(0, -1), edges=((0, 1),)), "'selected' must be an integer >= 0, got -1"),
+    (dict(selected=(2.5, "1"), edges=((0, 1),)), "'selected' must be an integer >= 0, got 2.5"),
+    (dict(selected=(0, "1")), "'selected' must be an integer >= 0, got '1'"),
+    (dict(selected=(True,)), "'selected' must be an integer >= 0, got True"),
     (dict(selected=(0, 1), edges=((0.9, 1.2),)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1), edges=((False, True),)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1, 2), edges=("0->1",)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1, 2), edges=((0, 1, 2),)), "'edges' must be pairs of integers"),
     (dict(selected=(0, 1), edges=1), "'edges' must be pairs of integers"),
-    (dict(selected=5), NOT_INTEGERS),
+    (dict(selected=5), "'selected' must be a sequence, got 5"),
     (dict(selected=(0,), truncated="no"), "'truncated' must be true or false, got 'no'"),
     (dict(selected=(0,), truncated=1), "'truncated' must be true or false, got 1"),
 ], ids=["backward", "past_steps", "negative_source", "duplicate", "negative_selection",

@@ -329,7 +329,7 @@ def test_generate_graphs_rejects_bad_batches(tiny):
         with pytest.raises(ValidationError, match="forced_steps"):
             gt.generate_graphs(*args, vecs, [0, 1], forced_steps=forced)
     for seeds in (None, 5, {0}, np.int64(0), np.array(0)):
-        with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+        with pytest.raises(ValidationError, match="'seeds' must be"):
             gt.generate_graphs(*args, vecs[:1], seeds)
     assert gt.generate_graphs(*args, vecs, np.array([0, 1])) == gt.generate_graphs(
         *args, vecs, (0, 1))
@@ -599,13 +599,13 @@ def _loss_with_noise(setup, dim, fill):
                  "got ragged task rows", id="generate_ragged_task_rows"),
     pytest.param(lambda s, dim: gt.generate_graphs(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [-1]),
-                 "seeds must be non-negative integers", id="generate_negative_seed"),
+                 "'seeds' must be an integer >= 0", id="generate_negative_seed"),
     pytest.param(lambda s, dim: gt.generate_graphs(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [1.5]),
-                 "seeds must be non-negative integers", id="generate_float_seed"),
+                 "'seeds' must be an integer >= 0", id="generate_float_seed"),
     pytest.param(lambda s, dim: gt.generate_graphs(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [0], forced_steps=2.5),
-                 "forced_steps must be in", id="generate_float_forced_steps"),
+                 "'forced_steps' must be an integer in", id="generate_float_forced_steps"),
 ])
 def test_bad_task_inputs_raise_validation_error(tiny, call, match):
     """Task vectors, candidate rows and noise that do not fit the model, are

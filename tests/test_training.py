@@ -40,6 +40,13 @@ def test_warmup_rejects_negative_epoch():
         gt.training.kl_warmup(-1, 10, 0.3)
 
 
+@pytest.mark.parametrize("epoch", [1.5, True, None, "1"])
+def test_warmup_epoch_is_an_integer(epoch):
+    with pytest.raises(ValidationError, match="'epoch' must be an integer >= 0"):
+        gt.training.kl_warmup(epoch, 10, 0.3)
+    assert gt.training.kl_warmup(np.int64(5), 10, 0.3) == pytest.approx(0.15)
+
+
 # ---------------------------------------------------------------------------
 # Config validation.
 
@@ -351,3 +358,35 @@ def test_train_resume_from_params(pool4):
         params=full.params, opt_state=full.opt_state,
     )
     assert more.history[-1].loss <= full.history[-1].loss
+
+
+# ---------------------------------------------------------------------------
+# The bottleneck's rate-distortion trade-off.
+
+
+def test_edge_bottleneck_trades_rate_for_distortion():
+    """Raising the edge KL weight beta_e lowers the final edge KL (the rate)
+    and raises the edge BCE (the distortion), the trade-off of Alemi et al.
+    (arXiv:1612.00410). Measured at this seeded setup, KL / BCE read 1491 /
+    0.443 at beta_e 0, 1.083 / 2.849 at 0.3, 0.0274 / 4.674 at 1 and 0.0226 /
+    4.672 at 3. From beta_e 1 on the edge posterior has collapsed onto its
+    prior and the curve is flat, so past 1 only the collapse is asserted, not
+    an order."""
+    pool, provider, rng = gt.default_pool(), gt.HashingTextEmbedder(16), gt.make_rng(3)
+    dataset = [
+        gt.Trajectory(f"query {k}: add {k} and {2 * k + 1}", sample_candidate_topology(
+            rng, 16, ("chain", "star", "full")[k % 3], 2 + k % 5))
+        for k in range(30)
+    ]
+    train_config = gt.TrainConfig(epochs=60, warmup_epochs=5, batch_size=10, lr=1e-2, seed=3)
+    final = {}
+    for beta in (0.0, 0.3, 1.0, 3.0):
+        model_config = gt.ModelConfig(pool_size=16, dim=16, hidden=8, beta_group=0.0,
+                                      beta_edge=beta, seed=3)
+        log = gt.train(pool, provider, dataset, model_config, train_config).history[-1]
+        final[beta] = (log.kl_edge, log.edge_bce)
+    kl = [final[beta][0] for beta in (0.0, 0.3, 1.0)]
+    bce = [final[beta][1] for beta in (0.0, 0.3, 1.0)]
+    assert kl[0] > kl[1] > kl[2], final
+    assert bce[0] < bce[1] < bce[2], final
+    assert final[3.0][0] < 0.1 and final[3.0][1] > final[0.3][1], final
