@@ -181,6 +181,13 @@ def check_fields(record, ints: dict[str, int] | None = None, numbers: Iterable[s
         object.__setattr__(record, name, str(value))
 
 
+def check_path(value, name: str) -> str:
+    """``value`` as a path string; ValidationError unless it is a str or PathLike."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValidationError(f"'{name}' must be a path, got {value!r}")
+    return os.fspath(value)
+
+
 def check_array(value, shape: tuple[int, ...], name: str, need: str) -> np.ndarray:
     """``value`` as a float64 array, the same object if it is one. ValidationError
     (``need <need>; got <name> ...``, or ``<name> hold NaN ...``) unless it has

@@ -106,7 +106,8 @@ def _draw_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def init_params(config: ModelConfig) -> Params:
-    """Fresh parameters, seeded from ``config.seed``.
+    """Fresh parameters, seeded from ``config.seed``, as views of one float64
+    vector in :func:`_draw_order`, a :class:`~grouptopo.nn.Layout`.
 
     Weight matrices, the step table and the STOP embedding are drawn at
     scale 1/sqrt(fan_in); biases start at zero. ValidationError unless
@@ -115,19 +116,26 @@ def init_params(config: ModelConfig) -> Params:
     if not isinstance(config, ModelConfig):
         raise ValidationError(f"'config' must be a ModelConfig, got {config!r}")
     rng = make_rng(config.seed)
-    p: Params = {}
+    p = nn.Layout(_draw_order(config))
     for name, shape in _draw_order(config):
         if len(shape) == 2 or name == "end_embed":
-            p[name] = rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
-        else:
-            p[name] = np.zeros(shape)
+            p[name][...] = rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
     return p
 
 
 def check_params(params: Params, config: ModelConfig) -> Params:
-    """``params``, in order, as float64 arrays through :func:`~grouptopo.graph.check_array`;
-    ValidationError, listing every mismatch, unless the names and shapes are ``config``'s."""
-    expected, checked, wrong = dict(_draw_order(config)), {}, []
+    """``params`` checked through :func:`~grouptopo.graph.check_array`, as views
+    of one float64 vector in :func:`_draw_order`; ValidationError, listing
+    every mismatch, unless the names and shapes are ``config``'s.
+
+    An intact :class:`~grouptopo.nn.Layout` in that order, as
+    :func:`init_params` gives it, comes back as it is, so training it updates
+    the caller's arrays in place. Any other dict, one of separate float64
+    arrays included, is copied into a new layout, and the caller's arrays
+    are left as they are.
+    """
+    order, checked, wrong = _draw_order(config), {}, []
+    expected = dict(order)
     for name, shape in {**dict.fromkeys(params), **expected}.items():
         need = f"{name} of shape {shape}" if shape else f"no {name}"  # None fits no array
         try:
@@ -138,7 +146,12 @@ def check_params(params: Params, config: ModelConfig) -> Params:
             wrong.append(str(exc))
     if wrong:
         raise ValidationError("parameters do not match the model config: " + ", ".join(wrong))
-    return checked
+    if isinstance(params, nn.Layout) and params.intact and params.shapes == tuple(order):
+        return params
+    laid_out = nn.Layout(order)
+    for name, tensor in laid_out.items():
+        tensor[...] = checked[name]
+    return laid_out
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +170,62 @@ class GaussianDiag:
         return GaussianDiag(mu=self.mu[rows], log_sigma=self.log_sigma[rows])
 
 
+# The two functions below run their formulas in place, on arrays they own;
+# each product or sum takes the operands of the written formula, so every
+# bit matches it.
+
+
 def _kl_terms(q: GaussianDiag, p: GaussianDiag) -> np.ndarray:
-    """KL(q || p) between diagonal Gaussians per coordinate, in nats."""
+    """KL(q || p) between diagonal Gaussians per coordinate, in nats:
+    ``lp - lq + 0.5 * (exp(2 lq) + (mu_q - mu_p)^2) * exp(-2 lp) - 0.5``."""
     lq, lp = q.log_sigma, p.log_sigma
     diff = q.mu - p.mu
-    return lp - lq + 0.5 * (np.exp(2.0 * lq) + diff * diff) * np.exp(-2.0 * lp) - 0.5
+    diff *= diff
+    kl = np.multiply(lq, 2.0)
+    np.exp(kl, out=kl)
+    kl += diff
+    kl *= 0.5
+    np.multiply(lp, -2.0, out=diff)
+    kl *= np.exp(diff, out=diff)
+    kl += np.subtract(lp, lq, out=diff)
+    kl -= 0.5
+    return kl
 
 
 def _kl_diag_backward(
     q: GaussianDiag, p: GaussianDiag, weight: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``weight * KL(q || p)`` wrt (mu_q, ls_q, mu_p, ls_p)."""
+    """Gradients of ``weight * KL(q || p)`` wrt (mu_q, ls_q, mu_p, ls_p): with
+    ``diff = mu_q - mu_p`` and ``inv = exp(-2 lp)``, ``weight * diff * inv``,
+    ``weight * (exp(2 lq - 2 lp) - 1)``, the first negated, and
+    ``weight * (1 - (exp(2 lq) + diff^2) * inv)``."""
     lq, lp = q.log_sigma, p.log_sigma
     diff = q.mu - p.mu
-    inv_var_p = np.exp(-2.0 * lp)
-    d_mu_q = weight * diff * inv_var_p
-    d_ls_q = weight * (np.exp(2.0 * lq - 2.0 * lp) - 1.0)
-    d_ls_p = weight * (1.0 - (np.exp(2.0 * lq) + diff * diff) * inv_var_p)
-    return d_mu_q, d_ls_q, -d_mu_q, d_ls_p
+    inv_var_p = np.multiply(lp, -2.0)
+    np.exp(inv_var_p, out=inv_var_p)
+    d_mu_q = np.multiply(diff, weight)
+    d_mu_q *= inv_var_p
+    diff *= diff
+    d_ls_p = np.multiply(lq, 2.0)
+    np.exp(d_ls_p, out=d_ls_p)
+    d_ls_p += diff
+    d_ls_p *= inv_var_p
+    np.subtract(1.0, d_ls_p, out=d_ls_p)
+    d_ls_p *= weight
+    d_ls_q = np.multiply(lq, 2.0, out=diff)
+    d_ls_q -= np.multiply(lp, 2.0, out=inv_var_p)
+    np.exp(d_ls_q, out=d_ls_q)
+    d_ls_q -= 1.0
+    d_ls_q *= weight
+    return d_mu_q, d_ls_q, np.negative(d_mu_q, out=inv_var_p), d_ls_p
 
 
 def reparameterize(dist: GaussianDiag, eps: np.ndarray) -> np.ndarray:
     """Pathwise sample ``mu + exp(log_sigma) * eps``; eps = 0 gives the mean."""
-    return dist.mu + np.exp(dist.log_sigma) * eps
+    code = np.exp(dist.log_sigma)
+    code *= eps
+    code += dist.mu
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +235,7 @@ def reparameterize(dist: GaussianDiag, eps: np.ndarray) -> np.ndarray:
 @dataclass
 class _BottleneckCache:
     x: np.ndarray
-    ls_raw: np.ndarray
+    ls: np.ndarray  # clipped, as in the distribution
 
 
 def _bottleneck(
@@ -198,9 +244,9 @@ def _bottleneck(
     """The Gaussian head under ``prefix``: a task-conditioned prior
     ("prior_g", "prior_e") or a posterior ("enc_g", "enc_e")."""
     mu = nn.affine(params, f"{prefix}.mu", x)
-    ls_raw = nn.affine(params, f"{prefix}.ls", x)
-    ls = np.clip(ls_raw, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-    return GaussianDiag(mu=mu, log_sigma=ls), _BottleneckCache(x=x, ls_raw=ls_raw)
+    ls = nn.affine(params, f"{prefix}.ls", x)
+    np.clip(ls, LOG_SIGMA_MIN, LOG_SIGMA_MAX, out=ls)
+    return GaussianDiag(mu=mu, log_sigma=ls), _BottleneckCache(x=x, ls=ls)
 
 
 def _bottleneck_backward(
@@ -211,11 +257,12 @@ def _bottleneck_backward(
     d_ls: np.ndarray,
     grads: Grads,
 ) -> np.ndarray:
-    # The clamp blocks gradient outside the open interval.
-    inside = (cache.ls_raw > LOG_SIGMA_MIN) & (cache.ls_raw < LOG_SIGMA_MAX)
-    d_ls_raw = np.where(inside, d_ls, 0.0)
+    # The clamp blocks gradient outside the open interval, where the clipped
+    # value is strictly inside too; d_ls, which the callers own, is masked in place.
+    inside = (cache.ls > LOG_SIGMA_MIN) & (cache.ls < LOG_SIGMA_MAX)
+    np.copyto(d_ls, 0.0, where=~inside)
     dx = nn.affine_backward(params, f"{prefix}.mu", cache.x, d_mu, grads)
-    dx += nn.affine_backward(params, f"{prefix}.ls", cache.x, d_ls_raw, grads)
+    dx += nn.affine_backward(params, f"{prefix}.ls", cache.x, d_ls, grads)
     return dx
 
 
@@ -346,9 +393,10 @@ def _latent_backward(
     """Backward through :func:`_latent` plus ``kl_weight`` * KL(q || prior)
     summed over the rows, with one prior per row. Returns d x and the
     prior's (d_mu, d_log_sigma), per row."""
-    kq_mu, kq_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
-    d_mu = d_code + kq_mu
-    d_ls = d_code * cache.eps * np.exp(cache.q.log_sigma) + kq_ls
+    d_mu, d_ls, kp_mu, kp_ls = _kl_diag_backward(cache.q, prior, kl_weight)
+    del prior  # callers gather it for this call alone
+    d_mu += d_code
+    d_ls += d_code * cache.eps * np.exp(cache.q.log_sigma)
     dx = _bottleneck_backward(params, cache.enc_prefix, cache.enc, d_mu, d_ls, grads)
     dx = nn.gate_backward(params, cache.gate_prefix, cache.gate, dx, grads)
     return dx, kp_mu, kp_ls
@@ -584,10 +632,28 @@ def loss_and_grads(
     return breakdowns[0], grads
 
 
+def _add_by(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(out, index, values)``: row k of ``values`` is added into
+    ``out[index[k]]``, each slot's rows in row order, so every sum is the
+    same. One fancy-index add per occurrence rank does it: the first row of
+    each slot, then the second, and so on."""
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    counts = np.diff(starts, append=len(index))
+    for rank in range(counts.max(initial=0)):
+        rows = order[starts[counts > rank] + rank]
+        out[index[rows]] += values[rows]
+
+
 def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``values`` into ``n`` slots by the slot ``index`` of each row."""
+    """Sum ``values`` into ``n`` slots by the slot ``index`` of each row, each
+    slot's rows in row order from zero, as ``np.add.at`` does. One value per
+    row takes ``np.bincount``, which adds in that order too."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
     out = np.zeros((n, *values.shape[1:]))
-    np.add.at(out, index, values)
+    _add_by(out, index, values)
     return out
 
 
@@ -601,6 +667,7 @@ def minibatch_loss_and_grads(
     noises: Sequence[np.ndarray | None],
     *,
     compute_grads: bool = True,
+    out: nn.GradBuffer | None = None,
 ) -> tuple[list[LossBreakdown], Grads]:
     """Teacher-forced loss of every trajectory of a minibatch, with the exact
     gradient of their sum.
@@ -619,6 +686,12 @@ def minibatch_loss_and_grads(
     pass and all edge sites ``(i, t)`` in another. The backward pass mirrors
     that, plus backprop through time over the history, and sums each row's
     prior and task gradient back into its trajectory.
+
+    The gradient is added into ``out``, a :class:`~grouptopo.nn.GradBuffer`
+    laid out like ``params`` that the caller zeroes, and ``out`` is returned;
+    without one, a fresh buffer is. Either way it holds the tensors the pass
+    wrote, in the order it first wrote them. With ``compute_grads=False`` the
+    gradient is an empty dict and ``out`` is left alone.
     """
     d = config.dim
     graphs = check_items(graphs, GroupGraph, "graphs")
@@ -631,6 +704,10 @@ def minibatch_loss_and_grads(
         )
     task_vecs = check_array(task_vecs, (batch, d), "task rows",
                             f"a task row of dim {d} per graph")
+    if out is not None and not (isinstance(out, nn.GradBuffer) and out.slots.shapes
+                                == tuple((name, np.shape(p)) for name, p in params.items())):
+        raise ValidationError(f"'out' must be a GradBuffer laid out like the parameters, "
+                              f"got {type(out).__name__}")
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
@@ -669,26 +746,26 @@ def minibatch_loss_and_grads(
         his_steps.append((rows, his_cache))
     fused, fuse_cache = fuse_step(params, states, z[g_traj], g_step)
     g_eps = site_base[g_traj] + g_step * (g_step + 1) // 2
-    g_prior = prior_g.take(g_traj)
     probs, g_latent = _group_sites(params, matrix, fused, eps[g_eps])
 
     # Edge rows (b, i, t) by trajectory, step, then source; site t(t+1)/2 + 1 + i.
     e_traj, e_src, e_dst = _edge_site_index([graph.n_steps for graph in graphs])
     edges = {(b, i, t) for b, graph in enumerate(graphs) for i, t in graph.edges}
     labels = np.array([site in edges for site in zip(e_traj, e_src, e_dst)], dtype=bool)
-    e_prior = prior_e.take(e_traj)
     e_fused, e_group = g_base[e_traj] + e_src, targets[g_base[e_traj] + e_dst]
     p_edge, (e_h1, e_latent, head_cache) = _edge_sites(
         params, fused, matrix, z, e_fused, e_group, e_traj,
         eps[site_base[e_traj] + e_dst * (e_dst + 1) // 2 + 1 + e_src],
     )
+    del eps  # each site kind holds its own rows now
 
     p_target = probs[g_rows, targets]
     p_event = np.where(labels, p_edge, 1.0 - p_edge)
     nll = _sum_by(g_traj, -np.log(np.maximum(p_target, LOG_FLOOR)), batch)
     bce = _sum_by(e_traj, -np.log(np.maximum(p_event, LOG_FLOOR)), batch)
-    kl_g = _sum_by(g_traj, _kl_terms(g_latent.q, g_prior).sum(axis=-1), batch)
-    kl_e = _sum_by(e_traj, _kl_terms(e_latent.q, e_prior).sum(axis=-1), batch)
+    # Each row's prior is gathered where it is used, and freed after.
+    kl_g = _sum_by(g_traj, _kl_terms(g_latent.q, prior_g.take(g_traj)).sum(axis=-1), batch)
+    kl_e = _sum_by(e_traj, _kl_terms(e_latent.q, prior_e.take(e_traj)).sum(axis=-1), batch)
     breakdowns = [
         LossBreakdown(
             group_nll=float(nll[b]),
@@ -705,22 +782,25 @@ def minibatch_loss_and_grads(
     if not compute_grads:
         return breakdowns, {}
 
-    grads: Grads = {}
+    grads = nn.GradBuffer(params) if out is None else out
     # Group sites. The STOP row of the scoring matrix is the learnable end_embed.
     d_logits = probs.copy()
     d_logits[g_rows, targets] -= 1.0
     d_logits[p_target <= LOG_FLOOR] = 0.0
     accumulate(grads, "end_embed", d_logits[:, end_index] @ g_latent.code)
     d_fused, d_mu_g, d_ls_g = _latent_backward(
-        params, g_latent, d_logits @ matrix, config.beta_group, g_prior, grads
+        params, g_latent, d_logits @ matrix, config.beta_group, prior_g.take(g_traj), grads
     )
+    d_mu_g, d_ls_g = _sum_by(g_traj, d_mu_g, batch), _sum_by(g_traj, d_ls_g, batch)
+    # The group-site caches are dead now; free them before the edge pass.
+    del g_latent
 
     # Edge sites: edge_mlp.l1 takes one product per input row, after summing
     # the sites by row. Group rows are frozen, as an edge never targets STOP.
     d_logit = np.where(p_event > LOG_FLOOR, p_edge - labels, 0.0)
     d_code = _mlp_backward(params, "edge_head", head_cache, d_logit[:, None], grads)
     d_pre, d_mu_e, d_ls_e = _latent_backward(
-        params, e_latent, d_code, config.beta_edge, e_prior, grads
+        params, e_latent, d_code, config.beta_edge, prior_e.take(e_traj), grads
     )
     dh1 = nn.affine_backward(params, "edge_mlp.l2", e_h1, d_pre, grads)
     da1 = nn.relu_backward(e_h1, dh1)
@@ -737,7 +817,7 @@ def minibatch_loss_and_grads(
     del e_h1, e_latent, head_cache, d_code, d_pre, dh1, da1
 
     d_states, d_z_fuse = _fuse_backward(fuse_cache, d_fused, grads, params["step_embed"])
-    np.add.at(dz, g_traj, d_z_fuse)
+    _add_by(dz, g_traj, d_z_fuse)
 
     # Backprop through time over the history fold, latest step first, so that
     # a state's gradient is complete before it flows back. State 0 is a constant.
@@ -746,10 +826,7 @@ def minibatch_loss_and_grads(
         d_states[rows] += d_prev
 
     # Task-conditioned priors, then the task projection itself.
-    dz += _bottleneck_backward(
-        params, "prior_g", prior_g_cache,
-        _sum_by(g_traj, d_mu_g, batch), _sum_by(g_traj, d_ls_g, batch), grads,
-    )
+    dz += _bottleneck_backward(params, "prior_g", prior_g_cache, d_mu_g, d_ls_g, grads)
     dz += _bottleneck_backward(params, "prior_e", prior_e_cache, d_mu_e, d_ls_e, grads)
     _mlp_backward(params, "task_ffn", task_cache, dz, grads)
 

@@ -1,25 +1,31 @@
 """Low-level numeric kernels: activations, GRU cell, gated projection,
 optimizer, checkpoints.
 
-Everything operates on float64 numpy arrays. Parameters live in a flat
-``dict[str, np.ndarray]`` keyed by dotted names ("his_gru.wz", ...); gradient
-dicts mirror that layout. All backward functions are hand-derived and are
-validated against central finite differences in the test suite.
+Everything operates on float64 numpy arrays. Parameters live in a
+``dict[str, np.ndarray]`` keyed by dotted names ("his_gru.wz", ...). The
+model lays its tensors out as consecutive views of one float64 vector
+(:class:`Layout`), and the AdamW moments and the training gradient
+(:class:`GradBuffer`) copy that layout, so :func:`adamw_step` updates all
+parameters in one pass over the vectors, a cache-sized chunk at a time. A dict
+of separate arrays still works: it takes the same loop one tensor at a time.
+All backward functions are hand-derived and are validated against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_array, check_fields, check_int
+from .graph import atomic_write, check_array, check_fields, check_int, check_path
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -45,13 +51,63 @@ def no_overflow(fn):
     return checked
 
 
+# ---------------------------------------------------------------------------
+# One vector per parameter layout.
+
+
+class Layout(dict):
+    """Named float64 tensors, zeroed, as consecutive views of one vector.
+
+    ``shapes`` lists each tensor's name and shape in vector order. The vector
+    backs the dict while it holds exactly its own views in that order
+    (:attr:`intact`); an entry replaced, added or removed, or a deep copy,
+    leaves a plain dict of arrays, which the per-tensor paths take.
+    """
+
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]]) -> None:
+        super().__init__()
+        self.shapes = tuple((name, tuple(shape)) for name, shape in shapes)
+        self.vector = np.zeros(sum(math.prod(shape) for _, shape in self.shapes))
+        start = 0
+        for name, shape in self.shapes:
+            size = math.prod(shape)
+            self[name] = self.vector[start : start + size].reshape(shape)
+            start += size
+        self._views = tuple(self.values())
+
+    @property
+    def intact(self) -> bool:
+        return len(self) == len(self._views) and all(
+            a is b and a.base is self.vector for a, b in zip(self.values(), self._views))
+
+
+class GradBuffer(dict):
+    """A gradient dict over one float64 vector laid out like ``params``.
+
+    A tensor enters the dict on its first :func:`accumulate`, as a view of its
+    slot, so the dict lists the tensors in the order a backward pass first
+    wrote them, and every slot not in it holds zero. :meth:`zero` readies the
+    buffer for the next pass without freeing it.
+    """
+
+    def __init__(self, params: Mapping[str, np.ndarray]) -> None:
+        super().__init__()
+        self.slots = Layout((name, np.shape(p)) for name, p in params.items())
+
+    def __missing__(self, name: str) -> np.ndarray:
+        slot = self[name] = self.slots[name]
+        return slot
+
+    def zero(self) -> None:
+        """Empty the dict and zero every slot."""
+        self.clear()
+        self.slots.vector.fill(0.0)
+
+
 def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
-    """Add ``value`` into ``grads[name]``. A new slot holds ``value`` itself,
-    not a copy, so pass an array that nothing else reuses."""
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = np.asarray(value, dtype=np.float64)
+    """Add ``value`` into ``grads[name]``; a :class:`GradBuffer` opens the slot
+    on its first write."""
+    grads[name] += value
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +118,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) <= 1 never overflows; each sign takes the form that uses it.
     # minimum(x, -x) is -|x| that keeps a NaN's sign bit, as exp(x) does.
     # The numerator is 1 or e; one division by 1 + e gives both forms' bits.
-    e = np.exp(np.minimum(x, -x))
-    y = np.where(x >= 0, 1.0, e)
-    y /= 1.0 + e
+    y = np.negative(x, out=np.empty(np.shape(x)))
+    np.minimum(x, y, out=y)
+    np.exp(y, out=y)
+    denominator = y + 1.0
+    np.copyto(y, 1.0, where=x >= 0)
+    y /= denominator
     return y
 
 
 def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient through sigmoid given its output ``y``."""
-    return grad_out * y * (1.0 - y)
+    """Gradient through sigmoid given its output ``y``: ``grad_out * y * (1 - y)``."""
+    grad = grad_out * y
+    grad *= np.subtract(1.0, y)
+    return grad
+
+
+def _one_minus_square(y: np.ndarray) -> np.ndarray:
+    """``1 - y * y``, the derivative of tanh at its output ``y``."""
+    out = np.multiply(y, y)
+    return np.subtract(1.0, out, out=out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -96,7 +163,9 @@ def affine(params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray) -> np.n
     """Compute ``x @ W.T + b`` for the weight pair stored under ``prefix``;
     ``x`` is one input vector or a matrix with one input per row, and
     :func:`affine_backward` takes either."""
-    return x @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
+    y = x @ params[f"{prefix}.w"].T
+    y += params[f"{prefix}.b"]
+    return y
 
 
 def _weight_backward(grads: Grads, name: str, x: np.ndarray, grad_out: np.ndarray) -> None:
@@ -150,11 +219,23 @@ def gru_step(
 ) -> tuple[np.ndarray, GruCache]:
     """One GRU transition. Returns the next state and a backward cache."""
     p = params
-    z = sigmoid(x @ p[f"{prefix}.wz"].T + h @ p[f"{prefix}.uz"].T + p[f"{prefix}.bz"])
-    r = sigmoid(x @ p[f"{prefix}.wr"].T + h @ p[f"{prefix}.ur"].T + p[f"{prefix}.br"])
+    # Each pre-activation sums W x + (U h or r * U h) + b in that order, in place.
+    z = x @ p[f"{prefix}.wz"].T
+    z += h @ p[f"{prefix}.uz"].T
+    z += p[f"{prefix}.bz"]
+    z = sigmoid(z)
+    r = x @ p[f"{prefix}.wr"].T
+    r += h @ p[f"{prefix}.ur"].T
+    r += p[f"{prefix}.br"]
+    r = sigmoid(r)
     un_h = h @ p[f"{prefix}.un"].T
-    n = np.tanh(x @ p[f"{prefix}.wn"].T + r * un_h + p[f"{prefix}.bn"])
-    h_next = (1.0 - z) * n + z * h
+    n = x @ p[f"{prefix}.wn"].T
+    n += r * un_h
+    n += p[f"{prefix}.bn"]
+    np.tanh(n, out=n)
+    h_next = np.subtract(1.0, z)
+    h_next *= n
+    h_next += z * h
     return h_next, GruCache(x=x, h=h, z=z, r=r, n=n, un_h=un_h)
 
 
@@ -174,16 +255,18 @@ def gru_backward(
     p = params
     x, h, z, r, n, un_h = cache.x, cache.h, cache.z, cache.r, cache.n, cache.un_h
 
-    grad_n = grad_h_next * (1.0 - z)
-    grad_z = grad_h_next * (h - n)
-
-    # Candidate branch: n = tanh(an), an = Wn x + r * un_h + bn.
-    grad_an = grad_n * (1.0 - n * n)
+    # Candidate branch: n = tanh(an), an = Wn x + r * un_h + bn, and
+    # grad_an = grad_h_next * (1 - z) * (1 - n * n).
+    grad_an = np.subtract(1.0, z)
+    grad_an *= grad_h_next
+    grad_an *= _one_minus_square(n)
     _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
     grad_un_h = grad_an * r
     _weight_backward(grads, f"{prefix}.un", h, grad_un_h)
 
+    grad_z = np.subtract(h, n)
+    grad_z *= grad_h_next
     grad_az = sigmoid_backward(z, grad_z)
     _weight_backward(grads, f"{prefix}.wz", x, grad_az)
     _weight_backward(grads, f"{prefix}.uz", h, grad_az)
@@ -195,8 +278,11 @@ def gru_backward(
     _bias_backward(grads, f"{prefix}.br", grad_ar)
 
     # h reaches h' directly through z and each gate through its U weights.
-    return (grad_h_next * z + grad_un_h @ p[f"{prefix}.un"]
-            + grad_az @ p[f"{prefix}.uz"] + grad_ar @ p[f"{prefix}.ur"])
+    grad_h = grad_h_next * z
+    grad_h += grad_un_h @ p[f"{prefix}.un"]
+    grad_h += grad_az @ p[f"{prefix}.uz"]
+    grad_h += grad_ar @ p[f"{prefix}.ur"]
+    return grad_h
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +305,15 @@ def gate_step(
 ) -> tuple[np.ndarray, GateCache]:
     """One gated projection. Returns the output and a backward cache."""
     p = params
-    z = sigmoid(x @ p[f"{prefix}.wz"].T + p[f"{prefix}.bz"])
-    n = np.tanh(x @ p[f"{prefix}.wn"].T + p[f"{prefix}.bn"])
-    return (1.0 - z) * n, GateCache(x=x, z=z, n=n)
+    z = x @ p[f"{prefix}.wz"].T
+    z += p[f"{prefix}.bz"]
+    z = sigmoid(z)
+    n = x @ p[f"{prefix}.wn"].T
+    n += p[f"{prefix}.bn"]
+    np.tanh(n, out=n)
+    y = np.subtract(1.0, z)
+    y *= n
+    return y, GateCache(x=x, z=z, n=n)
 
 
 def gate_backward(
@@ -235,13 +327,20 @@ def gate_backward(
     weight gradient is summed over the rows."""
     p = params
     x, z, n = cache.x, cache.z, cache.n
-    grad_an = grad_y * (1.0 - z) * (1.0 - n * n)
+    # grad_an = grad_y * (1 - z) * (1 - n * n); grad_az through -grad_y * n.
+    grad_an = np.subtract(1.0, z)
+    grad_an *= grad_y
+    grad_an *= _one_minus_square(n)
     _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
-    grad_az = sigmoid_backward(z, -grad_y * n)
+    grad_az = np.negative(grad_y)
+    grad_az *= n
+    grad_az = sigmoid_backward(z, grad_az)
     _weight_backward(grads, f"{prefix}.wz", x, grad_az)
     _bias_backward(grads, f"{prefix}.bz", grad_az)
-    return grad_an @ p[f"{prefix}.wn"] + grad_az @ p[f"{prefix}.wz"]
+    dx = grad_an @ p[f"{prefix}.wn"]
+    dx += grad_az @ p[f"{prefix}.wz"]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +349,16 @@ def gate_backward(
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per pass of the flat update: its six 128 KiB slices stay in cache.
+ADAMW_CHUNK = 1 << 14
 
 
 @dataclass
 class OptimizerState:
-    """First/second moment accumulators plus the step counter, an integer >= 0."""
+    """First/second moment accumulators plus the step counter, an integer >= 0.
+    :meth:`for_params` makes ``m`` and ``v`` zeroed :class:`Layout` dicts of
+    the parameters' names and shapes, so :func:`adamw_step` can walk them as
+    vectors."""
 
     m: Params = field(default_factory=dict)
     v: Params = field(default_factory=dict)
@@ -265,18 +369,36 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: Params) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
+        shapes = [(name, np.shape(p)) for name, p in params.items()]
+        return cls(m=Layout(shapes), v=Layout(shapes), step=0)
 
 
 def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """The L2 norm of all gradients, summed tensor by tensor in dict order."""
+    values = list(grads.values())
+    square = np.empty(max((np.size(g) for g in values), default=0))
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for g in values:
+        total += float(np.sum(np.multiply(g, g, out=square[: g.size].reshape(g.shape))))
     return float(np.sqrt(total))
+
+
+def _flat_operands(
+    params: Params, grads: Mapping[str, np.ndarray], state: OptimizerState
+) -> list[np.ndarray] | None:
+    """The parameter, gradient and moment vectors when ``params``,
+    ``state.m``, ``state.v`` and the slots of a :class:`GradBuffer` are intact
+    layouts of the same shapes and the buffer holds only its own slots;
+    otherwise None."""
+    if not isinstance(grads, GradBuffer):
+        return None
+    tables = (params, grads.slots, state.m, state.v)
+    if not all(isinstance(t, Layout) and t.intact and t.shapes == tables[0].shapes
+               for t in tables):
+        return None
+    if any(g is not grads.slots.get(name) for name, g in grads.items()):
+        return None
+    return [t.vector for t in tables]
 
 
 @no_overflow
@@ -293,20 +415,35 @@ def adamw_step(
 
     Gradients are first clipped jointly to ``clip_norm`` (global L2 norm);
     weight decay multiplies the parameter directly rather than entering the
-    moment estimates. Returns the pre-clip global gradient norm.
+    moment estimates. Returns the pre-clip global gradient norm, summed tensor
+    by tensor in the order of ``grads``.
+
+    When ``params``, ``state.m``, ``state.v`` and a :class:`GradBuffer` share
+    one layout, the update walks the four vectors in chunks of
+    ``ADAMW_CHUNK`` elements with two scratch arrays. Any other dicts take
+    the same loop one tensor at a time, a missing gradient counting as zero.
+    Each element sees the same operations in the same order either way.
 
     Raises:
         ValidationError: if a gradient has no parameter or fails ``check_array``,
             or a gradient or moment is so large that the update overflows.
     """
-    grads = dict(grads)
-    for name, g in grads.items():
+    def check(name: str, g) -> np.ndarray:
         if name not in params:
             raise ValidationError(f"gradient for unknown parameter '{name}'")
-        grads[name] = check_array(g, params[name].shape, f"gradient entries for '{name}'",
-                                  f"a gradient of shape {params[name].shape} for '{name}'")
+        return check_array(g, params[name].shape, f"gradient entries for '{name}'",
+                           f"a gradient of shape {params[name].shape} for '{name}'")
 
+    flat = _flat_operands(params, grads, state)
+    if flat is None:
+        grads = {name: check(name, g) for name, g in grads.items()}
     norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        # Finite entries give a finite norm or overflow on the way, so one
+        # entry is not finite: the per-tensor check names its tensor.
+        for name, g in grads.items():
+            check(name, g)
+        raise ValidationError("gradient entries hold NaN or infinite values")
     scale = 1.0
     if clip_norm is not None and norm > clip_norm > 0.0:
         scale = clip_norm / norm
@@ -315,20 +452,36 @@ def adamw_step(
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        g = grads.get(name)
+    if flat is not None:
+        size = flat[0].size
+        parts = [[x[i : i + ADAMW_CHUNK] for x in flat] for i in range(0, size, ADAMW_CHUNK)]
+    else:
+        parts = [[p, grads.get(name), state.m[name], state.v[name]]
+                 for name, p in params.items()]
+    scratch = np.empty((2, max((p.size for p, *_ in parts), default=0)))
+    for p, g, m, v in parts:
+        a, b = (row[: p.size].reshape(p.shape) for row in scratch)
+        # In place, operand for operand: g = g * scale; m = b1 m + (1 - b1) g;
+        # v = b2 v + (1 - b2) (g g); p -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd p).
         if g is None:
-            g = np.zeros_like(p)
+            a.fill(0.0)
         else:
-            g = g * scale
-        m = state.m[name]
-        v = state.v[name]
+            np.multiply(g, scale, out=a)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(a, 1.0 - ADAM_BETA1, out=b)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        p -= lr * (update + weight_decay * p)
+        np.multiply(a, a, out=b)
+        b *= 1.0 - ADAM_BETA2
+        v += b
+        np.divide(m, bias1, out=a)
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        np.multiply(p, weight_decay, out=b)
+        b += a
+        b *= lr
+        p -= b
     return norm
 
 
@@ -342,9 +495,20 @@ def save_checkpoint(
     config: Mapping[str, object],
     opt_state: OptimizerState | None = None,
 ) -> None:
+    """Write ``params``, the JSON-ready mapping ``config`` and, when given,
+    ``opt_state`` to one ``.npz`` file at ``path``, replacing it atomically.
+    ValidationError unless ``path`` is a str or PathLike and ``config`` a
+    mapping that JSON can encode."""
+    path = check_path(path, "path")
+    if not isinstance(config, Mapping):
+        raise ValidationError(f"'config' must be a mapping, got {config!r}")
+    try:
+        config_json = json.dumps(dict(config), sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'config' cannot be written as JSON: {exc}") from exc
     arrays: dict[str, np.ndarray] = {
         "meta/format": np.array(CHECKPOINT_FORMAT),
-        "meta/config": np.array(json.dumps(dict(config), sort_keys=True)),
+        "meta/config": np.array(config_json),
     }
     for name, p in params.items():
         arrays[f"param/{name}"] = np.asarray(p, dtype=np.float64)
@@ -364,8 +528,10 @@ def load_checkpoint(
     """Load a checkpoint written by :func:`save_checkpoint`.
 
     Returns ``(params, opt_state, config)``; ``opt_state`` is None for
-    checkpoints saved without optimizer moments.
+    checkpoints saved without optimizer moments. ValidationError unless
+    ``path`` is a str or PathLike naming a readable checkpoint.
     """
+    path = check_path(path, "path")
     if not os.path.exists(path):
         raise ValidationError(f"checkpoint not found: {os.fspath(path)}")
     # Reading any member can fail too: a bad CRC raises BadZipFile, and an

@@ -96,15 +96,19 @@ def train(
     """Teacher-force the generator on labeled trajectories.
 
     Each minibatch is scored in one row-batched pass of
-    :func:`~grouptopo.model.minibatch_loss_and_grads`, and AdamW steps on the
-    mean of its gradient. Fully deterministic for a fixed seed: shuffling and
-    latent noise come from one counter-based stream, drawn trajectory by
-    trajectory in minibatch order, so two runs with identical inputs produce
-    bit-identical loss histories.
+    :func:`~grouptopo.model.minibatch_loss_and_grads`, which adds its gradient
+    into one :class:`~grouptopo.nn.GradBuffer` that the run reuses, and AdamW
+    steps on the mean of that gradient. Fully deterministic for a fixed seed:
+    shuffling and latent noise come from one counter-based stream, drawn
+    trajectory by trajectory in minibatch order, so two runs with identical
+    inputs produce bit-identical loss histories.
 
     Caller-supplied ``params`` and ``opt_state`` moments (``v`` >= 0) must pass
     :func:`~grouptopo.model.check_params`, or ValidationError is raised before
-    any work; the result holds float64 copies of other real dtypes.
+    any work. Parameters and moments laid out in one vector each, as
+    :func:`~grouptopo.model.init_params` and
+    :meth:`~grouptopo.nn.OptimizerState.for_params` make them, are trained in
+    place; the result holds laid-out copies of any others.
     """
     dataset = check_items(dataset, Trajectory, "dataset")
     if not dataset:
@@ -135,6 +139,7 @@ def train(
     rng = make_rng(train_config.seed)
     n = len(dataset)
     history: list[EpochLog] = []
+    grads = nn.GradBuffer(params)
 
     for epoch in range(train_config.epochs):
         beta_g = kl_warmup(epoch, train_config.warmup_epochs, model_config.beta_group)
@@ -146,13 +151,15 @@ def train(
         for start in range(0, n, train_config.batch_size):
             batch = order[start : start + train_config.batch_size]
             graphs = [dataset[int(idx)].graph for idx in batch]
-            breakdowns, grads = model_mod.minibatch_loss_and_grads(
+            grads.zero()
+            breakdowns, _ = model_mod.minibatch_loss_and_grads(
                 params,
                 epoch_config,
                 candidates,
                 task_vecs[batch],
                 graphs,
                 [model_mod.trajectory_noise(rng, graph, model_config) for graph in graphs],
+                out=grads,
             )
             for breakdown in breakdowns:
                 sums["loss"] += breakdown.total
@@ -171,9 +178,6 @@ def train(
                 weight_decay=train_config.weight_decay,
                 clip_norm=train_config.clip_norm,
             )
-            # Free this gradient before the next minibatch builds its own, so
-            # that two full gradient dicts never coexist.
-            del grads
         log = EpochLog(
             epoch=epoch,
             loss=sums["loss"] / n,

@@ -335,11 +335,13 @@ def test_check_params_returns_checked_float64_arrays(tiny_model, edits):
         checked = gt.check_params(given_params, config)
     except gt.GroupTopoError:
         return
-    assert checked.keys() == params.keys()
+    # A plain dict, even of a layout's own views, is copied into a new layout.
+    assert list(checked) == list(params)
+    assert isinstance(checked, gt.nn.Layout) and checked.intact
     for name, value in checked.items():
         assert value.dtype == np.float64 and value.shape == params[name].shape
-        same = getattr(given_params[name], "dtype", None) == np.float64
-        assert (value is given_params[name]) == same
+        assert value is not given_params[name]
+        assert np.array_equal(value, np.asarray(given_params[name], dtype=np.float64))
     assert finite(checked.values())
 
 
@@ -414,8 +416,13 @@ def test_train_checks_params_and_moments(tiny_model, edits, moments):
         arrays += [*opt_state.m.values(), *opt_state.v.values()]
     assert real_arrays(*arrays)
     assert finite([result.history[-1].loss]) and finite(result.params.values())
+    # Separate arrays are trained as one laid-out copy; the caller's stay as given.
+    for table in (result.params, result.opt_state.m, result.opt_state.v):
+        assert isinstance(table, gt.nn.Layout) and table.intact
     for name, value in given_params.items():
-        assert (result.params[name] is value) == (getattr(value, "dtype", None) == np.float64)
+        assert result.params[name] is not value
+        if name not in edits:
+            assert np.array_equal(value, params[name])
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +675,14 @@ def test_a_reply_that_is_not_a_backend_result_is_refused(monkeypatch, entry):
                  "'graph' must be a GroupGraph", id="render_diagram"),
     pytest.param(lambda: gt.init_params(None), "'config' must be a ModelConfig",
                  id="init_params"),
+    pytest.param(lambda: gt.load_checkpoint(None), "'path' must be a path",
+                 id="load_checkpoint"),
+    pytest.param(lambda: gt.save_checkpoint(None, {}, {}), "'path' must be a path",
+                 id="save_checkpoint_path"),
+    pytest.param(lambda: gt.save_checkpoint("never-written.npz", {}, gt.ModelConfig(pool_size=2)),
+                 "'config' must be a mapping", id="save_checkpoint_config"),
+    pytest.param(lambda: gt.save_checkpoint("never-written.npz", {}, {"model": object()}),
+                 "'config' cannot be written as JSON", id="save_checkpoint_json"),
     pytest.param(lambda: gt.build_candidate_matrix(gt.HashingTextEmbedder(8), None),
                  "'pool' must be a GroupPool", id="build_candidate_matrix"),
 ])
@@ -693,9 +708,6 @@ NOT_SWEPT = {
                  "raises open's TypeError",
     "write_records": "records come from to_record; a value JSON cannot encode still "
                      "raises json's TypeError",
-    "save_checkpoint": "bad paths: tests/test_cli.py; a config that is not a mapping "
-                       "still raises TypeError",
-    "load_checkpoint": "bad files: tests/test_nn.py",
     "example_to_record": "an alias of graph.to_record, which reads a record type's fields; "
                          "any other value still raises AttributeError",
     "AnswerKeyBackend": "answers must be a mapping; None still raises dict's TypeError",

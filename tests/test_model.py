@@ -3,6 +3,7 @@ the enumeration oracle for the graph measure, and gradient spot checks."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -93,6 +94,30 @@ def test_init_params_deterministic_and_shaped():
     gt.check_params(a, config)
 
 
+def test_params_tile_one_vector_in_draw_order():
+    """init_params lays the tensors out in one vector; check_params keeps
+    that layout and copies separate arrays into a new one."""
+    config = gt.ModelConfig(pool_size=3, dim=6, hidden=4, max_steps=3, seed=2)
+    order = [name for name, _ in model_mod._draw_order(config)]
+    params = gt.init_params(config)
+    assert isinstance(params, nn.Layout) and params.intact and list(params) == order
+    start = 0
+    for name, tensor in params.items():
+        assert tensor.base is params.vector and tensor.flags.c_contiguous
+        assert np.shares_memory(tensor, params.vector[start : start + tensor.size])
+        start += tensor.size
+    assert start == params.vector.size
+    assert gt.check_params(params, config) is params
+    separate = {name: params[name].copy() for name in reversed(order)}
+    copied = gt.check_params(separate, config)
+    assert isinstance(copied, nn.Layout) and copied.intact and list(copied) == order
+    assert all(copied[name] is not separate[name]
+               and np.array_equal(copied[name], separate[name]) for name in order)
+    assert not copy.deepcopy(params).intact  # its arrays are no longer views
+    params["end_embed"] = params["end_embed"].copy()
+    assert not params.intact and gt.check_params(params, config) is not params
+
+
 def test_check_params_names_every_mismatch():
     config = gt.ModelConfig(pool_size=3, dim=8, hidden=4, max_steps=5, seed=2)
     params = gt.init_params(config)
@@ -130,6 +155,79 @@ def test_kl_is_nonnegative():
         q = gt.model.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
         p = gt.model.GaussianDiag(mu=rng.normal(size=4), log_sigma=rng.normal(size=4))
         assert model_mod._kl_terms(q, p).sum() >= -1e-12
+
+
+# The out-of-place forms the in-place kernels replaced, kept as references.
+
+
+def ref_kl_terms(q, p):
+    lq, lp = q.log_sigma, p.log_sigma
+    diff = q.mu - p.mu
+    return lp - lq + 0.5 * (np.exp(2.0 * lq) + diff * diff) * np.exp(-2.0 * lp) - 0.5
+
+
+def ref_kl_diag_backward(q, p, weight):
+    lq, lp = q.log_sigma, p.log_sigma
+    diff = q.mu - p.mu
+    inv_var_p = np.exp(-2.0 * lp)
+    d_mu_q = weight * diff * inv_var_p
+    d_ls_q = weight * (np.exp(2.0 * lq - 2.0 * lp) - 1.0)
+    d_ls_p = weight * (1.0 - (np.exp(2.0 * lq) + diff * diff) * inv_var_p)
+    return d_mu_q, d_ls_q, -d_mu_q, d_ls_p
+
+
+def ref_sum_by(index, values, n):
+    out = np.zeros((n, *values.shape[1:]))
+    np.add.at(out, index, values)
+    return out
+
+
+def signed_samples(rng, shape, scale):
+    """Normal draws of ``scale`` with every tenth entry a signed zero."""
+    x = rng.normal(0.0, scale, size=shape)
+    x.flat[::10] = 0.0
+    x.flat[::20] = -0.0
+    return x
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_kl_kernels_match_out_of_place_forms_bit_for_bit():
+    rng = nn.make_rng(11)
+    for shape in ((0, 16), (16,), (1, 16), (420, 24)):
+        q, p = (gt.model.GaussianDiag(
+            mu=signed_samples(rng, shape, 300.0),
+            log_sigma=np.clip(signed_samples(rng, shape, 3.0), model_mod.LOG_SIGMA_MIN,
+                              model_mod.LOG_SIGMA_MAX),
+        ) for _ in range(2))
+        assert same_bits(model_mod._kl_terms(q, p), ref_kl_terms(q, p)), shape
+        for weight in (0.0, 0.3, 1.0):
+            got = model_mod._kl_diag_backward(q, p, weight)
+            want = ref_kl_diag_backward(q, p, weight)
+            assert all(same_bits(a, b) for a, b in zip(got, want, strict=True)), (shape, weight)
+
+
+def test_sum_by_matches_add_at_bit_for_bit():
+    """Row sums by slot as np.add.at makes them, signed zeros included: one
+    value per row through np.bincount, wider rows one occurrence rank at a
+    time, also into an array that already holds values."""
+    rng = nn.make_rng(12)
+    for rows, n in ((0, 3), (1, 4), (60, 9), (700, 17)):
+        index = rng.integers(0, n - 2, size=rows)  # the last two slots stay empty
+        for width in ((), (5,), (64,)):
+            values = signed_samples(rng, (rows, *width), 300.0)
+            values[::7] = -0.0
+            got, want = model_mod._sum_by(index, values, n), ref_sum_by(index, values, n)
+            assert np.array_equal(got, want), (rows, width)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (rows, width)
+            if width:
+                got = signed_samples(rng, (n, *width), 1.0)
+                want = got.copy()
+                model_mod._add_by(got, index, values)
+                np.add.at(want, index, values)
+                assert same_bits(got, want), (rows, width)
 
 
 def test_reparameterize_zero_noise_is_mean():
@@ -531,6 +629,24 @@ def test_loss_noise_stream_length(tiny):
     )
 
 
+def test_minibatch_adds_into_the_buffer_it_is_given(tiny):
+    """With ``out`` the pass returns that buffer holding the gradient it would
+    return fresh, tensors in the same order, and a second pass adds to it."""
+    graphs = [GRAPH, gt.GroupGraph(selected=(2,))]
+    args = (tiny.params, tiny.config, tiny.candidates,
+            np.stack([tiny.task_vec, -tiny.task_vec]), graphs, [None, None])
+    _, fresh = model_mod.minibatch_loss_and_grads(*args)
+    out = nn.GradBuffer(tiny.params)
+    _, got = model_mod.minibatch_loss_and_grads(*args, out=out)
+    assert got is out and list(got) == list(fresh)
+    assert all(np.array_equal(got[name], fresh[name]) for name in fresh)
+    model_mod.minibatch_loss_and_grads(*args, out=out)  # sums in another order
+    assert all(np.allclose(out[name], 2.0 * fresh[name], rtol=1e-12, atol=0.0)
+               for name in fresh)
+    untouched = set(tiny.params) - set(fresh)
+    assert all(not out.slots[name].any() for name in untouched)
+
+
 def _minibatch(setup, task_vecs, graphs):
     return model_mod.minibatch_loss_and_grads(
         setup.params, setup.config, setup.candidates, task_vecs, graphs,
@@ -583,6 +699,13 @@ def _loss_with_noise(setup, dim, fill):
     pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None, None]),
                  "noise entry for each", id="minibatch_extra_noises"),
+    pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None], out={}),
+                 "'out' must be a GradBuffer", id="minibatch_out_dict"),
+    pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
+        s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None],
+        out=nn.GradBuffer({"w": np.zeros(2)})),
+                 "'out' must be a GradBuffer laid out", id="minibatch_out_other_layout"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim + 1, 0.0),
                  "noise rows of dim", id="loss_wrong_dim_noise"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim, np.nan),

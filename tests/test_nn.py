@@ -46,6 +46,42 @@ def test_sigmoid_matches_masked_form_bit_for_bit():
                           masked_sigmoid(rows).view(np.int64))
 
 
+def where_sigmoid(x):
+    """The out-of-place form ``nn.sigmoid`` had before it wrote in place."""
+    e = np.exp(np.minimum(x, -x))
+    y = np.where(x >= 0, 1.0, e)
+    y /= 1.0 + e
+    return y
+
+
+def ref_sigmoid_backward(y, grad_out):
+    return grad_out * y * (1.0 - y)
+
+
+def signed_samples(rng, shape, scale):
+    """Normal draws of ``scale`` with every tenth entry a signed zero."""
+    x = rng.normal(0.0, scale, size=shape)
+    x.flat[::10] = 0.0
+    x.flat[::20] = -0.0
+    return x
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_sigmoid_and_backward_match_out_of_place_forms_bit_for_bit():
+    rng = nn.make_rng(1)
+    for shape in ((0,), (1,), (7,), (5, 384), (420, 3)):
+        x = signed_samples(rng, shape, 200.0)
+        x.flat[1::7] = np.clip(x.flat[1::7] * 4.0, -700.0, 700.0)
+        y = nn.sigmoid(x)
+        assert np.array_equal(bits(y), bits(where_sigmoid(x))), shape
+        grad = signed_samples(rng, shape, 3.0)
+        assert np.array_equal(bits(nn.sigmoid_backward(y, grad)),
+                              bits(ref_sigmoid_backward(y, grad))), shape
+
+
 def test_relu_backward_gates_on_input_sign():
     x = np.array([-2.0, 0.0, 3.0])
     grad = np.array([1.0, 1.0, 1.0])
@@ -75,7 +111,7 @@ def test_affine_backward_matches_fd():
         def loss_fn(p):
             return float(np.sum(nn.affine(p, "lin", x) * v))
 
-        grads: dict = {}
+        grads = nn.GradBuffer(params)
         dx = nn.affine_backward(params, "lin", x, v, grads)
         report = finite_diff_check(loss_fn, params, grads)
         assert report.max_rel_err < 1e-7
@@ -109,7 +145,7 @@ def test_gru_backward_matches_fd():
         return float(h_next @ v)
 
     _, cache = nn.gru_step(params, "g", x, params["h"])
-    grads: dict = {}
+    grads = nn.GradBuffer(params)
     grads["h"] = nn.gru_backward(params, "g", cache, v, grads)
     report = finite_diff_check(loss_fn, params, grads)
     assert report.max_rel_err < 1e-6, report
@@ -131,10 +167,10 @@ def test_gate_is_gru_from_zero_state():
     x = rng.normal(size=dim)
     v = rng.normal(size=dim)
     ref_y, ref_cache = nn.gru_step(params, "g", x, np.zeros(dim))
-    ref_grads: dict = {}
+    ref_grads = nn.GradBuffer(params)
     nn.gru_backward(params, "g", ref_cache, v, ref_grads)
     y, cache = nn.gate_step(params, "g", x)
-    grads: dict = {}
+    grads = nn.GradBuffer(params)
     nn.gate_backward(params, "g", cache, v, grads)
     assert np.array_equal(y, ref_y)
     assert list(grads) == [f"g.{k}" for k in ("wn", "bn", "wz", "bz")]
@@ -157,10 +193,87 @@ def test_gate_backward_matches_fd():
             return float(np.sum(y * v))
 
         _, cache = nn.gate_step(params, "g", params["x"])
-        grads: dict = {}
+        grads = nn.GradBuffer(params)
         grads["x"] = nn.gate_backward(params, "g", cache, v, grads)
         report = finite_diff_check(loss_fn, params, grads)
         assert report.max_rel_err < 1e-6, report
+
+
+def ref_adamw_step(params, grads, state, *, lr, weight_decay=0.0, clip_norm=None):
+    """The per-tensor ``adamw_step`` body from before the flat update."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    scale = 1.0
+    if clip_norm is not None and norm > clip_norm > 0.0:
+        scale = clip_norm / norm
+    state.step += 1
+    t = state.step
+    bias1 = 1.0 - nn.ADAM_BETA1**t
+    bias2 = 1.0 - nn.ADAM_BETA2**t
+    for name, p in params.items():
+        g = grads.get(name)
+        g = np.zeros_like(p) if g is None else g * scale
+        m, v = state.m[name], state.v[name]
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + nn.ADAM_EPS)
+        p -= lr * (update + weight_decay * p)
+    return norm
+
+
+# Larger than one AdamW chunk, so the flat update crosses chunk bounds
+# inside a tensor.
+ADAM_LAYOUT = [("w1", (150, 130)), ("b1", (130,)), ("w2", (3, 7)), ("e", (1,)),
+               ("w3", (20, 30))]
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "dicts"])
+@pytest.mark.parametrize("clip_norm, weight_decay", [(None, 0.0), (1e9, 1e-2), (0.5, 1e-2)],
+                         ids=["plain", "decay", "clipped"])
+def test_adamw_matches_per_tensor_reference_bit_for_bit(flat, clip_norm, weight_decay):
+    """Three steps against the per-tensor reference. The gradient is written
+    in a backward pass's order, not the layout's, "b1" is missing, and the
+    reference gets its tensors in that written order, as the norm sums them."""
+    rng = nn.make_rng(7)
+    written = ["w3", "e", "w1", "w2"]
+    if flat:
+        params = nn.Layout(ADAM_LAYOUT)
+        for p in params.values():
+            p[...] = signed_samples(rng, p.shape, 1.0)
+        state = nn.OptimizerState.for_params(params)
+    else:
+        params = {name: signed_samples(rng, shape, 1.0) for name, shape in ADAM_LAYOUT}
+        state = nn.OptimizerState(m={k: np.zeros_like(p) for k, p in params.items()},
+                                  v={k: np.zeros_like(p) for k, p in params.items()})
+    ref_params = {k: p.copy() for k, p in params.items()}
+    ref_state = nn.OptimizerState(m={k: m.copy() for k, m in state.m.items()},
+                                  v={k: v.copy() for k, v in state.v.items()})
+    grads = nn.GradBuffer(params) if flat else {}
+    for step in range(3):
+        values = {name: signed_samples(rng, params[name].shape, 10.0 ** step) for name in written}
+        if flat:
+            grads.zero()
+            for name in written:
+                nn.accumulate(grads, name, values[name])
+            assert list(grads) == written
+            assert nn._flat_operands(params, grads, state) is not None
+        else:
+            grads = {name: values[name].copy() for name in written}
+        norm = nn.adamw_step(params, grads, state, lr=1e-2, weight_decay=weight_decay,
+                             clip_norm=clip_norm)
+        want = ref_adamw_step(ref_params, values, ref_state, lr=1e-2,
+                              weight_decay=weight_decay, clip_norm=clip_norm)
+        assert norm == want
+        assert (clip_norm is not None and norm > clip_norm) == (clip_norm == 0.5)
+        for name, _ in ADAM_LAYOUT:
+            for got, ref in ((params, ref_params), (state.m, ref_state.m),
+                             (state.v, ref_state.v)):
+                assert np.array_equal(bits(got[name]), bits(ref[name])), (step, name)
+    assert state.step == ref_state.step == 3
 
 
 def test_adamw_weight_decay_is_decoupled():

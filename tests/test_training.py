@@ -349,6 +349,27 @@ def test_train_rejects_params_and_moments_that_do_not_match(pool4):
                 gt.train(*args, params=params, opt_state=opt_state)
 
 
+def test_train_keeps_one_vector_each_and_the_checkpoint_members(pool4, tmp_path):
+    """After training, parameters and both moments each tile one float64
+    vector in draw order, and the checkpoint still holds 144 members."""
+    setup, dataset, model_config, train_config = overfit_setup(epochs=2)
+    result = gt.train(pool4, setup.provider, dataset, model_config, train_config)
+    order = [name for name, _ in gt.model._draw_order(model_config)]
+    assert len(order) == 47
+    for table in (result.params, result.opt_state.m, result.opt_state.v):
+        assert isinstance(table, nn.Layout) and table.intact and list(table) == order
+        assert table.vector.dtype == np.float64
+    path = tmp_path / "model.npz"
+    gt.save_checkpoint(path, result.params, {"model": model_config.to_dict()},
+                       result.opt_state)
+    with np.load(path) as data:
+        assert data.files == ["meta/format", "meta/config",
+                              *(f"param/{name}" for name in order), "opt/step",
+                              *(f"opt/m/{name}" for name in order),
+                              *(f"opt/v/{name}" for name in order)]
+        assert len(data.files) == 144
+
+
 def test_train_resume_from_params(pool4):
     setup, dataset, model_config, train_config = overfit_setup(epochs=6)
     full = gt.train(pool4, setup.provider, dataset, model_config, train_config)
