@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, ValidationError
-from .graph import GroupPool, check_array, check_int, check_items
+from .graph import GroupPool, check_array, check_int, check_items, check_pool
 from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -103,6 +103,4 @@ def build_candidate_matrix(provider: EmbeddingProvider, pool: GroupPool) -> np.n
     """Embed every group's canonical text: one row per group, in pool order.
     The model appends its learnable STOP row when it scores them. ValidationError
     unless ``pool`` is a GroupPool."""
-    if not isinstance(pool, GroupPool):
-        raise ValidationError(f"'pool' must be a GroupPool, got {pool!r}")
-    return provider.encode([g.text() for g in pool])
+    return provider.encode([g.text() for g in check_pool(pool)])

@@ -188,6 +188,13 @@ def check_path(value, name: str) -> str:
     return os.fspath(value)
 
 
+def check_pool(value) -> GroupPool:
+    """``value``; ValidationError unless it is a GroupPool."""
+    if not isinstance(value, GroupPool):
+        raise ValidationError(f"'pool' must be a GroupPool, got {value!r}")
+    return value
+
+
 def check_array(value, shape: tuple[int, ...], name: str, need: str) -> np.ndarray:
     """``value`` as a float64 array, the same object if it is one. ValidationError
     (``need <need>; got <name> ...``, or ``<name> hold NaN ...``) unless it has
@@ -404,12 +411,12 @@ def materialize_agent_graph(
     points forward.
 
     Raises:
-        ValidationError: if the graph is empty, fails validation, or ``mode``
-            is unknown.
+        ValidationError: if the graph is empty, fails validation, ``pool`` is
+            not a GroupPool, or ``mode`` is unknown.
     """
     if mode not in ("composite", "expanded"):
         raise ValidationError(f"unknown execution mode '{mode}'")
-    validate_group_graph(graph, pool.size, max_steps=sys.maxsize)  # no step budget
+    validate_group_graph(graph, check_pool(pool).size, max_steps=sys.maxsize)  # no step budget
     if graph.n_steps == 0:
         raise ValidationError("cannot materialize an empty graph")
 
@@ -446,7 +453,7 @@ def materialize_agent_graph(
 
 def render_diagram(graph: GroupGraph, pool: GroupPool) -> str:
     """Static text description of a group graph (nodes, then edges)."""
-    validate_group_graph(graph, pool.size, max_steps=sys.maxsize)  # no step budget
+    validate_group_graph(graph, check_pool(pool).size, max_steps=sys.maxsize)  # no step budget
     lines = []
     for t, gid in enumerate(graph.selected):
         group = pool[gid]
@@ -544,7 +551,10 @@ def _field_plan(cls: type) -> tuple:
 
 
 def to_record(obj) -> dict:
-    """``obj``, an instance of a record type, as a record of its ``RECORD_KIND``."""
+    """``obj``, an instance of a record type, as a record of its ``RECORD_KIND``;
+    ValidationError for any other value."""
+    if isinstance(obj, type) or not hasattr(obj, "RECORD_KIND"):
+        raise ValidationError(f"need an instance of a record type; got {obj!r}")
     record = make_record(obj.RECORD_KIND)
     for name, _, _, encode, _ in _field_plan(type(obj)):
         value = getattr(obj, name)
@@ -598,7 +608,7 @@ def decode_records(path: str | os.PathLike, decode: Callable[[dict], object]) ->
     """Read records as :func:`read_records` does and return ``decode`` of each,
     in file order, leaving out a None. A ValidationError that ``decode``
     raises carries the record's line number too."""
-    out = []
+    out, path = [], check_path(path, "path")
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()
@@ -635,9 +645,10 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
     succeeds. Its name is unique per call, so concurrent writers never share it.
 
     Raises:
-        ValidationError: if the file cannot be created or cannot replace ``path``.
+        ValidationError: if ``path`` is not a str or PathLike, or the file
+            cannot be created or cannot replace ``path``.
     """
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{check_path(path, 'path')}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
             yield fh
@@ -666,7 +677,12 @@ def check_writable(path: str | os.PathLike) -> None:
 
 
 def write_records(path: str | os.PathLike, records: Iterable[dict]) -> None:
-    """Write records as one JSON object per line (atomic replace)."""
+    """Write records as one JSON object per line (atomic replace). A record
+    that JSON cannot encode raises ValidationError, and nothing is written."""
     with atomic_write(path) as fh:
-        for record in records:
-            fh.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        for index, record in enumerate(records):
+            try:
+                line = json.dumps(record, sort_keys=True)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"record {index} is not JSON: {exc}") from exc
+            fh.write((line + "\n").encode("utf-8"))

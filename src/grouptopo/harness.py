@@ -16,7 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar, Protocol, Sequence
+from typing import ClassVar, Mapping, Protocol, Sequence
 
 from .errors import BackendError, ValidationError
 from .graph import (
@@ -101,7 +101,9 @@ class AnswerKeyBackend:
     so one poisoned system prompt taints the path to the final answer.
     """
 
-    def __init__(self, answers: dict[str, str], marker: str | None = None):
+    def __init__(self, answers: Mapping[str, str], marker: str | None = None):
+        if not isinstance(answers, Mapping):
+            raise ValidationError(f"'answers' must be a mapping, got {answers!r}")
         self.answers = dict(answers)
         self.marker = marker
 

@@ -222,10 +222,7 @@ def _kl_diag_backward(
 
 def reparameterize(dist: GaussianDiag, eps: np.ndarray) -> np.ndarray:
     """Pathwise sample ``mu + exp(log_sigma) * eps``; eps = 0 gives the mean."""
-    code = np.exp(dist.log_sigma)
-    code *= eps
-    code += dist.mu
-    return code
+    return dist.mu + np.exp(dist.log_sigma) * eps
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +664,7 @@ def minibatch_loss_and_grads(
     noises: Sequence[np.ndarray | None],
     *,
     compute_grads: bool = True,
-    out: nn.GradBuffer | None = None,
+    out: nn.Layout | None = None,
 ) -> tuple[list[LossBreakdown], Grads]:
     """Teacher-forced loss of every trajectory of a minibatch, with the exact
     gradient of their sum.
@@ -687,10 +684,10 @@ def minibatch_loss_and_grads(
     that, plus backprop through time over the history, and sums each row's
     prior and task gradient back into its trajectory.
 
-    The gradient is added into ``out``, a :class:`~grouptopo.nn.GradBuffer`
-    laid out like ``params`` that the caller zeroes, and ``out`` is returned;
-    without one, a fresh buffer is. Either way it holds the tensors the pass
-    wrote, in the order it first wrote them. With ``compute_grads=False`` the
+    The gradient is added into ``out``, an intact :class:`~grouptopo.nn.Layout`
+    of ``params``' names and shapes that the caller zeroes, and ``out`` is
+    returned; without one, a fresh zeroed layout is. Either way it lists every
+    tensor, zero where the pass wrote nothing. With ``compute_grads=False`` the
     gradient is an empty dict and ``out`` is left alone.
     """
     d = config.dim
@@ -704,10 +701,11 @@ def minibatch_loss_and_grads(
         )
     task_vecs = check_array(task_vecs, (batch, d), "task rows",
                             f"a task row of dim {d} per graph")
-    if out is not None and not (isinstance(out, nn.GradBuffer) and out.slots.shapes
-                                == tuple((name, np.shape(p)) for name, p in params.items())):
-        raise ValidationError(f"'out' must be a GradBuffer laid out like the parameters, "
-                              f"got {type(out).__name__}")
+    shapes = tuple((name, np.shape(p)) for name, p in params.items())
+    if out is not None and not (isinstance(out, nn.Layout) and out.intact
+                                and out.shapes == shapes):
+        raise ValidationError(f"'out' must be an intact nn.Layout of the parameters' names "
+                              f"and shapes, got {type(out).__name__}")
     for graph in graphs:
         # Shape only: a step without an incoming edge still has probability mass.
         check_graph_shape(graph, config.pool_size, config.max_steps)
@@ -782,7 +780,7 @@ def minibatch_loss_and_grads(
     if not compute_grads:
         return breakdowns, {}
 
-    grads = nn.GradBuffer(params) if out is None else out
+    grads = nn.Layout(shapes) if out is None else out
     # Group sites. The STOP row of the scoring matrix is the learnable end_embed.
     d_logits = probs.copy()
     d_logits[g_rows, targets] -= 1.0

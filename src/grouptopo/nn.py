@@ -4,12 +4,11 @@ optimizer, checkpoints.
 Everything operates on float64 numpy arrays. Parameters live in a
 ``dict[str, np.ndarray]`` keyed by dotted names ("his_gru.wz", ...). The
 model lays its tensors out as consecutive views of one float64 vector
-(:class:`Layout`), and the AdamW moments and the training gradient
-(:class:`GradBuffer`) copy that layout, so :func:`adamw_step` updates all
-parameters in one pass over the vectors, a cache-sized chunk at a time. A dict
-of separate arrays still works: it takes the same loop one tensor at a time.
-All backward functions are hand-derived and are validated against central
-finite differences in the test suite.
+(:class:`Layout`), and the training gradient and the AdamW moments copy that
+layout, so :func:`adamw_step` updates all parameters in one pass over the
+vectors, a cache-sized chunk at a time. All backward functions are
+hand-derived and are validated against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_array, check_fields, check_int, check_path
+from .graph import atomic_write, check_fields, check_int, check_path
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -61,7 +60,7 @@ class Layout(dict):
     ``shapes`` lists each tensor's name and shape in vector order. The vector
     backs the dict while it holds exactly its own views in that order
     (:attr:`intact`); an entry replaced, added or removed, or a deep copy,
-    leaves a plain dict of arrays, which the per-tensor paths take.
+    leaves a plain dict of arrays, which :func:`adamw_step` refuses.
     """
 
     def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]]) -> None:
@@ -81,32 +80,8 @@ class Layout(dict):
             a is b and a.base is self.vector for a, b in zip(self.values(), self._views))
 
 
-class GradBuffer(dict):
-    """A gradient dict over one float64 vector laid out like ``params``.
-
-    A tensor enters the dict on its first :func:`accumulate`, as a view of its
-    slot, so the dict lists the tensors in the order a backward pass first
-    wrote them, and every slot not in it holds zero. :meth:`zero` readies the
-    buffer for the next pass without freeing it.
-    """
-
-    def __init__(self, params: Mapping[str, np.ndarray]) -> None:
-        super().__init__()
-        self.slots = Layout((name, np.shape(p)) for name, p in params.items())
-
-    def __missing__(self, name: str) -> np.ndarray:
-        slot = self[name] = self.slots[name]
-        return slot
-
-    def zero(self) -> None:
-        """Empty the dict and zero every slot."""
-        self.clear()
-        self.slots.vector.fill(0.0)
-
-
 def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
-    """Add ``value`` into ``grads[name]``; a :class:`GradBuffer` opens the slot
-    on its first write."""
+    """Add ``value`` into ``grads[name]`` in place."""
     grads[name] += value
 
 
@@ -118,6 +93,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) <= 1 never overflows; each sign takes the form that uses it.
     # minimum(x, -x) is -|x| that keeps a NaN's sign bit, as exp(x) does.
     # The numerator is 1 or e; one division by 1 + e gives both forms' bits.
+    # Working in place in one array of its own lowers a training pass's peak memory.
     y = np.negative(x, out=np.empty(np.shape(x)))
     np.minimum(x, y, out=y)
     np.exp(y, out=y)
@@ -128,16 +104,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient through sigmoid given its output ``y``: ``grad_out * y * (1 - y)``."""
-    grad = grad_out * y
-    grad *= np.subtract(1.0, y)
-    return grad
-
-
-def _one_minus_square(y: np.ndarray) -> np.ndarray:
-    """``1 - y * y``, the derivative of tanh at its output ``y``."""
-    out = np.multiply(y, y)
-    return np.subtract(1.0, out, out=out)
+    """Gradient through sigmoid given its output ``y``."""
+    return grad_out * y * (1.0 - y)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -163,9 +131,7 @@ def affine(params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray) -> np.n
     """Compute ``x @ W.T + b`` for the weight pair stored under ``prefix``;
     ``x`` is one input vector or a matrix with one input per row, and
     :func:`affine_backward` takes either."""
-    y = x @ params[f"{prefix}.w"].T
-    y += params[f"{prefix}.b"]
-    return y
+    return x @ params[f"{prefix}.w"].T + params[f"{prefix}.b"]
 
 
 def _weight_backward(grads: Grads, name: str, x: np.ndarray, grad_out: np.ndarray) -> None:
@@ -219,23 +185,11 @@ def gru_step(
 ) -> tuple[np.ndarray, GruCache]:
     """One GRU transition. Returns the next state and a backward cache."""
     p = params
-    # Each pre-activation sums W x + (U h or r * U h) + b in that order, in place.
-    z = x @ p[f"{prefix}.wz"].T
-    z += h @ p[f"{prefix}.uz"].T
-    z += p[f"{prefix}.bz"]
-    z = sigmoid(z)
-    r = x @ p[f"{prefix}.wr"].T
-    r += h @ p[f"{prefix}.ur"].T
-    r += p[f"{prefix}.br"]
-    r = sigmoid(r)
+    z = sigmoid(x @ p[f"{prefix}.wz"].T + h @ p[f"{prefix}.uz"].T + p[f"{prefix}.bz"])
+    r = sigmoid(x @ p[f"{prefix}.wr"].T + h @ p[f"{prefix}.ur"].T + p[f"{prefix}.br"])
     un_h = h @ p[f"{prefix}.un"].T
-    n = x @ p[f"{prefix}.wn"].T
-    n += r * un_h
-    n += p[f"{prefix}.bn"]
-    np.tanh(n, out=n)
-    h_next = np.subtract(1.0, z)
-    h_next *= n
-    h_next += z * h
+    n = np.tanh(x @ p[f"{prefix}.wn"].T + r * un_h + p[f"{prefix}.bn"])
+    h_next = (1.0 - z) * n + z * h
     return h_next, GruCache(x=x, h=h, z=z, r=r, n=n, un_h=un_h)
 
 
@@ -255,18 +209,16 @@ def gru_backward(
     p = params
     x, h, z, r, n, un_h = cache.x, cache.h, cache.z, cache.r, cache.n, cache.un_h
 
-    # Candidate branch: n = tanh(an), an = Wn x + r * un_h + bn, and
-    # grad_an = grad_h_next * (1 - z) * (1 - n * n).
-    grad_an = np.subtract(1.0, z)
-    grad_an *= grad_h_next
-    grad_an *= _one_minus_square(n)
+    grad_n = grad_h_next * (1.0 - z)
+    grad_z = grad_h_next * (h - n)
+
+    # Candidate branch: n = tanh(an), an = Wn x + r * un_h + bn.
+    grad_an = grad_n * (1.0 - n * n)
     _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
     grad_un_h = grad_an * r
     _weight_backward(grads, f"{prefix}.un", h, grad_un_h)
 
-    grad_z = np.subtract(h, n)
-    grad_z *= grad_h_next
     grad_az = sigmoid_backward(z, grad_z)
     _weight_backward(grads, f"{prefix}.wz", x, grad_az)
     _weight_backward(grads, f"{prefix}.uz", h, grad_az)
@@ -278,11 +230,8 @@ def gru_backward(
     _bias_backward(grads, f"{prefix}.br", grad_ar)
 
     # h reaches h' directly through z and each gate through its U weights.
-    grad_h = grad_h_next * z
-    grad_h += grad_un_h @ p[f"{prefix}.un"]
-    grad_h += grad_az @ p[f"{prefix}.uz"]
-    grad_h += grad_ar @ p[f"{prefix}.ur"]
-    return grad_h
+    return (grad_h_next * z + grad_un_h @ p[f"{prefix}.un"]
+            + grad_az @ p[f"{prefix}.uz"] + grad_ar @ p[f"{prefix}.ur"])
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +254,9 @@ def gate_step(
 ) -> tuple[np.ndarray, GateCache]:
     """One gated projection. Returns the output and a backward cache."""
     p = params
-    z = x @ p[f"{prefix}.wz"].T
-    z += p[f"{prefix}.bz"]
-    z = sigmoid(z)
-    n = x @ p[f"{prefix}.wn"].T
-    n += p[f"{prefix}.bn"]
-    np.tanh(n, out=n)
-    y = np.subtract(1.0, z)
-    y *= n
-    return y, GateCache(x=x, z=z, n=n)
+    z = sigmoid(x @ p[f"{prefix}.wz"].T + p[f"{prefix}.bz"])
+    n = np.tanh(x @ p[f"{prefix}.wn"].T + p[f"{prefix}.bn"])
+    return (1.0 - z) * n, GateCache(x=x, z=z, n=n)
 
 
 def gate_backward(
@@ -327,20 +270,13 @@ def gate_backward(
     weight gradient is summed over the rows."""
     p = params
     x, z, n = cache.x, cache.z, cache.n
-    # grad_an = grad_y * (1 - z) * (1 - n * n); grad_az through -grad_y * n.
-    grad_an = np.subtract(1.0, z)
-    grad_an *= grad_y
-    grad_an *= _one_minus_square(n)
+    grad_an = grad_y * (1.0 - z) * (1.0 - n * n)
     _weight_backward(grads, f"{prefix}.wn", x, grad_an)
     _bias_backward(grads, f"{prefix}.bn", grad_an)
-    grad_az = np.negative(grad_y)
-    grad_az *= n
-    grad_az = sigmoid_backward(z, grad_az)
+    grad_az = sigmoid_backward(z, -grad_y * n)
     _weight_backward(grads, f"{prefix}.wz", x, grad_az)
     _bias_backward(grads, f"{prefix}.bz", grad_az)
-    dx = grad_an @ p[f"{prefix}.wn"]
-    dx += grad_az @ p[f"{prefix}.wz"]
-    return dx
+    return grad_an @ p[f"{prefix}.wn"] + grad_az @ p[f"{prefix}.wz"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +292,8 @@ ADAMW_CHUNK = 1 << 14
 @dataclass
 class OptimizerState:
     """First/second moment accumulators plus the step counter, an integer >= 0.
-    :meth:`for_params` makes ``m`` and ``v`` zeroed :class:`Layout` dicts of
-    the parameters' names and shapes, so :func:`adamw_step` can walk them as
-    vectors."""
+    :meth:`for_params` makes ``m`` and ``v`` zeroed :class:`Layout` dicts of the
+    parameters' names and shapes, the form :func:`adamw_step` takes."""
 
     m: Params = field(default_factory=dict)
     v: Params = field(default_factory=dict)
@@ -373,38 +308,19 @@ class OptimizerState:
         return cls(m=Layout(shapes), v=Layout(shapes), step=0)
 
 
-def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
-    """The L2 norm of all gradients, summed tensor by tensor in dict order."""
-    values = list(grads.values())
-    square = np.empty(max((np.size(g) for g in values), default=0))
-    total = 0.0
-    for g in values:
-        total += float(np.sum(np.multiply(g, g, out=square[: g.size].reshape(g.shape))))
-    return float(np.sqrt(total))
-
-
-def _flat_operands(
-    params: Params, grads: Mapping[str, np.ndarray], state: OptimizerState
-) -> list[np.ndarray] | None:
-    """The parameter, gradient and moment vectors when ``params``,
-    ``state.m``, ``state.v`` and the slots of a :class:`GradBuffer` are intact
-    layouts of the same shapes and the buffer holds only its own slots;
-    otherwise None."""
-    if not isinstance(grads, GradBuffer):
-        return None
-    tables = (params, grads.slots, state.m, state.v)
-    if not all(isinstance(t, Layout) and t.intact and t.shapes == tables[0].shapes
-               for t in tables):
-        return None
-    if any(g is not grads.slots.get(name) for name, g in grads.items()):
-        return None
-    return [t.vector for t in tables]
+def global_grad_norm(grads: Layout) -> float:
+    """The L2 norm of the gradient vector of ``grads``: ``np.sum`` of the
+    squares of each ``ADAMW_CHUNK`` elements, added in vector order. Unlike a
+    BLAS dot product, this sum does not depend on the thread count."""
+    v = grads.vector
+    squares = (np.sum(np.square(v[i : i + ADAMW_CHUNK])) for i in range(0, v.size, ADAMW_CHUNK))
+    return math.sqrt(sum(squares, np.float64(0.0)))  # NumPy's adds report overflow
 
 
 @no_overflow
 def adamw_step(
-    params: Params,
-    grads: Mapping[str, np.ndarray],
+    params: Layout,
+    grads: Layout,
     state: OptimizerState,
     *,
     lr: float,
@@ -413,60 +329,46 @@ def adamw_step(
 ) -> float:
     """Apply one decoupled-weight-decay Adam update in place.
 
-    Gradients are first clipped jointly to ``clip_norm`` (global L2 norm);
-    weight decay multiplies the parameter directly rather than entering the
-    moment estimates. Returns the pre-clip global gradient norm, summed tensor
-    by tensor in the order of ``grads``.
+    Gradients are first clipped jointly to ``clip_norm`` (the
+    :func:`global_grad_norm`); weight decay multiplies the parameter directly
+    rather than entering the moment estimates. Returns the pre-clip norm.
 
-    When ``params``, ``state.m``, ``state.v`` and a :class:`GradBuffer` share
-    one layout, the update walks the four vectors in chunks of
-    ``ADAMW_CHUNK`` elements with two scratch arrays. Any other dicts take
-    the same loop one tensor at a time, a missing gradient counting as zero.
-    Each element sees the same operations in the same order either way.
+    ``params``, ``grads``, ``state.m`` and ``state.v`` are intact
+    :class:`Layout` dicts of the same shapes, as
+    :func:`~grouptopo.model.init_params`, ``nn.Layout(params.shapes)`` and
+    :meth:`OptimizerState.for_params` make them. The update walks their four
+    vectors in chunks of ``ADAMW_CHUNK`` elements with two scratch arrays.
 
     Raises:
-        ValidationError: if a gradient has no parameter or fails ``check_array``,
-            or a gradient or moment is so large that the update overflows.
+        ValidationError: if the operands are not such layouts, a gradient
+            entry is NaN or infinite, or a gradient or moment is so large that
+            the update overflows.
     """
-    def check(name: str, g) -> np.ndarray:
-        if name not in params:
-            raise ValidationError(f"gradient for unknown parameter '{name}'")
-        return check_array(g, params[name].shape, f"gradient entries for '{name}'",
-                           f"a gradient of shape {params[name].shape} for '{name}'")
-
-    flat = _flat_operands(params, grads, state)
-    if flat is None:
-        grads = {name: check(name, g) for name, g in grads.items()}
+    tables = (params, grads, state.m, state.v)
+    if not all(isinstance(t, Layout) and t.intact and t.shapes == params.shapes
+               for t in tables):
+        raise ValidationError(
+            "adamw_step takes 'params', 'grads', 'state.m' and 'state.v' as intact "
+            "nn.Layout dicts of the same shapes, as init_params, nn.Layout(params.shapes) "
+            "and OptimizerState.for_params make them")
     norm = global_grad_norm(grads)
-    if not math.isfinite(norm):
-        # Finite entries give a finite norm or overflow on the way, so one
-        # entry is not finite: the per-tensor check names its tensor.
-        for name, g in grads.items():
-            check(name, g)
-        raise ValidationError("gradient entries hold NaN or infinite values")
+    if not math.isfinite(norm):  # finite entries give a finite norm or overflow
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise ValidationError(f"gradient entries for '{name}' hold NaN or infinite values")
     scale = 1.0
     if clip_norm is not None and norm > clip_norm > 0.0:
         scale = clip_norm / norm
 
     state.step += 1
-    t = state.step
-    bias1 = 1.0 - ADAM_BETA1**t
-    bias2 = 1.0 - ADAM_BETA2**t
-    if flat is not None:
-        size = flat[0].size
-        parts = [[x[i : i + ADAMW_CHUNK] for x in flat] for i in range(0, size, ADAMW_CHUNK)]
-    else:
-        parts = [[p, grads.get(name), state.m[name], state.v[name]]
-                 for name, p in params.items()]
-    scratch = np.empty((2, max((p.size for p, *_ in parts), default=0)))
-    for p, g, m, v in parts:
-        a, b = (row[: p.size].reshape(p.shape) for row in scratch)
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
+    scratch = np.empty((2, min(params.vector.size, ADAMW_CHUNK)))
+    for i in range(0, params.vector.size, ADAMW_CHUNK):
+        p, g, m, v = (table.vector[i : i + ADAMW_CHUNK] for table in tables)
+        a, b = scratch[:, : p.size]
         # In place, operand for operand: g = g * scale; m = b1 m + (1 - b1) g;
         # v = b2 v + (1 - b2) (g g); p -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd p).
-        if g is None:
-            a.fill(0.0)
-        else:
-            np.multiply(g, scale, out=a)
+        np.multiply(g, scale, out=a)
         m *= ADAM_BETA1
         m += np.multiply(a, 1.0 - ADAM_BETA1, out=b)
         v *= ADAM_BETA2

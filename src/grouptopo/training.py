@@ -25,6 +25,7 @@ from .graph import (
     check_fields,
     check_int,
     check_items,
+    check_pool,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -97,7 +98,7 @@ def train(
 
     Each minibatch is scored in one row-batched pass of
     :func:`~grouptopo.model.minibatch_loss_and_grads`, which adds its gradient
-    into one :class:`~grouptopo.nn.GradBuffer` that the run reuses, and AdamW
+    into one :class:`~grouptopo.nn.Layout` that the run reuses, and AdamW
     steps on the mean of that gradient. Fully deterministic for a fixed seed:
     shuffling and latent noise come from one counter-based stream, drawn
     trajectory by trajectory in minibatch order, so two runs with identical
@@ -113,7 +114,7 @@ def train(
     dataset = check_items(dataset, Trajectory, "dataset")
     if not dataset:
         raise ValidationError("training dataset is empty")
-    if model_config.pool_size != pool.size:
+    if model_config.pool_size != check_pool(pool).size:
         raise ValidationError(
             f"model expects pool of {model_config.pool_size}, got {pool.size}"
         )
@@ -139,7 +140,7 @@ def train(
     rng = make_rng(train_config.seed)
     n = len(dataset)
     history: list[EpochLog] = []
-    grads = nn.GradBuffer(params)
+    grads = nn.Layout(params.shapes)
 
     for epoch in range(train_config.epochs):
         beta_g = kl_warmup(epoch, train_config.warmup_epochs, model_config.beta_group)
@@ -151,7 +152,7 @@ def train(
         for start in range(0, n, train_config.batch_size):
             batch = order[start : start + train_config.batch_size]
             graphs = [dataset[int(idx)].graph for idx in batch]
-            grads.zero()
+            grads.vector.fill(0.0)
             breakdowns, _ = model_mod.minibatch_loss_and_grads(
                 params,
                 epoch_config,
@@ -167,9 +168,7 @@ def train(
                 sums["bce"] += breakdown.edge_bce
                 sums["klg"] += breakdown.kl_group
                 sums["kle"] += breakdown.kl_edge
-            scale = 1.0 / len(batch)
-            for name in grads:
-                grads[name] *= scale
+            grads.vector *= 1.0 / len(batch)
             last_norm = nn.adamw_step(
                 params,
                 grads,
@@ -284,13 +283,14 @@ def explore_and_label(
     dataset-major, family-minor.
     """
     dataset = check_items(dataset, EvalExample, "dataset")
+    pool_size = check_pool(pool).size
     rng = make_rng(config.seed)
     tasks: list[tuple[EvalExample, str, GroupGraph]] = []
     for example in dataset:
         for family in config.families:
             for _ in range(config.samples_per_family):
                 graph = sample_candidate_topology(
-                    rng, pool.size, family, config.n_steps
+                    rng, pool_size, family, config.n_steps
                 )
                 tasks.append((example, family, graph))
 

@@ -354,14 +354,22 @@ ADAM_SHAPES = {"a": (2,), "b": (2, 3)}
 @example(edits={"a": "huge"})
 @example(edits={"b": "list"})
 def test_adamw_step_checks_each_gradient(edits):
-    params = {name: np.ones(shape) for name, shape in ADAM_SHAPES.items()}
+    """A valid or non-finite value of the right length is written into its
+    slot; any other edit replaces or adds an entry, which leaves a plain dict."""
+    params = gt.nn.Layout(ADAM_SHAPES.items())
+    params.vector.fill(1.0)
     state = gt.nn.OptimizerState.for_params(params)
-    grads = {name: make_array(kind, ADAM_SHAPES.get(name, (2,))) for name, kind in edits.items()}
+    grads = gt.nn.Layout(ADAM_SHAPES.items())
+    for name, kind in edits.items():
+        value = make_array(kind, ADAM_SHAPES.get(name, (2,)))
+        if name in grads and kind in (float, "int", "list", "negative", "nan", "huge"):
+            grads[name][...] = value
+        else:
+            grads[name] = value
     norm = expect_checked(lambda: gt.adamw_step(params, grads, state, lr=0.1, clip_norm=1.0))
     if norm is None:
         return
-    assert real_arrays(*grads.values())
-    assert all(np.shape(grads[name]) == ADAM_SHAPES[name] for name in grads)
+    assert grads.intact
     assert finite([norm]) and finite(params.values())
 
 
@@ -673,6 +681,28 @@ def test_a_reply_that_is_not_a_backend_result_is_refused(monkeypatch, entry):
                  "'graph' must be a GroupGraph", id="materialize_agent_graph"),
     pytest.param(lambda: gt.render_diagram(None, gt.default_pool()),
                  "'graph' must be a GroupGraph", id="render_diagram"),
+    pytest.param(lambda: gt.materialize_agent_graph(GRAPHS[1], None),
+                 "'pool' must be a GroupPool", id="materialize_agent_graph_pool"),
+    pytest.param(lambda: gt.render_diagram(GRAPHS[1], None), "'pool' must be a GroupPool",
+                 id="render_diagram_pool"),
+    pytest.param(lambda: gt.evaluate([EXAMPLE], GRAPHS[1], None, gt.CompressiveEchoBackend()),
+                 "'pool' must be a GroupPool", id="evaluate_pool"),
+    pytest.param(lambda: gt.train(None, gt.HashingTextEmbedder(8), TRAIN_SET,
+                                  gt.ModelConfig(pool_size=2), gt.TrainConfig()),
+                 "'pool' must be a GroupPool", id="train_pool"),
+    pytest.param(lambda: gt.explore_and_label(None, [EXAMPLE], gt.CompressiveEchoBackend(),
+                                              gt.ExplorationConfig()),
+                 "'pool' must be a GroupPool", id="explore_and_label_pool"),
+    pytest.param(lambda: gt.read_records(None), "'path' must be a path", id="read_records"),
+    pytest.param(lambda: gt.write_records(None, []), "'path' must be a path",
+                 id="write_records_path"),
+    pytest.param(lambda: gt.load_pool(None), "'path' must be a path", id="load_pool"),
+    pytest.param(lambda: gt.example_to_record(None), "need an instance of a record type",
+                 id="example_to_record"),
+    pytest.param(lambda: gt.example_to_record(gt.EvalExample),
+                 "need an instance of a record type", id="example_to_record_type"),
+    pytest.param(lambda: gt.AnswerKeyBackend(None), "'answers' must be a mapping",
+                 id="answer_key_backend"),
     pytest.param(lambda: gt.init_params(None), "'config' must be a ModelConfig",
                  id="init_params"),
     pytest.param(lambda: gt.load_checkpoint(None), "'path' must be a path",
@@ -691,6 +721,14 @@ def test_entry_points_check_their_arguments(call, message):
         call()
 
 
+def test_write_records_refuses_a_value_json_cannot_encode(tmp_path):
+    path = tmp_path / "records.jsonl"
+    for records in ([gt.example_to_record(EXAMPLE), object()], [{"v": {1, 2}}]):
+        with pytest.raises(gt.ValidationError, match=r"record \d is not JSON"):
+            gt.write_records(path, records)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # The whole top-level table.
 
@@ -702,15 +740,6 @@ NOT_SWEPT = {
                     "CandidateGroup turns that into ValidationError",
     "default_pool": "takes no arguments",
     "CompressiveEchoBackend": "takes no arguments",
-    "read_records": "bad files: tests/test_graph.py and tests/test_records.py; a path that "
-                    "is not a str or PathLike still raises open's TypeError",
-    "load_pool": "bad files: tests/test_cli.py; a path that is not a str or PathLike still "
-                 "raises open's TypeError",
-    "write_records": "records come from to_record; a value JSON cannot encode still "
-                     "raises json's TypeError",
-    "example_to_record": "an alias of graph.to_record, which reads a record type's fields; "
-                         "any other value still raises AttributeError",
-    "AnswerKeyBackend": "answers must be a mapping; None still raises dict's TypeError",
     "HttpAgentBackend": "bad replies: tests/test_harness.py",
     "generate_graph": "a wrapper of generate_graphs; bad inputs: tests/test_model.py",
     "graph_log_likelihood": "a wrapper of minibatch_loss_and_grads; bad inputs: "

@@ -302,7 +302,7 @@ def test_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "out.jsonl"
     records = [to_record(gt.GroupGraph(selected=(1,)))]
     write_records(path, records)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="record 1 is not JSON"):
         write_records(path, [*records, {"v": "v1", "kind": "x", "bad": object()}])
     assert read_records(path) == records
     assert os.listdir(tmp_path) == ["out.jsonl"]

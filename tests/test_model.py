@@ -630,21 +630,19 @@ def test_loss_noise_stream_length(tiny):
 
 
 def test_minibatch_adds_into_the_buffer_it_is_given(tiny):
-    """With ``out`` the pass returns that buffer holding the gradient it would
-    return fresh, tensors in the same order, and a second pass adds to it."""
+    """With ``out`` the pass returns that layout holding the gradient it would
+    return fresh, and a second pass adds to it. Both list every tensor in
+    the parameters' order."""
     graphs = [GRAPH, gt.GroupGraph(selected=(2,))]
     args = (tiny.params, tiny.config, tiny.candidates,
             np.stack([tiny.task_vec, -tiny.task_vec]), graphs, [None, None])
     _, fresh = model_mod.minibatch_loss_and_grads(*args)
-    out = nn.GradBuffer(tiny.params)
+    assert isinstance(fresh, nn.Layout) and fresh.shapes == tiny.params.shapes
+    out = nn.Layout(tiny.params.shapes)
     _, got = model_mod.minibatch_loss_and_grads(*args, out=out)
-    assert got is out and list(got) == list(fresh)
-    assert all(np.array_equal(got[name], fresh[name]) for name in fresh)
+    assert got is out and np.array_equal(got.vector, fresh.vector)
     model_mod.minibatch_loss_and_grads(*args, out=out)  # sums in another order
-    assert all(np.allclose(out[name], 2.0 * fresh[name], rtol=1e-12, atol=0.0)
-               for name in fresh)
-    untouched = set(tiny.params) - set(fresh)
-    assert all(not out.slots[name].any() for name in untouched)
+    assert np.allclose(out.vector, 2.0 * fresh.vector, rtol=1e-12, atol=0.0)
 
 
 def _minibatch(setup, task_vecs, graphs):
@@ -701,11 +699,12 @@ def _loss_with_noise(setup, dim, fill):
                  "noise entry for each", id="minibatch_extra_noises"),
     pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None], out={}),
-                 "'out' must be a GradBuffer", id="minibatch_out_dict"),
+                 "'out' must be an intact nn.Layout", id="minibatch_out_dict"),
     pytest.param(lambda s, dim: model_mod.minibatch_loss_and_grads(
         s.params, s.config, s.candidates, np.zeros((1, dim)), [GRAPH], [None],
-        out=nn.GradBuffer({"w": np.zeros(2)})),
-                 "'out' must be a GradBuffer laid out", id="minibatch_out_other_layout"),
+        out=nn.Layout([("w", (2,))])),
+                 "'out' must be an intact nn.Layout of the parameters' names and shapes",
+                 id="minibatch_out_other_layout"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim + 1, 0.0),
                  "noise rows of dim", id="loss_wrong_dim_noise"),
     pytest.param(lambda s, dim: _loss_with_noise(s, dim, np.nan),

@@ -3,6 +3,7 @@ finite differences before anything composite is trusted."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -54,10 +55,6 @@ def where_sigmoid(x):
     return y
 
 
-def ref_sigmoid_backward(y, grad_out):
-    return grad_out * y * (1.0 - y)
-
-
 def signed_samples(rng, shape, scale):
     """Normal draws of ``scale`` with every tenth entry a signed zero."""
     x = rng.normal(0.0, scale, size=shape)
@@ -70,16 +67,16 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def test_sigmoid_and_backward_match_out_of_place_forms_bit_for_bit():
+def test_sigmoid_matches_out_of_place_form_bit_for_bit():
     rng = nn.make_rng(1)
     for shape in ((0,), (1,), (7,), (5, 384), (420, 3)):
         x = signed_samples(rng, shape, 200.0)
         x.flat[1::7] = np.clip(x.flat[1::7] * 4.0, -700.0, 700.0)
-        y = nn.sigmoid(x)
-        assert np.array_equal(bits(y), bits(where_sigmoid(x))), shape
-        grad = signed_samples(rng, shape, 3.0)
-        assert np.array_equal(bits(nn.sigmoid_backward(y, grad)),
-                              bits(ref_sigmoid_backward(y, grad))), shape
+        assert np.array_equal(bits(nn.sigmoid(x)), bits(where_sigmoid(x))), shape
+
+
+def zeros_like(params):
+    return {name: np.zeros_like(p) for name, p in params.items()}
 
 
 def test_relu_backward_gates_on_input_sign():
@@ -111,7 +108,7 @@ def test_affine_backward_matches_fd():
         def loss_fn(p):
             return float(np.sum(nn.affine(p, "lin", x) * v))
 
-        grads = nn.GradBuffer(params)
+        grads = zeros_like(params)
         dx = nn.affine_backward(params, "lin", x, v, grads)
         report = finite_diff_check(loss_fn, params, grads)
         assert report.max_rel_err < 1e-7
@@ -145,7 +142,7 @@ def test_gru_backward_matches_fd():
         return float(h_next @ v)
 
     _, cache = nn.gru_step(params, "g", x, params["h"])
-    grads = nn.GradBuffer(params)
+    grads = zeros_like(params)
     grads["h"] = nn.gru_backward(params, "g", cache, v, grads)
     report = finite_diff_check(loss_fn, params, grads)
     assert report.max_rel_err < 1e-6, report
@@ -167,16 +164,16 @@ def test_gate_is_gru_from_zero_state():
     x = rng.normal(size=dim)
     v = rng.normal(size=dim)
     ref_y, ref_cache = nn.gru_step(params, "g", x, np.zeros(dim))
-    ref_grads = nn.GradBuffer(params)
+    ref_grads = zeros_like(params)
     nn.gru_backward(params, "g", ref_cache, v, ref_grads)
     y, cache = nn.gate_step(params, "g", x)
-    grads = nn.GradBuffer(params)
+    grads = zeros_like(params)
     nn.gate_backward(params, "g", cache, v, grads)
     assert np.array_equal(y, ref_y)
-    assert list(grads) == [f"g.{k}" for k in ("wn", "bn", "wz", "bz")]
     for name, g in ref_grads.items():
-        expected = grads.get(name, np.zeros_like(g))
-        assert np.array_equal(g, expected), name
+        assert np.array_equal(g, grads[name]), name
+    gru_only = [f"g.{k}" for k in nn.GRU_SUFFIXES if k not in nn.GATE_SUFFIXES]
+    assert not any(grads[name].any() or ref_grads[name].any() for name in gru_only)
 
 
 def test_gate_backward_matches_fd():
@@ -193,18 +190,15 @@ def test_gate_backward_matches_fd():
             return float(np.sum(y * v))
 
         _, cache = nn.gate_step(params, "g", params["x"])
-        grads = nn.GradBuffer(params)
+        grads = zeros_like(params)
         grads["x"] = nn.gate_backward(params, "g", cache, v, grads)
         report = finite_diff_check(loss_fn, params, grads)
         assert report.max_rel_err < 1e-6, report
 
 
-def ref_adamw_step(params, grads, state, *, lr, weight_decay=0.0, clip_norm=None):
-    """The per-tensor ``adamw_step`` body from before the flat update."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+def ref_adamw_step(params, grads, state, *, norm, lr, weight_decay=0.0, clip_norm=None):
+    """The per-tensor ``adamw_step`` body from before the flat update, given
+    the pre-clip ``norm``; a missing gradient counts as zero."""
     scale = 1.0
     if clip_norm is not None and norm > clip_norm > 0.0:
         scale = clip_norm / norm
@@ -222,7 +216,15 @@ def ref_adamw_step(params, grads, state, *, lr, weight_decay=0.0, clip_norm=None
         v += (1.0 - nn.ADAM_BETA2) * (g * g)
         update = (m / bias1) / (np.sqrt(v / bias2) + nn.ADAM_EPS)
         p -= lr * (update + weight_decay * p)
-    return norm
+
+
+def ref_grad_norm(vector):
+    """The norm's summation rule: the squares of each ``ADAMW_CHUNK`` slice
+    summed by ``np.sum``, the slices' sums added in vector order."""
+    total = 0.0
+    for start in range(0, vector.size, nn.ADAMW_CHUNK):
+        total += float(np.sum(vector[start : start + nn.ADAMW_CHUNK] ** 2))
+    return math.sqrt(total)
 
 
 # Larger than one AdamW chunk, so the flat update crosses chunk bounds
@@ -231,43 +233,49 @@ ADAM_LAYOUT = [("w1", (150, 130)), ("b1", (130,)), ("w2", (3, 7)), ("e", (1,)),
                ("w3", (20, 30))]
 
 
+def test_global_grad_norm_sums_chunk_by_chunk():
+    grads = nn.Layout(ADAM_LAYOUT)
+    assert grads.vector.size > nn.ADAMW_CHUNK
+    grads.vector[...] = signed_samples(nn.make_rng(6), grads.vector.shape, 1e3)
+    norm = nn.global_grad_norm(grads)
+    assert norm == ref_grad_norm(grads.vector)
+    exact = math.sqrt(math.fsum(float(x) ** 2 for x in grads.vector))
+    assert abs(norm - exact) <= 1e-15 * exact
+    assert nn.global_grad_norm(nn.Layout([])) == 0.0
+
+
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "dicts"])
 @pytest.mark.parametrize("clip_norm, weight_decay", [(None, 0.0), (1e9, 1e-2), (0.5, 1e-2)],
                          ids=["plain", "decay", "clipped"])
 def test_adamw_matches_per_tensor_reference_bit_for_bit(flat, clip_norm, weight_decay):
-    """Three steps against the per-tensor reference. The gradient is written
-    in a backward pass's order, not the layout's, "b1" is missing, and the
-    reference gets its tensors in that written order, as the norm sums them."""
+    """Three steps against the per-tensor reference, given the norm of the
+    chunk-order rule. The gradient is written as one vector, or from a dict
+    of tensors in a backward pass's order, not the layout's; "b1" is never
+    written."""
     rng = nn.make_rng(7)
     written = ["w3", "e", "w1", "w2"]
-    if flat:
-        params = nn.Layout(ADAM_LAYOUT)
-        for p in params.values():
-            p[...] = signed_samples(rng, p.shape, 1.0)
-        state = nn.OptimizerState.for_params(params)
-    else:
-        params = {name: signed_samples(rng, shape, 1.0) for name, shape in ADAM_LAYOUT}
-        state = nn.OptimizerState(m={k: np.zeros_like(p) for k, p in params.items()},
-                                  v={k: np.zeros_like(p) for k, p in params.items()})
+    params = nn.Layout(ADAM_LAYOUT)
+    for p in params.values():
+        p[...] = signed_samples(rng, p.shape, 1.0)
+    state = nn.OptimizerState.for_params(params)
     ref_params = {k: p.copy() for k, p in params.items()}
     ref_state = nn.OptimizerState(m={k: m.copy() for k, m in state.m.items()},
                                   v={k: v.copy() for k, v in state.v.items()})
-    grads = nn.GradBuffer(params) if flat else {}
+    grads = nn.Layout(params.shapes)
     for step in range(3):
         values = {name: signed_samples(rng, params[name].shape, 10.0 ** step) for name in written}
         if flat:
-            grads.zero()
+            grads.vector[...] = np.concatenate([values.get(name, np.zeros(shape)).ravel()
+                                                for name, shape in ADAM_LAYOUT])
+        else:
+            grads.vector.fill(0.0)
             for name in written:
                 nn.accumulate(grads, name, values[name])
-            assert list(grads) == written
-            assert nn._flat_operands(params, grads, state) is not None
-        else:
-            grads = {name: values[name].copy() for name in written}
         norm = nn.adamw_step(params, grads, state, lr=1e-2, weight_decay=weight_decay,
                              clip_norm=clip_norm)
-        want = ref_adamw_step(ref_params, values, ref_state, lr=1e-2,
-                              weight_decay=weight_decay, clip_norm=clip_norm)
-        assert norm == want
+        assert norm == ref_grad_norm(grads.vector)
+        ref_adamw_step(ref_params, values, ref_state, norm=norm, lr=1e-2,
+                       weight_decay=weight_decay, clip_norm=clip_norm)
         assert (clip_norm is not None and norm > clip_norm) == (clip_norm == 0.5)
         for name, _ in ADAM_LAYOUT:
             for got, ref in ((params, ref_params), (state.m, ref_state.m),
@@ -276,20 +284,42 @@ def test_adamw_matches_per_tensor_reference_bit_for_bit(flat, clip_norm, weight_
     assert state.step == ref_state.step == 3
 
 
+def laid_out(**tensors):
+    """A :class:`nn.Layout` holding ``tensors``, in keyword order."""
+    table = nn.Layout((name, np.shape(value)) for name, value in tensors.items())
+    for name, value in tensors.items():
+        table[name][...] = value
+    return table
+
+
+def test_adamw_refuses_operands_that_are_not_one_layout():
+    params = laid_out(w=np.ones(2))
+    state = nn.OptimizerState.for_params(params)
+    grads = nn.Layout(params.shapes)
+    replaced = nn.Layout(params.shapes)
+    replaced["w"] = np.zeros(2)  # no longer a view of its vector
+    for args in (({"w": np.ones(2)}, grads, state), (params, {"w": np.zeros(2)}, state),
+                 (params, replaced, state),
+                 (params, grads, nn.OptimizerState(m={"w": np.zeros(2)}, v=state.v))):
+        with pytest.raises(ValidationError, match="init_params.*nn.Layout.*for_params"):
+            nn.adamw_step(*args, lr=0.1)
+    assert state.step == 0 and np.array_equal(params["w"], np.ones(2))
+
+
 def test_adamw_weight_decay_is_decoupled():
-    params = {"w": np.full(3, 2.0)}
+    params = laid_out(w=np.full(3, 2.0))
     state = nn.OptimizerState.for_params(params)
     # Zero gradient: the only movement comes from decay, lr * wd * p.
-    nn.adamw_step(params, {"w": np.zeros(3)}, state,
+    nn.adamw_step(params, nn.Layout(params.shapes), state,
                   lr=0.1, weight_decay=0.5, clip_norm=None)
     assert np.allclose(params["w"], 2.0 - 0.1 * 0.5 * 2.0)
     assert state.step == 1
 
 
 def test_adamw_global_clip_rescales_jointly():
-    params = {"a": np.zeros(4), "b": np.zeros(3)}
+    params = laid_out(a=np.zeros(4), b=np.zeros(3))
     state = nn.OptimizerState.for_params(params)
-    grads = {"a": np.full(4, 100.0), "b": np.full(3, 100.0)}
+    grads = laid_out(a=np.full(4, 100.0), b=np.full(3, 100.0))
     pre_norm = nn.global_grad_norm(grads)
     returned = nn.adamw_step(params, grads, state, lr=0.0, clip_norm=1.0)
     assert returned == pytest.approx(pre_norm)
@@ -300,18 +330,22 @@ def test_adamw_global_clip_rescales_jointly():
 
 
 def test_adamw_rejects_nonfinite_gradient():
-    params = {"layer.w": np.zeros(2)}
+    """The message names the first tensor with a non-finite entry."""
+    params = laid_out(**{"layer.b": np.zeros(3), "layer.w": np.zeros(2), "out.w": np.zeros(2)})
     state = nn.OptimizerState.for_params(params)
-    bad = {"layer.w": np.array([1.0, np.nan])}
-    with pytest.raises(ValidationError, match="layer.w"):
-        nn.adamw_step(params, bad, state, lr=0.1)
+    grads = nn.Layout(params.shapes)
+    for bad in (np.nan, np.inf, -np.inf):
+        grads["layer.w"][1] = grads["out.w"][0] = bad
+        with pytest.raises(ValidationError, match="entries for 'layer.w' hold NaN or infinite"):
+            nn.adamw_step(params, grads, state, lr=0.1)
+    assert state.step == 0 and not params.vector.any()
 
 
 def test_adamw_rejects_unknown_parameter():
-    params = {"w": np.zeros(2)}
+    params = laid_out(w=np.zeros(2))
     state = nn.OptimizerState.for_params(params)
-    with pytest.raises(ValidationError, match="mystery"):
-        nn.adamw_step(params, {"mystery": np.zeros(2)}, state, lr=0.1)
+    with pytest.raises(ValidationError, match="of the same shapes"):
+        nn.adamw_step(params, nn.Layout([("mystery", (2,))]), state, lr=0.1)
 
 
 def test_finite_diff_check_on_quadratic():
@@ -327,13 +361,12 @@ def test_finite_diff_check_on_quadratic():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = nn.make_rng(9)
-    params = {
-        "enc.w": rng.normal(size=(4, 7)),
-        "enc.b": rng.normal(size=4),
-    }
+    params = nn.Layout([("enc.w", (4, 7)), ("enc.b", (4,))])
+    params.vector[...] = rng.normal(size=params.vector.size)
     state = nn.OptimizerState.for_params(params)
-    nn.adamw_step(params, {k: rng.normal(size=v.shape) for k, v in params.items()},
-                  state, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
+    grads = nn.Layout(params.shapes)
+    grads.vector[...] = rng.normal(size=grads.vector.size)
+    nn.adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
     config = {"dim": 7, "note": "roundtrip"}
     path = tmp_path / "model.npz"
     nn.save_checkpoint(path, params, config, state)

@@ -196,7 +196,7 @@ def ref_loss_and_grads(params, config, candidates, task_vec, graph, noise):
         n_group_sites=len(group_sites), n_edge_sites=len(edge_sites),
     )
 
-    grads = nn.GradBuffer(params)
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
     d_fused_acc = [np.zeros(dim) for _ in group_sites]
     d_state_acc = [np.zeros(dim) for _ in range(n + 1)]
     dz = np.zeros(dim)
@@ -418,7 +418,7 @@ def assert_minibatch_matches_reference(params, config, candidates, task_vecs, gr
         params, config, candidates, task_vecs, graphs, noises
     )
     assert len(breakdowns) == len(graphs)
-    ref_grads = nn.GradBuffer(params)
+    ref_grads = {name: np.zeros_like(p) for name, p in params.items()}
     for b, (task_vec, graph, noise) in enumerate(zip(task_vecs, graphs, noises)):
         want, want_grads = ref_loss_and_grads(params, config, candidates, task_vec, graph, noise)
         assert_breakdown_matches(breakdowns[b], want, (label, b))
