@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BackendError, ValidationError
-from .graph import GroupPool, check_array, check_int, check_items, check_pool
+from .graph import GroupPool, check_array, check_int, check_items, check_type
 from .harness import HttpEndpoint
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -103,4 +103,4 @@ def build_candidate_matrix(provider: EmbeddingProvider, pool: GroupPool) -> np.n
     """Embed every group's canonical text: one row per group, in pool order.
     The model appends its learnable STOP row when it scores them. ValidationError
     unless ``pool`` is a GroupPool."""
-    return provider.encode([g.text() for g in check_pool(pool)])
+    return provider.encode([g.text() for g in check_type(pool, GroupPool, "pool")])

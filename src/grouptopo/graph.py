@@ -152,13 +152,21 @@ def check_int(value, name: str, low: int = 0, high: int | None = None) -> int:
     return int(value)
 
 
+def check_type(value, kind: type | tuple[type, ...], name: str, what: str | None = None):
+    """``value``; ValidationError (``'<name>' must be <what>, got <value>``, ``what``
+    "a <kind's name>" by default) unless it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"'{name}' must be {what or 'a ' + kind.__name__}, got {value!r}")
+    return value
+
+
 def check_fields(record, ints: dict[str, int] | None = None, numbers: Iterable[str] = (),
                  bools: Iterable[str] = (), strs: Iterable[str] = ()) -> None:
     """Raise ValidationError, naming the field and its value, unless each of
     ``ints`` passes :func:`check_int` with its minimum, each of ``numbers`` is a
-    finite number >= 0, each of ``bools`` a bool and each of ``strs`` a string
-    (NumPy's scalars included; a bool is neither an integer nor a number);
-    store each as that Python scalar."""
+    finite number >= 0, and each of ``bools`` a bool and each of ``strs`` a
+    string by :func:`check_type` (NumPy's scalars included; a bool is neither
+    an integer nor a number); store each as that Python scalar."""
     for name, low in (ints or {}).items():
         object.__setattr__(record, name, check_int(getattr(record, name), name, low))
     for name in numbers:
@@ -170,29 +178,16 @@ def check_fields(record, ints: dict[str, int] | None = None, numbers: Iterable[s
             raise ValidationError(f"'{name}' must be a finite number >= 0, got {value!r}")
         object.__setattr__(record, name, float(value))
     for name in bools:
-        value = getattr(record, name)
-        if not isinstance(value, (bool, np.bool_)):
-            raise ValidationError(f"'{name}' must be true or false, got {value!r}")
+        value = check_type(getattr(record, name), (bool, np.bool_), name, "true or false")
         object.__setattr__(record, name, bool(value))
     for name in strs:
-        value = getattr(record, name)
-        if not isinstance(value, str):
-            raise ValidationError(f"'{name}' must be a string, got {value!r}")
+        value = check_type(getattr(record, name), str, name, "a string")
         object.__setattr__(record, name, str(value))
 
 
 def check_path(value, name: str) -> str:
-    """``value`` as a path string; ValidationError unless it is a str or PathLike."""
-    if not isinstance(value, (str, os.PathLike)):
-        raise ValidationError(f"'{name}' must be a path, got {value!r}")
-    return os.fspath(value)
-
-
-def check_pool(value) -> GroupPool:
-    """``value``; ValidationError unless it is a GroupPool."""
-    if not isinstance(value, GroupPool):
-        raise ValidationError(f"'pool' must be a GroupPool, got {value!r}")
-    return value
+    """``value`` as a path string; :func:`check_type` refuses all but a str or PathLike."""
+    return os.fspath(check_type(value, (str, os.PathLike), name, "a path"))
 
 
 def check_array(value, shape: tuple[int, ...], name: str, need: str) -> np.ndarray:
@@ -254,8 +249,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         check_fields(self, strs=("query",))
-        if not isinstance(self.graph, GroupGraph):
-            raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
+        check_type(self.graph, GroupGraph, "graph")
 
 
 def check_items(value, kind: type, name: str) -> tuple:
@@ -310,9 +304,7 @@ def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> N
     """Check that ``graph`` can run: a :class:`GroupGraph` that passes
     :func:`check_graph_shape` (budget and pool range), with an incoming edge for
     every step after the first."""
-    if not isinstance(graph, GroupGraph):
-        raise ValidationError(f"'graph' must be a GroupGraph, got {graph!r}")
-    check_graph_shape(graph, pool_size, max_steps)
+    check_graph_shape(check_type(graph, GroupGraph, "graph"), pool_size, max_steps)
     missing = set(range(1, graph.n_steps)) - {t for _, t in graph.edges}
     if missing:
         raise ValidationError(f"step {min(missing)} has no incoming edge")
@@ -416,7 +408,7 @@ def materialize_agent_graph(
     """
     if mode not in ("composite", "expanded"):
         raise ValidationError(f"unknown execution mode '{mode}'")
-    validate_group_graph(graph, check_pool(pool).size, max_steps=sys.maxsize)  # no step budget
+    validate_group_graph(graph, check_type(pool, GroupPool, "pool").size, max_steps=sys.maxsize)
     if graph.n_steps == 0:
         raise ValidationError("cannot materialize an empty graph")
 
@@ -453,7 +445,7 @@ def materialize_agent_graph(
 
 def render_diagram(graph: GroupGraph, pool: GroupPool) -> str:
     """Static text description of a group graph (nodes, then edges)."""
-    validate_group_graph(graph, check_pool(pool).size, max_steps=sys.maxsize)  # no step budget
+    validate_group_graph(graph, check_type(pool, GroupPool, "pool").size, max_steps=sys.maxsize)
     lines = []
     for t, gid in enumerate(graph.selected):
         group = pool[gid]

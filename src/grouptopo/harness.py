@@ -26,6 +26,7 @@ from .graph import (
     check_fields,
     check_int,
     check_items,
+    check_type,
     materialize_agent_graph,
     to_record,
 )
@@ -43,9 +44,7 @@ def count_tokens(text: str) -> int:
     characters. Empty or all-whitespace text counts as zero. ValidationError
     unless ``text`` is a string.
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"'text' must be a string, got {text!r}")
-    words = text.split()
+    words = check_type(text, str, "text", "a string").split()
     chars = sum(map(len, words))
     return math.ceil((len(words) + math.ceil(chars / 4)) / 2)
 
@@ -92,8 +91,8 @@ CORRUPTION = "CORRUPTED-RESULT"
 class AnswerKeyBackend:
     """Scripted solver that answers queries from a fixed key.
 
-    The query is read from the ``Task: <query>`` line that :func:`run_graph`
-    puts first in every user prompt, and must match a key exactly.
+    The query is read from the ``Task: <query>`` line that :func:`run_graph` puts first
+    in every user prompt and must match a key exactly; ``answers`` holds only strings.
 
     A node whose system prompt starts with the line ``marker``, as an attack
     with that text makes its target's, is compromised and replies with
@@ -102,9 +101,8 @@ class AnswerKeyBackend:
     """
 
     def __init__(self, answers: Mapping[str, str], marker: str | None = None):
-        if not isinstance(answers, Mapping):
-            raise ValidationError(f"'answers' must be a mapping, got {answers!r}")
-        self.answers = dict(answers)
+        self.answers = dict(check_type(answers, Mapping, "answers", "a mapping"))
+        check_items([*self.answers, *self.answers.values()], str, "answers")
         self.marker = marker
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
@@ -488,13 +486,10 @@ def _run_all(
     Raises ValidationError, before any call, unless each run pairs an AgentGraph
     with a string query and ``attack`` is an AttackSpec or None."""
     rounds = check_int(rounds, "rounds", 1)
-    if not (attack is None or isinstance(attack, AttackSpec)):
-        raise ValidationError(f"'attack' must be an AttackSpec or None, got {attack!r}")
+    check_type(attack, (AttackSpec, type(None)), "attack", "an AttackSpec or None")
     for agent_graph, query in runs:
-        if not isinstance(agent_graph, AgentGraph):
-            raise ValidationError(f"'agent_graph' must be an AgentGraph, got {agent_graph!r}")
-        if not isinstance(query, str):
-            raise ValidationError(f"'query' must be a string, got {query!r}")
+        check_type(agent_graph, AgentGraph, "agent_graph", "an AgentGraph")
+        check_type(query, str, "query", "a string")
     return _Schedule(runs, backend, rounds, attack).run()
 
 
@@ -561,11 +556,8 @@ def answer_matches(expected: str, got: str, rule: str = "auto") -> bool:
     """Whether the reply ``got`` matches ``expected`` under ``rule`` (see
     :class:`EvalExample`). ValidationError unless both are strings and the rule
     is known."""
-    for name, text in (("expected", expected), ("got", got)):
-        if not isinstance(text, str):
-            raise ValidationError(f"'{name}' must be a string, got {text!r}")
-    expected = expected.strip()
-    got = got.strip()
+    expected = check_type(expected, str, "expected", "a string").strip()
+    got = check_type(got, str, "got", "a string").strip()
     if rule == "auto":
         try:
             float(expected)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .graph import (
     check_graph_shape,
     check_int,
     check_items,
+    check_type,
     record_field,
 )
 from .nn import Grads, Params, accumulate, make_rng
@@ -69,8 +70,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        if not isinstance(data, dict):
-            raise ValidationError(f"model config must be an object, got {data!r}")
+        check_type(data, dict, "data", "an object")
         return cls(**{
             f.name: record_field(data, f.name, float if f.type == "float" else int)
             for f in dataclasses.fields(cls)
@@ -113,9 +113,7 @@ def init_params(config: ModelConfig) -> Params:
     scale 1/sqrt(fan_in); biases start at zero. ValidationError unless
     ``config`` is a ModelConfig.
     """
-    if not isinstance(config, ModelConfig):
-        raise ValidationError(f"'config' must be a ModelConfig, got {config!r}")
-    rng = make_rng(config.seed)
+    rng = make_rng(check_type(config, ModelConfig, "config").seed)
     p = nn.Layout(_draw_order(config))
     for name, shape in _draw_order(config):
         if len(shape) == 2 or name == "end_embed":
@@ -124,34 +122,42 @@ def init_params(config: ModelConfig) -> Params:
 
 
 def check_params(params: Params, config: ModelConfig) -> Params:
-    """``params`` checked through :func:`~grouptopo.graph.check_array`, as views
-    of one float64 vector in :func:`_draw_order`; ValidationError, listing
-    every mismatch, unless the names and shapes are ``config``'s.
-
-    An intact :class:`~grouptopo.nn.Layout` in that order, as
-    :func:`init_params` gives it, comes back as it is, so training it updates
-    the caller's arrays in place. Any other dict, one of separate float64
-    arrays included, is copied into a new layout, and the caller's arrays
-    are left as they are.
-    """
-    order, checked, wrong = _draw_order(config), {}, []
-    expected = dict(order)
-    for name, shape in {**dict.fromkeys(params), **expected}.items():
-        need = f"{name} of shape {shape}" if shape else f"no {name}"  # None fits no array
-        try:
-            if name not in params:
-                raise ValidationError(f"need {need}; got none")
-            checked[name] = check_array(params[name], shape, f"{name} entries", need)
-        except ValidationError as exc:
-            wrong.append(str(exc))
-    if wrong:
-        raise ValidationError("parameters do not match the model config: " + ", ".join(wrong))
-    if isinstance(params, nn.Layout) and params.intact and params.shapes == tuple(order):
+    """``params``, each entry checked through :func:`~grouptopo.graph.check_array`
+    by :func:`_check_entries`, as views of one float64 vector in
+    :func:`_draw_order`. An intact :class:`~grouptopo.nn.Layout` in that order,
+    as :func:`init_params` gives it, comes back as it is, so training it
+    updates the caller's arrays in place. Any other mapping is copied into a
+    new layout, and the caller's arrays are left as they are."""
+    order, checked = _check_entries(params, config, check_array)
+    if nn.Layout.fits(params, order):
         return params
     laid_out = nn.Layout(order)
     for name, tensor in laid_out.items():
         tensor[...] = checked[name]
     return laid_out
+
+
+def _check_entries(params: Params, config: ModelConfig, check=None) -> tuple[list, dict]:
+    """``config``'s :func:`_draw_order` and each entry of ``params`` as ``check(value, shape,
+    name, need)`` returns it, or without ``check`` its array shape alone, reading no value;
+    ValidationError, listing every mismatch, unless ``params`` maps exactly those names."""
+    order, checked, wrong = _draw_order(check_type(config, ModelConfig, "config")), {}, []
+    expected = dict(order)
+    for name, shape in {**dict.fromkeys(check_type(params, Mapping, "params", "a mapping")),
+                        **expected}.items():
+        need = f"{name} of shape {shape}" if shape else f"no {name}"  # None fits no array
+        try:
+            if name not in params:
+                raise ValidationError(f"need {need}; got none")
+            if check:
+                checked[name] = check(params[name], shape, f"{name} entries", need)
+            elif (found := getattr(params[name], "shape", None)) != shape:
+                raise ValidationError(f"need {need}; got {name} entries of shape {found}")
+        except ValidationError as exc:
+            wrong.append(str(exc))
+    if wrong:
+        raise ValidationError("parameters do not match the model config: " + ", ".join(wrong))
+    return order, checked
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +498,10 @@ def generate_graphs(
 
     ``forced_steps`` suppresses STOP and runs exactly that many steps, at
     most ``config.max_steps`` (the rows of the step-embedding table).
-    ``seeds`` is an ordered sequence of integers >= 0 (:func:`check_items`,
-    so not a set), and ValidationError is raised for anything else.
+    ``seeds`` is an ordered sequence of integers >= 0, not a set, ``config`` a
+    ModelConfig and ``params`` of its names and shapes, or ValidationError is raised.
     """
+    _check_entries(params, config)
     seeds = [check_int(seed, "seeds") for seed in check_items(seeds, object, "seeds")]
     task_vecs = check_array(task_vecs, (len(seeds), config.dim), "task rows",
                             f"one task row per seed, of dim {config.dim}")
@@ -532,7 +539,7 @@ def generate_graph(
     *,
     forced_steps: int | None = None,
 ) -> GroupGraph:
-    """Sample one group graph: :func:`generate_graphs` on a batch of one."""
+    """Sample one group graph: :func:`generate_graphs`, with its checks, on a batch of one."""
     return generate_graphs(
         params, config, candidates, [task_vec], [seed],
         forced_steps=forced_steps,
@@ -550,7 +557,7 @@ def graph_log_likelihood(
     task_vec: np.ndarray,
     graph: GroupGraph,
 ) -> float:
-    """Log probability of ``graph`` under mean-latent decoding.
+    """Log probability of ``graph`` under mean-latent decoding; checks as :func:`loss_and_grads`.
 
     Sums the log of each step's selection probability and of every pairwise
     edge decision (presence or absence). A STOP factor applies only when the
@@ -621,7 +628,7 @@ def loss_and_grads(
     latent posteriors and the task-conditioned priors, weighted by the
     config's betas. ``noise`` holds one row per site (see
     :func:`trajectory_noise`); without it, the posterior means are used. This
-    is :func:`minibatch_loss_and_grads` on a minibatch of one.
+    is :func:`minibatch_loss_and_grads`, with its checks, on a minibatch of one.
     """
     breakdowns, grads = minibatch_loss_and_grads(
         params, config, candidates, [task_vec], [graph], [noise], compute_grads=compute_grads
@@ -685,11 +692,13 @@ def minibatch_loss_and_grads(
     prior and task gradient back into its trajectory.
 
     The gradient is added into ``out``, an intact :class:`~grouptopo.nn.Layout`
-    of ``params``' names and shapes that the caller zeroes, and ``out`` is
-    returned; without one, a fresh zeroed layout is. Either way it lists every
+    of the parameters in :func:`_draw_order` that the caller zeroes, and ``out``
+    is returned; without one, a fresh zeroed layout is. Either way it lists every
     tensor, zero where the pass wrote nothing. With ``compute_grads=False`` the
-    gradient is an empty dict and ``out`` is left alone.
+    gradient is an empty dict and ``out`` is left alone. Any other argument, such as
+    ``params`` without ``config``'s names and shapes, raises ValidationError first.
     """
+    order, _ = _check_entries(params, config)
     d = config.dim
     graphs = check_items(graphs, GroupGraph, "graphs")
     noises = check_items(noises, object, "noises")
@@ -701,9 +710,7 @@ def minibatch_loss_and_grads(
         )
     task_vecs = check_array(task_vecs, (batch, d), "task rows",
                             f"a task row of dim {d} per graph")
-    shapes = tuple((name, np.shape(p)) for name, p in params.items())
-    if out is not None and not (isinstance(out, nn.Layout) and out.intact
-                                and out.shapes == shapes):
+    if out is not None and not nn.Layout.fits(out, order):
         raise ValidationError(f"'out' must be an intact nn.Layout of the parameters' names "
                               f"and shapes, got {type(out).__name__}")
     for graph in graphs:
@@ -780,7 +787,7 @@ def minibatch_loss_and_grads(
     if not compute_grads:
         return breakdowns, {}
 
-    grads = nn.Layout(shapes) if out is None else out
+    grads = nn.Layout(order) if out is None else out
     # Group sites. The STOP row of the scoring matrix is the learnable end_embed.
     d_logits = probs.copy()
     d_logits[g_rows, targets] -= 1.0

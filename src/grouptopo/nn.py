@@ -19,12 +19,13 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_fields, check_int, check_path
+from .graph import atomic_write, check_fields, check_int, check_path, check_type
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -58,8 +59,8 @@ class Layout(dict):
     """Named float64 tensors, zeroed, as consecutive views of one vector.
 
     ``shapes`` lists each tensor's name and shape in vector order. The vector
-    backs the dict while it holds exactly its own views in that order
-    (:attr:`intact`); an entry replaced, added or removed, or a deep copy,
+    backs the dict while it holds exactly its own views in that order, intact
+    (:meth:`fits`); an entry replaced, added or removed, or a deep copy,
     leaves a plain dict of arrays, which :func:`adamw_step` refuses.
     """
 
@@ -74,10 +75,13 @@ class Layout(dict):
             start += size
         self._views = tuple(self.values())
 
-    @property
-    def intact(self) -> bool:
-        return len(self) == len(self._views) and all(
-            a is b and a.base is self.vector for a, b in zip(self.values(), self._views))
+    @staticmethod
+    def fits(value, shapes: Iterable[tuple[str, tuple[int, ...]]]) -> bool:
+        """Whether ``value`` is an intact layout of these names and shapes."""
+        if not (isinstance(value, Layout) and value.shapes == tuple(shapes)):
+            return False
+        return len(value) == len(value._views) and all(
+            a is b and a.base is value.vector for a, b in zip(value.values(), value._views))
 
 
 def accumulate(grads: Grads, name: str, value: np.ndarray) -> None:
@@ -340,24 +344,27 @@ def adamw_step(
     vectors in chunks of ``ADAMW_CHUNK`` elements with two scratch arrays.
 
     Raises:
-        ValidationError: if the operands are not such layouts, a gradient
-            entry is NaN or infinite, or a gradient or moment is so large that
-            the update overflows.
+        ValidationError: before any update, if ``state`` is not an OptimizerState, the
+            operands are not such layouts, ``lr``, ``weight_decay`` or ``clip_norm`` (or
+            None) is not a finite number >= 0, as in ``TrainConfig``, or a gradient entry
+            is NaN or infinite; or if a gradient or moment is so large that the update overflows.
     """
+    check_type(state, OptimizerState, "state", "an OptimizerState")
     tables = (params, grads, state.m, state.v)
-    if not all(isinstance(t, Layout) and t.intact and t.shapes == params.shapes
-               for t in tables):
+    if not all(Layout.fits(t, getattr(params, "shapes", ())) for t in tables):
         raise ValidationError(
             "adamw_step takes 'params', 'grads', 'state.m' and 'state.v' as intact "
             "nn.Layout dicts of the same shapes, as init_params, nn.Layout(params.shapes) "
             "and OptimizerState.for_params make them")
+    scalars = SimpleNamespace(lr=lr, weight_decay=weight_decay,
+                              clip_norm=0.0 if clip_norm is None else clip_norm)
+    check_fields(scalars, numbers=("lr", "weight_decay", "clip_norm"))
+    lr, weight_decay, clip_norm = scalars.lr, scalars.weight_decay, scalars.clip_norm
     norm = global_grad_norm(grads)
     if not math.isfinite(norm):  # finite entries give a finite norm or overflow
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise ValidationError(f"gradient entries for '{name}' hold NaN or infinite values")
-    scale = 1.0
-    if clip_norm is not None and norm > clip_norm > 0.0:
-        scale = clip_norm / norm
+    scale = clip_norm / norm if norm > clip_norm > 0.0 else 1.0  # 0.0 clips nothing, as None
 
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1**state.step
@@ -397,13 +404,13 @@ def save_checkpoint(
     config: Mapping[str, object],
     opt_state: OptimizerState | None = None,
 ) -> None:
-    """Write ``params``, the JSON-ready mapping ``config`` and, when given,
-    ``opt_state`` to one ``.npz`` file at ``path``, replacing it atomically.
-    ValidationError unless ``path`` is a str or PathLike and ``config`` a
-    mapping that JSON can encode."""
+    """Write the mapping ``params``, the JSON-ready mapping ``config`` and, when
+    given, the :class:`OptimizerState` ``opt_state`` to one ``.npz`` file at
+    ``path``, a str or PathLike, replacing it atomically; ValidationError otherwise."""
     path = check_path(path, "path")
-    if not isinstance(config, Mapping):
-        raise ValidationError(f"'config' must be a mapping, got {config!r}")
+    check_type(params, Mapping, "params", "a mapping")
+    check_type(config, Mapping, "config", "a mapping")
+    check_type(opt_state, (OptimizerState, type(None)), "opt_state", "an OptimizerState or None")
     try:
         config_json = json.dumps(dict(config), sort_keys=True)
     except (TypeError, ValueError) as exc:

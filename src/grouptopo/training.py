@@ -25,7 +25,7 @@ from .graph import (
     check_fields,
     check_int,
     check_items,
-    check_pool,
+    check_type,
     validate_group_graph,
 )
 from .harness import AgentBackend, EvalExample, evaluate
@@ -114,7 +114,9 @@ def train(
     dataset = check_items(dataset, Trajectory, "dataset")
     if not dataset:
         raise ValidationError("training dataset is empty")
-    if model_config.pool_size != check_pool(pool).size:
+    check_type(model_config, ModelConfig, "model_config")
+    check_type(train_config, TrainConfig, "train_config")
+    if model_config.pool_size != check_type(pool, GroupPool, "pool").size:
         raise ValidationError(
             f"model expects pool of {model_config.pool_size}, got {pool.size}"
         )
@@ -234,8 +236,7 @@ def sample_candidate_topology(
 ) -> GroupGraph:
     """Uniformly choose groups (with repeats) into a family edge template.
     ``rng`` must be a NumPy Generator, ``pool_size`` and ``n_steps`` integers >= 1."""
-    if not isinstance(rng, np.random.Generator):
-        raise ValidationError(f"'rng' must be a NumPy Generator, got {rng!r}")
+    check_type(rng, np.random.Generator, "rng", "a NumPy Generator")
     pool_size = check_int(pool_size, "pool_size", 1)
     n_steps = check_int(n_steps, "n_steps", 1)
     selected = rng.integers(0, pool_size, size=n_steps)
@@ -265,8 +266,7 @@ class ExplorationResult:
     def __post_init__(self) -> None:
         check_fields(self, ints={"prompt_tokens": 0, "completion_tokens": 0},
                      bools=("correct",), strs=("query", "answer", "family", "final_text"))
-        if not isinstance(self.graph, GroupGraph):
-            raise ValidationError(f"'graph' must be a GroupGraph, got {self.graph!r}")
+        check_type(self.graph, GroupGraph, "graph")
 
 
 def explore_and_label(
@@ -283,7 +283,8 @@ def explore_and_label(
     dataset-major, family-minor.
     """
     dataset = check_items(dataset, EvalExample, "dataset")
-    pool_size = check_pool(pool).size
+    pool_size = check_type(pool, GroupPool, "pool").size
+    check_type(config, ExplorationConfig, "config", "an ExplorationConfig")
     rng = make_rng(config.seed)
     tasks: list[tuple[EvalExample, str, GroupGraph]] = []
     for example in dataset:

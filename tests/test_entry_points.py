@@ -11,7 +11,8 @@ graph, query, attack and backend replies, ``sample_candidate_topology``,
 ``count_tokens`` and ``answer_matches`` either succeed or raise
 GroupTopoError, never a raw NumPy or Python error, and what they return is
 finite. ``NOT_SWEPT`` names each callable of the README's top-level table that
-has no bad-input case here, and why."""
+has no bad-input case here, and why, and ``test_the_type_rule_has_one_owner``
+keeps every plain type check in ``graph.check_type``."""
 
 from __future__ import annotations
 
@@ -337,7 +338,7 @@ def test_check_params_returns_checked_float64_arrays(tiny_model, edits):
         return
     # A plain dict, even of a layout's own views, is copied into a new layout.
     assert list(checked) == list(params)
-    assert isinstance(checked, gt.nn.Layout) and checked.intact
+    assert gt.nn.Layout.fits(checked, params.shapes)
     for name, value in checked.items():
         assert value.dtype == np.float64 and value.shape == params[name].shape
         assert value is not given_params[name]
@@ -369,8 +370,31 @@ def test_adamw_step_checks_each_gradient(edits):
     norm = expect_checked(lambda: gt.adamw_step(params, grads, state, lr=0.1, clip_norm=1.0))
     if norm is None:
         return
-    assert grads.intact
+    assert gt.nn.Layout.fits(grads, ADAM_SHAPES.items())
     assert finite([norm]) and finite(params.values())
+
+
+@pytest.mark.parametrize("state, scalars, message", [
+    (None, {}, "'state' must be an OptimizerState, got None"),
+    ("moments", {}, "'state' must be an OptimizerState, got 'moments'"),
+    ("fresh", {"lr": None}, "'lr' must be a finite number >= 0, got None"),
+    ("fresh", {"lr": "0.1"}, "'lr' must be a finite number >= 0, got '0.1'"),
+    ("fresh", {"weight_decay": -1.0}, "'weight_decay' must be a finite number >= 0, got -1.0"),
+    ("fresh", {"clip_norm": float("nan")}, "'clip_norm' must be a finite number >= 0, got nan"),
+    ("fresh", {"clip_norm": True}, "'clip_norm' must be a finite number >= 0, got True"),
+], ids=["state_none", "state_str", "lr_none", "lr_str", "negative_decay", "nan_clip", "bool_clip"])
+def test_adamw_step_checks_state_and_scalars_before_any_update(state, scalars, message):
+    params = gt.nn.Layout(ADAM_SHAPES.items())
+    params.vector.fill(1.0)
+    grads = gt.nn.Layout(params.shapes)
+    grads.vector.fill(0.5)
+    fresh = gt.nn.OptimizerState.for_params(params)
+    with pytest.raises(gt.ValidationError, match=message):
+        gt.adamw_step(params, grads, fresh if state == "fresh" else state,
+                      **{"lr": 0.1, **scalars})
+    assert fresh.step == 0 and not fresh.m.vector.any() and (params.vector == 1.0).all()
+    gt.adamw_step(params, grads, fresh, lr=np.float64(0.1), weight_decay=0, clip_norm=None)
+    assert fresh.step == 1 and (params.vector < 1.0).all()
 
 
 @pytest.mark.parametrize("step", ["x", -1, 1.5, True, None])
@@ -426,7 +450,7 @@ def test_train_checks_params_and_moments(tiny_model, edits, moments):
     assert finite([result.history[-1].loss]) and finite(result.params.values())
     # Separate arrays are trained as one laid-out copy; the caller's stay as given.
     for table in (result.params, result.opt_state.m, result.opt_state.v):
-        assert isinstance(table, gt.nn.Layout) and table.intact
+        assert gt.nn.Layout.fits(table, params.shapes)
     for name, value in given_params.items():
         assert result.params[name] is not value
         if name not in edits:
@@ -598,6 +622,9 @@ def test_sample_candidate_topology_checks_its_arguments(rng, pool_size, n_steps)
 
 
 EXAMPLE = gt.EvalExample("q", "a")
+TINY = gt.ModelConfig(pool_size=POOL, dim=DIM, hidden=3, max_steps=MAX_STEPS)
+TINY_PARAMS = gt.init_params(TINY)
+CANDIDATES = np.eye(POOL, DIM)
 
 
 @pytest.mark.parametrize("entry", ["GroupPool", "evaluate", "train", "curate_minimal",
@@ -715,6 +742,47 @@ def test_a_reply_that_is_not_a_backend_result_is_refused(monkeypatch, entry):
                  "'config' cannot be written as JSON", id="save_checkpoint_json"),
     pytest.param(lambda: gt.build_candidate_matrix(gt.HashingTextEmbedder(8), None),
                  "'pool' must be a GroupPool", id="build_candidate_matrix"),
+    pytest.param(lambda: gt.generate_graph({}, TINY, CANDIDATES, np.zeros(DIM)),
+                 "parameters do not match the model config: need task_ffn.l1.w",
+                 id="generate_graph_empty_params"),
+    pytest.param(lambda: gt.graph_log_likelihood({}, TINY, CANDIDATES, np.zeros(DIM), GRAPHS[1]),
+                 "parameters do not match the model config", id="graph_log_likelihood_params"),
+    pytest.param(lambda: gt.loss_and_grads(None, TINY, CANDIDATES, np.zeros(DIM), GRAPHS[1]),
+                 "'params' must be a mapping, got None", id="loss_and_grads_params"),
+    pytest.param(lambda: gt.minibatch_loss_and_grads(
+        TINY_PARAMS, None, CANDIDATES, np.zeros((1, DIM)), [GRAPHS[1]], [None]),
+                 "'config' must be a ModelConfig, got None", id="minibatch_config"),
+    pytest.param(lambda: gt.generate_graphs(TINY_PARAMS, {"dim": DIM}, CANDIDATES,
+                                            np.zeros((1, DIM)), [0]),
+                 "'config' must be a ModelConfig", id="generate_graphs_config"),
+    pytest.param(lambda: gt.generate_graphs({**TINY_PARAMS, "end_embed": np.zeros(3)}, TINY,
+                                            CANDIDATES, np.zeros((1, DIM)), [0]),
+                 r"need end_embed of shape \(4,\); got end_embed entries of shape \(3,\)",
+                 id="generate_graphs_misshaped_param"),
+    pytest.param(lambda: gt.generate_graphs({**TINY_PARAMS, "end_embed": [[0.0], [0.0, 1.0]]},
+                                            TINY, CANDIDATES, np.zeros((1, DIM)), [0]),
+                 "got end_embed entries of shape None", id="generate_graphs_list_param"),
+    pytest.param(lambda: gt.check_params(TINY_PARAMS, None), "'config' must be a ModelConfig",
+                 id="check_params_config"),
+    pytest.param(lambda: gt.check_params(None, TINY), "'params' must be a mapping",
+                 id="check_params_params"),
+    pytest.param(lambda: gt.AnswerKeyBackend({"q": 5}), "'answers' must hold str values, got 5",
+                 id="answer_key_backend_value"),
+    pytest.param(lambda: gt.AnswerKeyBackend({5: "a"}), "'answers' must hold str values, got 5",
+                 id="answer_key_backend_key"),
+    pytest.param(lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), TRAIN_SET, None,
+                                  gt.TrainConfig()),
+                 "'model_config' must be a ModelConfig, got None", id="train_model_config"),
+    pytest.param(lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), TRAIN_SET, TINY, None),
+                 "'train_config' must be a TrainConfig, got None", id="train_train_config"),
+    pytest.param(lambda: gt.explore_and_label(gt.default_pool(), [EXAMPLE],
+                                              gt.CompressiveEchoBackend(), None),
+                 "'config' must be an ExplorationConfig, got None", id="explore_and_label_config"),
+    pytest.param(lambda: gt.save_checkpoint("never-written.npz", None, {}),
+                 "'params' must be a mapping, got None", id="save_checkpoint_params"),
+    pytest.param(lambda: gt.save_checkpoint("never-written.npz", TINY_PARAMS, {}, "bad"),
+                 "'opt_state' must be an OptimizerState or None, got 'bad'",
+                 id="save_checkpoint_opt_state"),
 ])
 def test_entry_points_check_their_arguments(call, message):
     with pytest.raises(gt.ValidationError, match=message):
@@ -741,10 +809,6 @@ NOT_SWEPT = {
     "default_pool": "takes no arguments",
     "CompressiveEchoBackend": "takes no arguments",
     "HttpAgentBackend": "bad replies: tests/test_harness.py",
-    "generate_graph": "a wrapper of generate_graphs; bad inputs: tests/test_model.py",
-    "graph_log_likelihood": "a wrapper of minibatch_loss_and_grads; bad inputs: "
-                            "tests/test_model.py",
-    "loss_and_grads": "a wrapper of minibatch_loss_and_grads; bad inputs: tests/test_model.py",
 }
 
 
@@ -792,3 +856,58 @@ def test_every_top_level_callable_has_a_bad_input_case():
     assert all(reason.strip() for reason in NOT_SWEPT.values())
     assert set(NOT_SWEPT) <= callables - swept, "stale NOT_SWEPT entries"
     assert sorted(callables - swept - set(NOT_SWEPT)) == []
+
+
+# ---------------------------------------------------------------------------
+# One owner for the type rule.
+
+# The checks that keep their own ``if not isinstance(...)``, because each owns
+# a rule other than the plain ``'<name>' must be <kind>, got <value>``.
+KEPT_TYPE_CHECKS = {
+    "graph.check_items": "an ordered sequence of one kind, with its own messages for a set, "
+                         "a string and an item of another kind",
+    "graph.record_field": "the JSON type of a record key, named as a file's author reads it",
+    "graph.check_header": "file content: a record line that is not a JSON object",
+    "nn.load_checkpoint": "file content: a checkpoint without a meta/config JSON object",
+    "harness._Schedule._call": "a backend's reply, named by the method that returned it",
+}
+
+
+def hand_written_type_checks(package: pathlib.Path) -> set[str]:
+    """``<module>.<qualified name>`` of the function around each ``if`` in
+    ``package/*.py`` whose test negates an ``isinstance`` call and whose body
+    raises ValidationError."""
+    def negates_isinstance(test):
+        return any(isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                   and any(isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+                           for call in ast.walk(node.operand))
+                   for node in ast.walk(test))
+
+    def raises_validation_error(body):
+        return any(isinstance(node, ast.Raise) and node.exc is not None
+                   and ast.unparse(node.exc).startswith("ValidationError(")
+                   for statement in body for node in ast.walk(statement))
+
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*scope, child.name]
+            elif (isinstance(child, ast.If) and negates_isinstance(child.test)
+                  and raises_validation_error(child.body)):
+                found.add(".".join(scope))
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), [path.stem])
+    return found
+
+
+def test_the_type_rule_has_one_owner():
+    """Every plain type check goes through ``graph.check_type``; a hand-written
+    one fails here unless ``KEPT_TYPE_CHECKS`` gives its reason."""
+    assert all(reason.strip() for reason in KEPT_TYPE_CHECKS.values())
+    found = hand_written_type_checks(pathlib.Path(gt.__file__).parent)
+    assert found == {"graph.check_type", *KEPT_TYPE_CHECKS}

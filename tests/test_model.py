@@ -100,7 +100,7 @@ def test_params_tile_one_vector_in_draw_order():
     config = gt.ModelConfig(pool_size=3, dim=6, hidden=4, max_steps=3, seed=2)
     order = [name for name, _ in model_mod._draw_order(config)]
     params = gt.init_params(config)
-    assert isinstance(params, nn.Layout) and params.intact and list(params) == order
+    assert nn.Layout.fits(params, model_mod._draw_order(config)) and list(params) == order
     start = 0
     for name, tensor in params.items():
         assert tensor.base is params.vector and tensor.flags.c_contiguous
@@ -110,12 +110,13 @@ def test_params_tile_one_vector_in_draw_order():
     assert gt.check_params(params, config) is params
     separate = {name: params[name].copy() for name in reversed(order)}
     copied = gt.check_params(separate, config)
-    assert isinstance(copied, nn.Layout) and copied.intact and list(copied) == order
+    assert nn.Layout.fits(copied, params.shapes) and list(copied) == order
     assert all(copied[name] is not separate[name]
                and np.array_equal(copied[name], separate[name]) for name in order)
-    assert not copy.deepcopy(params).intact  # its arrays are no longer views
+    assert not nn.Layout.fits(copy.deepcopy(params), params.shapes)  # no longer views
     params["end_embed"] = params["end_embed"].copy()
-    assert not params.intact and gt.check_params(params, config) is not params
+    assert not nn.Layout.fits(params, params.shapes)
+    assert gt.check_params(params, config) is not params
 
 
 def test_check_params_names_every_mismatch():
