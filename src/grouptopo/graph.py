@@ -302,9 +302,10 @@ def check_graph_shape(graph: GroupGraph, pool_size: int, max_steps: int) -> None
 
 def validate_group_graph(graph: GroupGraph, pool_size: int, max_steps: int) -> None:
     """Check that ``graph`` can run: a :class:`GroupGraph` that passes
-    :func:`check_graph_shape` (budget and pool range), with an incoming edge for
-    every step after the first."""
-    check_graph_shape(check_type(graph, GroupGraph, "graph"), pool_size, max_steps)
+    :func:`check_graph_shape` (budget and pool range, integers >= 0 by
+    :func:`check_int`), with an incoming edge for every step after the first."""
+    check_graph_shape(check_type(graph, GroupGraph, "graph"), check_int(pool_size, "pool_size"),
+                      check_int(max_steps, "max_steps"))
     missing = set(range(1, graph.n_steps)) - {t for _, t in graph.edges}
     if missing:
         raise ValidationError(f"step {min(missing)} has no incoming edge")
@@ -669,8 +670,9 @@ def check_writable(path: str | os.PathLike) -> None:
 
 
 def write_records(path: str | os.PathLike, records: Iterable[dict]) -> None:
-    """Write records as one JSON object per line (atomic replace). A record
-    that JSON cannot encode raises ValidationError, and nothing is written."""
+    """Write ``records``, an ordered iterable of dicts, as JSON lines (atomic replace);
+    anything else, or a record JSON cannot encode, raises ValidationError; nothing is written."""
+    records = check_items(records, dict, "records")
     with atomic_write(path) as fh:
         for index, record in enumerate(records):
             try:

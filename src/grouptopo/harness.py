@@ -94,16 +94,16 @@ class AnswerKeyBackend:
     The query is read from the ``Task: <query>`` line that :func:`run_graph` puts first
     in every user prompt and must match a key exactly; ``answers`` holds only strings.
 
-    A node whose system prompt starts with the line ``marker``, as an attack
-    with that text makes its target's, is compromised and replies with
-    ``CORRUPTION``; so does a node whose user prompt holds a corrupted reply,
+    A node whose system prompt starts with the line ``marker`` (a string or
+    None), as an attack with that text makes its target's, is compromised and
+    replies with ``CORRUPTION``; so does a node whose user prompt holds a corrupted reply,
     so one poisoned system prompt taints the path to the final answer.
     """
 
     def __init__(self, answers: Mapping[str, str], marker: str | None = None):
         self.answers = dict(check_type(answers, Mapping, "answers", "a mapping"))
         check_items([*self.answers, *self.answers.values()], str, "answers")
-        self.marker = marker
+        self.marker = check_type(marker, (str, type(None)), "marker", "a string or None")
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
         if (self.marker and system.startswith(self.marker + "\n")) or CORRUPTION in user:
@@ -125,10 +125,12 @@ HTTP_BACKOFF_S = 0.5
 
 class HttpEndpoint:
     """A JSON service reached by POST, named ``name`` in error messages. URL and
-    bearer key default to the ``{env}_URL`` / ``{env}_KEY`` environment variables."""
+    bearer key (str or None) default to the ``{env}_URL`` / ``{env}_KEY`` environment variables."""
 
     def __init__(self, name: str, env: str, url=None, key=None, session=None):
         self.name = name
+        check_type(url, (str, type(None)), "url", "a string or None")
+        check_type(key, (str, type(None)), "key", "a string or None")
         self.url = url or os.environ.get(f"{env}_URL")
         key = key if key is not None else os.environ.get(f"{env}_KEY")
         self.headers = {"Authorization": f"Bearer {key}"} if key else {}
@@ -190,7 +192,7 @@ class HttpAgentBackend:
         session=None,
     ):
         self.endpoint = HttpEndpoint("agent backend", "GOA_LLM", url, key, session)
-        self.model = model
+        self.model = check_type(model, (str, type(None)), "model", "a string or None")
 
     def complete(self, system: str, user: str, *, role: str) -> BackendResult:
         payload: dict = {

@@ -699,6 +699,7 @@ def minibatch_loss_and_grads(
     ``params`` without ``config``'s names and shapes, raises ValidationError first.
     """
     order, _ = _check_entries(params, config)
+    check_type(compute_grads, (bool, np.bool_), "compute_grads", "true or false")
     d = config.dim
     graphs = check_items(graphs, GroupGraph, "graphs")
     noises = check_items(noises, object, "noises")

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import atomic_write, check_fields, check_int, check_path, check_type
+from .graph import atomic_write, check_fields, check_int, check_items, check_path, check_type
 
 Params = dict[str, np.ndarray]
 Grads = dict[str, np.ndarray]
@@ -404,11 +404,11 @@ def save_checkpoint(
     config: Mapping[str, object],
     opt_state: OptimizerState | None = None,
 ) -> None:
-    """Write the mapping ``params``, the JSON-ready mapping ``config`` and, when
-    given, the :class:`OptimizerState` ``opt_state`` to one ``.npz`` file at
+    """Write the mapping ``params`` of arrays, the JSON-ready mapping ``config`` and,
+    when given, the :class:`OptimizerState` ``opt_state`` to one ``.npz`` file at
     ``path``, a str or PathLike, replacing it atomically; ValidationError otherwise."""
     path = check_path(path, "path")
-    check_type(params, Mapping, "params", "a mapping")
+    check_items(check_type(params, Mapping, "params", "a mapping").values(), np.ndarray, "params")
     check_type(config, Mapping, "config", "a mapping")
     check_type(opt_state, (OptimizerState, type(None)), "opt_state", "an OptimizerState or None")
     try:

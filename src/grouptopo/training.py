@@ -9,8 +9,9 @@ ramp in linearly over the first warm-up epochs.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -116,6 +117,8 @@ def train(
         raise ValidationError("training dataset is empty")
     check_type(model_config, ModelConfig, "model_config")
     check_type(train_config, TrainConfig, "train_config")
+    check_type(opt_state, (OptimizerState, type(None)), "opt_state", "an OptimizerState or None")
+    check_type(callback, (Callable, type(None)), "callback", "a callable or None")
     if model_config.pool_size != check_type(pool, GroupPool, "pool").size:
         raise ValidationError(
             f"model expects pool of {model_config.pool_size}, got {pool.size}"
@@ -211,13 +214,14 @@ class ExplorationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.families = check_items(self.families, str, "families")
         if not self.families:
             raise ValidationError("families must not be empty")
         for fam in self.families:
             if fam not in TOPOLOGY_FAMILIES:
                 raise ValidationError(f"unknown topology family '{fam}'")
         ints = {"n_steps": 1, "samples_per_family": 1, "rounds": 1, "seed": 0}
-        check_fields(self, ints=ints)
+        check_fields(self, ints=ints, strs=("mode",))
 
 
 def family_edges(family: str, n_steps: int) -> tuple[tuple[int, int], ...]:

@@ -1,27 +1,25 @@
-"""Property tests for the library's entry points: given bad values of their
-documented types (ragged, NaN, infinite, huge, negative, a bool for an int,
-NumPy scalars, empty, arrays of bools, complex numbers, strings, sets or
-objects), ``GroupGraph``, the record types, ``GroupPool``, the three configs,
-``AttackSpec``, ``OptimizerState``, ``BackendResult``, ``AgentNode``,
-``AgentGraph``, ``generate_graphs``, ``minibatch_loss_and_grads``,
-``check_params``, ``adamw_step``, ``train``, the record sequences of
-``evaluate``, ``explore_and_label`` and ``curate_minimal``, ``run_graph``'s
-graph, query, attack and backend replies, ``sample_candidate_topology``,
-``make_rng``'s seed, the embedders, the graph helpers, ``init_params``,
-``count_tokens`` and ``answer_matches`` either succeed or raise
-GroupTopoError, never a raw NumPy or Python error, and what they return is
-finite. ``NOT_SWEPT`` names each callable of the README's top-level table that
-has no bad-input case here, and why, and ``test_the_type_rule_has_one_owner``
-keeps every plain type check in ``graph.check_type``."""
+"""Tests for the library's entry points. Given bad values inside their
+annotations (ragged, NaN, infinite, huge, negative, a bool for an int, NumPy
+scalars, empty, arrays of bools or complex numbers), the records, the configs,
+the model and optimizer entry points, ``train`` and ``run_graph``'s backend
+replies succeed or raise GroupTopoError, never a raw NumPy or Python error, and
+what they return is finite. Values outside the annotations are swept: each
+parameter of the README's top-level table that ``EXCLUDED`` does not name must
+refuse every value that ``outside`` derives from its annotation, and
+``test_the_type_rule_has_one_owner`` keeps each plain type check in ``graph.check_type``."""
 
 from __future__ import annotations
 
 import ast
+import collections.abc
 import dataclasses
+import inspect
 import json
 import pathlib
+import re
 import threading
-from collections.abc import Sized
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -291,8 +289,6 @@ graph_lists = st.one_of(
 @given(graphs=graph_lists, row_kind=MOSTLY_VALID,
        noise_kinds=st.lists(st.one_of(st.none(), VALID, KINDS), min_size=4, max_size=4),
        extra=st.sampled_from([0, 0, 0, 0, -1, 1, None]))
-@example(graphs=[None], row_kind=float, noise_kinds=[None] * 4, extra=0)
-@example(graphs=[GRAPHS[1]], row_kind=float, noise_kinds=[None] * 4, extra=None)
 @example(graphs=[GRAPHS[2]], row_kind=str, noise_kinds=[None] * 4, extra=0)
 @example(graphs=[GRAPHS[2]], row_kind=float, noise_kinds=[complex] * 4, extra=0)
 def test_minibatch_loss_and_grads_is_checked(tiny_model, graphs, row_kind, noise_kinds,
@@ -479,16 +475,6 @@ ROLE = gt.RoleSpec("solver", "solve it")
        texts=st.lists(strings, min_size=4, max_size=4),
        graph=st.sampled_from([GRAPHS[2], None, "0->1"]),
        roles=st.sampled_from([[ROLE], (ROLE, ROLE), "ab", 5, [None], [ROLE, "x"], ()]))
-@example(kind="RoleSpec", texts=[1, "p", "", ""], graph=GRAPHS[2], roles=[ROLE])
-@example(kind="CandidateGroup", texts=[5, "d", "", ""], graph=GRAPHS[2], roles=[ROLE])
-@example(kind="CandidateGroup", texts=["g", "d", "", ""], graph=GRAPHS[2], roles="ab")
-@example(kind="Trajectory", texts=[3, "", "", ""], graph=GRAPHS[2], roles=[ROLE])
-@example(kind="Trajectory", texts=["q", "", "", ""], graph=None, roles=[ROLE])
-@example(kind="EvalExample", texts=[1, 2, "", ""], graph=GRAPHS[2], roles=[ROLE])
-@example(kind="ExplorationResult", texts=["q", "a", "chain", None], graph=GRAPHS[2],
-         roles=[ROLE])
-@example(kind="AgentNode", texts=[None, "p", "r", ""], graph=GRAPHS[2], roles=[ROLE])
-@example(kind="AgentNode", texts=["n", 5, b"r", ""], graph=GRAPHS[2], roles=[ROLE])
 def test_record_types_check_strings_and_parts(kind, texts, graph, roles):
     record = expect_checked(lambda: BUILDERS[kind](texts, graph, roles))
     if record is None:
@@ -503,56 +489,7 @@ def test_record_types_check_strings_and_parts(kind, texts, graph, roles):
         record.text()
 
 
-@pytest.mark.parametrize("groups", [None, 5, [None], "ab", [ROLE],
-                                    [gt.default_pool()[0], "x"],
-                                    set(gt.default_pool().groups)])
-def test_group_pool_holds_candidate_groups(groups):
-    with pytest.raises(gt.ValidationError, match="'groups'"):
-        gt.GroupPool(groups)
-    assert gt.GroupPool(iter(gt.default_pool())).groups == gt.default_pool().groups
-
-
-@pytest.mark.parametrize("graphs", [None, [None], 5, "0->1", [GRAPHS[1], "x"]])
-def test_evaluate_needs_a_sequence_of_graphs(graphs):
-    dataset = [gt.EvalExample("q", "a")] * (len(graphs) if isinstance(graphs, Sized) else 1)
-    with pytest.raises(gt.ValidationError, match="graphs"):
-        gt.evaluate(dataset, graphs, gt.default_pool(), gt.CompressiveEchoBackend())
-
-
-@pytest.mark.parametrize("items", [None, 5, [None], "q", [TRAIN_SET[0], "x"]])
-@pytest.mark.parametrize("entry", ["evaluate", "train", "curate_minimal",
-                                   "explore_and_label"])
-def test_record_sequences_hold_their_record_type(entry, items):
-    calls = {
-        "evaluate": lambda: gt.evaluate(items, GRAPHS[1], gt.default_pool(),
-                                        gt.CompressiveEchoBackend()),
-        "explore_and_label": lambda: gt.explore_and_label(
-            gt.default_pool(), items, gt.CompressiveEchoBackend(), gt.ExplorationConfig()),
-        "train": lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), items,
-                                  gt.ModelConfig(pool_size=POOL, dim=DIM, hidden=4),
-                                  gt.TrainConfig(epochs=1)),
-        "curate_minimal": lambda: gt.curate_minimal(items),
-    }
-    name = "results" if entry == "curate_minimal" else "dataset"
-    with pytest.raises(gt.ValidationError, match=f"'{name}' must"):
-        calls[entry]()
-
-
-@pytest.mark.parametrize("query", [None, 5, b"q", ["q"]])
-def test_run_graph_needs_a_string_query(query):
-    calls = []
-
-    class Recording(gt.CompressiveEchoBackend):
-        def complete(self, system, user, *, role):
-            calls.append(role)
-            return super().complete(system, user, role=role)
-
-    with pytest.raises(gt.ValidationError, match="'query' must be a string"):
-        gt.run_graph(ATTACK_GRAPH, query, Recording())
-    assert calls == []
-
-
-@pytest.mark.parametrize("seed", [None, -1, True, 1.5, "3", np.int64(-2)])
+@pytest.mark.parametrize("seed", [-1, True, np.int64(-2)])
 def test_make_rng_needs_a_non_negative_integer_seed(seed):
     with pytest.raises(gt.ValidationError, match="'seed' must be an integer >= 0"):
         gt.make_rng(seed)
@@ -588,34 +525,12 @@ def test_run_graph_rejects_a_bad_reply_before_any_total(monkeypatch, reply):
     assert totals == []
 
 
-@pytest.mark.parametrize("nodes", [(None,), None, 5, [ATTACK_GRAPH.nodes[0], "x"]],
-                         ids=["holds_none", "none", "int", "holds_str"])
-def test_agent_graph_holds_agent_nodes(nodes):
-    with pytest.raises(gt.ValidationError, match="'nodes' must"):
-        gt.AgentGraph(nodes, ())
-    assert gt.AgentGraph(list(ATTACK_GRAPH.nodes), ATTACK_GRAPH.edges) == ATTACK_GRAPH
-
-
-@pytest.mark.parametrize("agent_graph, attack", [
-    (None, None), (GRAPHS[1], None), (ATTACK_GRAPH, 5), (ATTACK_GRAPH, "x"),
-], ids=["graph_none", "group_graph", "attack_int", "attack_str"])
-def test_runs_need_an_agent_graph_and_an_attack_spec(agent_graph, attack):
-    with pytest.raises(gt.ValidationError, match="'(agent_graph|attack)' must"):
-        gt.run_graph(agent_graph, "q", gt.CompressiveEchoBackend(), attack=attack)
-    if agent_graph is ATTACK_GRAPH:
-        with pytest.raises(gt.ValidationError, match="'attack' must"):
-            gt.evaluate([gt.EvalExample("q", "a")], GRAPHS[1], gt.default_pool(),
-                        gt.CompressiveEchoBackend(), attack=attack)
-
-
 @pytest.mark.parametrize("rng, pool_size, n_steps", [
     (np.random.default_rng(0), 4, 0), (np.random.default_rng(0), 4, -1),
-    (0, 4, 2), (None, 4, 2), (np.random.default_rng(0), 2.5, 2),
     (np.random.default_rng(0), 0, 2), (np.random.default_rng(0), True, 2),
-    (np.random.default_rng(0), 4, 2.0),
 ])
 def test_sample_candidate_topology_checks_its_arguments(rng, pool_size, n_steps):
-    with pytest.raises(gt.ValidationError, match="'(rng|pool_size|n_steps)' must"):
+    with pytest.raises(gt.ValidationError, match="'(pool_size|n_steps)' must"):
         gt.sample_candidate_topology(rng, pool_size, "chain", n_steps)
     graph = gt.sample_candidate_topology(np.random.default_rng(0), np.int64(4), "chain", 2)
     assert graph.n_steps == 2 and all(0 <= gid < 4 for gid in graph.selected)
@@ -625,29 +540,6 @@ EXAMPLE = gt.EvalExample("q", "a")
 TINY = gt.ModelConfig(pool_size=POOL, dim=DIM, hidden=3, max_steps=MAX_STEPS)
 TINY_PARAMS = gt.init_params(TINY)
 CANDIDATES = np.eye(POOL, DIM)
-
-
-@pytest.mark.parametrize("entry", ["GroupPool", "evaluate", "train", "curate_minimal",
-                                   "explore_and_label", "generate_graphs"])
-def test_ordered_inputs_refuse_a_set(tiny_model, entry):
-    """A set has no order, so the pool's group indices, the pairing of examples
-    with graphs or seeds with rows would depend on the string hash seed."""
-    config, params = tiny_model
-    result = gt.ExplorationResult("q", "a", GRAPHS[1], "chain", True, "a", 1, 1)
-    calls = {
-        "GroupPool": lambda: gt.GroupPool(set(gt.default_pool().groups)),
-        "evaluate": lambda: gt.evaluate({EXAMPLE}, GRAPHS[1], gt.default_pool(),
-                                        gt.CompressiveEchoBackend()),
-        "train": lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), set(TRAIN_SET),
-                                  config, gt.TrainConfig(epochs=1)),
-        "curate_minimal": lambda: gt.curate_minimal({result}),
-        "explore_and_label": lambda: gt.explore_and_label(
-            gt.default_pool(), {EXAMPLE}, gt.CompressiveEchoBackend(), gt.ExplorationConfig()),
-        "generate_graphs": lambda: gt.generate_graphs(params, config, np.eye(POOL, DIM),
-                                                      np.zeros((1, DIM)), {0}),
-    }
-    with pytest.raises(gt.ValidationError, match="must be an ordered sequence, not a set"):
-        calls[entry]()
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -690,99 +582,32 @@ def test_a_reply_that_is_not_a_backend_result_is_refused(monkeypatch, entry):
     assert any(pooled) == (entry == "evaluate")
 
 
+# Bad arguments the sweep below does not reach: values inside the annotation,
+# the embedders' methods and the unannotated argument of ``example_to_record``.
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: gt.count_tokens(None), "'text' must be a string", id="count_tokens"),
-    pytest.param(lambda: gt.answer_matches(None, "x"), "'expected' must be a string",
-                 id="answer_matches_expected"),
-    pytest.param(lambda: gt.answer_matches("x", 5), "'got' must be a string",
-                 id="answer_matches_got"),
     pytest.param(lambda: gt.HashingTextEmbedder(8).encode([None]), "'texts' must hold str",
                  id="hashing_encode_none"),
     pytest.param(lambda: gt.HashingTextEmbedder(8).encode("ab"),
                  "'texts' must be an ordered sequence, not a str", id="hashing_encode_str"),
     pytest.param(lambda: gt.HttpEncoderClient(8, url="http://enc.test", session=object())
                  .encode([None]), "'texts' must hold str", id="http_encode_none"),
-    pytest.param(lambda: gt.validate_group_graph(None, 3, 3), "'graph' must be a GroupGraph",
-                 id="validate_group_graph"),
-    pytest.param(lambda: gt.materialize_agent_graph(None, gt.default_pool()),
-                 "'graph' must be a GroupGraph", id="materialize_agent_graph"),
-    pytest.param(lambda: gt.render_diagram(None, gt.default_pool()),
-                 "'graph' must be a GroupGraph", id="render_diagram"),
-    pytest.param(lambda: gt.materialize_agent_graph(GRAPHS[1], None),
-                 "'pool' must be a GroupPool", id="materialize_agent_graph_pool"),
-    pytest.param(lambda: gt.render_diagram(GRAPHS[1], None), "'pool' must be a GroupPool",
-                 id="render_diagram_pool"),
-    pytest.param(lambda: gt.evaluate([EXAMPLE], GRAPHS[1], None, gt.CompressiveEchoBackend()),
-                 "'pool' must be a GroupPool", id="evaluate_pool"),
-    pytest.param(lambda: gt.train(None, gt.HashingTextEmbedder(8), TRAIN_SET,
-                                  gt.ModelConfig(pool_size=2), gt.TrainConfig()),
-                 "'pool' must be a GroupPool", id="train_pool"),
-    pytest.param(lambda: gt.explore_and_label(None, [EXAMPLE], gt.CompressiveEchoBackend(),
-                                              gt.ExplorationConfig()),
-                 "'pool' must be a GroupPool", id="explore_and_label_pool"),
-    pytest.param(lambda: gt.read_records(None), "'path' must be a path", id="read_records"),
-    pytest.param(lambda: gt.write_records(None, []), "'path' must be a path",
-                 id="write_records_path"),
-    pytest.param(lambda: gt.load_pool(None), "'path' must be a path", id="load_pool"),
     pytest.param(lambda: gt.example_to_record(None), "need an instance of a record type",
                  id="example_to_record"),
     pytest.param(lambda: gt.example_to_record(gt.EvalExample),
                  "need an instance of a record type", id="example_to_record_type"),
-    pytest.param(lambda: gt.AnswerKeyBackend(None), "'answers' must be a mapping",
-                 id="answer_key_backend"),
-    pytest.param(lambda: gt.init_params(None), "'config' must be a ModelConfig",
-                 id="init_params"),
-    pytest.param(lambda: gt.load_checkpoint(None), "'path' must be a path",
-                 id="load_checkpoint"),
-    pytest.param(lambda: gt.save_checkpoint(None, {}, {}), "'path' must be a path",
-                 id="save_checkpoint_path"),
-    pytest.param(lambda: gt.save_checkpoint("never-written.npz", {}, gt.ModelConfig(pool_size=2)),
-                 "'config' must be a mapping", id="save_checkpoint_config"),
     pytest.param(lambda: gt.save_checkpoint("never-written.npz", {}, {"model": object()}),
                  "'config' cannot be written as JSON", id="save_checkpoint_json"),
-    pytest.param(lambda: gt.build_candidate_matrix(gt.HashingTextEmbedder(8), None),
-                 "'pool' must be a GroupPool", id="build_candidate_matrix"),
     pytest.param(lambda: gt.generate_graph({}, TINY, CANDIDATES, np.zeros(DIM)),
                  "parameters do not match the model config: need task_ffn.l1.w",
                  id="generate_graph_empty_params"),
     pytest.param(lambda: gt.graph_log_likelihood({}, TINY, CANDIDATES, np.zeros(DIM), GRAPHS[1]),
                  "parameters do not match the model config", id="graph_log_likelihood_params"),
-    pytest.param(lambda: gt.loss_and_grads(None, TINY, CANDIDATES, np.zeros(DIM), GRAPHS[1]),
-                 "'params' must be a mapping, got None", id="loss_and_grads_params"),
-    pytest.param(lambda: gt.minibatch_loss_and_grads(
-        TINY_PARAMS, None, CANDIDATES, np.zeros((1, DIM)), [GRAPHS[1]], [None]),
-                 "'config' must be a ModelConfig, got None", id="minibatch_config"),
-    pytest.param(lambda: gt.generate_graphs(TINY_PARAMS, {"dim": DIM}, CANDIDATES,
-                                            np.zeros((1, DIM)), [0]),
-                 "'config' must be a ModelConfig", id="generate_graphs_config"),
     pytest.param(lambda: gt.generate_graphs({**TINY_PARAMS, "end_embed": np.zeros(3)}, TINY,
                                             CANDIDATES, np.zeros((1, DIM)), [0]),
                  r"need end_embed of shape \(4,\); got end_embed entries of shape \(3,\)",
                  id="generate_graphs_misshaped_param"),
-    pytest.param(lambda: gt.generate_graphs({**TINY_PARAMS, "end_embed": [[0.0], [0.0, 1.0]]},
-                                            TINY, CANDIDATES, np.zeros((1, DIM)), [0]),
-                 "got end_embed entries of shape None", id="generate_graphs_list_param"),
-    pytest.param(lambda: gt.check_params(TINY_PARAMS, None), "'config' must be a ModelConfig",
-                 id="check_params_config"),
-    pytest.param(lambda: gt.check_params(None, TINY), "'params' must be a mapping",
-                 id="check_params_params"),
-    pytest.param(lambda: gt.AnswerKeyBackend({"q": 5}), "'answers' must hold str values, got 5",
-                 id="answer_key_backend_value"),
     pytest.param(lambda: gt.AnswerKeyBackend({5: "a"}), "'answers' must hold str values, got 5",
                  id="answer_key_backend_key"),
-    pytest.param(lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), TRAIN_SET, None,
-                                  gt.TrainConfig()),
-                 "'model_config' must be a ModelConfig, got None", id="train_model_config"),
-    pytest.param(lambda: gt.train(TRAIN_POOL, gt.HashingTextEmbedder(DIM), TRAIN_SET, TINY, None),
-                 "'train_config' must be a TrainConfig, got None", id="train_train_config"),
-    pytest.param(lambda: gt.explore_and_label(gt.default_pool(), [EXAMPLE],
-                                              gt.CompressiveEchoBackend(), None),
-                 "'config' must be an ExplorationConfig, got None", id="explore_and_label_config"),
-    pytest.param(lambda: gt.save_checkpoint("never-written.npz", None, {}),
-                 "'params' must be a mapping, got None", id="save_checkpoint_params"),
-    pytest.param(lambda: gt.save_checkpoint("never-written.npz", TINY_PARAMS, {}, "bad"),
-                 "'opt_state' must be an OptimizerState or None, got 'bad'",
-                 id="save_checkpoint_opt_state"),
 ])
 def test_entry_points_check_their_arguments(call, message):
     with pytest.raises(gt.ValidationError, match=message):
@@ -791,71 +616,214 @@ def test_entry_points_check_their_arguments(call, message):
 
 def test_write_records_refuses_a_value_json_cannot_encode(tmp_path):
     path = tmp_path / "records.jsonl"
-    for records in ([gt.example_to_record(EXAMPLE), object()], [{"v": {1, 2}}]):
+    for records in ([gt.example_to_record(EXAMPLE), {"v": object()}], [{"v": {1, 2}}]):
         with pytest.raises(gt.ValidationError, match=r"record \d is not JSON"):
             gt.write_records(path, records)
     assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
-# The whole top-level table.
+# Every parameter of the top-level table, swept by its annotation.
 
-NOT_SWEPT = {
-    "GroupTopoError": "an exception type: any message is valid",
-    "ValidationError": "an exception type: any message is valid",
-    "BackendError": "an exception type: any message is valid",
-    "IntraPattern": "an Enum, whose unknown values raise ValueError by the Enum contract; "
-                    "CandidateGroup turns that into ValidationError",
-    "default_pool": "takes no arguments",
-    "CompressiveEchoBackend": "takes no arguments",
-    "HttpAgentBackend": "bad replies: tests/test_harness.py",
+ADAM_PARAMS = gt.nn.Layout(ADAM_SHAPES.items())
+MODEL = dict(params=TINY_PARAMS, config=TINY, candidates=CANDIDATES)
+ECHO = gt.CompressiveEchoBackend()
+RESULT = dict(query="q", answer="a", graph=GRAPHS[1], family="chain", correct=True,
+              final_text="a", prompt_tokens=1, completion_tokens=1)
+
+# One valid call per callable of the README's top-level table: its required
+# arguments, and any other that a sweep value needs. Paths are relative to the
+# ``files`` fixture's directory.
+VALID_CALLS = {
+    "RoleSpec": dict(name="solver", prompt="solve it"),
+    "CandidateGroup": dict(name="g", description="d", roles=(ROLE,), pattern="chain"),
+    "GroupPool": dict(groups=TRAIN_POOL.groups),
+    "GroupGraph": dict(selected=(0, 1), edges=((0, 1),)),
+    "Trajectory": dict(query="q", graph=GRAPHS[2]),
+    "AgentNode": dict(name="n", prompt="p", role="r"),
+    "AgentGraph": dict(nodes=list(ATTACK_GRAPH.nodes), edges=ATTACK_GRAPH.edges),
+    "validate_group_graph": dict(graph=GRAPHS[2], pool_size=POOL, max_steps=MAX_STEPS),
+    "materialize_agent_graph": dict(graph=GRAPHS[2], pool=TRAIN_POOL),
+    "render_diagram": dict(graph=GRAPHS[2], pool=TRAIN_POOL),
+    "read_records": dict(path="pool.jsonl"),
+    "write_records": dict(path="out.jsonl", records=[gt.example_to_record(EXAMPLE)]),
+    "default_pool": dict(),
+    "load_pool": dict(path="pool.jsonl"),
+    "HashingTextEmbedder": dict(dim=DIM),
+    "HttpEncoderClient": dict(dim=DIM, url="http://encoder.test", session=object()),
+    "build_candidate_matrix": dict(provider=gt.HashingTextEmbedder(DIM), pool=TRAIN_POOL),
+    "BackendResult": dict(text="ok"),
+    "CompressiveEchoBackend": dict(),
+    "AnswerKeyBackend": dict(answers={"q": "a"}),
+    "HttpAgentBackend": dict(url="http://agent.test", session=object()),
+    "AttackSpec": dict(target=0, text="x"),
+    "EvalExample": dict(query="q", answer="a"),
+    "example_to_record": dict(obj=EXAMPLE),
+    "run_graph": dict(agent_graph=ATTACK_GRAPH, query="q", backend=ECHO),
+    "evaluate": dict(dataset=[EXAMPLE], graphs=[GRAPHS[1]], pool=TRAIN_POOL, backend=ECHO),
+    "answer_matches": dict(expected="a", got="a"),
+    "count_tokens": dict(text="a b"),
+    "ModelConfig": dict(pool_size=POOL),
+    "init_params": dict(config=TINY),
+    "check_params": dict(params=TINY_PARAMS, config=TINY),
+    "generate_graph": dict(MODEL, task_vec=np.zeros(DIM)),
+    "generate_graphs": dict(MODEL, task_vecs=np.zeros((1, DIM)), seeds=[0]),
+    "graph_log_likelihood": dict(MODEL, task_vec=np.zeros(DIM), graph=GRAPHS[2]),
+    "loss_and_grads": dict(MODEL, task_vec=np.zeros(DIM), graph=GRAPHS[2]),
+    "minibatch_loss_and_grads": dict(MODEL, task_vecs=np.zeros((1, DIM)), graphs=[GRAPHS[2]],
+                                     noises=[None]),
+    "make_rng": dict(seed=0),
+    "adamw_step": dict(params=ADAM_PARAMS, grads=gt.nn.Layout(ADAM_PARAMS.shapes), lr=0.1,
+                       state=gt.nn.OptimizerState.for_params(ADAM_PARAMS)),
+    "save_checkpoint": dict(path="out.npz", params=TINY_PARAMS, config={"model": TINY.to_dict()}),
+    "load_checkpoint": dict(path="model.npz"),
+    "TrainConfig": dict(),
+    "ExplorationConfig": dict(),
+    "ExplorationResult": RESULT,
+    "train": dict(pool=TRAIN_POOL, provider=gt.HashingTextEmbedder(DIM), dataset=TRAIN_SET,
+                  model_config=TINY, train_config=gt.TrainConfig(epochs=1, batch_size=1)),
+    "explore_and_label": dict(pool=TRAIN_POOL, dataset=[EXAMPLE], backend=ECHO,
+                              config=gt.ExplorationConfig(families=("chain",), n_steps=2)),
+    "curate_minimal": dict(results=[gt.ExplorationResult(**RESULT)]),
+    "sample_candidate_topology": dict(rng=np.random.default_rng(0), pool_size=POOL,
+                                      family="chain", n_steps=2),
 }
 
+# What the sweep leaves out, and why: a callable, ``<callable>.<parameter>``, or
+# ``<callable>.<parameter>:<kind>`` for one kind of value that ``outside`` gives.
+EXCLUDED = {
+    **dict.fromkeys(["GroupTopoError", "ValidationError", "BackendError"],
+                    "an exception type: any message is valid"),
+    "IntraPattern": "an Enum, whose unknown values raise ValueError by the Enum contract; "
+                    "CandidateGroup's 'pattern' turns that into ValidationError",
+    **dict.fromkeys(["build_candidate_matrix.provider", "train.provider"],
+                    "a duck-typed protocol: anything with 'encode'"),
+    **dict.fromkeys(["run_graph.backend", "evaluate.backend", "explore_and_label.backend"],
+                    "a duck-typed protocol: anything with 'complete'"),
+    **dict.fromkeys(["HttpEncoderClient.session", "HttpAgentBackend.session"],
+                    "a duck-typed protocol: anything with 'post'"),
+    "example_to_record.obj": "unannotated: a value of any of the five record types",
+    **dict.fromkeys(["GroupGraph.edges:set", "AgentGraph.edges:set"],
+                    "check_edges sorts the pairs, so a set of them has all they need"),
+}
 
-def swept_names() -> set[str]:
-    """Each ``gt.<name>`` that this file calls where a bad input is expected: in
-    a ``pytest.raises`` block, an argument of ``expect_checked``, a ``try`` that
-    catches ``gt.GroupTopoError`` or a lambda, which those run. Only the
-    outermost call counts, not a call that builds one of its arguments."""
-    names = set()
+# The pattern a message must match where the check does not quote the
+# parameter's own name, by ``<callable>.<parameter>`` or by parameter name.
+REPORTED = {
+    "params": "'params'|parameters do not match",
+    "candidates": "candidate rows",
+    **dict.fromkeys(["task_vec", "task_vecs"], "task rows"),
+    "noise": "noise rows",
+    "noises": "'noises'|noise rows",
+    "mode": "'mode'|execution mode",
+    **dict.fromkeys(["rule", "EvalExample.match"], "match rule"),
+    "CandidateGroup.pattern": "intra pattern",
+    "sample_candidate_topology.family": "topology family",
+    "generate_graph.seed": "'seeds'",
+    **dict.fromkeys(["graph_log_likelihood.graph", "loss_and_grads.graph"], "'graphs'"),
+}
 
-    def outermost(node):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                    and func.value.id == "gt"):
-                names.add(func.attr)
-            outermost(func)  # gt.X(...).method(...) calls gt.X too
-            return
-        for child in ast.iter_child_nodes(node):
-            outermost(child)
-
-    for node in ast.walk(ast.parse(pathlib.Path(__file__).read_text("utf-8"))):
-        if isinstance(node, ast.With) and any(
-                ast.unparse(item.context_expr).startswith("pytest.raises")
-                for item in node.items):
-            regions = node.body
-        elif isinstance(node, ast.Try) and any(
-                handler.type is not None and ast.unparse(handler.type) == "gt.GroupTopoError"
-                for handler in node.handlers):
-            regions = node.body
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "expect_checked":
-            regions = node.args
-        elif isinstance(node, ast.Lambda):
-            regions = [node.body]
-        else:
-            continue
-        for region in regions:
-            outermost(region)
-    return names
+SEQUENCES = {tuple, list, collections.abc.Sequence}
+MAPPINGS = {dict, collections.abc.Mapping}
+CONTAINERS = SEQUENCES | MAPPINGS | {collections.abc.Iterable}
+SCALARS = {int, float, bool, np.ndarray, gt.GroupGraph}  # a string is none of these
 
 
-def test_every_top_level_callable_has_a_bad_input_case():
+def outside(hint, valid) -> dict[str, object]:
+    """Values outside the annotation ``hint``, by kind: None where it is not
+    optional, a string for a number, an array, a graph or a container, a float for
+    an integer, a number for a string, a set of ``valid``'s items for an ordered
+    sequence, a container holding ``object()`` for one of anything narrower, and
+    ``object()``."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = {typing.get_origin(member) or member: typing.get_args(member)
+             for member in (typing.get_args(hint) if union else (hint,))}
+    values = {"object": object()}
+    if type(None) not in kinds:
+        values["none"] = None
+    if str not in kinds and kinds.keys() & (SCALARS | CONTAINERS):
+        values["str"] = "3"
+    if int in kinds and float not in kinds:
+        values["float"] = 2.5
+    if str in kinds and int not in kinds:
+        values["number"] = 5
+    if kinds.keys() & SEQUENCES:
+        values["set"] = set(valid)
+    for kind, items in kinds.items():
+        if kind in CONTAINERS and object not in items:
+            values["item"] = {"a": object()} if kind in MAPPINGS else [object()]
+    return values
+
+
+def valid_call(name) -> inspect.BoundArguments:
+    """``name``'s valid call with defaults, bound to its signature, annotations resolved."""
+    bound = inspect.signature(getattr(gt, name), eval_str=True).bind(**VALID_CALLS[name])
+    bound.apply_defaults()
+    return bound
+
+
+class Uncalled:
+    """The backend of the sweep's calls: every argument is checked before the first call."""
+
+    def complete(self, system, user, *, role):
+        raise AssertionError("a backend call before every argument was checked")
+
+
+SWEPT = [(name, parameter) for name in VALID_CALLS for parameter in valid_call(name).arguments
+         if f"{name}.{parameter}" not in EXCLUDED]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory with the pool file and the checkpoint that ``VALID_CALLS`` read."""
+    directory = tmp_path_factory.mktemp("files")
+    gt.write_records(directory / "pool.jsonl", [gt.graph.to_record(g) for g in TRAIN_POOL])
+    gt.save_checkpoint(directory / "model.npz", TINY_PARAMS, {"model": TINY.to_dict()})
+    return directory
+
+
+def test_the_table_covers_the_top_level_and_its_calls_are_valid(files, monkeypatch):
+    monkeypatch.chdir(files)
     callables = {name for name in readme_top_level() if callable(getattr(gt, name))}
-    swept = swept_names()
-    assert all(reason.strip() for reason in NOT_SWEPT.values())
-    assert set(NOT_SWEPT) <= callables - swept, "stale NOT_SWEPT entries"
-    assert sorted(callables - swept - set(NOT_SWEPT)) == []
+    assert all(reason.strip() for reason in EXCLUDED.values())
+    assert set(VALID_CALLS) | {key for key in EXCLUDED if "." not in key} == callables
+    for key in EXCLUDED:  # none stale: each names a callable, and a parameter and kind it has
+        name, parameter, kind = re.fullmatch(r"(\w+)\.?(\w*):?(\w*)", key).groups()
+        assert name in callables, key
+        if parameter:
+            bound = valid_call(name)
+            hint = bound.signature.parameters[parameter].annotation  # a KeyError if stale
+            assert kind in ("", *outside(hint, bound.arguments[parameter])), key
+    for name, arguments in VALID_CALLS.items():
+        getattr(gt, name)(**arguments)
+    assert gt.GroupPool(iter(TRAIN_POOL.groups)) == TRAIN_POOL  # any ordered iterable
+    assert gt.AgentGraph(**VALID_CALLS["AgentGraph"]) == ATTACK_GRAPH  # a list of nodes
+
+
+@pytest.mark.parametrize("name, parameter", SWEPT, ids=[f"{n}.{p}" for n, p in SWEPT])
+def test_every_parameter_refuses_values_outside_its_annotation(files, monkeypatch, name,
+                                                               parameter):
+    """Each value that ``outside`` gives raises ValidationError, with a message
+    that quotes the parameter's name or matches its ``REPORTED`` pattern."""
+    monkeypatch.chdir(files)
+    bound = valid_call(name)
+    if "backend" in bound.arguments:
+        bound.arguments["backend"] = Uncalled()
+    reported = REPORTED.get(f"{name}.{parameter}", REPORTED.get(parameter, f"'{parameter}'"))
+    wrong = []
+    hint = bound.signature.parameters[parameter].annotation
+    for kind, value in outside(hint, bound.arguments[parameter]).items():
+        if f"{name}.{parameter}:{kind}" in EXCLUDED:
+            continue
+        try:
+            getattr(gt, name)(**{**bound.arguments, parameter: value})
+            wrong.append(f"{kind}: accepted {value!r}")
+        except gt.ValidationError as exc:
+            if not re.search(reported, str(exc)):
+                wrong.append(f"{kind}: {exc}")
+        except Exception as exc:
+            wrong.append(f"{kind}: {type(exc).__name__}: {exc}")
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

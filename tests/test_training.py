@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -379,6 +381,23 @@ def test_train_resume_from_params(pool4):
         params=full.params, opt_state=full.opt_state,
     )
     assert more.history[-1].loss <= full.history[-1].loss
+
+
+def test_a_training_step_calls_the_kernels_the_bench_counts(pool4, monkeypatch):
+    """The bench counts ``nn.adamw_step`` and ``nn.accumulate`` calls by wrapping each
+    ``grouptopo`` attribute bound to them, as here; a step that inlines either reads 0 there."""
+    calls = Counter()
+    for fn in (nn.adamw_step, nn.accumulate):
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "grouptopo"]:
+            for attr in [attr for attr, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, counted)
+    setup, dataset, model_config, train_config = overfit_setup(epochs=1)
+    gt.train(pool4, setup.provider, dataset, model_config, train_config)
+    assert calls["adamw_step"] == 1 and calls["accumulate"] > 0
 
 
 # ---------------------------------------------------------------------------
