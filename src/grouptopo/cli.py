@@ -10,13 +10,13 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 backend error.
 
 from __future__ import annotations
 
-import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable
 
 import click
 
+from . import __version__
 from .embedding import (
     EmbeddingProvider,
     HashingTextEmbedder,
@@ -65,19 +65,9 @@ click.UsageError.exit_code = 1
 GENERATE_BATCH = 64
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValidationError as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(2)
-        except BackendError as exc:
-            click.echo(f"backend error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
+# The defaults the options show are the config classes' own.
+MODEL, TRAIN, EXPLORE = ({f.name: f.default for f in fields(config)}
+                         for config in (ModelConfig, TrainConfig, ExplorationConfig))
 
 
 def _load_pool(path: str | None) -> GroupPool:
@@ -111,18 +101,14 @@ def _make_provider(kind: str, dim: int) -> EmbeddingProvider:
     raise ValidationError(f"unknown encoder '{kind}'")
 
 
-def _make_backend(
-    kind: str, examples: list[EvalExample] | None, attack: AttackSpec | None = None
-):
+def _make_backend(kind: str, examples: list[EvalExample], attack: AttackSpec | None = None):
     """The agent backend. A scripted backend takes the attack text as its
     compromise marker, which fires only on the line the attack prepends, so
     one backend serves a clean and an attacked pass alike."""
     if kind == "http":
         return HttpAgentBackend()
-    if kind == "scripted":
-        answers = {e.query: e.answer for e in examples} if examples else {}
-        return AnswerKeyBackend(answers, attack.text if attack else None)
-    raise ValidationError(f"unknown backend '{kind}'")
+    answers = {e.query: e.answer for e in examples}
+    return AnswerKeyBackend(answers, attack.text if attack else None)
 
 
 def _parse_attack(target: str | None, text: str | None) -> AttackSpec | None:
@@ -140,21 +126,30 @@ pool_option = click.option(
     "--pool", "pool_path", type=str, default=None, help="Pool records (bundled if omitted)."
 )
 backend_option = click.option(
-    "--backend", type=click.Choice(["scripted", "http"]), default="scripted",
-    show_default=True,
-)
+    "--backend", type=click.Choice(["scripted", "http"]), default="scripted")
 mode_option = click.option(
-    "--mode", type=click.Choice(["composite", "expanded"]), default="composite",
-    show_default=True,
-)
-rounds_option = click.option(
-    "--rounds", type=click.IntRange(min=1), default=1, show_default=True
-)
-seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+    "--mode", type=click.Choice(["composite", "expanded"]), default="composite")
+rounds_option = click.option("--rounds", type=click.IntRange(min=1), default=1)
+seed_option = click.option("--seed", type=click.IntRange(min=0), default=0)
 
 
-@click.group()
-@click.version_option(version="0.1.0", prog_name="grouptopo")
+class _Commands(click.Group):
+    """The command group. Every command runs inside its ``invoke``, the one
+    place that maps a ValidationError to exit 2 and a BackendError to exit 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            click.echo(f"validation error: {exc}", err=True)
+            sys.exit(2)
+        except BackendError as exc:
+            click.echo(f"backend error: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Commands, context_settings={"show_default": True})
+@click.version_option(version=__version__, prog_name="grouptopo")
 def main() -> None:
     """Group-level topology generation and execution for agent pipelines."""
 
@@ -167,10 +162,9 @@ def main() -> None:
 @mode_option
 @rounds_option
 @seed_option
-@click.option("--families", default="chain,star,full", show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@_guarded
+@click.option("--families", default=",".join(EXPLORE["families"]))
+@click.option("--steps", type=click.IntRange(min=1), default=EXPLORE["n_steps"])
+@click.option("--samples", type=click.IntRange(min=1), default=EXPLORE["samples_per_family"])
 def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
              steps, samples) -> None:
     """Probe topology families against the backend and label the outcomes."""
@@ -205,7 +199,6 @@ def discover(pool_path, dataset, out, backend, mode, rounds, seed, families,
 @click.option("--results", "results_path", required=True, type=str,
               help="Exploration records from discover.")
 @click.option("--out", required=True, type=str, help="Trajectory records out.")
-@_guarded
 def curate(results_path, out) -> None:
     """Keep the cheapest correct graph per query."""
     check_writable(out)
@@ -221,20 +214,18 @@ def curate(results_path, out) -> None:
 @pool_option
 @click.option("--dataset", required=True, type=str, help="Trajectory records.")
 @click.option("--out", "out_path", required=True, type=str, help="Checkpoint out.")
-@click.option("--epochs", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--warmup", type=click.IntRange(min=0), default=10, show_default=True)
-@click.option("--batch", type=click.IntRange(min=1), default=40, show_default=True)
-@click.option("--lr", type=float, default=1e-4, show_default=True)
-@click.option("--beta-g", type=float, default=0.0, show_default=True)
-@click.option("--beta-e", type=float, default=0.3, show_default=True)
-@click.option("--dim", type=click.IntRange(min=1), default=384, show_default=True)
-@click.option("--hidden", type=click.IntRange(min=1), default=256, show_default=True)
-@click.option("--max-steps", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--encoder", type=click.Choice(["hash", "http"]), default="hash",
-              show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=TRAIN["epochs"])
+@click.option("--warmup", type=click.IntRange(min=0), default=TRAIN["warmup_epochs"])
+@click.option("--batch", type=click.IntRange(min=1), default=TRAIN["batch_size"])
+@click.option("--lr", type=float, default=TRAIN["lr"])
+@click.option("--beta-g", type=float, default=MODEL["beta_group"])
+@click.option("--beta-e", type=float, default=MODEL["beta_edge"])
+@click.option("--dim", type=click.IntRange(min=1), default=MODEL["dim"])
+@click.option("--hidden", type=click.IntRange(min=1), default=MODEL["hidden"])
+@click.option("--max-steps", type=click.IntRange(min=1), default=MODEL["max_steps"])
+@click.option("--encoder", type=click.Choice(["hash", "http"]), default="hash")
 @seed_option
 @click.option("--quiet", is_flag=True, default=False)
-@_guarded
 def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
               beta_e, dim, hidden, max_steps, encoder, seed, quiet) -> None:
     """Teacher-force the generator on curated trajectories."""
@@ -278,7 +269,6 @@ def train_cmd(pool_path, dataset, out_path, epochs, warmup, batch, lr, beta_g,
 @click.option("--out", required=True, type=str, help="Trajectory records out.")
 @click.option("--forced-steps", type=click.IntRange(min=1), default=None)
 @seed_option
-@_guarded
 def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -> None:
     """Generate a group graph per query from a trained checkpoint."""
     check_writable(out)
@@ -317,19 +307,26 @@ def generate(pool_path, checkpoint, queries, dataset, out, forced_steps, seed) -
     click.echo(f"wrote {len(records)} graphs -> {out}")
 
 
-def _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack):
-    answers = {e.query: e for e in examples} if examples else {}
-    dataset = []
-    graphs = []
-    for traj in trajectories:
-        example = answers.get(traj.query)
-        if example is None:
-            example = EvalExample(query=traj.query, answer="", match="contains")
-        dataset.append(example)
-        graphs.append(traj.graph)
-    return evaluate(
-        dataset, graphs, pool, backend_obj, mode=mode, rounds=rounds, attack=attack
-    )
+def _evaluator(pool_path, graphs_path, dataset, out, backend, mode, rounds,
+               attack_target, attack_text):
+    """``run``'s and ``attack``'s inputs: check ``out``, load the pool, graphs
+    and examples, parse the attack and build the backend, in that order.
+    Returns the attack, or None, and a function that scores the graphs under
+    the attack it is given; a graph whose query has no example is scored
+    against an empty answer."""
+    if out:
+        check_writable(out)
+    pool = _load_pool(pool_path)
+    trajectories = _load(graphs_path, GRAPHS)
+    examples = _load(dataset, EXAMPLES) if dataset else []
+    attack = _parse_attack(attack_target, attack_text)
+    backend_obj = _make_backend(backend, examples, attack)
+    answers = {e.query: e for e in examples}
+    scored = [answers.get(t.query, EvalExample(query=t.query, answer="", match="contains"))
+              for t in trajectories]
+    graphs = [t.graph for t in trajectories]
+    return attack, lambda injection: evaluate(
+        scored, graphs, pool, backend_obj, mode=mode, rounds=rounds, attack=injection)
 
 
 @main.command(name="run")
@@ -345,18 +342,12 @@ def _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack):
 @seed_option
 @click.option("--attack-target", type=str, default=None)
 @click.option("--attack-text", type=str, default=None)
-@_guarded
 def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
             attack_target, attack_text) -> None:
     """Execute stored graphs against a backend and score the answers."""
-    if out:
-        check_writable(out)
-    pool = _load_pool(pool_path)
-    trajectories = _load(graphs_path, GRAPHS)
-    examples = _load(dataset, EXAMPLES) if dataset else None
-    attack = _parse_attack(attack_target, attack_text)
-    backend_obj = _make_backend(backend, examples, attack)
-    report = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, attack)
+    attack, score = _evaluator(pool_path, graphs_path, dataset, out, backend, mode, rounds,
+                               attack_target, attack_text)
+    report = score(attack)
     click.echo(
         f"accuracy {report.accuracy:.3f} on {len(report.items)} items, "
         f"{report.stats.prompt_tokens} prompt + "
@@ -390,19 +381,12 @@ def run_cmd(pool_path, graphs_path, dataset, out, backend, mode, rounds, seed,
 @rounds_option
 @click.option("--attack-target", required=True, type=str)
 @click.option("--attack-text", required=True, type=str)
-@_guarded
 def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
            attack_target, attack_text) -> None:
     """Compare clean accuracy against accuracy under prompt injection."""
-    if out:
-        check_writable(out)
-    pool = _load_pool(pool_path)
-    trajectories = _load(graphs_path, GRAPHS)
-    examples = _load(dataset, EXAMPLES)
-    injection = _parse_attack(attack_target, attack_text)
-    backend_obj = _make_backend(backend, examples, injection)
-    clean = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, None)
-    attacked = _run_eval(pool, trajectories, examples, backend_obj, mode, rounds, injection)
+    injection, score = _evaluator(pool_path, graphs_path, dataset, out, backend, mode,
+                                  rounds, attack_target, attack_text)
+    clean, attacked = score(None), score(injection)
     click.echo(
         f"clean accuracy {clean.accuracy:.3f}, "
         f"attacked accuracy {attacked.accuracy:.3f}"
@@ -426,7 +410,6 @@ def attack(pool_path, graphs_path, dataset, out, backend, mode, rounds,
 @main.command()
 @pool_option
 @click.option("--graphs", "graphs_path", required=True, type=str)
-@_guarded
 def diagram(pool_path, graphs_path) -> None:
     """Print stored graphs as static node/edge text."""
     pool = _load_pool(pool_path)

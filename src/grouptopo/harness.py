@@ -646,9 +646,8 @@ def evaluate(
         )
         for example, transcript in zip(dataset, transcripts)
     ]
-    stats = TokenStats()
-    for transcript in transcripts:
-        for entry in transcript.entries:
-            stats.add(entry.prompt_tokens, entry.completion_tokens)
+    stats = TokenStats(sum(t.stats.prompt_tokens for t in transcripts),
+                       sum(t.stats.completion_tokens for t in transcripts),
+                       sum(t.stats.calls for t in transcripts))
     accuracy = sum(1 for i in items if i.correct) / len(items)
     return EvalReport(accuracy=accuracy, items=tuple(items), stats=stats)

@@ -406,7 +406,8 @@ def save_checkpoint(
 ) -> None:
     """Write the mapping ``params`` of arrays, the JSON-ready mapping ``config`` and,
     when given, the :class:`OptimizerState` ``opt_state`` to one ``.npz`` file at
-    ``path``, a str or PathLike, replacing it atomically; ValidationError otherwise."""
+    ``path``, a str or PathLike, replacing it atomically; ValidationError otherwise,
+    and for a tensor of neither integers nor floats, before anything is written."""
     path = check_path(path, "path")
     check_items(check_type(params, Mapping, "params", "a mapping").values(), np.ndarray, "params")
     check_type(config, Mapping, "config", "a mapping")
@@ -419,14 +420,20 @@ def save_checkpoint(
         "meta/format": np.array(CHECKPOINT_FORMAT),
         "meta/config": np.array(config_json),
     }
-    for name, p in params.items():
-        arrays[f"param/{name}"] = np.asarray(p, dtype=np.float64)
+    sections = [("param/", params, np.float64)]
     if opt_state is not None:
-        arrays["opt/step"] = np.array(opt_state.step, dtype=np.int64)
-        for name, m in opt_state.m.items():
-            arrays[f"opt/m/{name}"] = np.asarray(m, dtype=np.float64)
-        for name, v in opt_state.v.items():
-            arrays[f"opt/v/{name}"] = np.asarray(v, dtype=np.float64)
+        sections += [("opt/", {"step": opt_state.step}, np.int64),
+                     ("opt/m/", opt_state.m, np.float64), ("opt/v/", opt_state.v, np.float64)]
+    for prefix, tensors, dtype in sections:
+        for name, tensor in tensors.items():
+            try:
+                array = np.asarray(tensor)
+            except ValueError:  # ragged rows have no shape
+                array = np.empty(0, dtype=object)
+            if array.dtype.kind not in "iuf":
+                raise ValidationError(
+                    f"'{prefix}{name}' must hold integers or floats, got dtype {array.dtype}")
+            arrays[prefix + name] = array.astype(dtype, copy=False)
     with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 

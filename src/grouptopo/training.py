@@ -243,8 +243,8 @@ def sample_candidate_topology(
     check_type(rng, np.random.Generator, "rng", "a NumPy Generator")
     pool_size = check_int(pool_size, "pool_size", 1)
     n_steps = check_int(n_steps, "n_steps", 1)
-    selected = rng.integers(0, pool_size, size=n_steps)
-    return GroupGraph(selected=selected, edges=family_edges(family, n_steps))
+    edges = family_edges(family, n_steps)  # an unknown family draws nothing
+    return GroupGraph(selected=rng.integers(0, pool_size, size=n_steps), edges=edges)
 
 
 @dataclass(frozen=True)

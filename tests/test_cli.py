@@ -7,6 +7,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import tempfile
 import threading
 import time
@@ -55,6 +57,22 @@ def test_version(runner):
     result = invoke(runner, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+WORKFLOW = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_every_command_line_ci_runs_parses():
+    """Each ``grouptopo <command>`` line of the CI workflow, joined across its
+    backslash continuations, parses against the command's options, so a flag
+    renamed or deleted from the CLI fails here and not only in CI. The
+    workflow's ``python -c 'import grouptopo ...'`` lines name no command."""
+    text = WORKFLOW.read_text().replace("\\\n", " ")
+    command = re.compile(rf"\bgrouptopo ((?:{'|'.join(main.commands)})\b.*)")
+    lines = [shlex.split(match[1]) for match in command.finditer(text)]
+    assert {name for name, *_ in lines} == set(main.commands)
+    for name, *args in lines:
+        main.commands[name].make_context(name, args)
 
 
 def test_full_pipeline(runner, workdir):

@@ -390,6 +390,27 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert np.array_equal(loaded_params["w"], params["w"])
 
 
+@pytest.mark.parametrize("params, opt_state, member", [
+    ({"w": np.ones(2, dtype=complex)}, None, "param/w"),
+    ({"w": np.array(["x", "y"])}, None, "param/w"),
+    ({"w": np.ones(2, dtype=bool)}, None, "param/w"),
+    ({"w": np.ones(2)}, nn.OptimizerState(m={"w": "x"}), "opt/m/w"),
+    ({"w": np.ones(2)}, nn.OptimizerState(v={"w": [[1.0], [1.0, 2.0]]}), "opt/v/w"),
+], ids=["complex", "string", "bool", "string_moment", "ragged_moment"])
+def test_checkpoint_refuses_a_tensor_of_neither_integers_nor_floats(tmp_path, params,
+                                                                     opt_state, member):
+    path = tmp_path / "model.npz"
+    with pytest.raises(ValidationError, match=f"'{member}' must hold integers or floats"):
+        nn.save_checkpoint(path, params, {"dim": 2}, opt_state)
+    assert list(tmp_path.iterdir()) == []
+    state = nn.OptimizerState(m={"w": np.arange(2)}, v={"w": np.ones(2, np.float32)}, step=3)
+    nn.save_checkpoint(path, {"w": np.arange(2, dtype=np.uint8)}, {"dim": 2}, state)
+    loaded_params, loaded_state, _ = nn.load_checkpoint(path)
+    assert loaded_params["w"].dtype == loaded_state.m["w"].dtype == np.float64
+    assert loaded_params["w"].tolist() == loaded_state.m["w"].tolist() == [0.0, 1.0]
+    assert loaded_state.v["w"].tolist() == [1.0, 1.0] and loaded_state.step == 3
+
+
 def test_checkpoint_missing_file_is_validation_error(tmp_path):
     with pytest.raises(ValidationError, match="not found"):
         nn.load_checkpoint(tmp_path / "absent.npz")

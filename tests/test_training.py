@@ -111,6 +111,16 @@ def test_family_edges_shapes():
         family_edges("ring", 3)
 
 
+def test_a_refused_family_leaves_the_stream_untouched():
+    rng = np.random.default_rng(12)  # PCG64: its state compares as plain ints
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="unknown topology family 'ring'"):
+        sample_candidate_topology(rng, 3, "ring", 2)
+    assert rng.bit_generator.state == state
+    graph = sample_candidate_topology(rng, 3, "star", 4)
+    assert graph.selected == tuple(np.random.default_rng(12).integers(0, 3, size=4).tolist())
+
+
 def test_sampled_topologies_are_valid():
     rng = nn.make_rng(12)
     for family in gt.training.TOPOLOGY_FAMILIES:
